@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cached_property
+from math import factorial
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 __all__ = [
@@ -180,6 +181,101 @@ def _add_into(acc: Terms, terms: Terms, scale: Q | None = None) -> None:
                 acc[e] = prev
             else:
                 del acc[e]
+
+
+# ---------------------------------------------------------------------------
+# Grade-bucketed truncated series
+# ---------------------------------------------------------------------------
+
+Graded = dict[int, Terms]  # grade -> terms of that grade
+
+
+def _graded(terms: Terms, weights: Sequence[int], cap: int) -> Graded:
+    """Bucket terms by the weighted degree sum(w_i e_i), dropping grades above cap."""
+    out: Graded = {}
+    for e, c in terms.items():
+        g = sum(w * x for w, x in zip(weights, e))
+        if g <= cap:
+            out.setdefault(g, {})[e] = c
+    return out
+
+
+def _flat(series: Graded) -> Terms:
+    return {e: c for part in series.values() for e, c in part.items()}
+
+
+def _graded_add(acc: Graded, other: Graded, scale: Q | None = None) -> None:
+    for g, terms in other.items():
+        _add_into(acc.setdefault(g, {}), terms, scale)
+
+
+def _graded_mul(
+    a: Graded,
+    b: Graded,
+    cap: int,
+    trunc_idx: int = -1,
+    trunc_max: int = 0,
+) -> Graded:
+    """Product of two graded series modulo grade > cap (and the truncation).
+
+    Only bucket pairs with g1 + g2 <= cap are multiplied.  Dropping grades
+    above cap is exact for every later product as long as no grade is
+    negative, which all callers guarantee by their choice of weights.
+    """
+    out: Graded = {}
+    for g1, t1 in a.items():
+        for g2, t2 in b.items():
+            if g1 + g2 <= cap:
+                piece = _mul_terms(t1, t2, trunc_idx, trunc_max)
+                if piece:
+                    _add_into(out.setdefault(g1 + g2, {}), piece)
+    return {g: t for g, t in out.items() if t}
+
+
+def _graded_series(
+    x: Graded,
+    coeffs: Sequence[QLike],
+    cap: int,
+    width: int,
+    trunc_idx: int = -1,
+    trunc_max: int = 0,
+) -> Graded:
+    """sum_m coeffs[m] x^m modulo grade > cap, building the powers step by step.
+
+    The sum stops at the last coefficient or at the first power that the grade
+    cap and the truncation have emptied.
+    """
+    unit = (0,) * width
+    out: Graded = {0: {unit: _coerce_q(coeffs[0])}} if coeffs[0] else {}
+    power: Graded = {0: {unit: Q(1)}}
+    for c in coeffs[1:]:
+        power = _graded_mul(power, x, cap, trunc_idx, trunc_max)
+        if not power:
+            break
+        if c:
+            _graded_add(out, power, _coerce_q(c))
+    return {g: t for g, t in out.items() if t}
+
+
+def _graded_exp(
+    x: Graded, cap: int, width: int, trunc_idx: int = -1, trunc_max: int = 0
+) -> Graded:
+    """exp(x) modulo grade > cap; x must have no grade-0 part."""
+    if x.get(0):
+        raise ValueError("exponent must have no grade-0 part")
+    coeffs = [Q(1, factorial(m)) for m in range(cap + 1)]
+    return _graded_series(x, coeffs, cap, width, trunc_idx, trunc_max)
+
+
+def _graded_inverse(
+    a: Graded, cap: int, width: int, trunc_idx: int = -1, trunc_max: int = 0
+) -> Graded:
+    """The b with a*b == 1 modulo grade > cap; a's grade-0 part must be exactly 1."""
+    if a.get(0) != {(0,) * width: 1}:
+        raise NonUnitError("series inverse requires grade-0 part exactly 1")
+    x = {g: t for g, t in a.items() if g}
+    coeffs = [Q((-1) ** m) for m in range(cap + 1)]
+    return _graded_series(x, coeffs, cap, width, trunc_idx, trunc_max)
 
 
 class MultiPoly:
@@ -439,32 +535,9 @@ class MultiPoly:
 
         Requires constant term exactly 1.
         """
-        if self.constant() != 1:
-            raise NonUnitError("series_inverse requires constant term 1")
         width = len(self.ctx)
-        # bucket the non-constant part by total degree
-        buckets: dict[int, Terms] = {}
-        for e, c in self.terms.items():
-            d = sum(e)
-            if d == 0:
-                continue
-            if d <= cap:
-                buckets.setdefault(d, {})[e] = c
-        out: dict[int, Terms] = {0: {(0,) * width: Q(1)}}
-        for m in range(1, cap + 1):
-            acc: Terms = {}
-            for j, aj in buckets.items():
-                if j > m:
-                    continue
-                prev = out.get(m - j)
-                if prev:
-                    _add_into(acc, _mul_terms(aj, prev), Q(-1))
-            if acc:
-                out[m] = acc
-        total: Terms = {}
-        for part in out.values():
-            _add_into(total, part)
-        return MultiPoly._raw(self.ctx, total)
+        graded = _graded(self.terms, [1] * width, cap)
+        return MultiPoly._raw(self.ctx, _flat(_graded_inverse(graded, cap, width)))
 
     def divide_exact(self, divisor: "MultiPoly") -> "MultiPoly | None":
         """Exact quotient self/divisor, or None if it does not divide.

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from math import factorial
 from typing import Sequence
 
 from .exactalg import (
@@ -52,6 +53,8 @@ from .exactalg import (
     binomial,
     truncate_h,
     _add_into,
+    _graded_mul,
+    _graded_series,
     _mul_terms,
 )
 from .localization import DegenerateWeightsError
@@ -257,25 +260,12 @@ def residue_expand(form: ResidueForm, max_terms: int = DEFAULT_TERM_CAP) -> Mult
         conv: dict[int, Terms] = {0: {zero_exp: Q(1)}}
         for c_lead, rest, mult in group:
             room = smax - (m_total - mult)
-            fser: dict[int, Terms] = {}
-            rest_pow: Terms = {zero_exp: Q(1)}
-            for r in range(0, room - mult + 1):
-                if r:
-                    rest_pow = _mul_terms(rest_pow, rest, ti, tm)
-                    if not rest_pow:
-                        break
-                coeff = Q((-1) ** r * binomial(mult + r - 1, r)) / (c_lead ** (mult + r))
-                fser[mult + r] = {e: c * coeff for e, c in rest_pow.items()}
-            nxt: dict[int, Terms] = {}
-            for s1, t1 in conv.items():
-                for s2, t2 in fser.items():
-                    if s1 + s2 > smax:
-                        continue
-                    piece = _mul_terms(t1, t2, ti, tm)
-                    if piece:
-                        bucket = nxt.setdefault(s1 + s2, {})
-                        _add_into(bucket, piece)
-            conv = nxt
+            coeffs = [
+                Q((-1) ** r * binomial(mult + r - 1, r)) / (c_lead ** (mult + r))
+                for r in range(room - mult + 1)
+            ]
+            fser = _graded_series({1: rest}, coeffs, room - mult, len(ctx), ti, tm)
+            conv = _graded_mul(conv, {mult + r: t for r, t in fser.items()}, smax, ti, tm)
         new_carried: Terms = {}
         for e, c in carried.items():
             s = e[zj] + 1
@@ -447,10 +437,8 @@ def residue_stepwise(form: ResidueForm, max_terms: int = DEFAULT_TERM_CAP) -> Mu
                         for i in dyn:
                             mults[i] += 1
                     others = [(ft, mults[i]) for i, (ft, _) in enumerate(others)]
-                    fact = 1
-                    for i in range(2, m0):
-                        fact *= i
-                    numer = {e: c / (fact * a0**m0) for e, c in numer.items()}
+                    scale = factorial(m0 - 1) * a0**m0
+                    numer = {e: c / scale for e, c in numer.items()}
                 else:
                     numer = {e: c / a0 for e, c in numer.items()}
                 # substitute the pole into numerator and remaining factors

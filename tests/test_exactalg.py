@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jetres.exactalg import (
     ContextError,
@@ -13,6 +15,13 @@ from jetres.exactalg import (
     NonUnitError,
     Q,
     VarContext,
+    _add_into,
+    _flat,
+    _graded,
+    _graded_exp,
+    _graded_inverse,
+    _graded_mul,
+    _mul_terms,
     truncate_h,
 )
 
@@ -98,6 +107,66 @@ def test_series_inverse_randomized():
         u = u - MultiPoly.const(CTX, u.constant()) + one  # force constant term 1
         inv = u.series_inverse(cap)
         assert (u * inv).truncate_total(cap) == one
+
+
+# Graded truncated series: exponent tuples of width 3 graded by weights
+# (1, 2, 1), so every non-constant monomial has grade >= 1.
+WEIGHTS = (1, 2, 1)
+UNIT = (0, 0, 0)
+PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
+terms_st = st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * 3),
+    st.builds(Q, st.integers(-9, 9), st.integers(1, 5)),
+    max_size=6,
+).map(lambda t: {e: c for e, c in t.items() if c})
+nonconstant_st = terms_st.map(lambda t: {e: c for e, c in t.items() if e != UNIT})
+cap_st = st.integers(0, 6)
+trunc_st = st.sampled_from([(-1, 0), (0, 1), (2, 2)])  # (truncation index, max exponent)
+
+
+def _grade(e):
+    return sum(w * x for w, x in zip(WEIGHTS, e))
+
+
+@PROPERTY
+@given(terms_st, terms_st, cap_st, trunc_st)
+def test_graded_mul_is_the_truncated_full_product(a, b, cap, trunc):
+    ti, tm = trunc
+    got = _graded_mul(_graded(a, WEIGHTS, cap), _graded(b, WEIGHTS, cap), cap, ti, tm)
+    assert all(_grade(e) == g for g, part in got.items() for e in part)
+    full = _mul_terms(a, b)
+    assert _flat(got) == {
+        e: c for e, c in full.items() if _grade(e) <= cap and (ti < 0 or e[ti] <= tm)
+    }
+
+
+@PROPERTY
+@given(nonconstant_st, cap_st, trunc_st)
+def test_graded_inverse_times_series_is_one(x, cap, trunc):
+    ti, tm = trunc
+    a = _graded({**x, UNIT: Q(1)}, WEIGHTS, cap)
+    inv = _graded_inverse(a, cap, 3, ti, tm)
+    assert _flat(_graded_mul(inv, a, cap, ti, tm)) == {UNIT: Q(1)}
+
+
+@PROPERTY
+@given(nonconstant_st, nonconstant_st, cap_st, trunc_st)
+def test_graded_exp_of_sum_is_product_of_exps(x, y, cap, trunc):
+    ti, tm = trunc
+
+    def exp(t):
+        return _graded_exp(_graded(t, WEIGHTS, cap), cap, 3, ti, tm)
+
+    xy = dict(x)
+    _add_into(xy, y)
+    assert _flat(exp(xy)) == _flat(_graded_mul(exp(x), exp(y), cap, ti, tm))
+
+
+def test_graded_series_rejects_bad_constant_parts():
+    with pytest.raises(NonUnitError):
+        _graded_inverse({0: {UNIT: Q(2)}}, 3, 3)
+    with pytest.raises(ValueError):
+        _graded_exp({0: {UNIT: Q(1)}}, 3, 3)
 
 
 def test_segre_of_surface_multiplies_back():

@@ -1,7 +1,9 @@
 """Intersection polynomial pipeline, lattice estimates, Euler characteristics."""
 
 import itertools
+import json
 import math
+import pathlib
 import random
 
 import pytest
@@ -27,6 +29,8 @@ from jetres.ggl import (
     lambda_plus_member_bruteforce,
     s_constant,
 )
+
+CORPUS = pathlib.Path(__file__).parent / "corpus"
 
 
 def test_s_constant_values():
@@ -179,6 +183,16 @@ def test_coefficient_route_equality_n3():
     assert assemble_intersection_from_tables(table) == I
 
 
+def test_coefficient_tables_match_recorded_n2():
+    # all five tables, entry for entry, at defect caps 4 and 10
+    recorded = json.loads((CORPUS / "expected_tables_n2.json").read_text())
+    for cap, tables in recorded.items():
+        table = expansion_diagnostics(2, defect_cap=int(cap))
+        for name, rows in tables.items():
+            expected = {(tuple(z), s, t): Q(c) for z, s, t, c in rows}
+            assert getattr(table, name) == expected, (cap, name)
+
+
 def test_payload_closed_form_spot_values():
     cfg = canonical_config(2)
     table = expansion_diagnostics(2, defect_cap=4)
@@ -203,7 +217,6 @@ def test_threshold_n2():
     assert rep.spot_checks[0][0] == 6 * 2**16 + 1
 
 
-@pytest.mark.slow
 def test_threshold_n3():
     rep = ggl_threshold_check(3)
     assert rep.certificate
