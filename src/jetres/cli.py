@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
+import re
 import sys
 import time
 from fractions import Fraction as Q
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from .exactalg import DPoly, HD_CTX, JetresError, MultiPoly, VarContext, truncate_h
 from .ggl import (
@@ -46,16 +48,13 @@ from .tower import DEFAULT_POINT_CAP, enumerate_fixed_points
 
 SCHEMA_VERSION = 1
 
-COMMANDS = (
-    "fibre-integral",
-    "integral",
-    "ggl",
-    "diagnostics",
-    "euler-char",
-    "ample-check",
-    "residue",
-    "fixed-points",
-)
+# A command handler reads the job parameters and the budgets (max_terms,
+# max_points), records any further budget it used, and returns its result
+# document plus, if the command has a second route, one check: (verify method,
+# mismatch message, first, second).  Both routes are thunks, so only run_job
+# runs them, and only under --verify.
+Check = tuple[str, str, Callable[[], Any], Callable[[], Any]]
+Outcome = tuple[dict[str, Any], Check | None]
 
 
 class VerifyMismatchError(JetresError):
@@ -67,12 +66,8 @@ def _q_doc(q: Q) -> dict[str, str]:
 
 
 def _dpoly_doc(p: DPoly) -> dict[str, Any]:
-    return {
-        "type": "dpoly",
-        "variable": "d",
-        "coefficients": [_q_doc(c) for c in p.coeffs],
-        "text": p.to_text(),
-    }
+    coefficients = [_q_doc(c) for c in p.coeffs]
+    return {"type": "dpoly", "variable": "d", "coefficients": coefficients, "text": p.to_text()}
 
 
 def _poly_doc(p: MultiPoly) -> dict[str, Any]:
@@ -83,22 +78,24 @@ def _poly_doc(p: MultiPoly) -> dict[str, Any]:
     return {"type": "poly", "text": p.to_text(), "terms": terms}
 
 
-def _parse_q(text: str | int) -> Q:
-    if isinstance(text, int):
-        return Q(text)
-    return Q(text)
+def _items(params: Mapping[str, Any], name: str) -> list[Any]:
+    value = params[name]
+    if not isinstance(value, list):
+        raise ValueError(f"parameter {name} must be a list")
+    return value
+
+
+def _ints(params: Mapping[str, Any], name: str) -> tuple[int, ...]:
+    return tuple(int(x) for x in _items(params, name))
 
 
 def _lambda_values(params: Mapping[str, Any], n: int) -> list[Q]:
-    if "lambdas" in params and params["lambdas"] is not None:
-        vals = [_parse_q(v) for v in params["lambdas"]]
+    if params.get("lambdas") is not None:
+        vals = [Q(v) for v in _items(params, "lambdas")]
         if len(vals) != n:
             raise JetresError(f"need {n} lambda values")
         return vals
-    seed = int(params.get("lambda_seed", 1))
-    import random
-
-    rng = random.Random(seed)
+    rng = random.Random(int(params.get("lambda_seed", 1)))
     while True:
         vals = [Q(rng.randint(-60, 60), rng.randint(1, 13)) for _ in range(n)]
         if len(set(vals)) == n and all(vals):
@@ -111,194 +108,180 @@ def _require(params: Mapping[str, Any], *names: str) -> None:
         raise JetresError(f"missing parameters: {', '.join(missing)}")
 
 
-def run_job(command: str, params: Mapping[str, Any]) -> dict[str, Any]:
-    """Execute one job, returning the result document (without timing)."""
-    verify = bool(params.get("verify"))
-    max_terms = int(params.get("max_terms") or DEFAULT_TERM_CAP)
-    point_cap = int(params.get("max_points") or DEFAULT_POINT_CAP)
-    budgets: dict[str, Any] = {"max_terms": max_terms, "max_points": point_cap}
-    result: dict[str, Any]
-    verify_doc: dict[str, Any] | None = None
+def _fibre_integral(params: Mapping[str, Any], budgets: dict[str, Any]) -> Outcome:
+    _require(params, "n", "k", "polynomial")
+    n, k = int(params["n"]), int(params["k"])
+    method = params.get("method", "fixed-point")
+    P = parse_poly(params["polynomial"], tower_context(k))
+    lams = _lambda_values(params, n)
+    budgets["lambdas"] = [_q_doc(v) for v in lams]
+    routes = (
+        lambda: fibre_integral_fixed_points(n, k, P, lams, budgets["max_points"]),
+        lambda: residue_expand(fibre_residue_integrand(n, k, P, lams), budgets["max_terms"]),
+    )
+    if method not in ("fixed-point", "residue"):
+        raise JetresError(f"unknown method {method!r}")
+    first, second = routes if method == "fixed-point" else routes[::-1]
+    value = first()
+    check = ("dual-route", "fixed-point and residue methods disagree", lambda: value, second)
+    return {"value": _poly_doc(value)}, check
 
-    if command == "fibre-integral":
-        _require(params, "n", "k", "polynomial")
-        n, k = int(params["n"]), int(params["k"])
-        method = params.get("method", "fixed-point")
-        ctx = tower_context(k)
-        P = parse_poly(params["polynomial"], ctx)
-        lams = _lambda_values(params, n)
-        budgets["lambdas"] = [_q_doc(v) for v in lams]
-        if method == "fixed-point":
-            value = fibre_integral_fixed_points(n, k, P, lams, point_cap)
-        elif method == "residue":
-            value = residue_expand(fibre_residue_integrand(n, k, P, lams), max_terms)
-        else:
-            raise JetresError(f"unknown method {method!r}")
-        if verify:
-            other = (
-                residue_expand(fibre_residue_integrand(n, k, P, lams), max_terms)
-                if method == "fixed-point"
-                else fibre_integral_fixed_points(n, k, P, lams, point_cap)
-            )
-            if other != value:
-                raise VerifyMismatchError("fixed-point and residue methods disagree")
-            verify_doc = {"method": "dual-route", "match": True}
-        result = {"value": _poly_doc(value)}
 
-    elif command == "integral":
-        _require(params, "n", "k", "polynomial")
-        n, k = int(params["n"]), int(params["k"])
-        ctx = tower_context(k)
-        P = parse_poly(params["polynomial"], ctx)
-        form = hypersurface_integrand(n, k, P)
-        value = integrate_over_X(truncate_h(residue_expand(form, max_terms).restrict(HD_CTX), n))
-        if verify:
-            other = integrate_over_X(
-                truncate_h(residue_stepwise(form, max_terms).restrict(HD_CTX), n)
-            )
-            if other != value:
-                raise VerifyMismatchError("expansion and stepwise residues disagree")
-            verify_doc = {"method": "expand-vs-stepwise", "match": True}
+def _integral(params: Mapping[str, Any], budgets: dict[str, Any]) -> Outcome:
+    _require(params, "n", "k", "polynomial")
+    n, k = int(params["n"]), int(params["k"])
+    form = hypersurface_integrand(n, k, parse_poly(params["polynomial"], tower_context(k)))
+
+    def over_X(residue: MultiPoly) -> DPoly:
+        return integrate_over_X(truncate_h(residue.restrict(HD_CTX), n))
+
+    value = over_X(residue_expand(form, budgets["max_terms"]))
+    check = ("expand-vs-stepwise", "expansion and stepwise residues disagree",
+             lambda: value, lambda: over_X(residue_stepwise(form, budgets["max_terms"])))
+    return {"value": _dpoly_doc(value), "degree_matched": form.degree_matched}, check
+
+
+def _residue(params: Mapping[str, Any], budgets: dict[str, Any]) -> Outcome:
+    _require(params, "form")
+    zvars = params.get("zvars")
+    if zvars is None:
+        # infer z1..zk from the variables appearing in the form text
+        found = {int(m) for m in re.findall(r"[uz](\d+)", params["form"])}
+        zvars = [f"z{i}" for i in range(1, max(found, default=1) + 1)]
+    ctx = VarContext(tuple(zvars) + ("h", "d"))
+    form = ResidueForm(*parse_residue_form(params["form"], ctx), zvars)
+    value = residue_expand(form, budgets["max_terms"])
+    check = ("expand-vs-stepwise", "expansion and stepwise residues disagree",
+             lambda: value, lambda: residue_stepwise(form, budgets["max_terms"]))
+    return {"value": _poly_doc(value.restrict(HD_CTX))}, check
+
+
+def _fixed_points(params: Mapping[str, Any], budgets: dict[str, Any]) -> Outcome:
+    _require(params, "n", "k")
+    points = enumerate_fixed_points(int(params["n"]), int(params["k"]), budgets["max_points"])
+    return {
+        "count": len(points),
+        "points": [[list(w.coeffs) for w in fp.weights] for fp in points],
+    }, None
+
+
+def _ggl(params: Mapping[str, Any], budgets: dict[str, Any]) -> Outcome:
+    _require(params, "n")
+    n, max_terms = int(params["n"]), budgets["max_terms"]
+    if params.get("a") is not None:
+        a = _ints(params, "a")
+        delta = Q(params.get("delta", 0))
+        cfg = GGLConfig(n=n, k=int(params.get("k", len(a))), a=a, delta=delta)
+        I, p = build_intersection_polynomial(cfg, max_terms)
+        bound = Q(params["bound"]) if params.get("bound") is not None else 3 * n ** (8 * n)
+        spot = int(2 * bound) + 1
         result = {
-            "value": _dpoly_doc(value),
-            "degree_matched": form.degree_matched,
+            "intersection": _dpoly_doc(I),
+            "p": _dpoly_doc(p),
+            "bound": _q_doc(Q(bound)),
+            "certificate": fujiwara_certificate(p, bound),
+            "spot_checks": [{"d": spot, "positive": I(spot) > 0}],
         }
-
-    elif command == "residue":
-        _require(params, "form")
-        zvars = params.get("zvars")
-        if zvars is None:
-            # infer z1..zk from the variables appearing in the form text
-            import re as _re
-
-            found = {int(m) for m in _re.findall(r"[uz](\d+)", params["form"])}
-            kk = max(found) if found else 1
-            zvars = [f"z{i}" for i in range(1, kk + 1)]
-        ctx = VarContext(tuple(zvars) + ("h", "d"))
-        numerator, factors = parse_residue_form(params["form"], ctx)
-        form = ResidueForm(numerator, factors, zvars)
-        value = residue_expand(form, max_terms)
-        if verify:
-            other = residue_stepwise(form, max_terms)
-            if other != value:
-                raise VerifyMismatchError("expansion and stepwise residues disagree")
-            verify_doc = {"method": "expand-vs-stepwise", "match": True}
-        result = {"value": _poly_doc(value.restrict(HD_CTX))}
-
-    elif command == "fixed-points":
-        _require(params, "n", "k")
-        n, k = int(params["n"]), int(params["k"])
-        points = enumerate_fixed_points(n, k, point_cap)
-        result = {
-            "count": len(points),
-            "points": [[list(w.coeffs) for w in fp.weights] for fp in points],
-        }
-
-    elif command == "ggl":
-        _require(params, "n")
-        n = int(params["n"])
-        if params.get("a") is not None:
-            a = tuple(int(x) for x in params["a"])
-            delta = _parse_q(params.get("delta", 0))
-            k = int(params.get("k", len(a)))
-            cfg = GGLConfig(n=n, k=k, a=a, delta=delta)
-            I, p = build_intersection_polynomial(cfg, max_terms)
-            bound = _parse_q(params["bound"]) if params.get("bound") is not None else 3 * n ** (8 * n)
-            cert = fujiwara_certificate(p, bound)
-            spots = [(int(2 * bound) + 1, I(int(2 * bound) + 1) > 0)]
-            report_doc = {
-                "intersection": _dpoly_doc(I),
-                "p": _dpoly_doc(p),
-                "bound": _q_doc(Q(bound)),
-                "certificate": cert,
-                "spot_checks": [{"d": dv, "positive": ok} for dv, ok in spots],
-            }
-        else:
-            rep = ggl_threshold_check(n, max_terms)
-            cfg = rep.config
-            report_doc = {
-                "config": {
-                    "a": list(cfg.a),
-                    "delta": _q_doc(cfg.delta),
-                    "k": cfg.k,
-                },
-                "p": _dpoly_doc(rep.p),
-                "bound": _q_doc(Q(rep.bound)),
-                "certificate": rep.certificate,
-                "positivity_threshold": 2 * rep.bound,
-                "spot_checks": [{"d": dv, "positive": ok} for dv, ok in rep.spot_checks],
-            }
-            I, p = None, rep.p
-        if verify:
-            cfgv = cfg
-            table = expansion_diagnostics(cfgv.n, defect_cap=4 * cfgv.n + 2, config=cfgv)
-            assembled = assemble_intersection_from_tables(table)
-            engine = build_intersection_polynomial(cfgv, max_terms)[0]
-            if assembled != engine:
-                raise VerifyMismatchError("table assembly and residue engine disagree")
-            verify_doc = {"method": "coefficient-table-assembly", "match": True}
-        result = report_doc
-
-    elif command == "diagnostics":
-        _require(params, "n")
-        n = int(params["n"])
-        defect_cap = int(params.get("defect_cap", 4))
-        rep = estimate_checks(n, defect_cap)
-        result = {
-            "all_passed": rep.all_passed,
-            "checks": [
-                {"name": name, "passed": ok, "required": req, "details": details}
-                for name, ok, req, details in rep.checks
-            ],
-        }
-
-    elif command == "euler-char":
-        _require(params, "n", "k", "a")
-        n, k = int(params["n"]), int(params["k"])
-        a = [int(x) for x in params["a"]]
-        budget = params.get("budget")
-        budget = int(budget) if budget is not None else None
-        value = euler_characteristic(n, k, a, budget, max_terms)
-        if verify:
-            dim = n + k * (n - 1)
-            base = budget if budget is not None else dim + n
-            other = euler_characteristic(n, k, a, base + 2, max_terms)
-            if other != value:
-                raise VerifyMismatchError("Euler characteristic unstable under budget increase")
-            verify_doc = {"method": "budget-stability", "match": True}
-        budgets["budget"] = budget
-        result = {"value": _dpoly_doc(value)}
-
-    elif command == "ample-check":
-        _require(params, "a")
-        a = [int(x) for x in params["a"]]
-        result = {"classification": ample_condition(a)}
-
     else:
-        raise JetresError(f"unknown command {command!r}")
+        rep = ggl_threshold_check(n, max_terms)
+        cfg = rep.config
+        result = {
+            "config": {"a": list(cfg.a), "delta": _q_doc(cfg.delta), "k": cfg.k},
+            "p": _dpoly_doc(rep.p),
+            "bound": _q_doc(Q(rep.bound)),
+            "certificate": rep.certificate,
+            "positivity_threshold": 2 * rep.bound,
+            "spot_checks": [{"d": dv, "positive": ok} for dv, ok in rep.spot_checks],
+        }
+    check = ("coefficient-table-assembly", "table assembly and residue engine disagree",
+             lambda: assemble_intersection_from_tables(
+                 expansion_diagnostics(n, defect_cap=4 * n + 2, config=cfg)),
+             lambda: build_intersection_polynomial(cfg, max_terms)[0])
+    return result, check
 
+
+def _diagnostics(params: Mapping[str, Any], budgets: dict[str, Any]) -> Outcome:
+    _require(params, "n")
+    rep = estimate_checks(int(params["n"]), int(params.get("defect_cap", 4)))
+    checks = [
+        {"name": name, "passed": ok, "required": req, "details": details}
+        for name, ok, req, details in rep.checks
+    ]
+    return {"all_passed": rep.all_passed, "checks": checks}, None
+
+
+def _euler_char(params: Mapping[str, Any], budgets: dict[str, Any]) -> Outcome:
+    _require(params, "n", "k", "a")
+    n, k = int(params["n"]), int(params["k"])
+    a = _ints(params, "a")
+    budget = int(params["budget"]) if params.get("budget") is not None else None
+    budgets["budget"] = budget
+    value = euler_characteristic(n, k, a, budget, budgets["max_terms"])
+    # the default budget is the tower dimension plus n
+    raised = (budget if budget is not None else n + k * (n - 1) + n) + 2
+    check = ("budget-stability", "Euler characteristic unstable under budget increase",
+             lambda: value, lambda: euler_characteristic(n, k, a, raised, budgets["max_terms"]))
+    return {"value": _dpoly_doc(value)}, check
+
+
+def _ample_check(params: Mapping[str, Any], budgets: dict[str, Any]) -> Outcome:
+    _require(params, "a")
+    return {"classification": ample_condition(_ints(params, "a"))}, None
+
+
+HANDLERS: dict[str, Callable[[Mapping[str, Any], dict[str, Any]], Outcome]] = {
+    "fibre-integral": _fibre_integral,
+    "integral": _integral,
+    "ggl": _ggl,
+    "diagnostics": _diagnostics,
+    "euler-char": _euler_char,
+    "ample-check": _ample_check,
+    "residue": _residue,
+    "fixed-points": _fixed_points,
+}
+
+
+def run_job(command: str, params: Mapping[str, Any]) -> dict[str, Any]:
+    """Execute one job, returning the result document (without timing).
+
+    Under the verify parameter the command's second route runs too; a
+    mismatch raises VerifyMismatchError, a match adds the verify block.
+    """
+    budgets: dict[str, Any] = {
+        "max_terms": int(params.get("max_terms") or DEFAULT_TERM_CAP),
+        "max_points": int(params.get("max_points") or DEFAULT_POINT_CAP),
+    }
+    if command not in HANDLERS:
+        raise JetresError(f"unknown command {command!r}")
+    result, check = HANDLERS[command](params, budgets)
     doc: dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
-        "parameters": _echo_params(params),
+        "parameters": {k: v for k, v in sorted(params.items()) if v is not None and k != "out"},
         "result": result,
         "budgets": budgets,
     }
-    if verify_doc is not None:
-        doc["verify"] = verify_doc
+    if params.get("verify") and check is not None:
+        method, message, first, second = check
+        if first() != second():
+            raise VerifyMismatchError(message)
+        doc["verify"] = {"method": method, "match": True}
     return doc
 
 
-def _echo_params(params: Mapping[str, Any]) -> dict[str, Any]:
-    return {k: v for k, v in sorted(params.items()) if v is not None and k != "out"}
+def _int_list(text: str) -> list[int]:
+    return [int(s) for s in text.split(",")]
 
 
 def _build_argparser() -> argparse.ArgumentParser:
+    # flags that are not given stay out of the namespace, so they never
+    # override a job file's parameters
     ap = argparse.ArgumentParser(
         prog="jetres",
         description="Exact tautological intersection numbers on jet towers.",
+        argument_default=argparse.SUPPRESS,
     )
-    ap.add_argument("command", choices=COMMANDS)
+    ap.add_argument("command", choices=HANDLERS)
     ap.add_argument("--job", help="JSON job file with parameters")
     ap.add_argument("--verify", action="store_true", help="run the dual method and compare")
     ap.add_argument("--max-points", type=int, help="fixed-point enumeration cap")
@@ -310,84 +293,56 @@ def _build_argparser() -> argparse.ArgumentParser:
     ap.add_argument("--polynomial", "-P", help="payload polynomial (u1..uk, h)")
     ap.add_argument("--form", help="residue form numerator/(factors)")
     ap.add_argument("--method", choices=("fixed-point", "residue"))
-    ap.add_argument("--lambdas", help="comma-separated rational weight values")
+    ap.add_argument("--lambdas", help="comma-separated rational weight values",
+                    type=lambda text: [s.strip() for s in text.split(",")])
     ap.add_argument("--lambda-seed", type=int, dest="lambda_seed")
-    ap.add_argument("--a", help="comma-separated weight vector")
+    ap.add_argument("--a", type=_int_list, help="comma-separated weight vector")
     ap.add_argument("--delta", help="twist parameter (rational)")
     ap.add_argument("--bound", help="certificate bound (rational)")
     ap.add_argument("--defect-cap", type=int, dest="defect_cap")
     return ap
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    ap = _build_argparser()
-    ns = ap.parse_args(argv)
-    params: dict[str, Any] = {}
-    if ns.job:
-        try:
-            with open(ns.job, "r", encoding="utf-8") as fh:
-                job = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            _emit_error("validation", f"cannot read job file: {exc}", ns.out)
-            return 2
-        if job.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
-            _emit_error("validation", "unsupported schema_version", ns.out)
-            return 2
-        if "command" in job and job["command"] != ns.command:
-            _emit_error("validation", "job command does not match CLI command", ns.out)
-            return 2
-        params.update(job.get("parameters", {}))
-    for key in (
-        "n",
-        "k",
-        "polynomial",
-        "form",
-        "method",
-        "lambda_seed",
-        "delta",
-        "bound",
-        "defect_cap",
-        "budget",
-    ):
-        val = getattr(ns, key, None)
-        if val is not None:
-            params[key] = val
-    if ns.lambdas:
-        params["lambdas"] = [s.strip() for s in ns.lambdas.split(",")]
-    if ns.a:
-        params["a"] = [int(s) for s in ns.a.split(",")]
-    if ns.verify:
-        params["verify"] = True
-    if ns.max_points is not None:
-        params["max_points"] = ns.max_points
-    if ns.max_terms is not None:
-        params["max_terms"] = ns.max_terms
-
-    start = time.monotonic()
+def _load_job(path: str, command: str) -> dict[str, Any]:
+    """The parameters of a job file; ValueError if the file is unusable."""
     try:
-        doc = run_job(ns.command, params)
+        with open(path, "r", encoding="utf-8") as fh:
+            job = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ValueError(f"cannot read job file: {exc}") from exc
+    if not isinstance(job, dict) or not isinstance(job.get("parameters", {}), dict):
+        raise ValueError("a job file must be an object whose parameters are an object")
+    if job.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
+        raise ValueError("unsupported schema_version")
+    if "command" in job and job["command"] != command:
+        raise ValueError("job command does not match CLI command")
+    return job.get("parameters", {})
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    flags = vars(_build_argparser().parse_args(argv))
+    command, out = flags.pop("command"), flags.pop("out", None)
+    try:
+        params = _load_job(flags.pop("job"), command) if "job" in flags else {}
+        params.update(flags)
+        start = time.monotonic()
+        doc = run_job(command, params)
+        doc["elapsed_seconds"] = round(time.monotonic() - start, 6)
+        status = 0
     except JetresError as exc:
-        _emit_error(getattr(exc, "code", "internal"), str(exc), ns.out)
-        return 3
+        doc, status = _error_doc(getattr(exc, "code", "internal"), str(exc)), 3
     except (ValueError, ZeroDivisionError) as exc:
-        _emit_error("validation", str(exc), ns.out)
-        return 2
-    doc["elapsed_seconds"] = round(time.monotonic() - start, 6)
+        doc, status = _error_doc("validation", str(exc)), 2
     text = json.dumps(doc, indent=2, sort_keys=True)
-    print(text)
-    if ns.out:
-        with open(ns.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    return 0
-
-
-def _emit_error(code: str, message: str, out: str | None) -> None:
-    doc = {"schema_version": SCHEMA_VERSION, "error": {"code": code, "message": message}}
-    text = json.dumps(doc, indent=2, sort_keys=True)
-    print(text, file=sys.stderr)
+    print(text, file=sys.stderr if status else sys.stdout)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
+    return status
+
+
+def _error_doc(code: str, message: str) -> dict[str, Any]:
+    return {"schema_version": SCHEMA_VERSION, "error": {"code": code, "message": message}}
 
 
 if __name__ == "__main__":

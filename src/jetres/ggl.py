@@ -46,7 +46,7 @@ from .residue import (
     DEFAULT_TERM_CAP,
     _zsum,
     demailly_integrand,
-    hypersurface_integrand,
+    integral_over_tower,
     integrate_over_X,
     residue_expand,
     segre_hypersurface,
@@ -139,10 +139,7 @@ def build_intersection_polynomial(
     cfg: GGLConfig, max_terms: int = DEFAULT_TERM_CAP
 ) -> tuple[DPoly, DPoly]:
     """The pair (I, p) with I(d) = d * p(d), via the hypersurface residue."""
-    P = intersection_payload(cfg)
-    form = hypersurface_integrand(cfg.n, cfg.k, P)
-    val = residue_expand(form, max_terms)
-    I = integrate_over_X(truncate_h(val.restrict(HD_CTX), cfg.n))
+    I = integral_over_tower(cfg.n, cfg.k, intersection_payload(cfg), max_terms=max_terms)
     p = I.divide_exact(DPoly([0, 1]))
     if p is None:
         raise JetresError("intersection polynomial not divisible by d")
@@ -544,42 +541,6 @@ def _td_series_coeffs(order: int) -> list[Q]:
     return [t.get((m,), Q(0)) for m in range(order + 1)]
 
 
-def _td_log_coeffs(order: int) -> list[Q]:
-    """Coefficients l_1..l_order of log(x / (1 - e^(-x))); index 0 unused."""
-    t = _td_series_coeffs(order)
-    l = [Q(0)] * (order + 1)
-    for m in range(1, order + 1):
-        acc = m * t[m]
-        for j in range(1, m):
-            acc -= j * l[j] * t[m - j]
-        l[m] = acc / m
-    return l
-
-
-def chern_classes_of_hypersurface(n: int) -> list[MultiPoly]:
-    """c_0..c_n of the degree-d hypersurface as (h, d) polynomials."""
-    h = MultiPoly.variable(HD_CTX, "h")
-    d = MultiPoly.variable(HD_CTX, "d")
-    # the inverse's cap counts total degree, and each dh term has degree 2
-    total = ((1 + h) ** (n + 2)).truncate("h", n) * (1 + d * h).series_inverse(2 * n).truncate(
-        "h", n
-    )
-    total = total.truncate("h", n)
-    return [total.coefficient_of({"h": i}) * MultiPoly.monomial(HD_CTX, {"h": i}) for i in range(n + 1)]
-
-
-def _power_sums(n: int) -> list[MultiPoly]:
-    """Newton power sums p_0..p_n of the tangent roots, as (h, d) classes."""
-    e = chern_classes_of_hypersurface(n)
-    p = [MultiPoly.const(HD_CTX, n)]
-    for r in range(1, n + 1):
-        acc = Q((-1) ** (r - 1) * r) * e[r]
-        for i in range(1, r):
-            acc = acc + Q((-1) ** (i - 1)) * e[i] * p[r - i]
-        p.append(acc.truncate("h", n))
-    return p
-
-
 @dataclass(frozen=True)
 class _ZHSeries:
     """Truncated series in a context holding h and d, on the hypersurface of
@@ -606,24 +567,26 @@ class _ZHSeries:
     def exp(self, x: Graded) -> Graded:
         return _graded_exp(x, self.cap, len(self.ctx), self.ctx.index("h"), self.n)
 
-    def tangent_todd(self, w: Graded) -> Graded:
+    def tangent_todd(self, w: MultiPoly) -> Graded:
         """prod_s Td(L_s + w) over the tangent roots L_s of the hypersurface.
 
-        With the power sums p_r of the roots (p_0 = n), the exponent is
-        sum_s log Td(L_s + w) = sum_r p_r sum_i l_(i+r) C(i+r, r) w^i.
+        In K-theory the tangent bundle is (n+2)O(h) - O - O(dh), so the product
+        is Td(w + h)^(n+2) / (Td(w) Td(w + dh)).
         """
-        l = _td_log_coeffs(self.cap)
-        expo: Graded = {}
-        for r, p in enumerate(_power_sums(self.n)):
-            g = self.series(w, [l[i + r] * binomial(i + r, r) for i in range(self.cap + 1 - r)])
-            _graded_add(expo, self.mul(self.of(p.embed(self.ctx)), g))
-        return self.exp(expo)
+        h = MultiPoly.variable(self.ctx, "h")
+        d = MultiPoly.variable(self.ctx, "d")
+        inv_td = _td_inverse_coeffs(self.cap)
+        td = self.series(self.of(w + h), _td_series_coeffs(self.cap))
+        out = self.mul(self.series(self.of(w), inv_td), self.series(self.of(w + d * h), inv_td))
+        for _ in range(self.n + 2):
+            out = self.mul(out, td)
+        return out
 
 
 def todd_of_X(n: int) -> HClass:
-    """Todd class of the hypersurface from its Chern data."""
+    """Todd class of the hypersurface from the K-theory class of its tangent bundle."""
     ring = _ZHSeries(HD_CTX, n, n)
-    return HClass(n, ring.poly(ring.tangent_todd({})))
+    return HClass(n, ring.poly(ring.tangent_todd(MultiPoly.zero(HD_CTX))))
 
 
 def chi_structure_sheaf(n: int) -> DPoly:
@@ -644,7 +607,8 @@ def euler_characteristic(
     exponential character of the weight vector by the Todd classes of the
     base and of every fibre level (the level-j tangent roots are the
     weight-set elements, giving lambda-symmetric factors resolved through
-    Newton power sums, pure-z factors, and the removed-element divisions).
+    the tangent bundle's K-theory class, pure-z factors, and the
+    removed-element divisions).
     All series are truncated at combined (z, h)-degree `budget`; degrees
     above the tower dimension cannot contribute, so the default budget
     dim + n is exact and raising it must not change the value.
@@ -668,7 +632,7 @@ def euler_characteristic(
     payload = ring.mul(ring.exp(ring.of(expo)), ring.of(todd_of_X(n).poly.embed(ctx)))
 
     for j in range(1, k + 1):
-        level = ring.tangent_todd(ring.of(_zsum(ctx, 1, j)))
+        level = ring.tangent_todd(_zsum(ctx, 1, j))
         for t in range(1, j):
             arg = _zsum(ctx, t + 1, j) - MultiPoly.variable(ctx, f"z{t}")
             level = ring.mul(level, ring.series(ring.of(arg), td))
@@ -695,7 +659,7 @@ def euler_characteristic_k1_pushforward(n: int, a1: int) -> DPoly:
     # pushforward kills u-powers beyond 2n-1, and h^(n+1) = 0
     ring = _ZHSeries(ctx, n, 2 * n - 1 + n)
     # e^(a1 u) times the fibre tangent's Todd class prod_s Td(L_s - u)
-    payload = ring.mul(ring.exp(ring.of(Q(a1) * u)), ring.tangent_todd(ring.of(-u)))
+    payload = ring.mul(ring.exp(ring.of(Q(a1) * u)), ring.tangent_todd(-u))
     payload = ring.mul(payload, ring.of(todd_of_X(n).poly.embed(ctx)))
     payload_poly = ring.poly(payload)
 

@@ -81,7 +81,8 @@ class _Parser:
     def take(self, kind: str | None = None) -> _Token:
         tok = self.tokens[self.i]
         if kind is not None and tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.text or 'end of input'!r} at {tok.pos}")
+            found = tok.text or "end of input"
+            raise ParseError(f"expected {kind!r}, found {found!r} at {tok.pos}")
         self.i += 1
         return tok
 

@@ -569,14 +569,9 @@ def fibre_residue_integrand(
             return MultiPoly.const(ctx, lambdas[i - 1])
         return MultiPoly.variable(ctx, f"L{i}")
 
-    numerator = P
-    factors: list[tuple[MultiPoly, int]] = []
-    for t1 in range(2, k + 1):
-        for t2 in range(t1, k + 1):
-            numerator = numerator * (-_zsum(ctx, t1, t2))
-    for s1 in range(1, k + 1):
-        for s2 in range(s1 + 1, k + 1):
-            factors.append((MultiPoly.variable(ctx, f"z{s1}") - _zsum(ctx, s1 + 1, s2), 1))
+    # the same rational kernel as the plus kernel, up to its (-1)^k prefactor
+    numerator, factors = _plus_kernel(ctx, n, k)
+    numerator = (-1) ** k * numerator * P
     for j in range(1, k + 1):
         w = _zsum(ctx, 1, j)
         for i in range(1, n + 1):

@@ -163,3 +163,65 @@ def test_run_job_ggl_custom_config():
     )
     assert doc["result"]["p"]["text"]
     assert isinstance(doc["result"]["certificate"], bool)
+
+
+@pytest.mark.parametrize(
+    "argv, method",
+    [
+        (["fibre-integral", "-n", "2", "-k", "2", "-P", "u1*u2", "--lambdas", "1,3"], "dual-route"),
+        (["integral", "-n", "2", "-k", "2", "-P", "(u1+2*u2+h)^4"], "expand-vs-stepwise"),
+        (["residue", "--form", "z2^2/((z1)^2*(z1-z2)*(2*z1-z2))"], "expand-vs-stepwise"),
+        (["ggl", "-n", "2", "--a", "3,1"], "coefficient-table-assembly"),
+        (["euler-char", "-n", "2", "-k", "2", "--a", "6,2"], "budget-stability"),
+    ],
+    ids=["fibre-integral", "integral", "residue", "ggl", "euler-char"],
+)
+def test_verify_names_its_method(argv, method, capsys):
+    assert main(argv + ["--verify"]) == 0
+    assert json.loads(capsys.readouterr().out)["verify"] == {"match": True, "method": method}
+
+
+def test_verify_mismatch_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr(
+        "jetres.cli.residue_stepwise",
+        lambda form, max_terms: MultiPoly.const(form.numerator.ctx, 7),
+    )
+    code = main(["residue", "--form", "z2^2/((z1)^2*(z1-z2)*(2*z1-z2))", "--verify"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"]["code"] == "verify-mismatch"
+
+
+def test_flags_are_echoed_as_parameters(tmp_path, capsys):
+    argv = ["fibre-integral", "-n", "2", "-k", "1", "-P", "u1", "--a", "3,1", "--lambdas=-1,3/2"]
+    assert main(argv + ["--out", str(tmp_path / "r.json")]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["parameters"] == {
+        "a": [3, 1],
+        "k": 1,
+        "lambdas": ["-1", "3/2"],
+        "n": 2,
+        "polynomial": "u1",
+    }
+    assert "verify" not in doc
+
+
+@pytest.mark.parametrize(
+    "command, job",
+    [
+        ("ample-check", [1, 2]),
+        ("ample-check", {"parameters": [1, 2]}),
+        ("ample-check", {"parameters": {"a": 5}}),
+        ("ggl", {"parameters": {"n": 2, "a": 5}}),
+        ("euler-char", {"parameters": {"n": 2, "k": 1, "a": 5}}),
+        ("fibre-integral", {"parameters": {"n": 2, "k": 1, "polynomial": "u1", "lambdas": 3}}),
+    ],
+    ids=["top-level-list", "parameters-list", "ample-a", "ggl-a", "euler-a", "lambdas"],
+)
+def test_malformed_job_file_is_a_validation_error(command, job, tmp_path, capsys):
+    job_path = tmp_path / "job.json"
+    job_path.write_text(json.dumps(job), encoding="utf-8")
+    code = main([command, "--job", str(job_path)])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"]["code"] == "validation"
