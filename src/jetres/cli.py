@@ -85,17 +85,31 @@ def _items(params: Mapping[str, Any], name: str) -> list[Any]:
     return value
 
 
+def _scalar(value: Any, name: str, kind: Callable[[Any], Any] = int) -> Any:
+    """kind(value) for one JSON number or string; lists, objects and booleans
+    are rejected."""
+    if value is None or isinstance(value, (bool, list, dict)):
+        raise ValueError(f"parameter {name} must be a single number")
+    return kind(value)
+
+
 def _ints(params: Mapping[str, Any], name: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in _items(params, name))
+    return tuple(_scalar(x, name) for x in _items(params, name))
+
+
+def _text(params: Mapping[str, Any], name: str) -> str:
+    if not isinstance(params[name], str):
+        raise ValueError(f"parameter {name} must be a string")
+    return params[name]
 
 
 def _lambda_values(params: Mapping[str, Any], n: int) -> list[Q]:
     if params.get("lambdas") is not None:
-        vals = [Q(v) for v in _items(params, "lambdas")]
+        vals = [_scalar(v, "lambdas", Q) for v in _items(params, "lambdas")]
         if len(vals) != n:
             raise JetresError(f"need {n} lambda values")
         return vals
-    rng = random.Random(int(params.get("lambda_seed", 1)))
+    rng = random.Random(_scalar(params.get("lambda_seed", 1), "lambda_seed"))
     while True:
         vals = [Q(rng.randint(-60, 60), rng.randint(1, 13)) for _ in range(n)]
         if len(set(vals)) == n and all(vals):
@@ -110,9 +124,9 @@ def _require(params: Mapping[str, Any], *names: str) -> None:
 
 def _fibre_integral(params: Mapping[str, Any], budgets: dict[str, Any]) -> Outcome:
     _require(params, "n", "k", "polynomial")
-    n, k = int(params["n"]), int(params["k"])
+    n, k = _scalar(params["n"], "n"), _scalar(params["k"], "k")
     method = params.get("method", "fixed-point")
-    P = parse_poly(params["polynomial"], tower_context(k))
+    P = parse_poly(_text(params, "polynomial"), tower_context(k))
     lams = _lambda_values(params, n)
     budgets["lambdas"] = [_q_doc(v) for v in lams]
     routes = (
@@ -129,8 +143,8 @@ def _fibre_integral(params: Mapping[str, Any], budgets: dict[str, Any]) -> Outco
 
 def _integral(params: Mapping[str, Any], budgets: dict[str, Any]) -> Outcome:
     _require(params, "n", "k", "polynomial")
-    n, k = int(params["n"]), int(params["k"])
-    form = hypersurface_integrand(n, k, parse_poly(params["polynomial"], tower_context(k)))
+    n, k = _scalar(params["n"], "n"), _scalar(params["k"], "k")
+    form = hypersurface_integrand(n, k, parse_poly(_text(params, "polynomial"), tower_context(k)))
 
     def over_X(residue: MultiPoly) -> DPoly:
         return integrate_over_X(truncate_h(residue.restrict(HD_CTX), n))
@@ -146,10 +160,10 @@ def _residue(params: Mapping[str, Any], budgets: dict[str, Any]) -> Outcome:
     zvars = params.get("zvars")
     if zvars is None:
         # infer z1..zk from the variables appearing in the form text
-        found = {int(m) for m in re.findall(r"[uz](\d+)", params["form"])}
+        found = {int(m) for m in re.findall(r"[uz](\d+)", _text(params, "form"))}
         zvars = [f"z{i}" for i in range(1, max(found, default=1) + 1)]
     ctx = VarContext(tuple(zvars) + ("h", "d"))
-    form = ResidueForm(*parse_residue_form(params["form"], ctx), zvars)
+    form = ResidueForm(*parse_residue_form(_text(params, "form"), ctx), zvars)
     value = residue_expand(form, budgets["max_terms"])
     check = ("expand-vs-stepwise", "expansion and stepwise residues disagree",
              lambda: value, lambda: residue_stepwise(form, budgets["max_terms"]))
@@ -158,7 +172,8 @@ def _residue(params: Mapping[str, Any], budgets: dict[str, Any]) -> Outcome:
 
 def _fixed_points(params: Mapping[str, Any], budgets: dict[str, Any]) -> Outcome:
     _require(params, "n", "k")
-    points = enumerate_fixed_points(int(params["n"]), int(params["k"]), budgets["max_points"])
+    n, k = _scalar(params["n"], "n"), _scalar(params["k"], "k")
+    points = enumerate_fixed_points(n, k, budgets["max_points"])
     return {
         "count": len(points),
         "points": [[list(w.coeffs) for w in fp.weights] for fp in points],
@@ -167,13 +182,14 @@ def _fixed_points(params: Mapping[str, Any], budgets: dict[str, Any]) -> Outcome
 
 def _ggl(params: Mapping[str, Any], budgets: dict[str, Any]) -> Outcome:
     _require(params, "n")
-    n, max_terms = int(params["n"]), budgets["max_terms"]
+    n, max_terms = _scalar(params["n"], "n"), budgets["max_terms"]
     if params.get("a") is not None:
         a = _ints(params, "a")
-        delta = Q(params.get("delta", 0))
-        cfg = GGLConfig(n=n, k=int(params.get("k", len(a))), a=a, delta=delta)
+        delta = _scalar(params.get("delta", 0), "delta", Q)
+        cfg = GGLConfig(n=n, k=_scalar(params.get("k", len(a)), "k"), a=a, delta=delta)
         I, p = build_intersection_polynomial(cfg, max_terms)
-        bound = Q(params["bound"]) if params.get("bound") is not None else 3 * n ** (8 * n)
+        bound = params.get("bound")
+        bound = 3 * n ** (8 * n) if bound is None else _scalar(bound, "bound", Q)
         spot = int(2 * bound) + 1
         result = {
             "intersection": _dpoly_doc(I),
@@ -202,7 +218,8 @@ def _ggl(params: Mapping[str, Any], budgets: dict[str, Any]) -> Outcome:
 
 def _diagnostics(params: Mapping[str, Any], budgets: dict[str, Any]) -> Outcome:
     _require(params, "n")
-    rep = estimate_checks(int(params["n"]), int(params.get("defect_cap", 4)))
+    n, defect_cap = _scalar(params["n"], "n"), _scalar(params.get("defect_cap", 4), "defect_cap")
+    rep = estimate_checks(n, defect_cap)
     checks = [
         {"name": name, "passed": ok, "required": req, "details": details}
         for name, ok, req, details in rep.checks
@@ -212,9 +229,9 @@ def _diagnostics(params: Mapping[str, Any], budgets: dict[str, Any]) -> Outcome:
 
 def _euler_char(params: Mapping[str, Any], budgets: dict[str, Any]) -> Outcome:
     _require(params, "n", "k", "a")
-    n, k = int(params["n"]), int(params["k"])
+    n, k = _scalar(params["n"], "n"), _scalar(params["k"], "k")
     a = _ints(params, "a")
-    budget = int(params["budget"]) if params.get("budget") is not None else None
+    budget = _scalar(params["budget"], "budget") if params.get("budget") is not None else None
     budgets["budget"] = budget
     value = euler_characteristic(n, k, a, budget, budgets["max_terms"])
     # the default budget is the tower dimension plus n
@@ -248,8 +265,8 @@ def run_job(command: str, params: Mapping[str, Any]) -> dict[str, Any]:
     mismatch raises VerifyMismatchError, a match adds the verify block.
     """
     budgets: dict[str, Any] = {
-        "max_terms": int(params.get("max_terms") or DEFAULT_TERM_CAP),
-        "max_points": int(params.get("max_points") or DEFAULT_POINT_CAP),
+        "max_terms": _scalar(params.get("max_terms") or DEFAULT_TERM_CAP, "max_terms"),
+        "max_points": _scalar(params.get("max_points") or DEFAULT_POINT_CAP, "max_points"),
     }
     if command not in HANDLERS:
         raise JetresError(f"unknown command {command!r}")

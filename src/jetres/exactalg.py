@@ -24,7 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cached_property
-from math import factorial
+from math import factorial, lcm
+from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 __all__ = [
@@ -142,28 +143,35 @@ def _mul_terms(
     trunc_idx: int = -1,
     trunc_max: int = 0,
 ) -> Terms:
-    """Raw sparse product; drops exponents above trunc_max at trunc_idx if set."""
+    """Raw sparse product; drops exponents above trunc_max at trunc_idx if set.
+
+    Each operand is scaled once by the lcm of its denominators, so the
+    multiply-accumulate runs on plain ints; the sums are divided back at the end.
+    """
     if not ta or not tb:
         return {}
     if len(tb) > len(ta):
         ta, tb = tb, ta
-    out: Terms = {}
+    da, ia = _cleared(ta)
+    db, ib = _cleared(tb)
+    out: dict[tuple[int, ...], int] = {}
     get = out.get
-    for eb, cb in tb.items():
-        for ea, ca in ta.items():
-            e = tuple(map(sum, zip(ea, eb)))
+    for eb, cb in ib:
+        for ea, ca in ia:
+            e = tuple(map(add, ea, eb))
             if trunc_idx >= 0 and e[trunc_idx] > trunc_max:
                 continue
-            c = get(e)
-            if c is None:
-                out[e] = ca * cb
-            else:
-                c = c + ca * cb
-                if c:
-                    out[e] = c
-                else:
-                    del out[e]
-    return out
+            out[e] = get(e, 0) + ca * cb
+    den = da * db
+    if den == 1:
+        return {e: Q(c) for e, c in out.items() if c}
+    return {e: Q(c, den) for e, c in out.items() if c}
+
+
+def _cleared(terms: Terms) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
+    """(D, [(e, D*c)]) with D the lcm of the coefficients' denominators."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return den, [(e, c.numerator * (den // c.denominator)) for e, c in terms.items()]
 
 
 def _add_into(acc: Terms, terms: Terms, scale: Q | None = None) -> None:

@@ -266,16 +266,18 @@ def residue_expand(form: ResidueForm, max_terms: int = DEFAULT_TERM_CAP) -> Mult
             ]
             fser = _graded_series({1: rest}, coeffs, room - mult, len(ctx), ti, tm)
             conv = _graded_mul(conv, {mult + r: t for r, t in fser.items()}, smax, ti, tm)
-        new_carried: Terms = {}
+        # bucket the carried terms by z_j-exponent (slot zeroed): one product each
+        buckets: dict[int, Terms] = {}
         for e, c in carried.items():
-            s = e[zj] + 1
+            e0 = list(e)
+            e0[zj] = 0
+            buckets.setdefault(e[zj] + 1, {})[tuple(e0)] = c
+        new_carried: Terms = {}
+        for s, bucket in buckets.items():
             g = conv.get(s)
             if not g:
                 continue
-            e0 = list(e)
-            e0[zj] = 0
-            piece = _mul_terms({tuple(e0): c}, g, ti, tm)
-            _add_into(new_carried, piece)
+            _add_into(new_carried, _mul_terms(bucket, g, ti, tm))
             if len(new_carried) > max_terms:
                 raise ResourceLimitError(f"residue_expand exceeded {max_terms} terms")
         carried = new_carried
@@ -661,17 +663,17 @@ def demailly_integrand(n: int, k: int, P: MultiPoly, segre: SegreData) -> Residu
     ctx = P.ctx
     zvars = [f"z{i}" for i in range(1, k + 1)]
     numerator, factors = _plus_kernel(ctx, n, k)
-    numerator = numerator * P
+    ti = ctx.index("h")
+    num = _mul_terms(numerator.terms, P.terms, ti, n)
     for j in range(1, k + 1):
         w = _zsum(ctx, 1, j)
         nj = w**n
         for i in range(1, n + 1):
             nj = nj + segre.classes[i - 1].poly.embed(ctx) * w ** (n - i)
-        numerator = numerator * nj
+        num = _mul_terms(num, nj.terms, ti, n)
         factors.append((w, 2 * n))
-    numerator = numerator.truncate("h", n)
     return ResidueForm(
-        numerator,
+        MultiPoly._raw(ctx, num),
         factors,
         zvars,
         trunc=("h", n),
@@ -692,14 +694,14 @@ def hypersurface_integrand(n: int, k: int, P: MultiPoly) -> ResidueForm:
     h = MultiPoly.variable(ctx, "h")
     d = MultiPoly.variable(ctx, "d")
     numerator, factors = _plus_kernel(ctx, n, k)
-    numerator = numerator * P
+    ti = ctx.index("h")
+    num = _mul_terms(numerator.terms, P.terms, ti, n)
     for j in range(1, k + 1):
         w = _zsum(ctx, 1, j)
-        numerator = numerator * w * (w + d * h)
+        num = _mul_terms(_mul_terms(num, w.terms, ti, n), (w + d * h).terms, ti, n)
         factors.append((w + h, n + 2))
-    numerator = numerator.truncate("h", n)
     return ResidueForm(
-        numerator,
+        MultiPoly._raw(ctx, num),
         factors,
         zvars,
         trunc=("h", n),

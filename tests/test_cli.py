@@ -216,8 +216,17 @@ def test_flags_are_echoed_as_parameters(tmp_path, capsys):
         ("ggl", {"parameters": {"n": 2, "a": 5}}),
         ("euler-char", {"parameters": {"n": 2, "k": 1, "a": 5}}),
         ("fibre-integral", {"parameters": {"n": 2, "k": 1, "polynomial": "u1", "lambdas": 3}}),
+        ("integral", {"parameters": {"n": [2], "k": 2, "polynomial": "u1^2*u2^2*h^2"}}),
+        ("integral", {"parameters": {"n": 2, "k": 2, "polynomial": 5}}),
+        ("fixed-points", {"parameters": {"n": 2, "k": True}}),
+        ("residue", {"parameters": {"form": 1}}),
+        ("euler-char", {"parameters": {"n": 2, "k": 1, "a": [[3], [1]]}}),
+        ("ggl", {"parameters": {"n": 2, "a": [3, 1], "delta": {"num": 1}}}),
+        ("ggl", {"parameters": {"n": 2, "max_terms": [30]}}),
     ],
-    ids=["top-level-list", "parameters-list", "ample-a", "ggl-a", "euler-a", "lambdas"],
+    ids=["top-level-list", "parameters-list", "ample-a", "ggl-a", "euler-a", "lambdas",
+         "n-list", "polynomial-number", "k-bool", "form-number", "a-nested", "delta-object",
+         "max-terms-list"],
 )
 def test_malformed_job_file_is_a_validation_error(command, job, tmp_path, capsys):
     job_path = tmp_path / "job.json"
@@ -225,3 +234,11 @@ def test_malformed_job_file_is_a_validation_error(command, job, tmp_path, capsys
     code = main([command, "--job", str(job_path)])
     assert code == 2
     assert json.loads(capsys.readouterr().err)["error"]["code"] == "validation"
+
+
+def test_residue_expand_cap_names_its_stage(capsys):
+    code = main(["ggl", "-n", "3", "--max-terms", "30"])
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert code == 3
+    assert error["code"] == "resource"
+    assert "residue_expand" in error["message"]

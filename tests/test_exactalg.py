@@ -162,6 +162,40 @@ def test_graded_exp_of_sum_is_product_of_exps(x, y, cap, trunc):
     assert _flat(exp(xy)) == _flat(_graded_mul(exp(x), exp(y), cap, ti, tm))
 
 
+def _fraction_product(a, b, ti, tm):
+    """Reference: the product term by term in Fraction arithmetic."""
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            if ti < 0 or e[ti] <= tm:
+                out[e] = out.get(e, Q(0)) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+# a*b with a symmetric in the first two slots and b = c*(x0 - x1): every
+# product term with equal exponents in those slots cancels
+symmetric_st = terms_st.map(lambda t: {**t, **{(e[1], e[0], e[2]): c for e, c in t.items()}})
+antisymmetric_st = st.builds(Q, st.integers(1, 9), st.integers(1, 5)).map(
+    lambda c: {(1, 0, 0): c, (0, 1, 0): -c}
+)
+
+
+@PROPERTY
+@given(
+    st.one_of(st.tuples(terms_st, terms_st), st.tuples(symmetric_st, antisymmetric_st)),
+    trunc_st,
+)
+def test_mul_terms_is_the_fraction_product(operands, trunc):
+    a, b = operands
+    ti, tm = trunc
+    for x, y in ((a, b), (b, a)):
+        got = _mul_terms(x, y, ti, tm)
+        assert got == _fraction_product(x, y, ti, tm)
+        assert all(type(c) is Q and c for c in got.values())
+    assert _mul_terms({}, b) == _mul_terms(a, {}) == {}
+
+
 def test_graded_series_rejects_bad_constant_parts():
     with pytest.raises(NonUnitError):
         _graded_inverse({0: {UNIT: Q(2)}}, 3, 3)

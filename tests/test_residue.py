@@ -5,7 +5,16 @@ import random
 
 import pytest
 
-from jetres.exactalg import DPoly, HD_CTX, MultiPoly, Q, VarContext, truncate_h
+from jetres.exactalg import (
+    DPoly,
+    HD_CTX,
+    MultiPoly,
+    Q,
+    ResourceLimitError,
+    VarContext,
+    truncate_h,
+)
+from jetres.ggl import canonical_config, intersection_payload
 from jetres.localization import fibre_integral_fixed_points
 from jetres.residue import (
     NotResidueIntegrableError,
@@ -23,6 +32,7 @@ from jetres.residue import (
     residue_stepwise,
     segre_hypersurface,
     tower_context,
+    _plus_kernel,
     _zsum,
 )
 from jetres.exactalg import HClass
@@ -420,6 +430,48 @@ def test_demailly_degree_mismatch_integrates_to_zero():
         assert not form.degree_matched
         value = integrate_over_X(truncate_h(residue_expand(form).restrict(HD_CTX), n))
         assert value.is_zero
+
+
+def _truncated_at_the_end(n, k, P, level_factor):
+    """The builders' numerator multiplied out in full and truncated once."""
+    numerator = _plus_kernel(P.ctx, n, k)[0] * P
+    for j in range(1, k + 1):
+        numerator = numerator * level_factor(_zsum(P.ctx, 1, j))
+    return numerator.truncate("h", n)
+
+
+def _builder_payloads():
+    rng = random.Random(53)
+    for n in (2, 3):
+        yield n, n, intersection_payload(canonical_config(n))
+    for n, k in ((2, 1), (2, 2), (3, 1), (3, 2), (2, 3)):
+        ctx = tower_context(k)
+        zvars = [f"z{i}" for i in range(1, k + 1)]
+        yield n, k, random_homogeneous(rng, ctx, zvars, n + k * (n - 1), with_h=True)
+
+
+@pytest.mark.parametrize("n, k, P", list(_builder_payloads()))
+def test_builders_truncate_as_they_multiply(n, k, P):
+    h, d = MultiPoly.variable(P.ctx, "h"), MultiPoly.variable(P.ctx, "d")
+    assert P.degree_in("h") > n  # the payload itself reaches past h^n
+    expected = _truncated_at_the_end(n, k, P, lambda w: w * (w + d * h))
+    assert hypersurface_integrand(n, k, P).numerator == expected
+    seg = segre_hypersurface(n)
+
+    def cleared_tangent(w):
+        out = w**n
+        for i in range(1, n + 1):
+            out = out + seg.classes[i - 1].poly.embed(P.ctx) * w ** (n - i)
+        return out
+
+    expected = _truncated_at_the_end(n, k, P, cleared_tangent)
+    assert demailly_integrand(n, k, P, seg).numerator == expected
+
+
+def test_residue_expand_term_cap():
+    form = hypersurface_integrand(3, 3, intersection_payload(canonical_config(3)))
+    with pytest.raises(ResourceLimitError, match="residue_expand exceeded 30 terms"):
+        residue_expand(form, max_terms=30)
 
 
 @pytest.mark.slow
