@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import re
 import sys
@@ -86,10 +87,14 @@ def _items(params: Mapping[str, Any], name: str) -> list[Any]:
 
 
 def _scalar(value: Any, name: str, kind: Callable[[Any], Any] = int) -> Any:
-    """kind(value) for one JSON number or string; lists, objects and booleans
-    are rejected."""
+    """kind(value) for one JSON integer or string; lists, objects, booleans
+    and floats are rejected."""
     if value is None or isinstance(value, (bool, list, dict)):
         raise ValueError(f"parameter {name} must be a single number")
+    if isinstance(value, float):
+        # int() would truncate it and Fraction() would take its binary value
+        raise ValueError(f"parameter {name} must be an integer or a string such as \"3/2\", "
+                         f"not the float {value!r}")
     return kind(value)
 
 
@@ -351,7 +356,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         doc, status = _error_doc("validation", str(exc)), 2
     text = json.dumps(doc, indent=2, sort_keys=True)
-    print(text, file=sys.stderr if status else sys.stdout)
+    stream = sys.stderr if status else sys.stdout
+    try:
+        print(text, file=stream)
+        stream.flush()
+    except BrokenPipeError:
+        # the reader left early (`jetres ... | head`): send what is still
+        # buffered, and the interpreter's flush at exit, to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

@@ -8,24 +8,26 @@ common-denominator sum and reduces it, so such inputs come back with
 denominator 1.
 
 :func:`fibre_integral_fixed_points` applies this to the jet-tower fibre:
-weights are specialized to distinct rationals -- exact arithmetic, no
-symbolic simplification bottleneck -- and the hyperplane variable h rides
-along as an opaque constant.  The six-point Grassmannian demo keeps its
-weights symbolic, where the full cancellation is cheap.
+weights are specialized to distinct rationals, and every variable other
+than z_1..z_k (h, d) rides along as an opaque constant.  The sum runs on
+integers: P is split once into groups of terms sharing their non-z
+monomial and their total z-degree g, each group's coefficients are cleared
+to integers, and the weights are scaled by the lcm D of the lambdas'
+denominators.  At each of the n^k fixed points a group then evaluates to an
+integer s and the Euler class to an integer E, and the group gains the
+exact rational s * D^(k(n-1)) / (den * D^g * E); nothing symbolic is
+built per point.  The six-point Grassmannian demo keeps its weights
+symbolic, where the full cancellation is cheap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm, prod
 from typing import Sequence
 
-from .exactalg import JetresError, MultiPoly, Q, QLike, VarContext
-from .tower import (
-    DEFAULT_POINT_CAP,
-    enumerate_fixed_points,
-    euler_value,
-    weight_value,
-)
+from .exactalg import JetresError, MultiPoly, Q, QLike, Terms, VarContext, _cleared
+from .tower import DEFAULT_POINT_CAP, Weight, enumerate_fixed_points, tangent_weights
 
 __all__ = [
     "DegenerateWeightsError",
@@ -167,16 +169,46 @@ def fibre_integral_fixed_points(
         raise ValueError("need n weight values")
     if len(set(lams)) != n:
         raise DegenerateWeightsError("repeated weight values")
-    subs_template = {f"z{i}": Q(0) for i in range(1, k + 1)}
-    total = MultiPoly.zero(P.ctx)
+    # every weight is an integer combination of the lambdas, so D times it is
+    # an integer: D*(lambda_1..lambda_n) are the weights the loop works with
+    D = lcm(*(v.denominator for v in lams))
+    scaled = [v.numerator * (D // v.denominator) for v in lams]
+    zidx = [P.ctx.index(f"z{i}") for i in range(1, k + 1)]
+    # P = sum over (rest, g) of rest * (sum of c * z^e with |e| = g); each
+    # group's coefficients are cleared to integers once, c = c' / den
+    groups: dict[tuple[tuple[int, ...], int], Terms] = {}
+    for e, c in P.terms.items():
+        z = tuple(e[i] for i in zidx)
+        rest = list(e)
+        for i in zidx:
+            rest[i] = 0
+        groups.setdefault((tuple(rest), sum(z)), {})[z] = c
+    cleared = {key: _cleared(terms) for key, terms in groups.items()}
+    totals = dict.fromkeys((rest for rest, _ in groups), Q(0))
+    tops = [P.degree_in(f"z{i}") for i in range(1, k + 1)]
+    D_tangent = D ** (k * (n - 1))
+
+    def scaled_value(w: Weight) -> int:
+        return sum(c * v for c, v in zip(w.coeffs, scaled))
+
     for fp in enumerate_fixed_points(n, k, point_cap):
-        euler = euler_value(fp, lams)
-        if euler == 0:
+        # value/euler = (s / (den * D^g)) / (E / D^(k(n-1))) for each group
+        E = prod(scaled_value(t) for t in tangent_weights(fp))
+        if E == 0:
             raise DegenerateWeightsError(
                 "weight collision at the chosen values; pick different lambdas"
             )
-        subs = dict(subs_template)
-        for i, w in enumerate(fp.weights, start=1):
-            subs[f"z{i}"] = weight_value(w, lams)
-        total = total + P.substitute(subs) * (Q(1) / euler)
-    return total
+        powers = []
+        for w, top in zip(fp.weights, tops):
+            a, row = scaled_value(w), [1]
+            for _ in range(top):
+                row.append(row[-1] * a)
+            powers.append(row)
+        for (rest, g), (den, terms) in cleared.items():
+            s = 0
+            for z, c in terms:
+                for row, p in zip(powers, z):
+                    c *= row[p]
+                s += c
+            totals[rest] += Q(s * D_tangent, den * D**g * E)
+    return MultiPoly(P.ctx, totals)

@@ -96,10 +96,14 @@ def test_unknown_variable_error_exit(tmp_path, capsys):
 
 
 def test_resource_cap_error(capsys):
-    code = main(["fixed-points", "-n", "3", "-k", "2", "--max-points", "5"])
-    err = capsys.readouterr().err
-    assert code == 3
-    assert json.loads(err)["error"]["code"] == "resource"
+    for argv in (
+        ["fixed-points", "-n", "3", "-k", "2"],
+        ["fibre-integral", "-n", "3", "-k", "2", "-P", "u1^2*u2^2", "--lambdas", "1,2,5"],
+    ):
+        code = main(argv + ["--max-points", "5"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert json.loads(err)["error"]["code"] == "resource"
 
 
 def test_missing_parameters(capsys):
@@ -154,6 +158,22 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["classification"] == "relatively_ample"
+
+
+def test_closed_pipe_leaves_stderr_empty():
+    # the reader stops after one line, as `jetres fixed-points ... | head -1` does;
+    # the document (729 points) is larger than a pipe's buffer
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "jetres.cli", "fixed-points", "-n", "3", "-k", "6"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
 
 
 def test_run_job_ggl_custom_config():
@@ -223,10 +243,17 @@ def test_flags_are_echoed_as_parameters(tmp_path, capsys):
         ("euler-char", {"parameters": {"n": 2, "k": 1, "a": [[3], [1]]}}),
         ("ggl", {"parameters": {"n": 2, "a": [3, 1], "delta": {"num": 1}}}),
         ("ggl", {"parameters": {"n": 2, "max_terms": [30]}}),
+        ("fixed-points", {"parameters": {"n": 2.5, "k": 1}}),
+        ("fixed-points", {"parameters": {"n": 2.0, "k": 1}}),
+        ("ggl", {"parameters": {"n": 2, "a": [3, 1], "delta": 0.1}}),
+        ("fibre-integral",
+         {"parameters": {"n": 2, "k": 1, "polynomial": "u1", "lambdas": [0.1, 2]}}),
+        ("euler-char", {"parameters": {"n": 2, "k": 1, "a": [3.0]}}),
     ],
     ids=["top-level-list", "parameters-list", "ample-a", "ggl-a", "euler-a", "lambdas",
          "n-list", "polynomial-number", "k-bool", "form-number", "a-nested", "delta-object",
-         "max-terms-list"],
+         "max-terms-list", "n-float", "n-integral-float", "delta-float", "lambdas-float",
+         "a-float"],
 )
 def test_malformed_job_file_is_a_validation_error(command, job, tmp_path, capsys):
     job_path = tmp_path / "job.json"

@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jetres.exactalg import MultiPoly, Q, VarContext
 from jetres.localization import (
@@ -14,6 +16,7 @@ from jetres.localization import (
     grassmannian_fixed_point_data,
 )
 from jetres.residue import ResidueForm, residue_expand, tower_context
+from jetres.tower import enumerate_fixed_points, euler_value, weight_value
 
 
 def test_grassmannian_symbolic_is_one():
@@ -158,8 +161,45 @@ def test_repeated_lambdas_rejected():
 
 
 def test_weight_collision_detected():
-    # lambda = (1, 2) makes the depth-2 weight L2 - L1 collide with L1
+    # lambda = (1, 2) makes the depth-2 weight L2 - L1 collide with L1; the
+    # Euler class vanishes there whatever the payload, zero included
     ctx = tower_context(2)
     P = MultiPoly.variable(ctx, "z1") * MultiPoly.variable(ctx, "z2")
-    with pytest.raises(DegenerateWeightsError):
-        fibre_integral_fixed_points(2, 2, P, [Q(1), Q(2)])
+    for payload in (P, MultiPoly.zero(ctx)):
+        with pytest.raises(DegenerateWeightsError):
+            fibre_integral_fixed_points(2, 2, payload, [Q(1), Q(2)])
+
+
+def _substitution_oracle(n, k, P, lams):
+    """Reference: substitute each fixed point's weights into P, divide by its Euler class."""
+    total = MultiPoly.zero(P.ctx)
+    for fp in enumerate_fixed_points(n, k):
+        subs = {f"z{i}": weight_value(w, lams) for i, w in enumerate(fp.weights, start=1)}
+        total = total + P.substitute(subs) * (Q(1) / euler_value(fp, lams))
+    return total
+
+
+@st.composite
+def localization_cases(draw):
+    """(n, k, P, lambdas): P with z, h and d terms of any degree, possibly zero."""
+    n, k = draw(st.sampled_from([2, 3])), draw(st.sampled_from([1, 2, 3]))
+    exponents = st.tuples(*[st.integers(0, 4)] * k, st.integers(0, 2), st.integers(0, 2))
+    coeffs = st.builds(Q, st.integers(-9, 9), st.integers(1, 6))
+    P = MultiPoly(tower_context(k), draw(st.dictionaries(exponents, coeffs, max_size=8)))
+    lams = draw(st.lists(st.builds(Q, st.integers(-12, 12), st.integers(1, 6)),
+                         min_size=n, max_size=n))
+    return n, k, P, lams
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(localization_cases())
+def test_fixed_point_sum_is_the_substitution_sum(case):
+    n, k, P, lams = case
+    degenerate = len(set(lams)) < n or any(
+        euler_value(fp, lams) == 0 for fp in enumerate_fixed_points(n, k)
+    )
+    if degenerate:
+        with pytest.raises(DegenerateWeightsError):
+            fibre_integral_fixed_points(n, k, P, lams)
+    else:
+        assert fibre_integral_fixed_points(n, k, P, lams) == _substitution_oracle(n, k, P, lams)
