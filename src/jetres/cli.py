@@ -121,6 +121,14 @@ def _lambda_values(params: Mapping[str, Any], n: int) -> list[Q]:
             return vals
 
 
+def _cap(params: Mapping[str, Any], name: str, default: int) -> int:
+    """A resource cap: the default when absent or null, otherwise at least 1."""
+    cap = default if params.get(name) is None else _scalar(params[name], name)
+    if cap < 1:
+        raise ValueError(f"parameter {name} must be at least 1")
+    return cap
+
+
 def _require(params: Mapping[str, Any], *names: str) -> None:
     missing = [x for x in names if params.get(x) is None]
     if missing:
@@ -205,7 +213,7 @@ def _ggl(params: Mapping[str, Any], budgets: dict[str, Any]) -> Outcome:
         }
     else:
         rep = ggl_threshold_check(n, max_terms)
-        cfg = rep.config
+        cfg, I = rep.config, rep.intersection
         result = {
             "config": {"a": list(cfg.a), "delta": _q_doc(cfg.delta), "k": cfg.k},
             "p": _dpoly_doc(rep.p),
@@ -217,7 +225,7 @@ def _ggl(params: Mapping[str, Any], budgets: dict[str, Any]) -> Outcome:
     check = ("coefficient-table-assembly", "table assembly and residue engine disagree",
              lambda: assemble_intersection_from_tables(
                  expansion_diagnostics(n, defect_cap=4 * n + 2, config=cfg)),
-             lambda: build_intersection_polynomial(cfg, max_terms)[0])
+             lambda: I)
     return result, check
 
 
@@ -270,8 +278,8 @@ def run_job(command: str, params: Mapping[str, Any]) -> dict[str, Any]:
     mismatch raises VerifyMismatchError, a match adds the verify block.
     """
     budgets: dict[str, Any] = {
-        "max_terms": _scalar(params.get("max_terms") or DEFAULT_TERM_CAP, "max_terms"),
-        "max_points": _scalar(params.get("max_points") or DEFAULT_POINT_CAP, "max_points"),
+        "max_terms": _cap(params, "max_terms", DEFAULT_TERM_CAP),
+        "max_points": _cap(params, "max_points", DEFAULT_POINT_CAP),
     }
     if command not in HANDLERS:
         raise JetresError(f"unknown command {command!r}")

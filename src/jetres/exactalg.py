@@ -458,32 +458,37 @@ class MultiPoly:
         return MultiPoly(self.ctx, out)
 
     def substitute(self, assignments: Mapping[str, "MultiPoly | QLike"]) -> "MultiPoly":
-        """Substitute polynomials or rationals for variables (exact)."""
-        subs: dict[int, MultiPoly] = {}
+        """Substitute polynomials or rationals for variables (exact).
+
+        Terms are grouped by their exponents in the substituted variables;
+        each variable's powers are built once by repeated multiplication, and
+        each group takes one product per variable it carries.
+        """
+        subs: dict[int, Terms] = {}
         for name, val in assignments.items():
             if not isinstance(val, MultiPoly):
                 val = MultiPoly.const(self.ctx, val)
             self._check_ctx(val)
-            subs[self.ctx.index(name)] = val
-        power_cache: dict[tuple[int, int], MultiPoly] = {}
-
-        def var_power(i: int, p: int) -> MultiPoly:
-            key = (i, p)
-            got = power_cache.get(key)
-            if got is None:
-                got = subs[i] ** p
-                power_cache[key] = got
-            return got
-
-        acc: Terms = {}
+            subs[self.ctx.index(name)] = val.terms
+        buckets: dict[tuple[int, ...], Terms] = {}
         for e, c in self.terms.items():
-            rest = tuple(0 if i in subs else ei for i, ei in enumerate(e))
-            piece: Terms = {rest: c}
+            rest = list(e)
             for i in subs:
-                if e[i]:
-                    piece = _mul_terms(piece, var_power(i, e[i]).terms)
+                rest[i] = 0
+            buckets.setdefault(tuple(e[i] for i in subs), {})[tuple(rest)] = c
+        powers: list[list[Terms]] = []
+        for pos, value in enumerate(subs.values()):
+            pw = [value]  # pw[p - 1] is value^p
+            for _ in range(max((key[pos] for key in buckets), default=0) - 1):
+                pw.append(_mul_terms(pw[-1], value))
+            powers.append(pw)
+        acc: Terms = {}
+        for key, piece in buckets.items():
+            for pw, p in zip(powers, key):
+                if p:
+                    piece = _mul_terms(piece, pw[p - 1])
             _add_into(acc, piece)
-        return MultiPoly(self.ctx, acc)
+        return MultiPoly._raw(self.ctx, acc)
 
     def evaluate(self, values: Mapping[str, QLike]) -> Q:
         missing = self.variables_used() - set(values)

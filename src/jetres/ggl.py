@@ -680,6 +680,7 @@ class ThresholdReport:
 
     n: int
     config: GGLConfig
+    intersection: DPoly
     p: DPoly
     bound: int
     certificate: bool
@@ -710,5 +711,5 @@ def ggl_threshold_check(n: int, max_terms: int = DEFAULT_TERM_CAP) -> ThresholdR
     for dval in (threshold + 1, 2 * threshold, 10 * threshold, 100 * threshold):
         spots.append((dval, I(dval) > 0))
     return ThresholdReport(
-        n=n, config=cfg, p=p, bound=bound, certificate=cert, spot_checks=spots
+        n=n, config=cfg, intersection=I, p=p, bound=bound, certificate=cert, spot_checks=spots
     )

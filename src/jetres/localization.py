@@ -80,11 +80,6 @@ class SymbolicFraction:
     def is_polynomial(self) -> bool:
         return self.denominator == MultiPoly.const(self.denominator.ctx, 1)
 
-    def as_polynomial(self) -> MultiPoly:
-        if not self.is_polynomial:
-            raise JetresError("fraction did not reduce to a polynomial")
-        return self.numerator
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Q)):
             return self.is_polynomial and self.numerator == other

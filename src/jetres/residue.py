@@ -122,10 +122,10 @@ class ResidueForm:
     the target ring (h-truncation for hypersurface integrands); the expansion
     engine applies it eagerly (sound: exponents only add), the stepwise
     engine only at the end (it divides by trunc-variable-carrying factors
-    along the way).  ``sign`` is the orientation flag, (-1)^k by default.
+    along the way).
     """
 
-    __slots__ = ("ctx", "zvars", "numerator", "factors", "trunc", "sign", "degree_matched")
+    __slots__ = ("ctx", "zvars", "numerator", "factors", "trunc", "degree_matched")
 
     def __init__(
         self,
@@ -133,7 +133,6 @@ class ResidueForm:
         factors: Sequence[tuple[MultiPoly, int]],
         zvars: Sequence[str],
         trunc: tuple[str, int] | None = None,
-        sign: Q | None = None,
         degree_matched: bool = True,
     ):
         ctx = numerator.ctx
@@ -149,7 +148,6 @@ class ResidueForm:
         object.__setattr__(self, "numerator", numerator)
         object.__setattr__(self, "factors", tuple((p, int(m)) for p, m in factors))
         object.__setattr__(self, "trunc", trunc)
-        object.__setattr__(self, "sign", orientation_sign(len(zvars)) if sign is None else sign)
         object.__setattr__(self, "degree_matched", degree_matched)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -166,9 +164,6 @@ class ResidueForm:
             zc, const = _split_affine(poly, zpos)
             out.append((LinearForm(tuple(zc), MultiPoly(self.ctx, const)), mult))
         return out
-
-    def coefficient_context(self) -> VarContext:
-        return VarContext(tuple(n for n in self.ctx.names if n not in set(self.zvars)))
 
 
 Terms = dict
@@ -285,7 +280,7 @@ def residue_expand(form: ResidueForm, max_terms: int = DEFAULT_TERM_CAP) -> Mult
     for e in carried:
         if any(e[i] for i in zpos):
             raise JetresError("internal: z-variables left after extraction")
-    sign = form.sign
+    sign = orientation_sign(k)
     return MultiPoly(ctx, {e: c * sign for e, c in carried.items()})
 
 
@@ -315,30 +310,6 @@ def _derivative(terms: Terms, idx: int) -> Terms:
     return {e: c for e, c in out.items() if c}
 
 
-def _substitute_z(terms: Terms, idx: int, value: Terms, ti: int, tm: int) -> Terms:
-    """Substitute a polynomial value for the variable at position idx."""
-    if not terms:
-        return {}
-    width = len(next(iter(terms)))
-    by_power: dict[int, Terms] = {}
-    for e, c in terms.items():
-        p = e[idx]
-        ne = list(e)
-        ne[idx] = 0
-        bucket = by_power.setdefault(p, {})
-        key = tuple(ne)
-        bucket[key] = bucket.get(key, Q(0)) + c
-    out: Terms = {}
-    cur: Terms = {(0,) * width: Q(1)}
-    for p in range(max(by_power) + 1):
-        if p:
-            cur = _mul_terms(cur, value, ti, tm)
-        bucket = by_power.get(p)
-        if bucket:
-            _add_into(out, _mul_terms(bucket, cur, ti, tm))
-    return {e: c for e, c in out.items() if c}
-
-
 def residue_stepwise(form: ResidueForm, max_terms: int = DEFAULT_TERM_CAP) -> MultiPoly:
     """Iterated residue via the one-variable Residue Theorem, z_k down to z_1.
 
@@ -356,7 +327,6 @@ def residue_stepwise(form: ResidueForm, max_terms: int = DEFAULT_TERM_CAP) -> Mu
     ctx = form.ctx
     width = len(ctx)
     zpos = [ctx.index(z) for z in form.zvars]
-    ti, tm = -1, 0
     zero_exp = (0,) * width
 
     for lf, _ in form.linear_forms():
@@ -425,14 +395,14 @@ def residue_stepwise(form: ResidueForm, max_terms: int = DEFAULT_TERM_CAP) -> Mu
                         dnum = _derivative(numer, zj)
                         part1 = dnum
                         for i in dyn:
-                            part1 = _mul_terms(part1, others[i][0], ti, tm)
+                            part1 = _mul_terms(part1, others[i][0])
                         part2: Terms = {}
                         for i in dyn:
                             ai = zcoeff_of(others[i][0], zj)
                             piece = {e: c * (-Q(mults[i]) * ai) for e, c in numer.items()}
                             for i2 in dyn:
                                 if i2 != i:
-                                    piece = _mul_terms(piece, others[i2][0], ti, tm)
+                                    piece = _mul_terms(piece, others[i2][0])
                             _add_into(part2, piece)
                         numer = dict(part1)
                         _add_into(numer, part2)
@@ -444,13 +414,14 @@ def residue_stepwise(form: ResidueForm, max_terms: int = DEFAULT_TERM_CAP) -> Mu
                 else:
                     numer = {e: c / a0 for e, c in numer.items()}
                 # substitute the pole into numerator and remaining factors
-                numer = _substitute_z(numer, zj, wval, ti, tm)
+                pole = {form.zvars[j - 1]: MultiPoly._raw(ctx, wval)}
+                numer = MultiPoly._raw(ctx, numer).substitute(pole).terms
                 numer = {e: -c for e, c in numer.items()}  # minus: residue at infinity
                 if not numer:
                     continue
                 new_factors: list[tuple[Terms, int]] = []
                 for ft, m in others:
-                    fs = _substitute_z(ft, zj, wval, ti, tm)
+                    fs = MultiPoly._raw(ctx, ft).substitute(pole).terms
                     if not fs:
                         raise JetresError("internal: factor vanished at a pole after merging")
                     if len(fs) == 1 and zero_exp in fs:
@@ -494,12 +465,12 @@ def residue_stepwise(form: ResidueForm, max_terms: int = DEFAULT_TERM_CAP) -> Mu
         for key, (ft, mmax) in max_mult.items():
             need = mmax - have.get(key, 0)
             for _ in range(need):
-                scaled = _mul_terms(scaled, ft, ti, tm)
+                scaled = _mul_terms(scaled, ft)
         _add_into(total_num, scaled)
     total_den: Terms = {zero_exp: Q(1)}
     for ft, mmax in max_mult.values():
         for _ in range(mmax):
-            total_den = _mul_terms(total_den, ft, ti, tm)
+            total_den = _mul_terms(total_den, ft)
     result = MultiPoly(ctx, total_num)
     denom = MultiPoly(ctx, total_den)
     if denom != MultiPoly.const(ctx, 1):
@@ -509,11 +480,7 @@ def residue_stepwise(form: ResidueForm, max_terms: int = DEFAULT_TERM_CAP) -> Mu
         result = quot
     if form.trunc is not None:
         result = result.truncate(*form.trunc)
-    # per-step minus signs already realize the (-1)^k orientation; adjust only
-    # if the form carries a non-default flag
-    adjust = form.sign / orientation_sign(form.k)
-    if adjust != 1:
-        result = result * adjust
+    # the per-step minus signs realize the (-1)^k orientation
     return result
 
 
@@ -522,9 +489,9 @@ def residue_stepwise(form: ResidueForm, max_terms: int = DEFAULT_TERM_CAP) -> Mu
 # ---------------------------------------------------------------------------
 
 
-def tower_context(k: int, n: int | None = None, extra: Sequence[str] = ("h", "d")) -> VarContext:
+def tower_context(k: int, n: int | None = None) -> VarContext:
     """Context (z_1..z_k, h, d[, L_1..L_n]) used by the tower integrands."""
-    names = [f"z{i}" for i in range(1, k + 1)] + list(extra)
+    names = [f"z{i}" for i in range(1, k + 1)] + ["h", "d"]
     if n is not None:
         names += [f"L{i}" for i in range(1, n + 1)]
     return VarContext(tuple(names))
@@ -720,17 +687,10 @@ def integral_over_tower(
     n: int,
     k: int,
     P: MultiPoly,
-    engine: str = "expand",
     max_terms: int = DEFAULT_TERM_CAP,
 ) -> DPoly:
     """Full pipeline: hypersurface integrand -> residue -> integrate over X."""
-    form = hypersurface_integrand(n, k, P)
-    if engine == "expand":
-        val = residue_expand(form, max_terms)
-    elif engine == "stepwise":
-        val = residue_stepwise(form, max_terms)
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
+    val = residue_expand(hypersurface_integrand(n, k, P), max_terms)
     cls = truncate_h(val.restrict(HD_CTX), n)
     return integrate_over_X(cls)
 

@@ -1,6 +1,11 @@
 import os
 
 import pytest
+from hypothesis import settings
+
+# one derandomized profile for every property test, so the suite is deterministic
+settings.register_profile("jetres", derandomize=True, max_examples=60, deadline=None)
+settings.load_profile("jetres")
 
 
 def pytest_collection_modifyitems(config, items):

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import jetres
 from jetres.cli import main, run_job
 from jetres.exactalg import MultiPoly, Q, VarContext
 from jetres.polyparse import ParseError, UnknownVariableError, parse_poly
@@ -106,6 +107,23 @@ def test_resource_cap_error(capsys):
         assert json.loads(err)["error"]["code"] == "resource"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fixed-points", "-n", "2", "-k", "1", "--max-points", "0"],
+        ["integral", "-n", "2", "-k", "2", "-P", "(u1+2*u2+h)^4", "--max-terms", "0"],
+        ["fixed-points", "-n", "2", "-k", "1", "--max-points", "-5"],
+    ],
+    ids=["max-points-0", "max-terms-0", "max-points-negative"],
+)
+def test_caps_below_one_are_validation_errors(argv, capsys):
+    code = main(argv)
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert code == 2
+    assert error["code"] == "validation"
+    assert "at least 1" in error["message"]
+
+
 def test_missing_parameters(capsys):
     code = main(["integral", "-n", "2"])
     err = capsys.readouterr().err
@@ -160,6 +178,17 @@ def test_console_script_entry_point():
     assert json.loads(proc.stdout)["result"]["classification"] == "relatively_ample"
 
 
+def test_cli_imports_every_module():
+    # a fresh interpreter: this process has imported modules the CLI may not
+    package = pathlib.Path(jetres.__file__).parent
+    modules = sorted(f"jetres.{p.stem}" for p in package.glob("*.py") if p.stem != "__init__")
+    code = (f"import sys; sys.path.insert(0, {str(package.parent)!r}); import jetres.cli; "
+            f"print([m for m in {modules!r} if m not in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_closed_pipe_leaves_stderr_empty():
     # the reader stops after one line, as `jetres fixed-points ... | head -1` does;
     # the document (729 points) is larger than a pipe's buffer
@@ -199,6 +228,23 @@ def test_run_job_ggl_custom_config():
 def test_verify_names_its_method(argv, method, capsys):
     assert main(argv + ["--verify"]) == 0
     assert json.loads(capsys.readouterr().out)["verify"] == {"match": True, "method": method}
+
+
+@pytest.mark.parametrize(
+    "argv", [["ggl", "-n", "2"], ["ggl", "-n", "2", "--a", "3,1"]], ids=["canonical", "custom"]
+)
+def test_ggl_verify_reuses_the_primary_intersection(argv, monkeypatch, capsys):
+    calls = []
+    real = jetres.ggl.integral_over_tower
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(jetres.ggl, "integral_over_tower", counted)
+    assert main(argv + ["--verify"]) == 0
+    assert json.loads(capsys.readouterr().out)["verify"]["match"]
+    assert len(calls) == 1
 
 
 def test_verify_mismatch_exits_3(monkeypatch, capsys):

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from jetres.exactalg import (
@@ -113,7 +113,6 @@ def test_series_inverse_randomized():
 # (1, 2, 1), so every non-constant monomial has grade >= 1.
 WEIGHTS = (1, 2, 1)
 UNIT = (0, 0, 0)
-PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
 terms_st = st.dictionaries(
     st.tuples(*[st.integers(0, 3)] * 3),
     st.builds(Q, st.integers(-9, 9), st.integers(1, 5)),
@@ -128,7 +127,6 @@ def _grade(e):
     return sum(w * x for w, x in zip(WEIGHTS, e))
 
 
-@PROPERTY
 @given(terms_st, terms_st, cap_st, trunc_st)
 def test_graded_mul_is_the_truncated_full_product(a, b, cap, trunc):
     ti, tm = trunc
@@ -140,7 +138,6 @@ def test_graded_mul_is_the_truncated_full_product(a, b, cap, trunc):
     }
 
 
-@PROPERTY
 @given(nonconstant_st, cap_st, trunc_st)
 def test_graded_inverse_times_series_is_one(x, cap, trunc):
     ti, tm = trunc
@@ -149,7 +146,6 @@ def test_graded_inverse_times_series_is_one(x, cap, trunc):
     assert _flat(_graded_mul(inv, a, cap, ti, tm)) == {UNIT: Q(1)}
 
 
-@PROPERTY
 @given(nonconstant_st, nonconstant_st, cap_st, trunc_st)
 def test_graded_exp_of_sum_is_product_of_exps(x, y, cap, trunc):
     ti, tm = trunc
@@ -181,7 +177,6 @@ antisymmetric_st = st.builds(Q, st.integers(1, 9), st.integers(1, 5)).map(
 )
 
 
-@PROPERTY
 @given(
     st.one_of(st.tuples(terms_st, terms_st), st.tuples(symmetric_st, antisymmetric_st)),
     trunc_st,
@@ -194,6 +189,38 @@ def test_mul_terms_is_the_fraction_product(operands, trunc):
         assert got == _fraction_product(x, y, ti, tm)
         assert all(type(c) is Q and c for c in got.values())
     assert _mul_terms({}, b) == _mul_terms(a, {}) == {}
+
+
+def _substitute_per_term(poly, assignments):
+    """Reference: every term times the powers of its substituted values."""
+    acc = MultiPoly.zero(poly.ctx)
+    for e, c in poly.terms.items():
+        powers = dict(zip(poly.ctx.names, e))
+        rest = tuple(0 if name in assignments else p for name, p in powers.items())
+        term = MultiPoly(poly.ctx, {rest: c})
+        for name, value in assignments.items():
+            if not isinstance(value, MultiPoly):
+                value = MultiPoly.const(poly.ctx, value)
+            term = term * value ** powers[name]
+        acc = acc + term
+    return acc
+
+
+# values: polynomials (the zero polynomial and ones holding the substituted
+# variable among them), rationals including zero, and z1 -> z1 + z2 itself
+value_st = st.one_of(
+    terms_st.map(lambda t: MultiPoly(CTX, t)),
+    st.builds(Q, st.integers(-9, 9), st.integers(1, 5)),
+    st.just(Z1 + Z2),
+)
+
+
+@given(terms_st, st.dictionaries(st.sampled_from(CTX.names), value_st, min_size=1, max_size=3))
+def test_substitute_is_the_per_term_substitution(terms, assignments):
+    p = MultiPoly(CTX, terms)
+    got = p.substitute(assignments)
+    assert got == _substitute_per_term(p, assignments)
+    assert all(type(c) is Q and c for c in got.terms.values())
 
 
 def test_graded_series_rejects_bad_constant_parts():

@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from jetres.exactalg import MultiPoly, Q, VarContext
@@ -191,7 +191,6 @@ def localization_cases(draw):
     return n, k, P, lams
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
 @given(localization_cases())
 def test_fixed_point_sum_is_the_substitution_sum(case):
     n, k, P, lams = case
