@@ -5,8 +5,8 @@ rational arithmetic, with a positivity-certificate pipeline for the degree
 thresholds they feed.  See README.md for the CLI and the acceptance suite.
 """
 
-from .exactalg import DPoly, HClass, MultiPoly, Q, VarContext, truncate_h
+from .exactalg import DPoly, MultiPoly, Q, VarContext
 
 __version__ = "0.1.0"
 
-__all__ = ["Q", "MultiPoly", "VarContext", "HClass", "DPoly", "truncate_h", "__version__"]
+__all__ = ["Q", "MultiPoly", "VarContext", "DPoly", "__version__"]

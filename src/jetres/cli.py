@@ -21,7 +21,7 @@ import time
 from fractions import Fraction as Q
 from typing import Any, Callable, Mapping, Sequence
 
-from .exactalg import DPoly, HD_CTX, JetresError, MultiPoly, VarContext, truncate_h
+from .exactalg import DPoly, HD_CTX, JetresError, MultiPoly, VarContext
 from .ggl import (
     GGLConfig,
     ample_condition,
@@ -112,7 +112,7 @@ def _lambda_values(params: Mapping[str, Any], n: int) -> list[Q]:
     if params.get("lambdas") is not None:
         vals = [_scalar(v, "lambdas", Q) for v in _items(params, "lambdas")]
         if len(vals) != n:
-            raise JetresError(f"need {n} lambda values")
+            raise ValueError(f"need {n} lambda values")
         return vals
     rng = random.Random(_scalar(params.get("lambda_seed", 1), "lambda_seed"))
     while True:
@@ -147,7 +147,7 @@ def _fibre_integral(params: Mapping[str, Any], budgets: dict[str, Any]) -> Outco
         lambda: residue_expand(fibre_residue_integrand(n, k, P, lams), budgets["max_terms"]),
     )
     if method not in ("fixed-point", "residue"):
-        raise JetresError(f"unknown method {method!r}")
+        raise ValueError(f"unknown method {method!r}")
     first, second = routes if method == "fixed-point" else routes[::-1]
     value = first()
     check = ("dual-route", "fixed-point and residue methods disagree", lambda: value, second)
@@ -158,13 +158,9 @@ def _integral(params: Mapping[str, Any], budgets: dict[str, Any]) -> Outcome:
     _require(params, "n", "k", "polynomial")
     n, k = _scalar(params["n"], "n"), _scalar(params["k"], "k")
     form = hypersurface_integrand(n, k, parse_poly(_text(params, "polynomial"), tower_context(k)))
-
-    def over_X(residue: MultiPoly) -> DPoly:
-        return integrate_over_X(truncate_h(residue.restrict(HD_CTX), n))
-
-    value = over_X(residue_expand(form, budgets["max_terms"]))
-    check = ("expand-vs-stepwise", "expansion and stepwise residues disagree",
-             lambda: value, lambda: over_X(residue_stepwise(form, budgets["max_terms"])))
+    value = integrate_over_X(residue_expand(form, budgets["max_terms"]), n)
+    check = ("expand-vs-stepwise", "expansion and stepwise residues disagree", lambda: value,
+             lambda: integrate_over_X(residue_stepwise(form, budgets["max_terms"]), n))
     return {"value": _dpoly_doc(value), "degree_matched": form.degree_matched}, check
 
 
@@ -175,6 +171,8 @@ def _residue(params: Mapping[str, Any], budgets: dict[str, Any]) -> Outcome:
         # infer z1..zk from the variables appearing in the form text
         found = {int(m) for m in re.findall(r"[uz](\d+)", _text(params, "form"))}
         zvars = [f"z{i}" for i in range(1, max(found, default=1) + 1)]
+    elif not isinstance(zvars, list) or not all(isinstance(z, str) for z in zvars):
+        raise ValueError("parameter zvars must be a list of strings")
     ctx = VarContext(tuple(zvars) + ("h", "d"))
     form = ResidueForm(*parse_residue_form(_text(params, "form"), ctx), zvars)
     value = residue_expand(form, budgets["max_terms"])

@@ -1,16 +1,14 @@
 """Exact arithmetic substrate.
 
-Everything downstream is built on four value types:
+Everything downstream is built on three value types:
 
   * ``Q``               -- arbitrary-precision rationals (``fractions.Fraction``),
                            always normalized, denominator > 0.
   * :class:`MultiPoly`  -- immutable sparse multivariate polynomials over ``Q``,
                            keyed by exponent tuples inside an explicit
-                           :class:`VarContext`.
-  * :class:`HClass`     -- elements of the truncated ring Q[d][h]/(h^(n+1)),
-                           i.e. cohomology classes on an n-dimensional
-                           hypersurface expressed in the hyperplane class h and
-                           the degree variable d.
+                           :class:`VarContext`.  A class on an n-dimensional
+                           hypersurface is one in the context ``HD_CTX`` of
+                           the hyperplane class h and the degree variable d.
   * :class:`DPoly`      -- univariate polynomials in the degree variable d.
 
 All values are immutable after construction and every operation is a pure
@@ -37,10 +35,8 @@ __all__ = [
     "ResourceLimitError",
     "VarContext",
     "MultiPoly",
-    "HClass",
     "DPoly",
     "HD_CTX",
-    "truncate_h",
     "binomial",
     "multinomial",
 ]
@@ -614,92 +610,10 @@ def _gradedlex_key(e: tuple[int, ...]) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Truncated ring Q[d][h]/(h^(n+1)) and polynomials in d
+# Classes on the hypersurface and polynomials in d
 # ---------------------------------------------------------------------------
 
 HD_CTX = VarContext(("h", "d"))
-
-
-class HClass:
-    """Cohomology class on the n-dimensional hypersurface: Q[d][h]/(h^(n+1)).
-
-    Terms with h-exponent above n are identically dropped, encoding h^(n+1)=0.
-    """
-
-    __slots__ = ("n", "poly")
-
-    def __init__(self, n: int, poly: MultiPoly):
-        if poly.ctx != HD_CTX:
-            poly = poly.restrict(HD_CTX)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "poly", poly.truncate("h", n))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("HClass is immutable")
-
-    @classmethod
-    def const(cls, n: int, value: QLike) -> "HClass":
-        return cls(n, MultiPoly.const(HD_CTX, value))
-
-    def _coerce(self, other: "HClass | MultiPoly | QLike") -> "HClass":
-        if isinstance(other, HClass):
-            if other.n != self.n:
-                raise ContextError("mismatched truncation degrees")
-            return other
-        if isinstance(other, MultiPoly):
-            return HClass(self.n, other)
-        return HClass.const(self.n, other)
-
-    def __add__(self, other: "HClass | MultiPoly | QLike") -> "HClass":
-        return HClass(self.n, self.poly + self._coerce(other).poly)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "HClass":
-        return HClass(self.n, -self.poly)
-
-    def __sub__(self, other: "HClass | MultiPoly | QLike") -> "HClass":
-        return self + (-self._coerce(other))
-
-    def __mul__(self, other: "HClass | MultiPoly | QLike") -> "HClass":
-        return HClass(self.n, self.poly * self._coerce(other).poly)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exp: int) -> "HClass":
-        out = HClass.const(self.n, 1)
-        for _ in range(exp):
-            out = out * self
-        return out
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, HClass):
-            return self.n == other.n and self.poly == other.poly
-        if isinstance(other, (int, Q, MultiPoly)):
-            return self == self._coerce(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.poly))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.poly.is_zero
-
-    def h_coefficient(self, power: int) -> MultiPoly:
-        """Coefficient of h^power, a polynomial in d alone."""
-        return self.poly.coefficient_of({"h": power})
-
-    def __repr__(self) -> str:
-        return f"HClass(n={self.n}, {self.poly.to_text()})"
-
-
-def truncate_h(poly: MultiPoly, n: int) -> HClass:
-    """Project a polynomial in {h, d} to the truncated ring (h^(n+1) = 0)."""
-    extra = poly.variables_used() - {"h", "d"}
-    if extra:
-        raise ContextError(f"truncate_h: foreign variables {sorted(extra)}")
-    return HClass(n, poly)
 
 
 class DPoly:

@@ -25,7 +25,6 @@ from typing import Sequence
 from .exactalg import (
     DPoly,
     Graded,
-    HClass,
     HD_CTX,
     JetresError,
     MultiPoly,
@@ -40,7 +39,6 @@ from .exactalg import (
     _graded_series,
     binomial,
     multinomial,
-    truncate_h,
 )
 from .residue import (
     DEFAULT_TERM_CAP,
@@ -74,6 +72,7 @@ __all__ = [
     "euler_characteristic",
     "euler_characteristic_k1_pushforward",
     "chi_structure_sheaf",
+    "todd_of_X",
     "ThresholdReport",
     "ggl_threshold_check",
 ]
@@ -303,6 +302,8 @@ def expansion_diagnostics(
     cfg = config if config is not None else canonical_config(n)
     if cfg.n != n or cfg.k != n:
         raise ValueError("diagnostics require the n = k specialization")
+    if defect_cap < 0:
+        raise ValueError("defect_cap must be >= 0")
     order = defect_cap + 2 * n * n
     cap = order + 2 * n * n
     weights = tuple(range(n, 0, -1)) + (n, n)
@@ -583,15 +584,16 @@ class _ZHSeries:
         return out
 
 
-def todd_of_X(n: int) -> HClass:
-    """Todd class of the hypersurface from the K-theory class of its tangent bundle."""
+def todd_of_X(n: int) -> MultiPoly:
+    """Todd class of the hypersurface, in (h, d), from the K-theory class of its
+    tangent bundle."""
     ring = _ZHSeries(HD_CTX, n, n)
-    return HClass(n, ring.poly(ring.tangent_todd(MultiPoly.zero(HD_CTX))))
+    return ring.poly(ring.tangent_todd(MultiPoly.zero(HD_CTX)))
 
 
 def chi_structure_sheaf(n: int) -> DPoly:
     """chi(X, O_X) = integral of the Todd class over the hypersurface."""
-    return integrate_over_X(todd_of_X(n))
+    return integrate_over_X(todd_of_X(n), n)
 
 
 def euler_characteristic(
@@ -629,7 +631,7 @@ def euler_characteristic(
     expo = MultiPoly.zero(ctx)
     for j, aj in enumerate(a, start=1):
         expo = expo - aj * MultiPoly.variable(ctx, f"z{j}")
-    payload = ring.mul(ring.exp(ring.of(expo)), ring.of(todd_of_X(n).poly.embed(ctx)))
+    payload = ring.mul(ring.exp(ring.of(expo)), ring.of(todd_of_X(n).embed(ctx)))
 
     for j in range(1, k + 1):
         level = ring.tangent_todd(_zsum(ctx, 1, j))
@@ -642,8 +644,7 @@ def euler_characteristic(
 
     # hypersurface kernel with Segre clearing, payload at +z (honest classes)
     form = demailly_integrand(n, k, ring.poly(payload), segre_hypersurface(n))
-    val = residue_expand(form, max_terms)
-    return integrate_over_X(truncate_h(val.restrict(HD_CTX), n))
+    return integrate_over_X(residue_expand(form, max_terms), n)
 
 
 def euler_characteristic_k1_pushforward(n: int, a1: int) -> DPoly:
@@ -660,18 +661,16 @@ def euler_characteristic_k1_pushforward(n: int, a1: int) -> DPoly:
     ring = _ZHSeries(ctx, n, 2 * n - 1 + n)
     # e^(a1 u) times the fibre tangent's Todd class prod_s Td(L_s - u)
     payload = ring.mul(ring.exp(ring.of(Q(a1) * u)), ring.tangent_todd(-u))
-    payload = ring.mul(payload, ring.of(todd_of_X(n).poly.embed(ctx)))
+    payload = ring.mul(payload, ring.of(todd_of_X(n).embed(ctx)))
     payload_poly = ring.poly(payload)
 
     # pushforward: u^m -> (-1)^m s_(m-n+1)
-    segre = segre_hypersurface(n)
+    segre = (MultiPoly.const(HD_CTX, 1),) + segre_hypersurface(n)
     total = MultiPoly.zero(HD_CTX)
     for m in range(n - 1, 2 * n):
         coeff = payload_poly.coefficient_of({"u": m}).restrict(HD_CTX)
-        i = m - n + 1
-        s_i = MultiPoly.const(HD_CTX, 1) if i == 0 else segre.classes[i - 1].poly
-        total = total + Q((-1) ** m) * coeff * s_i
-    return integrate_over_X(truncate_h(total, n))
+        total = total + Q((-1) ** m) * coeff * segre[m - n + 1]
+    return integrate_over_X(total, n)
 
 
 @dataclass

@@ -36,14 +36,12 @@ pins this on both symbolic and random inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from math import factorial
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .exactalg import (
     DPoly,
-    HClass,
     HD_CTX,
     JetresError,
     MultiPoly,
@@ -51,7 +49,6 @@ from .exactalg import (
     ResourceLimitError,
     VarContext,
     binomial,
-    truncate_h,
     _add_into,
     _graded_mul,
     _graded_series,
@@ -61,9 +58,7 @@ from .localization import DegenerateWeightsError
 
 __all__ = [
     "NotResidueIntegrableError",
-    "LinearForm",
     "ResidueForm",
-    "SegreData",
     "orientation_sign",
     "residue_expand",
     "residue_stepwise",
@@ -91,26 +86,6 @@ class NotResidueIntegrableError(JetresError):
 def orientation_sign(k: int) -> Q:
     """The global orientation constant: residues are (-1)^k times coefficients."""
     return Q(-1) ** k
-
-
-@dataclass(frozen=True)
-class LinearForm:
-    """An affine-linear form a^0 + a^1 z_1 + ... + a^k z_k.
-
-    The z-coefficients are rationals; the constant may involve any of the
-    coefficient-ring variables (h, d, lambda's).
-    """
-
-    zcoeffs: tuple[Q, ...]
-    constant: MultiPoly
-
-    @property
-    def leading_index(self) -> int | None:
-        """1-based index of the largest z-variable present, or None."""
-        for j in range(len(self.zcoeffs), 0, -1):
-            if self.zcoeffs[j - 1]:
-                return j
-        return None
 
 
 class ResidueForm:
@@ -142,7 +117,7 @@ class ResidueForm:
                 raise JetresError("factor context differs from numerator context")
             if mult < 1:
                 raise ValueError("factor multiplicities must be >= 1")
-            _split_affine(poly, zpos)  # validates affine-linearity in the z's
+            _z_coefficients(poly, zpos)  # validates affine-linearity in the z's
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "zvars", tuple(zvars))
         object.__setattr__(self, "numerator", numerator)
@@ -157,37 +132,35 @@ class ResidueForm:
     def k(self) -> int:
         return len(self.zvars)
 
-    def linear_forms(self) -> list[tuple[LinearForm, int]]:
-        zpos = [self.ctx.index(z) for z in self.zvars]
-        out = []
-        for poly, mult in self.factors:
-            zc, const = _split_affine(poly, zpos)
-            out.append((LinearForm(tuple(zc), MultiPoly(self.ctx, const)), mult))
-        return out
-
 
 Terms = dict
 
 
-def _split_affine(poly: MultiPoly, zpos: Sequence[int]) -> tuple[list[Q], Terms]:
-    """Split an affine-linear-in-z polynomial into z-coefficients and constant."""
+def _z_coefficients(poly: MultiPoly, zpos: Sequence[int]) -> list[Q]:
+    """The rational z-coefficients of a factor that is affine-linear in the z's."""
     zset = set(zpos)
     zc = [Q(0)] * len(zpos)
-    const: Terms = {}
     for e, c in poly.terms.items():
         zdeg = sum(e[i] for i in zpos)
-        if zdeg == 0:
-            const[e] = c
-        elif zdeg == 1:
+        if zdeg == 1:
             which = next(i for i in zpos if e[i])
             if any(e[i] for i in range(len(e)) if i not in zset):
                 raise NotResidueIntegrableError(
                     "z-coefficients of denominator factors must be rational constants"
                 )
             zc[zpos.index(which)] += c
-        else:
+        elif zdeg > 1:
             raise NotResidueIntegrableError("denominator factor is not affine-linear in the z's")
-    return zc, const
+    return zc
+
+
+def _leading_z(poly: MultiPoly, zpos: Sequence[int]) -> tuple[int, Q]:
+    """(j, a): the largest z-index j of the factor (1-based) and its coefficient."""
+    zc = _z_coefficients(poly, zpos)
+    for j in range(len(zc), 0, -1):
+        if zc[j - 1]:
+            return j, zc[j - 1]
+    raise NotResidueIntegrableError("factor with all-zero z-coefficients")
 
 
 def _trunc_args(form: ResidueForm) -> tuple[int, int]:
@@ -221,17 +194,11 @@ def residue_expand(form: ResidueForm, max_terms: int = DEFAULT_TERM_CAP) -> Mult
     ti, tm = _trunc_args(form)
 
     groups: dict[int, list[tuple[Q, Terms, int]]] = {}
-    for lf, mult in form.linear_forms():
-        lead = lf.leading_index
-        if lead is None:
-            raise NotResidueIntegrableError("factor with all-zero z-coefficients")
-        rest: Terms = dict(lf.constant.terms)
-        for jj, c in enumerate(lf.zcoeffs):
-            if c and jj + 1 != lead:
-                e = [0] * len(ctx)
-                e[zpos[jj]] = 1
-                _add_into(rest, {tuple(e): c})
-        groups.setdefault(lead, []).append((lf.zcoeffs[lead - 1], rest, mult))
+    for poly, mult in form.factors:
+        lead, c_lead = _leading_z(poly, zpos)
+        zl = zpos[lead - 1]
+        rest = {e: c for e, c in poly.terms.items() if not e[zl]}
+        groups.setdefault(lead, []).append((c_lead, rest, mult))
 
     carried: Terms = dict(form.numerator.terms)
     zero_exp = (0,) * len(ctx)
@@ -329,9 +296,8 @@ def residue_stepwise(form: ResidueForm, max_terms: int = DEFAULT_TERM_CAP) -> Mu
     zpos = [ctx.index(z) for z in form.zvars]
     zero_exp = (0,) * width
 
-    for lf, _ in form.linear_forms():
-        if lf.leading_index is None:
-            raise NotResidueIntegrableError("factor with all-zero z-coefficients")
+    for poly, _ in form.factors:
+        _leading_z(poly, zpos)  # rejects factors with all-zero z-coefficients
 
     def zcoeff_of(terms: Terms, idx: int) -> Q:
         e = [0] * width
@@ -507,6 +473,43 @@ def _zsum(ctx: VarContext, lo: int, hi: int) -> MultiPoly:
     return MultiPoly(ctx, terms)
 
 
+# per-level factors of a tower integrand: (numerator factors, denominator factors)
+LevelFactors = tuple[list[MultiPoly], list[tuple[MultiPoly, int]]]
+
+
+def _tower_integrand(n: int, k: int, P: MultiPoly, level: Callable[[MultiPoly], LevelFactors],
+                     over_X: bool) -> ResidueForm:
+    """The plus kernel times P times, per level j, the numerator factors of
+    level(z_[1..j]), over the kernel's factors and the level's denominators.
+
+    The form is degree-matched when P is homogeneous in (z_1..z_k, h) of the
+    fibre dimension k(n-1), plus n when the form integrates over X too.  Over
+    X every product drops powers of h above n as it is formed, which is
+    exact because exponents only add.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    ctx = P.ctx
+    zvars = [f"z{i}" for i in range(1, k + 1)]
+    ti, tm = (ctx.index("h"), n) if over_X else (-1, 0)
+    kernel, factors = _plus_kernel(ctx, n, k)
+    num = _mul_terms(kernel.terms, P.terms, ti, tm)
+    for j in range(1, k + 1):
+        level_num, level_den = level(_zsum(ctx, 1, j))
+        for f in level_num:
+            num = _mul_terms(num, f.terms, ti, tm)
+        factors += level_den
+    zh = [name in zvars or name == "h" for name in ctx.names]
+    degrees = {sum(p for p, used in zip(e, zh) if used) for e in P.terms}
+    return ResidueForm(
+        MultiPoly._raw(ctx, num),
+        factors,
+        zvars,
+        trunc=("h", n) if over_X else None,
+        degree_matched=degrees <= {k * (n - 1) + (n if over_X else 0)},
+    )
+
+
 def fibre_residue_integrand(
     n: int,
     k: int,
@@ -520,12 +523,7 @@ def fibre_residue_integrand(
     For k = 1 this is the single-variable projective-space form
     P(z)/prod_i (L_i - z).
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     ctx = P.ctx
-    zvars = [f"z{i}" for i in range(1, k + 1)]
-    for z in zvars:
-        ctx.index(z)
     if lambdas is not None:
         lambdas = [Q(v) for v in lambdas]
         if len(lambdas) != n:
@@ -533,54 +531,31 @@ def fibre_residue_integrand(
         if len(set(lambdas)) != n:
             raise DegenerateWeightsError("repeated weight values")
 
-    def lam_poly(i: int) -> MultiPoly:
-        if lambdas is not None:
-            return MultiPoly.const(ctx, lambdas[i - 1])
-        return MultiPoly.variable(ctx, f"L{i}")
+    def weights(w: MultiPoly) -> LevelFactors:
+        # made here, after the builder has checked k, not before it
+        if lambdas is None:
+            lams = [MultiPoly.variable(ctx, f"L{i}") for i in range(1, n + 1)]
+        else:
+            lams = [MultiPoly.const(ctx, v) for v in lambdas]
+        return [], [(lam - w, 1) for lam in lams]
 
-    # the same rational kernel as the plus kernel, up to its (-1)^k prefactor
-    numerator, factors = _plus_kernel(ctx, n, k)
-    numerator = (-1) ** k * numerator * P
-    for j in range(1, k + 1):
-        w = _zsum(ctx, 1, j)
-        for i in range(1, n + 1):
-            factors.append((lam_poly(i) - w, 1))
-    degree_ok = P.is_homogeneous({**{z: 1 for z in zvars}, "h": 1}) and (
-        P.total_degree() == k * (n - 1) or P.is_zero
-    )
-    return ResidueForm(numerator, factors, zvars, degree_matched=degree_ok)
+    # the plus kernel without its (-1)^k prefactor
+    return _tower_integrand(n, k, (-1) ** k * P, weights, False)
 
 
-@dataclass(frozen=True)
-class SegreData:
-    """Total Segre class coefficients s_1..s_n of the base (s_0 = 1)."""
-
-    n: int
-    classes: tuple[HClass, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.classes) != self.n:
-            raise ValueError("need exactly n Segre classes")
-
-    @classmethod
-    def trivial(cls, n: int) -> "SegreData":
-        return cls(n, tuple(HClass.const(n, 0) for _ in range(n)))
-
-
-def segre_hypersurface(n: int, d: QLike | str = "symbolic") -> SegreData:
-    """Segre classes of a degree-d hypersurface: s(X) = (1+dh) (1+h)^-(n+2)."""
+def segre_hypersurface(n: int, d: QLike | str = "symbolic") -> tuple[MultiPoly, ...]:
+    """Segre classes (s_1, ..., s_n) of a degree-d hypersurface, from
+    s(X) = (1+dh) (1+h)^-(n+2); s_i is c_i h^i in the context (h, d)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     h = MultiPoly.variable(HD_CTX, "h")
     dval = MultiPoly.variable(HD_CTX, "d") if d == "symbolic" else MultiPoly.const(HD_CTX, d)
     c_total = ((1 + h) ** (n + 2)).truncate("h", n)
-    series = (1 + dval * h) * c_total.series_inverse(n)
-    series = series.truncate("h", n)
-    classes = []
-    for i in range(1, n + 1):
-        coeff = series.coefficient_of({"h": i})
-        classes.append(HClass(n, coeff * MultiPoly.monomial(HD_CTX, {"h": i})))
-    return SegreData(n, tuple(classes))
+    series = ((1 + dval * h) * c_total.series_inverse(n)).truncate("h", n)
+    return tuple(
+        series.coefficient_of({"h": i}) * MultiPoly.monomial(HD_CTX, {"h": i})
+        for i in range(1, n + 1)
+    )
 
 
 def reflect_payload(P: MultiPoly, k: int) -> MultiPoly:
@@ -609,43 +584,25 @@ def _plus_kernel(
     return numerator, factors
 
 
-def _payload_degree_ok(P: MultiPoly, n: int, k: int) -> bool:
-    zw = {f"z{i}": 1 for i in range(1, k + 1)}
-    return P.is_homogeneous({**zw, "h": 1}) and (
-        P.total_degree() - P.degree_in("d") == n + k * (n - 1) or P.is_zero
-    )
-
-
-def demailly_integrand(n: int, k: int, P: MultiPoly, segre: SegreData) -> ResidueForm:
-    """Integrand computing the full tower integral from arbitrary Segre data.
+def demailly_integrand(n: int, k: int, P: MultiPoly, segre: Sequence[MultiPoly]) -> ResidueForm:
+    """Integrand computing the full tower integral from Segre classes
+    (s_1, ..., s_n) in the context (h, d).
 
     Per level j the tangent factor is cleared to polynomial form:
     1/prod_i(L_i + w) = (w^n + s_1 w^(n-1) + ... + s_n) / w^(2n) with
     w = z_[1..j].
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if segre.n != n:
+    if len(segre) != n:
         raise ValueError("Segre data dimension mismatch")
-    ctx = P.ctx
-    zvars = [f"z{i}" for i in range(1, k + 1)]
-    numerator, factors = _plus_kernel(ctx, n, k)
-    ti = ctx.index("h")
-    num = _mul_terms(numerator.terms, P.terms, ti, n)
-    for j in range(1, k + 1):
-        w = _zsum(ctx, 1, j)
+    classes = [s.embed(P.ctx) for s in segre]
+
+    def cleared_tangent(w: MultiPoly) -> LevelFactors:
         nj = w**n
         for i in range(1, n + 1):
-            nj = nj + segre.classes[i - 1].poly.embed(ctx) * w ** (n - i)
-        num = _mul_terms(num, nj.terms, ti, n)
-        factors.append((w, 2 * n))
-    return ResidueForm(
-        MultiPoly._raw(ctx, num),
-        factors,
-        zvars,
-        trunc=("h", n),
-        degree_matched=_payload_degree_ok(P, n, k),
-    )
+            nj = nj + classes[i - 1] * w ** (n - i)
+        return [nj], [(w, 2 * n)]
+
+    return _tower_integrand(n, k, P, cleared_tangent, True)
 
 
 def hypersurface_integrand(n: int, k: int, P: MultiPoly) -> ResidueForm:
@@ -654,33 +611,19 @@ def hypersurface_integrand(n: int, k: int, P: MultiPoly) -> ResidueForm:
     Numerator (-1)^k prod_{1<=t1<=t2<=k} z_[t1..t2] * prod_j (z_[1..j]+dh) * P(z, h);
     denominator prod_{s1<s2} (-z_s1 + z_[s1+1..s2]) * prod_j (z_[1..j]+h)^(n+2).
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    ctx = P.ctx
-    zvars = [f"z{i}" for i in range(1, k + 1)]
-    h = MultiPoly.variable(ctx, "h")
-    d = MultiPoly.variable(ctx, "d")
-    numerator, factors = _plus_kernel(ctx, n, k)
-    ti = ctx.index("h")
-    num = _mul_terms(numerator.terms, P.terms, ti, n)
-    for j in range(1, k + 1):
-        w = _zsum(ctx, 1, j)
-        num = _mul_terms(_mul_terms(num, w.terms, ti, n), (w + d * h).terms, ti, n)
-        factors.append((w + h, n + 2))
-    return ResidueForm(
-        MultiPoly._raw(ctx, num),
-        factors,
-        zvars,
-        trunc=("h", n),
-        degree_matched=_payload_degree_ok(P, n, k),
-    )
+    h = MultiPoly.variable(P.ctx, "h")
+    d = MultiPoly.variable(P.ctx, "d")
+    return _tower_integrand(n, k, P, lambda w: ([w, w + d * h], [(w + h, n + 2)]), True)
 
 
-def integrate_over_X(c: HClass) -> DPoly:
-    """Integration over the hypersurface: h^n has degree d, lower powers die."""
-    top = c.h_coefficient(c.n).restrict(VarContext(("d",)))
-    as_dpoly = DPoly.from_multipoly(top, "d")
-    return DPoly((Q(0),) + as_dpoly.coeffs)
+def integrate_over_X(poly: MultiPoly, n: int) -> DPoly:
+    """Integration over the n-dimensional hypersurface: h^n has degree d, and
+    every other power of h integrates to zero (h^(n+1) = 0 on X).
+
+    `poly` may involve no variables but h and d (ContextError otherwise).
+    """
+    top = poly.restrict(HD_CTX).coefficient_of({"h": n})
+    return DPoly((Q(0),) + DPoly.from_multipoly(top, "d").coeffs)
 
 
 def integral_over_tower(
@@ -690,9 +633,7 @@ def integral_over_tower(
     max_terms: int = DEFAULT_TERM_CAP,
 ) -> DPoly:
     """Full pipeline: hypersurface integrand -> residue -> integrate over X."""
-    val = residue_expand(hypersurface_integrand(n, k, P), max_terms)
-    cls = truncate_h(val.restrict(HD_CTX), n)
-    return integrate_over_X(cls)
+    return integrate_over_X(residue_expand(hypersurface_integrand(n, k, P), max_terms), n)
 
 
 def grassmannian_omega(mus: Sequence[QLike] | None = None) -> ResidueForm:

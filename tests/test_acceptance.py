@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from jetres.exactalg import DPoly, HD_CTX, MultiPoly, Q, VarContext, truncate_h
+from jetres.exactalg import DPoly, MultiPoly, Q, VarContext
 from jetres.ggl import (
     b0,
     build_intersection_polynomial,
@@ -175,9 +175,7 @@ def test_criterion_05_lambda_independence_and_degree_selection():
     zvars = ["z1", "z2"]
     for deg in (2, 3, 5):
         P = random_homogeneous(rng, ctx, zvars, deg, with_h=True)
-        value = integrate_over_X(
-            truncate_h(residue_expand(hypersurface_integrand(n, k, P)).restrict(HD_CTX), n)
-        )
+        value = integrate_over_X(residue_expand(hypersurface_integrand(n, k, P)), n)
         ok = ok and value.is_zero
     announce(5, ok, "weight independence (5 tuples) and degree selection", time.monotonic() - start, 60.0)
 
@@ -193,12 +191,8 @@ def test_criterion_06_route_equality_hypersurface():
         seg = segre_hypersurface(n)
         for _ in range(10):
             P = random_homogeneous(rng, ctx, zvars, n + k * (n - 1), with_h=True)
-            direct = integrate_over_X(
-                truncate_h(residue_expand(hypersurface_integrand(n, k, P)).restrict(HD_CTX), n)
-            )
-            via_segre = integrate_over_X(
-                truncate_h(residue_expand(demailly_integrand(n, k, P, seg)).restrict(HD_CTX), n)
-            )
+            direct = integrate_over_X(residue_expand(hypersurface_integrand(n, k, P)), n)
+            via_segre = integrate_over_X(residue_expand(demailly_integrand(n, k, P, seg)), n)
             ok = ok and direct == via_segre
     announce(6, ok, "direct hypersurface route = Segre route, n=2, k in {1,2}", time.monotonic() - start, 120.0)
 

@@ -124,6 +124,24 @@ def test_caps_below_one_are_validation_errors(argv, capsys):
     assert "at least 1" in error["message"]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["diagnostics", "-n", "2", "--defect-cap", "-9"], "defect_cap"),
+        (["diagnostics", "-n", "2", "--defect-cap", "-1"], "defect_cap"),
+        (["fibre-integral", "-n", "2", "-k", "1", "-P", "u1", "--lambdas", "1,2,3"],
+         "lambda values"),
+    ],
+    ids=["defect-cap-negative", "defect-cap-minus-one", "lambdas-length"],
+)
+def test_out_of_range_values_are_validation_errors(argv, message, capsys):
+    code = main(argv)
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert code == 2
+    assert error["code"] == "validation"
+    assert message in error["message"]
+
+
 def test_missing_parameters(capsys):
     code = main(["integral", "-n", "2"])
     err = capsys.readouterr().err
@@ -295,11 +313,17 @@ def test_flags_are_echoed_as_parameters(tmp_path, capsys):
         ("fibre-integral",
          {"parameters": {"n": 2, "k": 1, "polynomial": "u1", "lambdas": [0.1, 2]}}),
         ("euler-char", {"parameters": {"n": 2, "k": 1, "a": [3.0]}}),
+        ("residue", {"parameters": {"form": "1/((z1)^2)", "zvars": 5}}),
+        ("residue", {"parameters": {"form": "1/((z1)^2)", "zvars": "z1"}}),
+        ("fibre-integral",
+         {"parameters": {"n": 2, "k": 1, "polynomial": "u1", "method": "interpolation"}}),
+        ("fibre-integral",
+         {"parameters": {"n": 2, "k": 1, "polynomial": "u1", "lambdas": [1, 2, 3]}}),
     ],
     ids=["top-level-list", "parameters-list", "ample-a", "ggl-a", "euler-a", "lambdas",
          "n-list", "polynomial-number", "k-bool", "form-number", "a-nested", "delta-object",
          "max-terms-list", "n-float", "n-integral-float", "delta-float", "lambdas-float",
-         "a-float"],
+         "a-float", "zvars-number", "zvars-string", "method-unknown", "lambdas-length"],
 )
 def test_malformed_job_file_is_a_validation_error(command, job, tmp_path, capsys):
     job_path = tmp_path / "job.json"

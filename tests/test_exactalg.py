@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from jetres.exactalg import (
     ContextError,
     DPoly,
-    HClass,
     HD_CTX,
     MultiPoly,
     NonUnitError,
@@ -22,7 +21,6 @@ from jetres.exactalg import (
     _graded_inverse,
     _graded_mul,
     _mul_terms,
-    truncate_h,
 )
 
 CTX = VarContext(("z1", "z2", "h"))
@@ -237,31 +235,6 @@ def test_segre_of_surface_multiplies_back():
     c = ((1 + h) ** 4 * (1 + d * h).series_inverse(4)).truncate("h", 2)
     s = c.series_inverse(6).truncate("h", 2)
     assert (c * s).truncate("h", 2) == MultiPoly.const(HD_CTX, 1)
-
-
-def test_truncate_h_rules():
-    h = MultiPoly.variable(HD_CTX, "h")
-    d = MultiPoly.variable(HD_CTX, "d")
-    for n in (1, 2, 4):
-        assert truncate_h(h ** (n + 1), n).is_zero
-        assert truncate_h(1 + h + h ** (n + 2) * d, n) == HClass(n, 1 + h)
-    n = 3
-    top = HClass(n, h**n)
-    assert (top * HClass(n, h)).is_zero
-
-
-def test_truncate_h_foreign_variable():
-    with pytest.raises(ContextError):
-        truncate_h(Z1 + H, 2)
-
-
-def test_hclass_is_homomorphic_image():
-    rng = random.Random(3)
-    n = 3
-    for _ in range(40):
-        a = random_poly(rng, HD_CTX, max_exp=5)
-        b = random_poly(rng, HD_CTX, max_exp=5)
-        assert truncate_h(a * b, n) == truncate_h(a, n) * truncate_h(b, n)
 
 
 def test_coefficient_of():

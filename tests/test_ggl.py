@@ -142,7 +142,6 @@ def test_build_intersection_polynomial_n2():
 
 def test_two_route_equality_small_config():
     # tiny weights, delta = 0: residue route equals the Segre route
-    from jetres.exactalg import HD_CTX, truncate_h
     from jetres.ggl import intersection_payload
     from jetres.residue import (
         demailly_integrand,
@@ -154,15 +153,8 @@ def test_two_route_equality_small_config():
 
     cfg = GGLConfig(n=2, k=2, a=(3, 1), delta=Q(0))
     P = intersection_payload(cfg)
-    v1 = integrate_over_X(
-        truncate_h(residue_expand(hypersurface_integrand(2, 2, P)).restrict(HD_CTX), 2)
-    )
-    v2 = integrate_over_X(
-        truncate_h(
-            residue_expand(demailly_integrand(2, 2, P, segre_hypersurface(2))).restrict(HD_CTX),
-            2,
-        )
-    )
+    v1 = integrate_over_X(residue_expand(hypersurface_integrand(2, 2, P)), 2)
+    v2 = integrate_over_X(residue_expand(demailly_integrand(2, 2, P, segre_hypersurface(2))), 2)
     assert v1 == v2
     I, p = build_intersection_polynomial(cfg)
     assert v1 == I

@@ -6,20 +6,19 @@ import random
 import pytest
 
 from jetres.exactalg import (
+    ContextError,
     DPoly,
     HD_CTX,
     MultiPoly,
     Q,
     ResourceLimitError,
     VarContext,
-    truncate_h,
 )
 from jetres.ggl import canonical_config, intersection_payload
 from jetres.localization import fibre_integral_fixed_points
 from jetres.residue import (
     NotResidueIntegrableError,
     ResidueForm,
-    SegreData,
     demailly_integrand,
     fibre_residue_integrand,
     grassmannian_omega,
@@ -35,7 +34,6 @@ from jetres.residue import (
     _plus_kernel,
     _zsum,
 )
-from jetres.exactalg import HClass
 
 Z2CTX = VarContext(("z1", "z2"))
 TZ1 = MultiPoly.variable(Z2CTX, "z1")
@@ -228,14 +226,9 @@ def test_fibre_integrand_structure():
         zvars = [f"z{i}" for i in range(1, k + 1)]
         P = MultiPoly.monomial(ctx, {"z1": k * (n - 1)})
         form = fibre_residue_integrand(n, k, P)
-        lfs = form.linear_forms()
-        z_only = [
-            lf
-            for lf, _ in lfs
-            if lf.constant.is_zero
-        ]
+        z_only = [poly for poly, _ in form.factors if poly.variables_used() <= set(zvars)]
         assert len(z_only) == (k - 1) * k // 2
-        assert len(lfs) == (k - 1) * k // 2 + n * k
+        assert len(form.factors) == (k - 1) * k // 2 + n * k
         num_deg = form.numerator.total_degree()
         assert num_deg == k * (n - 1) + (k - 1) * k // 2
         den_deg = sum(m for _, m in form.factors)
@@ -262,21 +255,21 @@ def test_segre_hypersurface_values():
     seg = segre_hypersurface(1)
     h = MultiPoly.variable(HD_CTX, "h")
     d = MultiPoly.variable(HD_CTX, "d")
-    assert seg.classes[0] == HClass(1, (d - 3) * h)
+    assert seg == ((d - 3) * h,)
     # c * s = 1 mod h^(n+1) for n <= 6
     for n in range(1, 7):
         seg = segre_hypersurface(n)
         c = ((1 + h) ** (n + 2) * (1 + d * h).series_inverse(2 * n)).truncate("h", n)
         s = MultiPoly.const(HD_CTX, 1)
-        for cls in seg.classes:
-            s = s + cls.poly
+        for cls in seg:
+            s = s + cls
         assert (c * s).truncate("h", n) == MultiPoly.const(HD_CTX, 1)
     # d = 0 placeholder: s(X) = (1+h)^-(n+2) truncated
     seg0 = segre_hypersurface(3, 0)
     inv = ((1 + h) ** 5).series_inverse(3).truncate("h", 3)
     total = MultiPoly.const(HD_CTX, 1)
-    for cls in seg0.classes:
-        total = total + cls.poly
+    for cls in seg0:
+        total = total + cls
     assert total == inv
 
 
@@ -307,12 +300,8 @@ def test_route_equality_hypersurface_vs_segre():
         seg = segre_hypersurface(n)
         for _ in range(10):
             P = random_homogeneous(rng, ctx, zvars, n + k * (n - 1), with_h=True)
-            v1 = integrate_over_X(
-                truncate_h(residue_expand(hypersurface_integrand(n, k, P)).restrict(HD_CTX), n)
-            )
-            v2 = integrate_over_X(
-                truncate_h(residue_expand(demailly_integrand(n, k, P, seg)).restrict(HD_CTX), n)
-            )
+            v1 = integrate_over_X(residue_expand(hypersurface_integrand(n, k, P)), n)
+            v2 = integrate_over_X(residue_expand(demailly_integrand(n, k, P, seg)), n)
             assert v1 == v2
 
 
@@ -325,7 +314,7 @@ def test_trivial_segre_matches_reflected_fibre_form():
         ctx = tower_context(k)
         zvars = [f"z{i}" for i in range(1, k + 1)]
         P = random_homogeneous(rng, ctx, zvars, k * (n - 1))
-        via_segre = residue_expand(demailly_integrand(n, k, P, SegreData.trivial(n)))
+        via_segre = residue_expand(demailly_integrand(n, k, P, (MultiPoly.zero(HD_CTX),) * n))
         refl = reflect_payload(P, k)
         numerator = refl
         for t1 in range(2, k + 1):
@@ -353,18 +342,31 @@ def test_degree_mismatch_integrates_to_zero():
         P = random_homogeneous(rng, ctx, zvars, deg, with_h=True)
         form = hypersurface_integrand(n, k, P)
         assert not form.degree_matched
-        value = integrate_over_X(truncate_h(residue_expand(form).restrict(HD_CTX), n))
+        value = integrate_over_X(residue_expand(form), n)
         assert value.is_zero
 
 
 def test_integrate_over_X_rules():
-    for n in (2, 3):
-        h = MultiPoly.variable(HD_CTX, "h")
-        d = MultiPoly.variable(HD_CTX, "d")
-        assert integrate_over_X(HClass(n, h**n)) == DPoly([0, 1])
-        assert integrate_over_X(HClass.const(n, 1)).is_zero
-        cls = HClass(n, (3 + 5 * d) * h**n + h ** (n - 1))
-        assert integrate_over_X(cls) == DPoly([0, 3, 5])
+    # h^n integrates to d; every lower power has no top degree and every
+    # higher one vanishes on X; a class may live in a larger context
+    h = MultiPoly.variable(HD_CTX, "h")
+    d = MultiPoly.variable(HD_CTX, "d")
+    for n in (1, 2, 3):
+        assert integrate_over_X(h**n, n) == DPoly([0, 1])
+        for p in range(n):
+            assert integrate_over_X(h**p * (1 + d), n).is_zero
+        for p in (n + 1, n + 2):
+            assert integrate_over_X(h**p * (2 + d), n).is_zero
+        cls = (3 + 5 * d) * h**n + h ** (n - 1) + 7 * d * h ** (n + 1)
+        assert integrate_over_X(cls, n) == DPoly([0, 3, 5])
+        assert integrate_over_X(cls.embed(tower_context(2)), n) == DPoly([0, 3, 5])
+
+
+def test_integrate_over_X_rejects_leftover_variables():
+    ctx = tower_context(1)
+    z1, h = MultiPoly.variable(ctx, "z1"), MultiPoly.variable(ctx, "h")
+    with pytest.raises(ContextError, match="z1"):
+        integrate_over_X(z1 * h + h**2, 2)
 
 
 def test_k1_hypersurface_pipeline_values():
@@ -381,7 +383,7 @@ def test_k1_hypersurface_pipeline_values():
     for P, expected in cases:
         assert integral_over_tower(2, 1, P) == expected
         stepwise = residue_stepwise(hypersurface_integrand(2, 1, P))
-        assert integrate_over_X(truncate_h(stepwise.restrict(HD_CTX), 2)) == expected
+        assert integrate_over_X(stepwise, 2) == expected
 
 
 def test_engines_agree_on_hypersurface_integrands():
@@ -411,12 +413,8 @@ def test_route_equality_hypersurface_vs_segre_n3():
         zvars = [f"z{i}" for i in range(1, k + 1)]
         seg = segre_hypersurface(n)
         P = random_homogeneous(rng, ctx, zvars, n + k * (n - 1), with_h=True)
-        v1 = integrate_over_X(
-            truncate_h(residue_expand(hypersurface_integrand(n, k, P)).restrict(HD_CTX), n)
-        )
-        v2 = integrate_over_X(
-            truncate_h(residue_expand(demailly_integrand(n, k, P, seg)).restrict(HD_CTX), n)
-        )
+        v1 = integrate_over_X(residue_expand(hypersurface_integrand(n, k, P)), n)
+        v2 = integrate_over_X(residue_expand(demailly_integrand(n, k, P, seg)), n)
         assert v1 == v2
 
 
@@ -429,7 +427,7 @@ def test_demailly_degree_mismatch_integrates_to_zero():
         P = random_homogeneous(rng, ctx, ["z1", "z2"], deg, with_h=True)
         form = demailly_integrand(n, k, P, seg)
         assert not form.degree_matched
-        value = integrate_over_X(truncate_h(residue_expand(form).restrict(HD_CTX), n))
+        value = integrate_over_X(residue_expand(form), n)
         assert value.is_zero
 
 
@@ -462,7 +460,7 @@ def test_builders_truncate_as_they_multiply(n, k, P):
     def cleared_tangent(w):
         out = w**n
         for i in range(1, n + 1):
-            out = out + seg.classes[i - 1].poly.embed(P.ctx) * w ** (n - i)
+            out = out + seg[i - 1].embed(P.ctx) * w ** (n - i)
         return out
 
     expected = _truncated_at_the_end(n, k, P, cleared_tangent)
