@@ -171,8 +171,11 @@ def _residue(params: Mapping[str, Any], budgets: dict[str, Any]) -> Outcome:
         # infer z1..zk from the variables appearing in the form text
         found = {int(m) for m in re.findall(r"[uz](\d+)", _text(params, "form"))}
         zvars = [f"z{i}" for i in range(1, max(found, default=1) + 1)]
-    elif not isinstance(zvars, list) or not all(isinstance(z, str) for z in zvars):
-        raise ValueError("parameter zvars must be a list of strings")
+    elif (not isinstance(zvars, list) or not zvars or not all(isinstance(z, str) for z in zvars)
+          or len(set(zvars)) < len(zvars) or {"h", "d"} & set(zvars)):
+        raise ValueError(
+            "parameter zvars must be a non-empty list of distinct names other than h and d"
+        )
     ctx = VarContext(tuple(zvars) + ("h", "d"))
     form = ResidueForm(*parse_residue_form(_text(params, "form"), ctx), zvars)
     value = residue_expand(form, budgets["max_terms"])

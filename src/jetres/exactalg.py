@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cached_property
+from heapq import heapify, heappop, heappush
 from math import factorial, lcm
 from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -552,28 +553,43 @@ class MultiPoly:
         """Exact quotient self/divisor, or None if it does not divide.
 
         Leading-term elimination in graded-lex order; exact quotients always
-        reduce because LT(q*b) = LT(q)*LT(b) in any monomial order.
+        reduce because LT(q*b) = LT(q)*LT(b) in any monomial order.  Every
+        term an elimination step adds sits below the term it removes, so the
+        remainder's leading terms come off one heap (stale entries skipped).
         """
         self._check_ctx(divisor)
         if divisor.is_zero:
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero:
             return self
-        key = _gradedlex_key
-        lead_b = max(divisor.terms, key=key)
+        lead_b = max(divisor.terms, key=_gradedlex_key)
         cb = divisor.terms[lead_b]
+        rest = [(e, -c / cb) for e, c in divisor.terms.items() if e != lead_b]
         rem = dict(self.terms)
+        heap = [_heap_key(e) for e in rem]
+        heapify(heap)
         quot: Terms = {}
-        bterms = divisor.terms
         while rem:
-            lead_r = max(rem, key=key)
+            lead_r = heappop(heap)[2]
+            if lead_r not in rem:
+                continue
             qe = tuple(er - eb for er, eb in zip(lead_r, lead_b))
             if any(p < 0 for p in qe):
                 return None
-            qc = rem[lead_r] / cb
-            quot[qe] = quot.get(qe, Q(0)) + qc
-            _add_into(rem, _mul_terms({qe: qc}, bterms), Q(-1))
-        return MultiPoly(self.ctx, quot)
+            qc = quot[qe] = rem.pop(lead_r)
+            for eb, cf in rest:
+                e = tuple(map(add, qe, eb))
+                prev = rem.get(e)
+                if prev is None:
+                    rem[e] = qc * cf
+                    heappush(heap, _heap_key(e))
+                    continue
+                c = prev + qc * cf
+                if c:
+                    rem[e] = c
+                else:
+                    del rem[e]
+        return MultiPoly(self.ctx, {e: c / cb for e, c in quot.items()})
 
     # -- presentation --------------------------------------------------------
 
@@ -607,6 +623,11 @@ class MultiPoly:
 
 def _gradedlex_key(e: tuple[int, ...]) -> tuple:
     return (sum(e), e)
+
+
+def _heap_key(e: tuple[int, ...]) -> tuple:
+    """A min-heap entry that pops the graded-lex largest exponent first."""
+    return (-sum(e), tuple(-p for p in e), e)
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ pins this on both symbolic and random inputs.
 from __future__ import annotations
 
 from fractions import Fraction as Q
+from itertools import accumulate
 from math import factorial
 from typing import Callable, Sequence
 
@@ -477,15 +478,59 @@ def _zsum(ctx: VarContext, lo: int, hi: int) -> MultiPoly:
 LevelFactors = tuple[list[MultiPoly], list[tuple[MultiPoly, int]]]
 
 
+def _prefix_filter(ctx: VarContext, n: int, zpos: Sequence[int],
+                   factors: Sequence[tuple[MultiPoly, int]]) -> Callable[[Terms], Terms]:
+    """The filter that keeps the numerator terms z^a h^b obeying
+    a_1 + ... + a_i + b <= M_i + n - i for i = 0..k-1, where M_i is the
+    total multiplicity of the factors led by one of z_1..z_i."""
+    mult = [0] * (len(zpos) + 1)
+    for poly, m in factors:
+        mult[_leading_z(poly, zpos)[0]] += m
+    caps = [m_i + n - i for i, m_i in enumerate(accumulate(mult[:-1]))]
+    # the prefix sum b, b + a_1, ..., b + a_1 + ... + a_(k-1) reads these slots
+    slots = [ctx.index("h")] + list(zpos[:-1])
+
+    def live(terms: Terms) -> Terms:
+        out: Terms = {}
+        for e, c in terms.items():
+            s = 0
+            for p, cap in zip(slots, caps):
+                s += e[p]
+                if s > cap:
+                    break
+            else:
+                out[e] = c
+        return out
+
+    return live
+
+
 def _tower_integrand(n: int, k: int, P: MultiPoly, level: Callable[[MultiPoly], LevelFactors],
                      over_X: bool) -> ResidueForm:
     """The plus kernel times P times, per level j, the numerator factors of
     level(z_[1..j]), over the kernel's factors and the level's denominators.
 
     The form is degree-matched when P is homogeneous in (z_1..z_k, h) of the
-    fibre dimension k(n-1), plus n when the form integrates over X too.  Over
-    X every product drops powers of h above n as it is formed, which is
-    exact because exponents only add.
+    fibre dimension k(n-1), plus n when the form integrates over X too.
+
+    Over X (h^(n+1) = 0) every denominator factor is linear and homogeneous
+    in (z, h), and the numerator keeps only the terms z^a h^b with
+
+        a_1 + ... + a_i + b <= M_i + n - i    for i = 0..k-1,
+
+    where M_i is the total multiplicity of the factors whose leading
+    variable is one of z_1..z_i (i(n+2) + i(i-1)/2 for the hypersurface,
+    2ni + i(i-1)/2 for the Demailly form); i = 0 is the truncation h <= n.
+    Every other term has residue zero.  Proof: in the expansion of
+    residue_expand a factor led by z_j is c z_j + R with R linear and
+    homogeneous in (z_1..z_(j-1), h), and each term of its series
+    R^r / (c z_j)^(m+r) has degree -m in (z_1..z_j, h).  So the prefix
+    sum a_1 + ... + a_i + b drops by exactly M_i through the factors led by
+    z_1..z_i and does not drop through the others, while a term that
+    survives ends at z_1^-1 ... z_i^-1 h^b' with b' <= n, whose prefix sum
+    is b' - i <= n - i.  The prefix sums only grow when a term is multiplied
+    by a polynomial, so the filter is applied to P and after every product,
+    and the residue (linear in the numerator) is unchanged.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -493,12 +538,15 @@ def _tower_integrand(n: int, k: int, P: MultiPoly, level: Callable[[MultiPoly], 
     zvars = [f"z{i}" for i in range(1, k + 1)]
     ti, tm = (ctx.index("h"), n) if over_X else (-1, 0)
     kernel, factors = _plus_kernel(ctx, n, k)
-    num = _mul_terms(kernel.terms, P.terms, ti, tm)
-    for j in range(1, k + 1):
-        level_num, level_den = level(_zsum(ctx, 1, j))
-        for f in level_num:
-            num = _mul_terms(num, f.terms, ti, tm)
+    levels = [level(_zsum(ctx, 1, j)) for j in range(1, k + 1)]
+    for _, level_den in levels:
         factors += level_den
+    zpos = [ctx.index(z) for z in zvars]
+    live = _prefix_filter(ctx, n, zpos, factors) if over_X else (lambda terms: terms)
+    num = live(_mul_terms(kernel.terms, live(P.terms), ti, tm))
+    for level_num, _ in levels:
+        for f in level_num:
+            num = live(_mul_terms(num, f.terms, ti, tm))
     zh = [name in zvars or name == "h" for name in ctx.names]
     degrees = {sum(p for p, used in zip(e, zh) if used) for e in P.terms}
     return ResidueForm(
@@ -610,6 +658,8 @@ def hypersurface_integrand(n: int, k: int, P: MultiPoly) -> ResidueForm:
 
     Numerator (-1)^k prod_{1<=t1<=t2<=k} z_[t1..t2] * prod_j (z_[1..j]+dh) * P(z, h);
     denominator prod_{s1<s2} (-z_s1 + z_[s1+1..s2]) * prod_j (z_[1..j]+h)^(n+2).
+    The numerator keeps only the terms that pass the prefix-degree caps of
+    _tower_integrand.
     """
     h = MultiPoly.variable(P.ctx, "h")
     d = MultiPoly.variable(P.ctx, "d")

@@ -333,6 +333,20 @@ def test_malformed_job_file_is_a_validation_error(command, job, tmp_path, capsys
     assert json.loads(capsys.readouterr().err)["error"]["code"] == "validation"
 
 
+@pytest.mark.parametrize(
+    "zvars", [[], ["z1", "z1"], ["z1", "h"], ["d"]], ids=["empty", "duplicate", "h", "d"]
+)
+def test_bad_zvars_are_validation_errors(zvars, tmp_path, capsys):
+    job_path = tmp_path / "job.json"
+    job_path.write_text(json.dumps({"parameters": {"form": "1/((z1)^2)", "zvars": zvars}}),
+                        encoding="utf-8")
+    code = main(["residue", "--job", str(job_path)])
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert code == 2
+    assert error["code"] == "validation"
+    assert "zvars" in error["message"]
+
+
 def test_residue_expand_cap_names_its_stage(capsys):
     code = main(["ggl", "-n", "3", "--max-terms", "30"])
     error = json.loads(capsys.readouterr().err)["error"]

@@ -257,6 +257,19 @@ def test_divide_exact():
     assert (Z1 * Z2 + H).divide_exact(Z1) is None
 
 
+@given(terms_st, terms_st.filter(bool), terms_st)
+def test_divide_exact_inverts_the_product(a, b, r):
+    pa, pb = MultiPoly(CTX, a), MultiPoly(CTX, b)
+    prod = pa * pb
+    assert prod.divide_exact(pb) == pa
+    # a remainder none of whose terms the leading term of b divides is not
+    # a multiple of b, so neither is prod plus it
+    lead_b = max(b, key=lambda e: (sum(e), e))
+    r = {e: c for e, c in r.items() if any(x < y for x, y in zip(e, lead_b))}
+    if r:
+        assert (prod + MultiPoly(CTX, r)).divide_exact(pb) is None
+
+
 def test_substitute_and_evaluate():
     p = Z1**2 + Z2 * H
     q = p.substitute({"z1": Z2 + 1})

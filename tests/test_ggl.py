@@ -215,6 +215,14 @@ def test_threshold_n3():
     assert all(ok for _, ok in rep.spot_checks)
 
 
+@pytest.mark.slow
+def test_threshold_n4():
+    rep = ggl_threshold_check(4)
+    assert rep.certificate
+    assert all(ok for _, ok in rep.spot_checks)
+    assert rep.intersection.degree() == 5
+
+
 def test_ample_condition():
     for n in (2, 3, 5):
         assert ample_condition((n**16, n**8)) == "relatively_ample"

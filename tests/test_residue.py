@@ -275,7 +275,7 @@ def test_segre_hypersurface_values():
 
 def test_hypersurface_integrand_structure_n2_k2():
     ctx = tower_context(2)
-    P = MultiPoly.monomial(ctx, {"z1": 4})
+    P = MultiPoly.monomial(ctx, {"z1": 2, "z2": 2})
     form = hypersurface_integrand(2, 2, P)
     z1 = MultiPoly.variable(ctx, "z1")
     z2 = MultiPoly.variable(ctx, "z2")
@@ -284,11 +284,15 @@ def test_hypersurface_integrand_structure_n2_k2():
     # denominator (-z1+z2)(z1+h)^4(z1+z2+h)^4
     expected_factors = {(z2 - z1, 1), (z1 + h, 4), (z1 + z2 + h, 4)}
     assert set(form.factors) == expected_factors
-    # numerator z1*z2*(z1+z2)*(z1+dh)(z1+z2+dh)*P, sign (+1)^k at k=2
-    expected = (
-        z1 * z2 * (z1 + z2) * (z1 + d * h) * (z1 + z2 + d * h) * P
-    ).truncate("h", 2)
+    # numerator z1*z2*(z1+z2)*(z1+dh)(z1+z2+dh)*P, sign (+1)^k at k=2, cut to
+    # h^b with b <= 2 and z1^a h^b with a + b <= M_1 + n - 1 = 4 + 1
+    full = z1 * z2 * (z1 + z2) * (z1 + d * h) * (z1 + z2 + d * h) * P
+    ih, i1 = ctx.index("h"), ctx.index("z1")
+    expected = MultiPoly(
+        ctx, {e: c for e, c in full.terms.items() if e[ih] <= 2 and e[i1] + e[ih] <= 5}
+    )
     assert form.numerator == expected
+    assert 0 < len(expected.terms) < len(full.truncate("h", 2).terms)
 
 
 def test_route_equality_hypersurface_vs_segre():
@@ -431,12 +435,24 @@ def test_demailly_degree_mismatch_integrates_to_zero():
         assert value.is_zero
 
 
-def _truncated_at_the_end(n, k, P, level_factor):
-    """The builders' numerator multiplied out in full and truncated once."""
+def _pruned_at_the_end(n, k, P, level_factor, level_mult):
+    """The builders' numerator multiplied out in full and cut once by the
+    prefix rule: z^a h^b stays iff a_1 + ... + a_i + b <= M_i + n - i for
+    i = 0..k-1, with M_i = i * level_mult + i(i-1)/2 (a level's denominator
+    has multiplicity level_mult, the kernel factor -z_s1 + z_[s1+1..s2] is
+    led by z_s2)."""
     numerator = _plus_kernel(P.ctx, n, k)[0] * P
     for j in range(1, k + 1):
         numerator = numerator * level_factor(_zsum(P.ctx, 1, j))
-    return numerator.truncate("h", n)
+    slots = [P.ctx.index(v) for v in ["h"] + [f"z{i}" for i in range(1, k)]]
+
+    def live(e):
+        return all(
+            sum(e[p] for p in slots[: i + 1]) <= i * level_mult + i * (i - 1) // 2 + n - i
+            for i in range(k)
+        )
+
+    return numerator, MultiPoly(P.ctx, {e: c for e, c in numerator.terms.items() if live(e)})
 
 
 def _builder_payloads():
@@ -449,12 +465,10 @@ def _builder_payloads():
         yield n, k, random_homogeneous(rng, ctx, zvars, n + k * (n - 1), with_h=True)
 
 
-@pytest.mark.parametrize("n, k, P", list(_builder_payloads()))
-def test_builders_truncate_as_they_multiply(n, k, P):
+def _builders_with_oracles(n, k, P):
+    """(form, full numerator, pruned numerator) for the hypersurface and the
+    Demailly builder."""
     h, d = MultiPoly.variable(P.ctx, "h"), MultiPoly.variable(P.ctx, "d")
-    assert P.degree_in("h") > n  # the payload itself reaches past h^n
-    expected = _truncated_at_the_end(n, k, P, lambda w: w * (w + d * h))
-    assert hypersurface_integrand(n, k, P).numerator == expected
     seg = segre_hypersurface(n)
 
     def cleared_tangent(w):
@@ -463,8 +477,42 @@ def test_builders_truncate_as_they_multiply(n, k, P):
             out = out + seg[i - 1].embed(P.ctx) * w ** (n - i)
         return out
 
-    expected = _truncated_at_the_end(n, k, P, cleared_tangent)
-    assert demailly_integrand(n, k, P, seg).numerator == expected
+    return [
+        (hypersurface_integrand(n, k, P),
+         *_pruned_at_the_end(n, k, P, lambda w: w * (w + d * h), n + 2)),
+        (demailly_integrand(n, k, P, seg), *_pruned_at_the_end(n, k, P, cleared_tangent, 2 * n)),
+    ]
+
+
+@pytest.mark.parametrize("n, k, P", list(_builder_payloads()))
+def test_builders_truncate_as_they_multiply(n, k, P):
+    assert P.degree_in("h") > n  # the payload itself reaches past h^n
+    for form, _, expected in _builders_with_oracles(n, k, P):
+        assert form.numerator == expected
+
+
+def _value_cases():
+    for i, (n, k, P) in enumerate(_builder_payloads()):
+        for engine in (residue_expand, residue_stepwise):
+            # the stepwise engine needs about 10 s for the canonical n = k = 3 pair
+            slow = engine is residue_stepwise and n == k == 3
+            yield pytest.param(n, k, P, engine, id=f"{n}-{k}-P{i}-{engine.__name__}",
+                               marks=[pytest.mark.slow] if slow else [])
+
+
+@pytest.mark.parametrize("n, k, P, engine", list(_value_cases()))
+def test_pruned_numerator_keeps_the_value(n, k, P, engine):
+    # the dropped terms integrate to zero: the full product over the same
+    # factors gives the same class on X
+    for form, full, _ in _builders_with_oracles(n, k, P):
+        unpruned = ResidueForm(full, form.factors, form.zvars, trunc=form.trunc)
+        assert integrate_over_X(engine(unpruned), n) == integrate_over_X(engine(form), n)
+
+
+@pytest.mark.parametrize("n, terms", [(2, 19), (3, 293), (4, 7698)])
+def test_canonical_hypersurface_numerator_terms(n, terms):
+    P = intersection_payload(canonical_config(n))
+    assert len(hypersurface_integrand(n, n, P).numerator.terms) == terms
 
 
 def test_residue_expand_term_cap():
