@@ -121,12 +121,13 @@ def _lambda_values(params: Mapping[str, Any], n: int) -> list[Q]:
             return vals
 
 
-def _cap(params: Mapping[str, Any], name: str, default: int) -> int:
-    """A resource cap: the default when absent or null, otherwise at least 1."""
-    cap = default if params.get(name) is None else _scalar(params[name], name)
-    if cap < 1:
+def _positive(params: Mapping[str, Any], name: str, default: int | None = None) -> int:
+    """A parameter that must be at least 1: a resource cap (the default when
+    absent or null) or the n or k of a tower command."""
+    value = default if params.get(name) is None else _scalar(params[name], name)
+    if value < 1:
         raise ValueError(f"parameter {name} must be at least 1")
-    return cap
+    return value
 
 
 def _require(params: Mapping[str, Any], *names: str) -> None:
@@ -137,7 +138,7 @@ def _require(params: Mapping[str, Any], *names: str) -> None:
 
 def _fibre_integral(params: Mapping[str, Any], budgets: dict[str, Any]) -> Outcome:
     _require(params, "n", "k", "polynomial")
-    n, k = _scalar(params["n"], "n"), _scalar(params["k"], "k")
+    n, k = _positive(params, "n"), _positive(params, "k")
     method = params.get("method", "fixed-point")
     P = parse_poly(_text(params, "polynomial"), tower_context(k))
     lams = _lambda_values(params, n)
@@ -156,7 +157,7 @@ def _fibre_integral(params: Mapping[str, Any], budgets: dict[str, Any]) -> Outco
 
 def _integral(params: Mapping[str, Any], budgets: dict[str, Any]) -> Outcome:
     _require(params, "n", "k", "polynomial")
-    n, k = _scalar(params["n"], "n"), _scalar(params["k"], "k")
+    n, k = _positive(params, "n"), _positive(params, "k")
     form = hypersurface_integrand(n, k, parse_poly(_text(params, "polynomial"), tower_context(k)))
     value = integrate_over_X(residue_expand(form, budgets["max_terms"]), n)
     check = ("expand-vs-stepwise", "expansion and stepwise residues disagree", lambda: value,
@@ -243,7 +244,7 @@ def _diagnostics(params: Mapping[str, Any], budgets: dict[str, Any]) -> Outcome:
 
 def _euler_char(params: Mapping[str, Any], budgets: dict[str, Any]) -> Outcome:
     _require(params, "n", "k", "a")
-    n, k = _scalar(params["n"], "n"), _scalar(params["k"], "k")
+    n, k = _positive(params, "n"), _positive(params, "k")
     a = _ints(params, "a")
     budget = _scalar(params["budget"], "budget") if params.get("budget") is not None else None
     budgets["budget"] = budget
@@ -279,8 +280,8 @@ def run_job(command: str, params: Mapping[str, Any]) -> dict[str, Any]:
     mismatch raises VerifyMismatchError, a match adds the verify block.
     """
     budgets: dict[str, Any] = {
-        "max_terms": _cap(params, "max_terms", DEFAULT_TERM_CAP),
-        "max_points": _cap(params, "max_points", DEFAULT_POINT_CAP),
+        "max_terms": _positive(params, "max_terms", DEFAULT_TERM_CAP),
+        "max_points": _positive(params, "max_points", DEFAULT_POINT_CAP),
     }
     if command not in HANDLERS:
         raise JetresError(f"unknown command {command!r}")

@@ -13,9 +13,11 @@ largest z-index it involves).  Two independent evaluators are provided:
     z_j-degrees to land on exponent -1.
   * :func:`residue_stepwise` -- the one-variable Residue Theorem applied from
     z_k down to z_1: the residue at infinity is minus the sum of the residues
-    at the finite poles; order-m poles use the (m-1)-st derivative rule.
-    Proportional denominator factors are merged into a single higher-order
-    pole first, so colliding poles are handled exactly rather than rejected.
+    at the finite poles; order-m poles use the (m-1)-st derivative rule,
+    taken in m-1 steps N -> N' F - N G.  Each carried term keeps its
+    denominator as one factor table keyed by the factors scaled to leading
+    coefficient 1, so proportional or colliding factors are one pole of the
+    summed order rather than an error.
 
 The single orientation constant lives in :func:`orientation_sign`; all
 paper-level sign conventions downstream are expressed through the builders,
@@ -37,6 +39,7 @@ pins this on both symbolic and random inputs.
 from __future__ import annotations
 
 from fractions import Fraction as Q
+from functools import reduce
 from itertools import accumulate
 from math import factorial
 from typing import Callable, Sequence
@@ -48,11 +51,13 @@ from .exactalg import (
     MultiPoly,
     QLike,
     ResourceLimitError,
+    Terms,
     VarContext,
     binomial,
     _add_into,
     _graded_mul,
     _graded_series,
+    _gradedlex_key,
     _mul_terms,
 )
 from .localization import DegenerateWeightsError
@@ -132,9 +137,6 @@ class ResidueForm:
     @property
     def k(self) -> int:
         return len(self.zvars)
-
-
-Terms = dict
 
 
 def _z_coefficients(poly: MultiPoly, zpos: Sequence[int]) -> list[Q]:
@@ -257,13 +259,23 @@ def residue_expand(form: ResidueForm, max_terms: int = DEFAULT_TERM_CAP) -> Mult
 # ---------------------------------------------------------------------------
 
 
-def _normalize_factor(terms: Terms) -> tuple[Terms, Q]:
-    """Scale a factor so its graded-lex-leading coefficient is 1."""
-    lead = max(terms, key=lambda e: (sum(e), e))
-    scale = terms[lead]
-    if scale == 1:
-        return dict(terms), Q(1)
-    return {e: c / scale for e, c in terms.items()}, scale
+# A factor table: each denominator factor, scaled so its graded-lex leading
+# coefficient is 1, keyed by its terms and mapped to (terms, multiplicity).
+FactorTable = dict[frozenset, tuple[Terms, int]]
+
+
+def _enter(table: FactorTable, terms: Terms, mult: int) -> Q:
+    """Enter factor**mult into the table and return scale**mult, the power of
+    its leading coefficient that the numerator is to be divided by; a factor
+    that is constant normalizes to 1 and is dropped."""
+    if not terms:
+        raise JetresError("internal: factor vanished at a pole after merging")
+    scale = terms[max(terms, key=_gradedlex_key)]
+    terms = {e: c / scale for e, c in terms.items()}
+    if any(map(any, terms)):
+        key = frozenset(terms.items())
+        table[key] = (terms, mult + table.get(key, (terms, 0))[1])
+    return scale**mult
 
 
 def _derivative(terms: Terms, idx: int) -> Terms:
@@ -281,11 +293,16 @@ def _derivative(terms: Terms, idx: int) -> Terms:
 def residue_stepwise(form: ResidueForm, max_terms: int = DEFAULT_TERM_CAP) -> MultiPoly:
     """Iterated residue via the one-variable Residue Theorem, z_k down to z_1.
 
-    Each step replaces a term by minus the sum of its finite-pole residues in
-    the current variable; order-m poles (after merging proportional factors)
-    use the derivative rule.  Intermediate terms carry factored denominators
-    and are reduced by exact linear-factor cancellation after every
-    substitution.
+    A carried term is a numerator N over a factor table, in which
+    proportional factors share one entry and so form one pole of the summed
+    order.  Each step replaces a term by minus the sum of its residues at the
+    poles f0 = a0 (z_j - w) in the current variable.  An order-m pole takes
+    the (m-1)-st derivative of N over the other factors in m-1 steps
+    N -> N' F - N G, where F is the product of the other factors f that hold
+    z_j and G = sum_f m_f a_f F/f (a_f the z_j-coefficient of f, m_f its
+    multiplicity, which each step raises by 1).  Then w is substituted into
+    N and into every factor, the factors go into a fresh table, and each
+    factor cancels as often as it divides N exactly.
 
     Unlike the expansion engine, truncation is applied only to the final
     value: intermediate denominators may carry positive powers of the
@@ -293,158 +310,83 @@ def residue_stepwise(form: ResidueForm, max_terms: int = DEFAULT_TERM_CAP) -> Mu
     until everything is divided out.
     """
     ctx = form.ctx
-    width = len(ctx)
     zpos = [ctx.index(z) for z in form.zvars]
-    zero_exp = (0,) * width
-
-    for poly, _ in form.factors:
-        _leading_z(poly, zpos)  # rejects factors with all-zero z-coefficients
-
-    def zcoeff_of(terms: Terms, idx: int) -> Q:
-        e = [0] * width
-        e[idx] = 1
-        return terms.get(tuple(e), Q(0))
-
-    # term = (numerator Terms, list[(factor Terms normalized, mult)])
-    start_factors: list[tuple[Terms, int]] = []
-    num0 = dict(form.numerator.terms)
-    scale_acc = Q(1)
+    one: Terms = {(0,) * len(ctx): Q(1)}
+    table: FactorTable = {}
+    scale = Q(1)
     for poly, mult in form.factors:
-        ft, scale = _normalize_factor(dict(poly.terms))
-        scale_acc *= scale**mult
-        start_factors.append((ft, mult))
-    if scale_acc != 1:
-        num0 = {e: c / scale_acc for e, c in num0.items()}
-    terms_list: list[tuple[Terms, list[tuple[Terms, int]]]] = [(num0, start_factors)]
+        _leading_z(poly, zpos)  # rejects factors with all-zero z-coefficients
+        scale *= _enter(table, poly.terms, mult)
+    carried = [({e: c / scale for e, c in form.numerator.terms.items()}, table)]
 
     for j in range(len(zpos), 0, -1):
         zj = zpos[j - 1]
-        new_terms: list[tuple[Terms, list[tuple[Terms, int]]]] = []
-        for num, factors in terms_list:
-            if not num:
-                continue
-            pole_fs: list[tuple[Terms, int]] = []
-            passive: list[tuple[Terms, int]] = []
-            for ft, m in factors:
-                if zcoeff_of(ft, zj):
-                    pole_fs.append((ft, m))
-                else:
-                    passive.append((ft, m))
-            if not pole_fs:
-                # as a function of z_j this term is polynomial: residue 0
-                continue
-            # merge identical (normalized) factors -> genuine higher-order poles
-            merged: list[tuple[Terms, int]] = []
-            for ft, m in pole_fs:
-                for i, (gt, gm) in enumerate(merged):
-                    if gt == ft:
-                        merged[i] = (gt, gm + m)
-                        break
-                else:
-                    merged.append((ft, m))
-            for pick in range(len(merged)):
-                f0, m0 = merged[pick]
-                a0 = zcoeff_of(f0, zj)
-                others = [(dict(ft), m) for i, (ft, m) in enumerate(merged) if i != pick]
-                others += [(dict(ft), m) for ft, m in passive]
-                # w = -(f0 - a0 z_j)/a0
-                wval: Terms = {}
-                for e, c in f0.items():
-                    if e[zj] == 0:
-                        wval[e] = -c / a0
-                numer = dict(num)
-                if m0 > 1:
-                    # (m0-1)-st derivative of numer/prod(others): bump only
-                    # factors that involve z_j
-                    dyn = [i for i, (ft, m) in enumerate(others) if zcoeff_of(ft, zj)]
-                    mults = [m for _, m in others]
-                    for _ in range(m0 - 1):
-                        dnum = _derivative(numer, zj)
-                        part1 = dnum
-                        for i in dyn:
-                            part1 = _mul_terms(part1, others[i][0])
-                        part2: Terms = {}
-                        for i in dyn:
-                            ai = zcoeff_of(others[i][0], zj)
-                            piece = {e: c * (-Q(mults[i]) * ai) for e, c in numer.items()}
-                            for i2 in dyn:
-                                if i2 != i:
-                                    piece = _mul_terms(piece, others[i2][0])
-                            _add_into(part2, piece)
-                        numer = dict(part1)
-                        _add_into(numer, part2)
-                        for i in dyn:
-                            mults[i] += 1
-                    others = [(ft, mults[i]) for i, (ft, _) in enumerate(others)]
-                    scale = factorial(m0 - 1) * a0**m0
-                    numer = {e: c / scale for e, c in numer.items()}
-                else:
-                    numer = {e: c / a0 for e, c in numer.items()}
-                # substitute the pole into numerator and remaining factors
-                pole = {form.zvars[j - 1]: MultiPoly._raw(ctx, wval)}
-                numer = MultiPoly._raw(ctx, numer).substitute(pole).terms
-                numer = {e: -c for e, c in numer.items()}  # minus: residue at infinity
+        unit = tuple(int(i == zj) for i in range(len(ctx)))  # the exponent of z_j
+        stage: list[tuple[Terms, FactorTable]] = []
+        for num, table in carried:
+            poles = [key for key, (ft, _) in table.items() if unit in ft]
+            for pole in poles:
+                f0, m0 = table[pole]
+                a0 = f0[unit]
+                # the (m0-1)-st derivative of num over the other factors
+                moving = [table[key] for key in poles if key != pole]
+                F = reduce(_mul_terms, (ft for ft, _ in moving), one)
+                cofactors = [reduce(_mul_terms, (gt for gt, _ in moving if gt is not ft), one)
+                             for ft, _ in moving]
+                numer = num
+                for step in range(m0 - 1):
+                    G: Terms = {}
+                    for (ft, m), cof in zip(moving, cofactors):
+                        _add_into(G, cof, (m + step) * ft[unit])
+                    numer, prev = _mul_terms(_derivative(numer, zj), F), numer
+                    _add_into(numer, _mul_terms(prev, G), Q(-1))
+                # substitute z_j = w, w = -(f0 - a0 z_j)/a0, with the minus
+                # sign of the residue at infinity
+                w = {e: -c / a0 for e, c in f0.items() if not e[zj]}
+                at_w = {form.zvars[j - 1]: MultiPoly._raw(ctx, w)}
+                scale = -factorial(m0 - 1) * a0**m0
+                numer = MultiPoly._raw(ctx, numer).substitute(at_w).terms
                 if not numer:
                     continue
-                new_factors: list[tuple[Terms, int]] = []
-                for ft, m in others:
-                    fs = MultiPoly._raw(ctx, ft).substitute(pole).terms
-                    if not fs:
-                        raise JetresError("internal: factor vanished at a pole after merging")
-                    if len(fs) == 1 and zero_exp in fs:
-                        numer = {e: c / fs[zero_exp] ** m for e, c in numer.items()}
-                        continue
-                    fs, scale = _normalize_factor(fs)
-                    if scale != 1:
-                        numer = {e: c / scale**m for e, c in numer.items()}
-                    new_factors.append((fs, m))
-                # cancel factors that divide the numerator exactly
-                numer_poly = MultiPoly(ctx, numer)
-                reduced: list[tuple[Terms, int]] = []
-                for fs, m in new_factors:
-                    fpoly = MultiPoly(ctx, fs)
-                    while m > 0:
-                        quot = numer_poly.divide_exact(fpoly)
-                        if quot is None:
-                            break
-                        numer_poly = quot
-                        m -= 1
+                reduced: FactorTable = {}
+                for key, (ft, m) in table.items():
+                    if key != pole:
+                        bumped = m + (m0 - 1 if unit in ft else 0)
+                        scale *= _enter(reduced, MultiPoly._raw(ctx, ft).substitute(at_w).terms,
+                                        bumped)
+                numer_poly = MultiPoly._raw(ctx, {e: c / scale for e, c in numer.items()})
+                for key, (ft, m) in list(reduced.items()):
+                    fpoly = MultiPoly._raw(ctx, ft)
+                    while m and (quot := numer_poly.divide_exact(fpoly)) is not None:
+                        numer_poly, m = quot, m - 1
                     if m:
-                        reduced.append((fs, m))
+                        reduced[key] = (ft, m)
+                    else:
+                        del reduced[key]
                 if len(numer_poly.terms) > max_terms:
                     raise ResourceLimitError(f"residue_stepwise exceeded {max_terms} terms")
-                new_terms.append((dict(numer_poly.terms), reduced))
-        terms_list = new_terms
+                stage.append((numer_poly.terms, reduced))
+        carried = stage
 
-    # assemble the z-free rational terms over the factored least common
-    # denominator (never the full product, which blows up symbolically)
-    max_mult: dict[tuple, tuple[Terms, int]] = {}
-    for _, factors in terms_list:
-        for ft, m in factors:
-            key = tuple(sorted(ft.items()))
-            prev = max_mult.get(key)
-            if prev is None or prev[1] < m:
-                max_mult[key] = (ft, m)
-    total_num: Terms = {}
-    for num, factors in terms_list:
-        have = {tuple(sorted(ft.items())): m for ft, m in factors}
-        scaled = dict(num)
-        for key, (ft, mmax) in max_mult.items():
-            need = mmax - have.get(key, 0)
-            for _ in range(need):
-                scaled = _mul_terms(scaled, ft)
-        _add_into(total_num, scaled)
-    total_den: Terms = {zero_exp: Q(1)}
-    for ft, mmax in max_mult.values():
-        for _ in range(mmax):
-            total_den = _mul_terms(total_den, ft)
-    result = MultiPoly(ctx, total_num)
-    denom = MultiPoly(ctx, total_den)
-    if denom != MultiPoly.const(ctx, 1):
-        quot = result.divide_exact(denom)
-        if quot is None:
+    # the z-free terms over their least common denominator, read off the
+    # tables' keys (never the full product, which blows up symbolically)
+    lcd: FactorTable = {}
+    for _, table in carried:
+        for key, (ft, m) in table.items():
+            if m > lcd.get(key, (ft, 0))[1]:
+                lcd[key] = (ft, m)
+    total: Terms = {}
+    for num, table in carried:
+        for key, (ft, m) in lcd.items():
+            for _ in range(m - table.get(key, (ft, 0))[1]):
+                num = _mul_terms(num, ft)
+        _add_into(total, num)
+    result = MultiPoly(ctx, total)
+    if lcd:
+        denom = reduce(_mul_terms, (ft for ft, m in lcd.values() for _ in range(m)), one)
+        result = result.divide_exact(MultiPoly(ctx, denom))
+        if result is None:
             raise JetresError("stepwise residue did not reduce to a polynomial value")
-        result = quot
     if form.trunc is not None:
         result = result.truncate(*form.trunc)
     # the per-step minus signs realize the (-1)^k orientation

@@ -131,8 +131,16 @@ def test_caps_below_one_are_validation_errors(argv, capsys):
         (["diagnostics", "-n", "2", "--defect-cap", "-1"], "defect_cap"),
         (["fibre-integral", "-n", "2", "-k", "1", "-P", "u1", "--lambdas", "1,2,3"],
          "lambda values"),
+        # without the n check the lambda draw never ends
+        (["fibre-integral", "-n", "-1", "-k", "1", "-P", "u1"], "n must be at least 1"),
+        (["integral", "-n", "0", "-k", "1", "-P", "u1"], "n must be at least 1"),
+        (["euler-char", "-n", "0", "-k", "1", "--a", "1"], "n must be at least 1"),
+        (["fibre-integral", "-n", "-3", "-k", "2", "--lambdas", "1,2", "-P", "u1"],
+         "n must be at least 1"),
+        (["integral", "-n", "2", "-k", "0", "-P", "1"], "k must be at least 1"),
     ],
-    ids=["defect-cap-negative", "defect-cap-minus-one", "lambdas-length"],
+    ids=["defect-cap-negative", "defect-cap-minus-one", "lambdas-length", "fibre-n-negative",
+         "integral-n-0", "euler-n-0", "fibre-n-with-lambdas", "integral-k-0"],
 )
 def test_out_of_range_values_are_validation_errors(argv, message, capsys):
     code = main(argv)

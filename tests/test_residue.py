@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from jetres.exactalg import (
     ContextError,
@@ -159,6 +161,55 @@ def test_engines_agree_on_random_forms():
         b = residue_stepwise(form)
         assert a == b, (form.numerator.to_text(), a.to_text(), b.to_text())
         done += 1
+
+
+@st.composite
+def factor_table_forms(draw):
+    """Forms whose factors a.z + b.h + c (multiplicities 1-3) exercise the
+    factor table of residue_stepwise: a factor f led by z_1 next to -2f, and
+    a pivot g led by z_k next to g + L and s*g + t*L, which coincide at the
+    pole of g (turn constant there when L is, and meet f when L = u*f).  The
+    numerator's z-degrees are near the ones that let the residue be nonzero,
+    and it may be zero."""
+    k = draw(st.integers(1, 2))
+    ctx = VarContext(tuple(f"z{i}" for i in range(1, k + 1)) + ("h",))
+    small, nonzero, mult = st.integers(-2, 2), st.sampled_from([-2, -1, 1, 2]), st.integers(1, 3)
+
+    def linear(*zc):
+        terms = {(0,) * k + (1,): draw(small), (0,) * (k + 1): draw(small)}
+        for i, c in enumerate(zc):
+            terms[tuple(int(i == v) for v in range(k + 1))] = c
+        return MultiPoly(ctx, terms)
+
+    f = linear(draw(nonzero))
+    g = linear(*[draw(small) for _ in range(k - 1)], draw(nonzero))
+    L = linear(*[draw(small) for _ in range(k - 1)])
+    if k == 2 and draw(st.booleans()):
+        L = draw(nonzero) * f
+    s, t = draw(nonzero), draw(nonzero)
+    factors = [(p, draw(mult)) for p in (f, -2 * f, g, g + L, s * g + t * L)]
+    # the multiplicity led by each z: f and -2f by z_1, the rest by z_k
+    led = [factors[0][1] + factors[1][1], sum(m for _, m in factors[2:])]
+    led = led if k == 2 else [sum(led)]
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        # a z_j-degree of led[j] - 1 reaches z_j^-1; surplus in z_j moves to lower z's
+        e = [max(0, m - 1 + draw(st.integers(0, 2))) for m in led] + [draw(st.integers(0, 2))]
+        terms[tuple(e)] = Q(draw(st.integers(-3, 3)))
+    return ResidueForm(MultiPoly(ctx, terms), factors, ctx.names[:k])
+
+
+@given(factor_table_forms())
+def test_engines_agree_on_merged_and_collapsing_factors(form):
+    assert residue_stepwise(form) == residue_expand(form)
+
+
+def test_factors_that_meet_after_a_substitution_share_one_entry():
+    # at z1 = 1 the factors z1 + h and z1 + 2h + 1 turn into h + 1 and 2(h + 1)
+    ctx = VarContext(("z1", "h"))
+    z1, h = MultiPoly.variable(ctx, "z1"), MultiPoly.variable(ctx, "h")
+    form = ResidueForm(z1**2, [(z1 - 1, 1), (z1 + h, 1), (z1 + 2 * h + 1, 1)], ("z1",))
+    assert both_engines(form) == MultiPoly.const(ctx, -1)
 
 
 def random_homogeneous(rng, ctx, zvars, deg, with_h=False):
@@ -494,7 +545,7 @@ def test_builders_truncate_as_they_multiply(n, k, P):
 def _value_cases():
     for i, (n, k, P) in enumerate(_builder_payloads()):
         for engine in (residue_expand, residue_stepwise):
-            # the stepwise engine needs about 10 s for the canonical n = k = 3 pair
+            # the stepwise engine needs about 5 s for the canonical n = k = 3 pair
             slow = engine is residue_stepwise and n == k == 3
             yield pytest.param(n, k, P, engine, id=f"{n}-{k}-P{i}-{engine.__name__}",
                                marks=[pytest.mark.slow] if slow else [])
@@ -515,10 +566,11 @@ def test_canonical_hypersurface_numerator_terms(n, terms):
     assert len(hypersurface_integrand(n, n, P).numerator.terms) == terms
 
 
-def test_residue_expand_term_cap():
+@pytest.mark.parametrize("engine", [residue_expand, residue_stepwise])
+def test_residue_term_cap(engine):
     form = hypersurface_integrand(3, 3, intersection_payload(canonical_config(3)))
-    with pytest.raises(ResourceLimitError, match="residue_expand exceeded 30 terms"):
-        residue_expand(form, max_terms=30)
+    with pytest.raises(ResourceLimitError, match=f"{engine.__name__} exceeded 30 terms"):
+        engine(form, max_terms=30)
 
 
 @pytest.mark.slow
