@@ -132,6 +132,57 @@ def _coerce_q(value: QLike) -> Q:
 
 
 Terms = dict[tuple[int, ...], Q]
+# Terms scaled to integers by a common denominator that the caller keeps.
+IntTerms = list[tuple[tuple[int, ...], int]]
+
+
+def _denominator(parts: Iterable[Terms]) -> int:
+    """The lcm of the coefficients' denominators over all the parts."""
+    return lcm(*(c.denominator for terms in parts for c in terms.values()))
+
+
+def _scaled(terms: Terms, den: int) -> IntTerms:
+    """[(e, den*c)] for a den that every coefficient's denominator divides."""
+    return [(e, c.numerator * (den // c.denominator)) for e, c in terms.items()]
+
+
+def _cleared(terms: Terms) -> tuple[int, IntTerms]:
+    """(D, [(e, D*c)]) with D the lcm of the coefficients' denominators."""
+    den = _denominator((terms,))
+    return den, _scaled(terms, den)
+
+
+def _mac(
+    acc: dict[tuple[int, ...], int],
+    ia: IntTerms,
+    ib: IntTerms,
+    trunc_idx: int = -1,
+    trunc_max: int = 0,
+) -> None:
+    """acc += ia * ib on integer terms, dropping exponents above trunc_max at
+    trunc_idx if set: the one multiply-accumulate kernel.  Sums that cancel
+    stay in acc as zeros; _divided drops them."""
+    if len(ib) > len(ia):
+        ia, ib = ib, ia
+    get = acc.get
+    if trunc_idx >= 0:
+        top = max((ea[trunc_idx] for ea, _ in ia), default=0)
+    for eb, cb in ib:
+        part = ia
+        if trunc_idx >= 0:
+            room = trunc_max - eb[trunc_idx]
+            if room < top:
+                part = [(ea, ca) for ea, ca in ia if ea[trunc_idx] <= room]
+        for ea, ca in part:
+            e = tuple(map(add, ea, eb))
+            acc[e] = get(e, 0) + ca * cb
+
+
+def _divided(sums: Iterable[tuple[tuple[int, ...], int]], den: int) -> Terms:
+    """Integer sums over den as canonical terms (zeros dropped)."""
+    if den == 1:
+        return {e: Q(c) for e, c in sums if c}
+    return {e: Q(c, den) for e, c in sums if c}
 
 
 def _mul_terms(
@@ -142,33 +193,17 @@ def _mul_terms(
 ) -> Terms:
     """Raw sparse product; drops exponents above trunc_max at trunc_idx if set.
 
-    Each operand is scaled once by the lcm of its denominators, so the
-    multiply-accumulate runs on plain ints; the sums are divided back at the end.
+    The one-pair case of _mac: each operand is scaled to integers by the lcm
+    of its denominators, the products are summed as ints, and each sum is
+    divided by the product of the two denominators once, at the end.
     """
     if not ta or not tb:
         return {}
-    if len(tb) > len(ta):
-        ta, tb = tb, ta
     da, ia = _cleared(ta)
     db, ib = _cleared(tb)
-    out: dict[tuple[int, ...], int] = {}
-    get = out.get
-    for eb, cb in ib:
-        for ea, ca in ia:
-            e = tuple(map(add, ea, eb))
-            if trunc_idx >= 0 and e[trunc_idx] > trunc_max:
-                continue
-            out[e] = get(e, 0) + ca * cb
-    den = da * db
-    if den == 1:
-        return {e: Q(c) for e, c in out.items() if c}
-    return {e: Q(c, den) for e, c in out.items() if c}
-
-
-def _cleared(terms: Terms) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
-    """(D, [(e, D*c)]) with D the lcm of the coefficients' denominators."""
-    den = lcm(*(c.denominator for c in terms.values()))
-    return den, [(e, c.numerator * (den // c.denominator)) for e, c in terms.items()]
+    acc: dict[tuple[int, ...], int] = {}
+    _mac(acc, ia, ib, trunc_idx, trunc_max)
+    return _divided(acc.items(), da * db)
 
 
 def _add_into(acc: Terms, terms: Terms, scale: Q | None = None) -> None:
@@ -226,15 +261,28 @@ def _graded_mul(
     Only bucket pairs with g1 + g2 <= cap are multiplied.  Dropping grades
     above cap is exact for every later product as long as no grade is
     negative, which all callers guarantee by their choice of weights.
+
+    Each operand is scaled to integers once, by the lcm of the denominators
+    over all of its buckets.  The output grades are made one at a time: every
+    bucket pair with g1 + g2 = g is summed into one integer accumulator, which
+    is divided by the two denominators' product once.  Zero sums and empty
+    grades are dropped.
     """
+    da = _denominator(a.values())
+    db = _denominator(b.values())
+    ia = {g: _scaled(t, da) for g, t in a.items()}
+    ib = {g: _scaled(t, db) for g, t in b.items()}
     out: Graded = {}
-    for g1, t1 in a.items():
-        for g2, t2 in b.items():
-            if g1 + g2 <= cap:
-                piece = _mul_terms(t1, t2, trunc_idx, trunc_max)
-                if piece:
-                    _add_into(out.setdefault(g1 + g2, {}), piece)
-    return {g: t for g, t in out.items() if t}
+    for g in sorted({g1 + g2 for g1 in ia for g2 in ib if g1 + g2 <= cap}):
+        acc: dict[tuple[int, ...], int] = {}
+        for g1, t1 in ia.items():
+            t2 = ib.get(g - g1)
+            if t2 is not None:
+                _mac(acc, t1, t2, trunc_idx, trunc_max)
+        terms = _divided(acc.items(), da * db)
+        if terms:
+            out[g] = terms
+    return out
 
 
 def _graded_series(
@@ -459,7 +507,12 @@ class MultiPoly:
 
         Terms are grouped by their exponents in the substituted variables;
         each variable's powers are built once by repeated multiplication, and
-        each group takes one product per variable it carries.
+        each group takes one product per variable it carries.  Everything
+        runs on integers: with D the denominator of the polynomial's terms,
+        D_v that of a value v and p_v the top power of v, a group holding
+        v^p is scaled by D_v^(p_v - p), so every group's last product is
+        summed into one accumulator over D * prod_v D_v^(p_v), which is
+        divided once.
         """
         subs: dict[int, Terms] = {}
         for name, val in assignments.items():
@@ -467,25 +520,39 @@ class MultiPoly:
                 val = MultiPoly.const(self.ctx, val)
             self._check_ctx(val)
             subs[self.ctx.index(name)] = val.terms
-        buckets: dict[tuple[int, ...], Terms] = {}
-        for e, c in self.terms.items():
+        den, cleared = _cleared(self.terms)
+        buckets: dict[tuple[int, ...], IntTerms] = {}
+        for e, c in cleared:
             rest = list(e)
             for i in subs:
                 rest[i] = 0
-            buckets.setdefault(tuple(e[i] for i in subs), {})[tuple(rest)] = c
-        powers: list[list[Terms]] = []
+            buckets.setdefault(tuple(e[i] for i in subs), []).append((tuple(rest), c))
+        unit: IntTerms = [((0,) * len(self.ctx), 1)]
+        powers: list[tuple[int, int, list[IntTerms]]] = []  # (D_v, p_v, [v^0, ..., v^p_v])
         for pos, value in enumerate(subs.values()):
-            pw = [value]  # pw[p - 1] is value^p
-            for _ in range(max((key[pos] for key in buckets), default=0) - 1):
-                pw.append(_mul_terms(pw[-1], value))
-            powers.append(pw)
-        acc: Terms = {}
+            dv, iv = _cleared(value)
+            top = max((key[pos] for key in buckets), default=0)
+            pw = [unit]
+            for _ in range(top):
+                power: dict[tuple[int, ...], int] = {}
+                _mac(power, pw[-1], iv)
+                pw.append([(e, c) for e, c in power.items() if c])
+            powers.append((dv, top, pw))
+            den *= dv**top
+        acc: dict[tuple[int, ...], int] = {}
         for key, piece in buckets.items():
-            for pw, p in zip(powers, key):
-                if p:
-                    piece = _mul_terms(piece, pw[p - 1])
-            _add_into(acc, piece)
-        return MultiPoly._raw(self.ctx, acc)
+            scale = 1
+            for (dv, top, _), p in zip(powers, key):
+                scale *= dv ** (top - p)
+            if scale != 1:
+                piece = [(e, c * scale) for e, c in piece]
+            factors = [pw[p] for (_, _, pw), p in zip(powers, key) if p] or [unit]
+            for f in factors[:-1]:
+                part: dict[tuple[int, ...], int] = {}
+                _mac(part, piece, f)
+                piece = list(part.items())
+            _mac(acc, piece, factors[-1])
+        return MultiPoly._raw(self.ctx, _divided(acc.items(), den))
 
     def evaluate(self, values: Mapping[str, QLike]) -> Q:
         missing = self.variables_used() - set(values)

@@ -47,6 +47,7 @@ from typing import Callable, Sequence
 from .exactalg import (
     DPoly,
     HD_CTX,
+    IntTerms,
     JetresError,
     MultiPoly,
     QLike,
@@ -55,10 +56,15 @@ from .exactalg import (
     VarContext,
     binomial,
     _add_into,
+    _cleared,
+    _denominator,
+    _divided,
     _graded_mul,
     _graded_series,
     _gradedlex_key,
+    _mac,
     _mul_terms,
+    _scaled,
 )
 from .localization import DegenerateWeightsError
 
@@ -231,21 +237,25 @@ def residue_expand(form: ResidueForm, max_terms: int = DEFAULT_TERM_CAP) -> Mult
             ]
             fser = _graded_series({1: rest}, coeffs, room - mult, len(ctx), ti, tm)
             conv = _graded_mul(conv, {mult + r: t for r, t in fser.items()}, smax, ti, tm)
-        # bucket the carried terms by z_j-exponent (slot zeroed): one product each
-        buckets: dict[int, Terms] = {}
-        for e, c in carried.items():
+        # bucket the carried terms by z_j-exponent (slot zeroed): one product
+        # each, all summed as integers over one common denominator
+        dc, cleared = _cleared(carried)
+        dv = _denominator(conv.values())
+        buckets: dict[int, IntTerms] = {}
+        for e, c in cleared:
             e0 = list(e)
             e0[zj] = 0
-            buckets.setdefault(e[zj] + 1, {})[tuple(e0)] = c
-        new_carried: Terms = {}
+            buckets.setdefault(e[zj] + 1, []).append((tuple(e0), c))
+        acc: dict[tuple[int, ...], int] = {}
         for s, bucket in buckets.items():
             g = conv.get(s)
             if not g:
                 continue
-            _add_into(new_carried, _mul_terms(bucket, g, ti, tm))
-            if len(new_carried) > max_terms:
+            _mac(acc, bucket, _scaled(g, dv), ti, tm)
+            # acc keeps cancelled sums as zeros; only nonzero terms count
+            if len(acc) > max_terms and sum(map(bool, acc.values())) > max_terms:
                 raise ResourceLimitError(f"residue_expand exceeded {max_terms} terms")
-        carried = new_carried
+        carried = _divided(acc.items(), dc * dv)
 
     for e in carried:
         if any(e[i] for i in zpos):
@@ -278,16 +288,10 @@ def _enter(table: FactorTable, terms: Terms, mult: int) -> Q:
     return scale**mult
 
 
-def _derivative(terms: Terms, idx: int) -> Terms:
-    out: Terms = {}
-    for e, c in terms.items():
-        p = e[idx]
-        if p:
-            ne = list(e)
-            ne[idx] = p - 1
-            key = tuple(ne)
-            out[key] = out.get(key, Q(0)) + c * p
-    return {e: c for e, c in out.items() if c}
+def _derivative(terms: IntTerms, idx: int) -> IntTerms:
+    """The derivative in the variable at idx, on integer terms (distinct
+    exponents stay distinct, so nothing is summed)."""
+    return [(e[:idx] + (e[idx] - 1,) + e[idx + 1:], c * e[idx]) for e, c in terms if e[idx]]
 
 
 def residue_stepwise(form: ResidueForm, max_terms: int = DEFAULT_TERM_CAP) -> MultiPoly:
@@ -334,12 +338,20 @@ def residue_stepwise(form: ResidueForm, max_terms: int = DEFAULT_TERM_CAP) -> Mu
                 cofactors = [reduce(_mul_terms, (gt for gt, _ in moving if gt is not ft), one)
                              for ft, _ in moving]
                 numer = num
-                for step in range(m0 - 1):
-                    G: Terms = {}
-                    for (ft, m), cof in zip(moving, cofactors):
-                        _add_into(G, cof, (m + step) * ft[unit])
-                    numer, prev = _mul_terms(_derivative(numer, zj), F), numer
-                    _add_into(numer, _mul_terms(prev, G), Q(-1))
+                if m0 > 1:
+                    # on integers, numer = inum / dnum: each step sums both
+                    # products over the common denominator of F and -G
+                    dnum, inum = _cleared(num)
+                    for step in range(m0 - 1):
+                        minus_g: Terms = {}
+                        for (ft, m), cof in zip(moving, cofactors):
+                            _add_into(minus_g, cof, -(m + step) * ft[unit])
+                        dfg = _denominator((F, minus_g))
+                        acc: dict[tuple[int, ...], int] = {}
+                        _mac(acc, _derivative(inum, zj), _scaled(F, dfg))
+                        _mac(acc, inum, _scaled(minus_g, dfg))
+                        dnum, inum = dnum * dfg, [(e, c) for e, c in acc.items() if c]
+                    numer = _divided(inum, dnum)
                 # substitute z_j = w, w = -(f0 - a0 z_j)/a0, with the minus
                 # sign of the residue at infinity
                 w = {e: -c / a0 for e, c in f0.items() if not e[zj]}
@@ -485,14 +497,18 @@ def _tower_integrand(n: int, k: int, P: MultiPoly, level: Callable[[MultiPoly], 
         factors += level_den
     zpos = [ctx.index(z) for z in zvars]
     live = _prefix_filter(ctx, n, zpos, factors) if over_X else (lambda terms: terms)
-    num = live(_mul_terms(kernel.terms, live(P.terms), ti, tm))
-    for level_num, _ in levels:
-        for f in level_num:
-            num = live(_mul_terms(num, f.terms, ti, tm))
+    # the products run on integers over one growing denominator, filtered
+    # before the single division at the end
+    den, num = _cleared(live(P.terms))
+    for f in [kernel] + [g for level_num, _ in levels for g in level_num]:
+        df, fi = _cleared(f.terms)
+        acc: dict[tuple[int, ...], int] = {}
+        _mac(acc, num, fi, ti, tm)
+        den, num = den * df, [(e, c) for e, c in live(acc).items() if c]
     zh = [name in zvars or name == "h" for name in ctx.names]
     degrees = {sum(p for p, used in zip(e, zh) if used) for e in P.terms}
     return ResidueForm(
-        MultiPoly._raw(ctx, num),
+        MultiPoly._raw(ctx, _divided(num, den)),
         factors,
         zvars,
         trunc=("h", n) if over_X else None,

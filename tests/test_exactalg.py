@@ -125,11 +125,37 @@ def _grade(e):
     return sum(w * x for w, x in zip(WEIGHTS, e))
 
 
-@given(terms_st, terms_st, cap_st, trunc_st)
-def test_graded_mul_is_the_truncated_full_product(a, b, cap, trunc):
+def _cancelling_pair(p, q, r, m1, m2):
+    """a = x^m1 (p x0 + q x1), b = x^m2 (r x1 - (p r / q) x0): the bucket pairs
+    of grades (1, 2) and (2, 1) above the shifts give the same monomial
+    x^(m1 + m2) x0 x1 with coefficients p r and -p r, and nothing else lands
+    in that grade."""
+
+    def shift(m, e):
+        return tuple(x + y for x, y in zip(m, e))
+
+    a = {shift(m1, (1, 0, 0)): p, shift(m1, (0, 1, 0)): q}
+    b = {shift(m2, (0, 1, 0)): r, shift(m2, (1, 0, 0)): -p * r / q}
+    return a, b
+
+
+nonzero_q_st = st.builds(Q, st.integers(1, 9) | st.integers(-9, -1), st.integers(1, 5))
+shift_st = st.tuples(*[st.integers(0, 1)] * 3)
+operands_st = st.one_of(
+    st.tuples(terms_st, terms_st),
+    st.builds(_cancelling_pair, nonzero_q_st, nonzero_q_st, nonzero_q_st, shift_st, shift_st),
+)
+
+
+@given(operands_st, st.integers(0, 10), trunc_st)
+def test_graded_mul_is_the_truncated_full_product(operands, cap, trunc):
+    a, b = operands
     ti, tm = trunc
     got = _graded_mul(_graded(a, WEIGHTS, cap), _graded(b, WEIGHTS, cap), cap, ti, tm)
     assert all(_grade(e) == g for g, part in got.items() for e in part)
+    # canonical: no empty grade, no zero coefficient, every coefficient a Q
+    assert all(got.values())
+    assert all(type(c) is Q and c for part in got.values() for c in part.values())
     full = _mul_terms(a, b)
     assert _flat(got) == {
         e: c for e, c in full.items() if _grade(e) <= cap and (ti < 0 or e[ti] <= tm)
