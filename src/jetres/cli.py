@@ -25,13 +25,12 @@ from .exactalg import DPoly, HD_CTX, JetresError, MultiPoly, VarContext
 from .ggl import (
     GGLConfig,
     ample_condition,
-    assemble_intersection_from_tables,
     build_intersection_polynomial,
     estimate_checks,
     euler_characteristic,
-    expansion_diagnostics,
     fujiwara_certificate,
     ggl_threshold_check,
+    intersection_payload,
 )
 from .localization import fibre_integral_fixed_points
 from .polyparse import parse_poly, parse_residue_form
@@ -40,6 +39,7 @@ from .residue import (
     ResidueForm,
     fibre_residue_integrand,
     hypersurface_integrand,
+    integral_over_tower,
     integrate_over_X,
     residue_expand,
     residue_stepwise,
@@ -197,12 +197,12 @@ def _fixed_points(params: Mapping[str, Any], budgets: dict[str, Any]) -> Outcome
 
 def _ggl(params: Mapping[str, Any], budgets: dict[str, Any]) -> Outcome:
     _require(params, "n")
-    n, max_terms = _scalar(params["n"], "n"), budgets["max_terms"]
+    n, max_points = _scalar(params["n"], "n"), budgets["max_points"]
     if params.get("a") is not None:
         a = _ints(params, "a")
         delta = _scalar(params.get("delta", 0), "delta", Q)
         cfg = GGLConfig(n=n, k=_scalar(params.get("k", len(a)), "k"), a=a, delta=delta)
-        I, p = build_intersection_polynomial(cfg, max_terms)
+        I, p = build_intersection_polynomial(cfg, max_points)
         bound = params.get("bound")
         bound = 3 * n ** (8 * n) if bound is None else _scalar(bound, "bound", Q)
         spot = int(2 * bound) + 1
@@ -214,7 +214,7 @@ def _ggl(params: Mapping[str, Any], budgets: dict[str, Any]) -> Outcome:
             "spot_checks": [{"d": spot, "positive": I(spot) > 0}],
         }
     else:
-        rep = ggl_threshold_check(n, max_terms)
+        rep = ggl_threshold_check(n, max_points)
         cfg, I = rep.config, rep.intersection
         result = {
             "config": {"a": list(cfg.a), "delta": _q_doc(cfg.delta), "k": cfg.k},
@@ -224,10 +224,9 @@ def _ggl(params: Mapping[str, Any], budgets: dict[str, Any]) -> Outcome:
             "positivity_threshold": 2 * rep.bound,
             "spot_checks": [{"d": dv, "positive": ok} for dv, ok in rep.spot_checks],
         }
-    check = ("coefficient-table-assembly", "table assembly and residue engine disagree",
-             lambda: assemble_intersection_from_tables(
-                 expansion_diagnostics(n, defect_cap=4 * n + 2, config=cfg)),
-             lambda: I)
+    check = ("localization-vs-residue", "localization and residue routes disagree", lambda: I,
+             lambda: integral_over_tower(cfg.n, cfg.k, intersection_payload(cfg),
+                                         budgets["max_terms"]))
     return result, check
 
 

@@ -1,17 +1,22 @@
 """Degree-threshold pipeline: intersection polynomial, certificates, estimates.
 
 The positivity question is reduced to a polynomial in the hypersurface degree
-d: build the weighted tautological payload, push it through the hypersurface
-residue, and read off I(d) = d * p(d).  Positivity of p beyond a bound is
-certified by the Fujiwara coefficient criterion.  The same coefficients are
-recomputed a second way from the Laurent-coefficient tables of the kernel
-factors (A0, A1, A2) paired against the payload table (B), which is also the
-machinery behind the defect/lattice estimates.
+d: integrate the weighted tautological payload over the jet tower above the
+degree-d hypersurface and read off I(d) = d * p(d).  The payload is a power
+of one linear form times another, so its h <= n part is n + 1 blocks
+q_b(d) h^b c_1^(dim-b), and `build_intersection_polynomial` integrates them
+by fixed-point localization (`integral_over_tower_fixed_points`); the
+expanded payload is never built.  Positivity of p beyond a bound is
+certified by the Fujiwara coefficient criterion.  The second route for I(d)
+is the hypersurface residue over the expanded payload
+(`integral_over_tower(n, k, intersection_payload(cfg))`), which the CLI runs
+under `ggl --verify`.
 
-Also here: the lattice cone of admissible exponents with its defect grading,
-the relative nef/ample test for weight vectors, and the Euler characteristic
-of the pushed-forward tautological line bundle via the same residue kernel
-with exponential and Todd factors.
+Also here: the Laurent-coefficient tables of the kernel factors behind the
+defect/lattice estimates, the lattice cone of admissible exponents with its
+defect grading, the relative nef/ample test for weight vectors, and the
+Euler characteristic of the pushed-forward tautological line bundle via the
+residue kernel with exponential and Todd factors.
 """
 
 from __future__ import annotations
@@ -40,16 +45,17 @@ from .exactalg import (
     binomial,
     multinomial,
 )
+from .localization import integral_over_tower_fixed_points
 from .residue import (
     DEFAULT_TERM_CAP,
     _zsum,
     demailly_integrand,
-    integral_over_tower,
     integrate_over_X,
     residue_expand,
     segre_hypersurface,
     tower_context,
 )
+from .tower import DEFAULT_POINT_CAP
 
 __all__ = [
     "GGLConfig",
@@ -134,11 +140,26 @@ def intersection_payload(cfg: GGLConfig, ctx: VarContext | None = None) -> Multi
     return (az + 2 * cfg.a_total * h) ** ((k + 1) * (n - 1)) * (az + S * cfg.a_total * h)
 
 
+def _payload_blocks(cfg: GGLConfig) -> list[DPoly]:
+    """The h <= n part of the payload as blocks q_b(d) h^b c_1^(N+1-b),
+    b = 0..n, with c_1 = sum a_i z_i and N = (k+1)(n-1):
+    q_b = C(N, b) A^b + C(N, b-1) A^(b-1) |a| S for A = 2|a|."""
+    N, A = (cfg.k + 1) * (cfg.n - 1), 2 * cfg.a_total
+    S = DPoly.from_multipoly(s_constant(cfg.n, cfg.k, cfg.delta), "d")
+    blocks = [DPoly([1])]
+    for b in range(1, cfg.n + 1):
+        blocks.append(DPoly([binomial(N, b) * A**b])
+                      + S * (binomial(N, b - 1) * A ** (b - 1) * cfg.a_total))
+    return blocks
+
+
 def build_intersection_polynomial(
-    cfg: GGLConfig, max_terms: int = DEFAULT_TERM_CAP
+    cfg: GGLConfig, max_points: int = DEFAULT_POINT_CAP
 ) -> tuple[DPoly, DPoly]:
-    """The pair (I, p) with I(d) = d * p(d), via the hypersurface residue."""
-    I = integral_over_tower(cfg.n, cfg.k, intersection_payload(cfg), max_terms=max_terms)
+    """The pair (I, p) with I(d) = d * p(d), by fixed-point localization."""
+    I = integral_over_tower_fixed_points(
+        cfg.n, cfg.k, cfg.a, _payload_blocks(cfg), point_cap=max_points
+    )
     p = I.divide_exact(DPoly([0, 1]))
     if p is None:
         raise JetresError("intersection polynomial not divisible by d")
@@ -242,7 +263,6 @@ class CoefficientTable:
     """
 
     n: int
-    config: GGLConfig
     defect_cap: int
     a0: dict[Key, Q]
     a1: dict[Key, Q]
@@ -284,12 +304,8 @@ def _payload_table(cfg: GGLConfig) -> dict[Key, Q]:
     return out
 
 
-def expansion_diagnostics(
-    n: int,
-    defect_cap: int,
-    config: GGLConfig | None = None,
-) -> CoefficientTable:
-    """Exact coefficient tables of the kernel and payload factors for n = k.
+def expansion_diagnostics(n: int, defect_cap: int) -> CoefficientTable:
+    """Exact coefficient tables of the kernel and the canonical payload (k = n).
 
     Kernel entries are built on flat exponents (z_1..z_n, s, t), graded by
     D(z) + n(s + t) and kept up to grade defect_cap + 4n^2, with h^(n+1) = 0.
@@ -299,9 +315,6 @@ def expansion_diagnostics(
     defect_cap + 2n^2, and the dh power never exceeds n because each of the
     n a0 factors has one dh.  Every returned coefficient is a finite exact sum.
     """
-    cfg = config if config is not None else canonical_config(n)
-    if cfg.n != n or cfg.k != n:
-        raise ValueError("diagnostics require the n = k specialization")
     if defect_cap < 0:
         raise ValueError("defect_cap must be >= 0")
     order = defect_cap + 2 * n * n
@@ -350,7 +363,7 @@ def expansion_diagnostics(
         return out
 
     tables = [keyed(tb) for tb in (a0, a1, a2, a)]
-    return CoefficientTable(n, cfg, defect_cap, *tables, b=_payload_table(cfg))
+    return CoefficientTable(n, defect_cap, *tables, b=_payload_table(canonical_config(n)))
 
 
 def assemble_intersection_from_tables(table: CoefficientTable) -> DPoly:
@@ -699,10 +712,10 @@ class ThresholdReport:
         return "\n".join(lines)
 
 
-def ggl_threshold_check(n: int, max_terms: int = DEFAULT_TERM_CAP) -> ThresholdReport:
+def ggl_threshold_check(n: int, max_points: int = DEFAULT_POINT_CAP) -> ThresholdReport:
     """Certify I(d) > 0 for d > 6 n^(8n) on the canonical instance."""
     cfg = canonical_config(n)
-    I, p = build_intersection_polynomial(cfg, max_terms)
+    I, p = build_intersection_polynomial(cfg, max_points)
     bound = 3 * n ** (8 * n)
     cert = fujiwara_certificate(p, bound)
     threshold = 2 * bound

@@ -24,7 +24,7 @@ k(n-1) tangent factors.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .exactalg import JetresError, MultiPoly, Q, QLike, ResourceLimitError, VarContext
@@ -42,7 +42,6 @@ __all__ = [
     "lambda_context",
     "weight_value",
     "weight_poly",
-    "tangent_weights",
     "DEFAULT_POINT_CAP",
 ]
 
@@ -70,38 +69,33 @@ class Weight:
     def __neg__(self) -> "Weight":
         return Weight(tuple(-a for a in self.coeffs))
 
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
 
 def basis_weights(n: int) -> list[Weight]:
     return [Weight(tuple(1 if j == i else 0 for j in range(n))) for i in range(n)]
 
 
-def _validate_prefix(prefix: Sequence[Weight], n: int) -> list[list[Weight]]:
-    """Walk the recursion, returning the successive weight sets S_0..S_len."""
-    sets = [basis_weights(n)]
+def _step(current: Sequence[Weight], chosen: Weight) -> tuple[tuple[Weight, ...], list[Weight]]:
+    """One level: its tangent weights w - chosen (w != chosen in the sorted
+    set `current`) and the sorted weight set above it, those and chosen."""
+    deltas = tuple(w - chosen for w in current if w != chosen)
+    return deltas, sorted({chosen, *deltas})
+
+
+def _validate_prefix(prefix: Sequence[Weight], n: int) -> tuple[list[Weight], list[Weight]]:
+    """Walk the recursion: the weight set above the prefix and the prefix's
+    tangent weights, level by level."""
+    current, tangent = sorted(basis_weights(n)), []
     for i, w in enumerate(prefix):
-        current = sets[-1]
         if w not in current:
             raise ValidationError(f"prefix weight {w.coeffs} at position {i} not in its weight set")
-        sets.append(_next_set(current, w))
-    return sets
-
-
-def _next_set(current: Sequence[Weight], chosen: Weight) -> list[Weight]:
-    out = {chosen}
-    for w in current:
-        delta = w - chosen
-        if not delta.is_zero:
-            out.add(delta)
-    return sorted(out)
+        deltas, current = _step(current, w)
+        tangent.extend(deltas)
+    return current, tangent
 
 
 def weight_set_recursive(prefix: Sequence[Weight], n: int) -> list[Weight]:
     """Weight set above a valid prefix, by the level-by-level recursion."""
-    return sorted(_validate_prefix(list(prefix), n)[-1])
+    return _validate_prefix(list(prefix), n)[0]
 
 
 def weight_set_closed(prefix: Sequence[Weight], n: int) -> list[Weight]:
@@ -150,13 +144,28 @@ def weight_set_closed(prefix: Sequence[Weight], n: int) -> list[Weight]:
 
 @dataclass(frozen=True)
 class FixedPoint:
-    """A fixed point of the tower fibre: a valid chain (w_1, ..., w_k)."""
+    """A fixed point of the tower fibre: a valid chain (w_1, ..., w_k).
+
+    `tangent` holds the k(n-1) tangent weights w - w_j over all levels j; it
+    is derived from the chain while the chain is validated, never passed in.
+    """
 
     weights: tuple[Weight, ...]
     n: int
+    tangent: tuple[Weight, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _validate_prefix(self.weights, self.n)
+        object.__setattr__(self, "tangent", tuple(_validate_prefix(self.weights, self.n)[1]))
+
+    @classmethod
+    def _walked(
+        cls, weights: tuple[Weight, ...], n: int, tangent: tuple[Weight, ...]
+    ) -> "FixedPoint":
+        """A chain whose weight sets the caller has just walked: no second walk."""
+        fp = object.__new__(cls)
+        for name, value in (("weights", weights), ("n", n), ("tangent", tangent)):
+            object.__setattr__(fp, name, value)
+        return fp
 
     @property
     def k(self) -> int:
@@ -164,33 +173,26 @@ class FixedPoint:
 
 
 def enumerate_fixed_points(n: int, k: int, point_cap: int = DEFAULT_POINT_CAP) -> list[FixedPoint]:
-    """All n^k weight chains, in deterministic (sorted-set DFS) order."""
+    """All n^k weight chains, in deterministic (sorted-set DFS) order.
+
+    One DFS builds each chain with its tangent weights, walking every
+    weight set once; a point is not validated a second time.
+    """
     if n < 2 or k < 1:
         raise ValueError("need n >= 2 and k >= 1")
     if n**k > point_cap:
         raise ResourceLimitError(f"{n}^{k} fixed points exceed cap {point_cap}")
     out: list[FixedPoint] = []
 
-    def rec(chain: list[Weight], current: list[Weight]) -> None:
-        if len(chain) == k:
-            out.append(FixedPoint(tuple(chain), n))
-            return
-        for w in current:
-            rec(chain + [w], _next_set(current, w))
+    def rec(chain: tuple[Weight, ...], current: list[Weight], tangent: tuple[Weight, ...]) -> None:
+        for wj in current:
+            deltas, above = _step(current, wj)
+            if len(chain) == k - 1:
+                out.append(FixedPoint._walked(chain + (wj,), n, tangent + deltas))
+            else:
+                rec(chain + (wj,), above, tangent + deltas)
 
-    rec([], sorted(basis_weights(n)))
-    return out
-
-
-def tangent_weights(fp: FixedPoint) -> list[Weight]:
-    """The k(n-1) tangent weights w - w_j over all levels j."""
-    out: list[Weight] = []
-    current = sorted(basis_weights(fp.n))
-    for wj in fp.weights:
-        for w in current:
-            if w != wj:
-                out.append(w - wj)
-        current = _next_set(current, wj)
+    rec((), sorted(basis_weights(n)), ())
     return out
 
 
@@ -217,7 +219,7 @@ def euler_class(fp: FixedPoint, ctx: VarContext | None = None) -> MultiPoly:
     if ctx is None:
         ctx = lambda_context(fp.n)
     out = MultiPoly.const(ctx, 1)
-    for w in tangent_weights(fp):
+    for w in fp.tangent:
         out = out * weight_poly(w, ctx)
     return out
 
@@ -225,6 +227,6 @@ def euler_class(fp: FixedPoint, ctx: VarContext | None = None) -> MultiPoly:
 def euler_value(fp: FixedPoint, lams: Sequence[QLike]) -> Q:
     """Euler class at numeric lambda values (exact rational)."""
     out = Q(1)
-    for w in tangent_weights(fp):
+    for w in fp.tangent:
         out *= weight_value(w, lams)
     return out

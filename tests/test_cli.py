@@ -246,7 +246,7 @@ def test_run_job_ggl_custom_config():
         (["fibre-integral", "-n", "2", "-k", "2", "-P", "u1*u2", "--lambdas", "1,3"], "dual-route"),
         (["integral", "-n", "2", "-k", "2", "-P", "(u1+2*u2+h)^4"], "expand-vs-stepwise"),
         (["residue", "--form", "z2^2/((z1)^2*(z1-z2)*(2*z1-z2))"], "expand-vs-stepwise"),
-        (["ggl", "-n", "2", "--a", "3,1"], "coefficient-table-assembly"),
+        (["ggl", "-n", "2", "--a", "3,1"], "localization-vs-residue"),
         (["euler-char", "-n", "2", "-k", "2", "--a", "6,2"], "budget-stability"),
     ],
     ids=["fibre-integral", "integral", "residue", "ggl", "euler-char"],
@@ -260,17 +260,32 @@ def test_verify_names_its_method(argv, method, capsys):
     "argv", [["ggl", "-n", "2"], ["ggl", "-n", "2", "--a", "3,1"]], ids=["canonical", "custom"]
 )
 def test_ggl_verify_reuses_the_primary_intersection(argv, monkeypatch, capsys):
-    calls = []
-    real = jetres.ggl.integral_over_tower
+    # one localization run gives the primary I(d), one residue run checks it
+    calls = {"localization": 0, "residue": 0}
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
 
-    monkeypatch.setattr(jetres.ggl, "integral_over_tower", counted)
+        return wrapper
+
+    monkeypatch.setattr(jetres.ggl, "integral_over_tower_fixed_points",
+                        counted("localization", jetres.ggl.integral_over_tower_fixed_points))
+    monkeypatch.setattr(jetres.cli, "integral_over_tower",
+                        counted("residue", jetres.cli.integral_over_tower))
     assert main(argv + ["--verify"]) == 0
     assert json.loads(capsys.readouterr().out)["verify"]["match"]
-    assert len(calls) == 1
+    assert calls == {"localization": 1, "residue": 1}
+
+
+def test_ggl_verify_with_k_not_n(capsys):
+    # the residue check handles any k; the table-assembly check it replaced
+    # refused k != n
+    assert main(["ggl", "-n", "2", "--a", "9,3,1", "--verify"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verify"] == {"match": True, "method": "localization-vs-residue"}
+    assert len(doc["result"]["intersection"]["coefficients"]) == 4
 
 
 def test_verify_mismatch_exits_3(monkeypatch, capsys):
@@ -356,8 +371,18 @@ def test_bad_zvars_are_validation_errors(zvars, tmp_path, capsys):
 
 
 def test_residue_expand_cap_names_its_stage(capsys):
-    code = main(["ggl", "-n", "3", "--max-terms", "30"])
+    # only the residue check of ggl --verify is bounded by max_terms
+    code = main(["ggl", "-n", "3", "--max-terms", "30", "--verify"])
     error = json.loads(capsys.readouterr().err)["error"]
     assert code == 3
     assert error["code"] == "resource"
     assert "residue_expand" in error["message"]
+
+
+def test_ggl_point_cap_is_a_resource_error(capsys):
+    # the primary localization route is bounded by the fixed-point count
+    code = main(["ggl", "-n", "3", "--max-points", "5"])
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert code == 3
+    assert error["code"] == "resource"
+    assert "fixed points exceed cap 5" in error["message"]

@@ -7,8 +7,10 @@ import pathlib
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from jetres.exactalg import DPoly, Q
+from jetres.exactalg import DPoly, JetresError, Q
 from jetres.ggl import (
     GGLConfig,
     ample_condition,
@@ -25,10 +27,12 @@ from jetres.ggl import (
     expansion_diagnostics,
     fujiwara_certificate,
     ggl_threshold_check,
+    intersection_payload,
     lambda_plus_member,
     lambda_plus_member_bruteforce,
     s_constant,
 )
+from jetres.residue import integral_over_tower
 
 CORPUS = pathlib.Path(__file__).parent / "corpus"
 
@@ -215,12 +219,50 @@ def test_threshold_n3():
     assert all(ok for _, ok in rep.spot_checks)
 
 
-@pytest.mark.slow
 def test_threshold_n4():
     rep = ggl_threshold_check(4)
     assert rep.certificate
     assert all(ok for _, ok in rep.spot_checks)
     assert rep.intersection.degree() == 5
+
+
+@pytest.mark.slow
+def test_threshold_n5():
+    rep = ggl_threshold_check(5)
+    assert rep.certificate
+    assert all(ok for _, ok in rep.spot_checks)
+    assert rep.intersection.degree() == 6
+
+
+@given(
+    st.integers(2, 3).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.integers(1, 30), min_size=1, max_size=3),
+        st.fractions(min_value=0, max_value=10, max_denominator=12),
+    ))
+)
+def test_localization_matches_the_residue_route(case):
+    n, a, delta = case
+    cfg = GGLConfig(n=n, k=len(a), a=tuple(a), delta=delta)
+    I, _ = build_intersection_polynomial(cfg)
+    assert I == integral_over_tower(n, cfg.k, intersection_payload(cfg))
+
+
+def test_localization_rejects_a_disagreeing_draw(monkeypatch):
+    # n = 2 takes p(2) + 1 = 3 draws; with the e_i of the last one off by
+    # one, the interpolant from the first two cannot fit it
+    import jetres.localization as loc
+
+    real, calls = loc._elementary, []
+
+    def skewed(lams):
+        calls.append(lams)
+        e = real(lams)
+        return e if len(calls) < 3 else [x + 1 for x in e]
+
+    monkeypatch.setattr(loc, "_elementary", skewed)
+    with pytest.raises(JetresError, match="not one symmetric polynomial"):
+        build_intersection_polynomial(canonical_config(2))
 
 
 def test_ample_condition():

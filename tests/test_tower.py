@@ -71,6 +71,30 @@ def test_enumeration_counts():
     assert len({fp.weights for fp in pts}) == 9
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_enumeration_is_the_validated_dfs(n):
+    # the one-DFS enumeration builds its points without re-walking their
+    # chains: they must be the validated FixedPoints in the same order, with
+    # the tangent weights w - w_j read off the closed-form weight sets
+    for k in range(1, 5):
+        chains, tangents = [], []
+
+        def rec(prefix, tangent):
+            if len(prefix) == k:
+                chains.append(FixedPoint(tuple(prefix), n))
+                tangents.append(tuple(tangent))
+                return
+            closed = weight_set_closed(prefix, n)
+            for w in weight_set_recursive(prefix, n):
+                rec(prefix + [w], tangent + [v - w for v in closed if v != w])
+
+        rec([], [])
+        points = enumerate_fixed_points(n, k)
+        assert points == chains
+        assert [fp.tangent for fp in points] == tangents
+        assert [fp.tangent for fp in chains] == tangents
+
+
 def test_enumeration_cap():
     with pytest.raises(ResourceLimitError):
         enumerate_fixed_points(2, 5, point_cap=16)
