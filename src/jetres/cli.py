@@ -233,7 +233,7 @@ def _ggl(params: Mapping[str, Any], budgets: dict[str, Any]) -> Outcome:
 def _diagnostics(params: Mapping[str, Any], budgets: dict[str, Any]) -> Outcome:
     _require(params, "n")
     n, defect_cap = _scalar(params["n"], "n"), _scalar(params.get("defect_cap", 4), "defect_cap")
-    rep = estimate_checks(n, defect_cap)
+    rep = estimate_checks(n, defect_cap, budgets["max_terms"])
     checks = [
         {"name": name, "passed": ok, "required": req, "details": details}
         for name, ok, req, details in rep.checks
@@ -316,7 +316,8 @@ def _build_argparser() -> argparse.ArgumentParser:
     ap.add_argument("--job", help="JSON job file with parameters")
     ap.add_argument("--verify", action="store_true", help="run the dual method and compare")
     ap.add_argument("--max-points", type=int, help="fixed-point enumeration cap")
-    ap.add_argument("--max-terms", type=int, help="sparse-term cap for residues")
+    ap.add_argument("--max-terms", type=int,
+                    help="sparse-term cap for residues and the diagnostics tables")
     ap.add_argument("--budget", type=int, help="series truncation budget (euler-char)")
     ap.add_argument("--out", help="write the result document to this file")
     ap.add_argument("-n", type=int, dest="n")

@@ -15,16 +15,32 @@ All values are immutable after construction and every operation is a pure
 function, so values can be shared freely between threads.  Canonical form is
 "no zero terms"; serialization order is graded lexicographic on the context's
 fixed variable order, so equal values print identically.
+
+Every sum of sparse products runs through one kernel, on integer
+coefficients (each operand cleared of its denominators once) and on packed
+exponent keys: inside ``_sum_products`` an exponent vector is one integer
+with a fixed-width signed digit per variable, so adding two exponent vectors
+is one integer addition.  The invariant: no digit of a key ever leaves its
+width.  ``_sum_products`` enforces it for each call by choosing the digit
+width from the operands, with room for every exponent of magnitude up to
+M_a + M_b, where M_a is the largest |exponent| among the left operands and
+M_b among the right ones.  A product's exponents stay within that bound, so
+two distinct exponent vectors never share a key and every key reads back
+exactly.  Keys never leave ``_sum_products``: its callers pass and receive
+exponent tuples.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from math import factorial, lcm
-from operator import add
+from operator import add, mul
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 __all__ = [
@@ -152,37 +168,109 @@ def _cleared(terms: Terms) -> tuple[int, IntTerms]:
     return den, _scaled(terms, den)
 
 
-def _mac(
-    acc: dict[tuple[int, ...], int],
-    ia: IntTerms,
-    ib: IntTerms,
+# Signed array typecodes by digit width in bytes, narrowest first.
+_DIGIT_FORMATS = {array(t).itemsize: t for t in "bhiq"}
+
+# A packed operand: (key, coefficient) terms and, when the product is
+# truncated, the terms' exponents at the truncation slot in ascending order
+# (the terms sorted the same way); else None.
+Packed = tuple[list[tuple[int, int]], list[int] | None]
+
+
+def _mac(acc: dict[int, int], a: Packed, b: Packed, trunc_max: int) -> None:
+    """acc += a * b on packed operands, dropping truncation exponents above
+    trunc_max: the one multiply-accumulate kernel.  Under truncation each
+    term of the shorter operand meets the prefix of the longer one whose
+    exponents fit beside its own."""
+    (ta, xa), (tb, xb) = (a, b) if len(a[0]) >= len(b[0]) else (b, a)
+    get = acc.get
+    if xa is None:
+        for kb, cb in tb:
+            for ka, ca in ta:
+                k = ka + kb
+                acc[k] = get(k, 0) + ca * cb
+        return
+    for (kb, cb), x in zip(tb, xb):
+        cut = bisect_right(xa, trunc_max - x)
+        if not cut:
+            break  # xb ascends, so no later term has room either
+        for ka, ca in ta[:cut]:
+            k = ka + kb
+            acc[k] = get(k, 0) + ca * cb
+
+
+def _sum_products(
+    groups: Sequence[Sequence[tuple[IntTerms, IntTerms]]],
     trunc_idx: int = -1,
     trunc_max: int = 0,
-) -> None:
-    """acc += ia * ib on integer terms, dropping exponents above trunc_max at
-    trunc_idx if set: the one multiply-accumulate kernel.  Sums that cancel
-    stay in acc as zeros; _divided drops them."""
-    if len(ib) > len(ia):
-        ia, ib = ib, ia
-    get = acc.get
-    if trunc_idx >= 0:
-        top = max((ea[trunc_idx] for ea, _ in ia), default=0)
-    for eb, cb in ib:
-        part = ia
-        if trunc_idx >= 0:
-            room = trunc_max - eb[trunc_idx]
-            if room < top:
-                part = [(ea, ca) for ea, ca in ia if ea[trunc_idx] <= room]
-        for ea, ca in part:
-            e = tuple(map(add, ea, eb))
-            acc[e] = get(e, 0) + ca * cb
+    cap: tuple[int, str] | None = None,
+) -> Iterator[dict[tuple[int, ...], int]]:
+    """For each group of operand pairs (a, b), the nonzero sums of the
+    products a * b over the group, keyed by exponent tuples (which may be
+    negative); exponents above trunc_max at trunc_idx are dropped if
+    trunc_idx is set.
+
+    The one entry point to _mac, and the only code that builds or reads a
+    packed key.  An exponent vector e of width w is the integer
+    sum_i e_i 256^(s i): one signed digit of s bytes per variable.  The width
+    rule: with M_a the largest |e_i| over the left operands of the call and
+    M_b over the right ones, s is the least of 1, 2, 4, 8 with
+    2 (M_a + M_b) < 256^s.  Every digit of a left key plus a right key, the
+    key of the exponent sum, then lies in [-(M_a + M_b), M_a + M_b], inside
+    the digit's range [-256^s / 2, 256^s / 2): no digit spills into the next,
+    so distinct exponent vectors have distinct keys and every sum reads back
+    exactly.  Exponents too large for 8-byte digits raise ResourceLimitError.
+
+    Each distinct operand is packed once, each group is summed
+    into one accumulator and read back as it is yielded.  With cap =
+    (max_terms, stage), a group whose nonzero sums exceed max_terms after
+    any of its pairs raises ResourceLimitError naming the stage.
+    """
+    left: dict[int, IntTerms] = {}
+    right: dict[int, IntTerms] = {}
+    for pairs in groups:
+        for a, b in pairs:
+            left[id(a)] = a
+            right[id(b)] = b
+    ea = [e for t in left.values() for e, _ in t]
+    eb = [e for t in right.values() for e, _ in t]
+    width = len(ea[0]) if ea and eb else 0
+    # the width rule: M_a + M_b
+    reach = (max(max(map(max, ea)), -min(map(min, ea)))
+             + max(max(map(max, eb)), -min(map(min, eb)))) if width else 0
+    size = next((s for s in _DIGIT_FORMATS if 2 * reach < 256**s), None)
+    if size is None:
+        raise ResourceLimitError(f"exponents of {reach} exceed the packed kernel's range")
+    place = [256 ** (size * i) for i in range(width)]
+    if trunc_idx < 0:
+        packed = {i: ([(sum(map(mul, e, place)), c) for e, c in t], None)
+                  for i, t in (left | right).items()}
+    else:
+        packed = {}
+        for i, t in (left | right).items():
+            t = sorted(t, key=lambda term: term[0][trunc_idx])
+            packed[i] = ([(sum(map(mul, e, place)), c) for e, c in t],
+                         [e[trunc_idx] for e, _ in t])
+    # reading a key back: adding half of each digit's range makes every digit
+    # its exponent plus that half, unsigned; the xor then leaves each
+    # exponent in two's complement, which the signed typecode reads
+    half = sum(place) << (8 * size - 1)
+    fmt, nbytes, order = _DIGIT_FORMATS[size], size * width, sys.byteorder
+    for pairs in groups:
+        acc: dict[int, int] = {}
+        for a, b in pairs:
+            _mac(acc, packed[id(a)], packed[id(b)], trunc_max)
+            if cap is not None and len(acc) > cap[0] and sum(map(bool, acc.values())) > cap[0]:
+                raise ResourceLimitError(f"{cap[1]} exceeded {cap[0]} terms")
+        yield {tuple(memoryview(((k + half) ^ half).to_bytes(nbytes, order)).cast(fmt)): c
+               for k, c in acc.items() if c}
 
 
 def _divided(sums: Iterable[tuple[tuple[int, ...], int]], den: int) -> Terms:
-    """Integer sums over den as canonical terms (zeros dropped)."""
+    """Nonzero integer sums over den as canonical terms."""
     if den == 1:
-        return {e: Q(c) for e, c in sums if c}
-    return {e: Q(c, den) for e, c in sums if c}
+        return {e: Q(c) for e, c in sums}
+    return {e: Q(c, den) for e, c in sums}
 
 
 def _mul_terms(
@@ -193,17 +281,17 @@ def _mul_terms(
 ) -> Terms:
     """Raw sparse product; drops exponents above trunc_max at trunc_idx if set.
 
-    The one-pair case of _mac: each operand is scaled to integers by the lcm
-    of its denominators, the products are summed as ints, and each sum is
-    divided by the product of the two denominators once, at the end.
+    The one-pair case of _sum_products: each operand is scaled to integers
+    by the lcm of its denominators, the products are summed as ints, and
+    each sum is divided by the product of the two denominators once, at the
+    end.
     """
     if not ta or not tb:
         return {}
     da, ia = _cleared(ta)
     db, ib = _cleared(tb)
-    acc: dict[tuple[int, ...], int] = {}
-    _mac(acc, ia, ib, trunc_idx, trunc_max)
-    return _divided(acc.items(), da * db)
+    (sums,) = _sum_products([[(ia, ib)]], trunc_idx, trunc_max)
+    return _divided(sums.items(), da * db)
 
 
 def _add_into(acc: Terms, terms: Terms, scale: Q | None = None) -> None:
@@ -263,25 +351,21 @@ def _graded_mul(
     negative, which all callers guarantee by their choice of weights.
 
     Each operand is scaled to integers once, by the lcm of the denominators
-    over all of its buckets.  The output grades are made one at a time: every
-    bucket pair with g1 + g2 = g is summed into one integer accumulator, which
-    is divided by the two denominators' product once.  Zero sums and empty
-    grades are dropped.
+    over all of its buckets, and packed once.  The output grades are made one
+    at a time: every bucket pair with g1 + g2 = g is one group of
+    _sum_products, whose sums are divided by the two denominators' product
+    once.  Zero sums and empty grades are dropped.
     """
     da = _denominator(a.values())
     db = _denominator(b.values())
     ia = {g: _scaled(t, da) for g, t in a.items()}
     ib = {g: _scaled(t, db) for g, t in b.items()}
+    grades = sorted({g1 + g2 for g1 in ia for g2 in ib if g1 + g2 <= cap})
+    groups = [[(t1, ib[g - g1]) for g1, t1 in ia.items() if g - g1 in ib] for g in grades]
     out: Graded = {}
-    for g in sorted({g1 + g2 for g1 in ia for g2 in ib if g1 + g2 <= cap}):
-        acc: dict[tuple[int, ...], int] = {}
-        for g1, t1 in ia.items():
-            t2 = ib.get(g - g1)
-            if t2 is not None:
-                _mac(acc, t1, t2, trunc_idx, trunc_max)
-        terms = _divided(acc.items(), da * db)
-        if terms:
-            out[g] = terms
+    for g, sums in zip(grades, _sum_products(groups, trunc_idx, trunc_max)):
+        if sums:
+            out[g] = _divided(sums.items(), da * db)
     return out
 
 
@@ -510,9 +594,8 @@ class MultiPoly:
         each group takes one product per variable it carries.  Everything
         runs on integers: with D the denominator of the polynomial's terms,
         D_v that of a value v and p_v the top power of v, a group holding
-        v^p is scaled by D_v^(p_v - p), so every group's last product is
-        summed into one accumulator over D * prod_v D_v^(p_v), which is
-        divided once.
+        v^p is scaled by D_v^(p_v - p), so the groups' last products are
+        one sum over D * prod_v D_v^(p_v), which is divided once.
         """
         subs: dict[int, Terms] = {}
         for name, val in assignments.items():
@@ -532,14 +615,13 @@ class MultiPoly:
         for pos, value in enumerate(subs.values()):
             dv, iv = _cleared(value)
             top = max((key[pos] for key in buckets), default=0)
-            pw = [unit]
-            for _ in range(top):
-                power: dict[tuple[int, ...], int] = {}
-                _mac(power, pw[-1], iv)
-                pw.append([(e, c) for e, c in power.items() if c])
+            pw = [unit, iv][: top + 1]
+            for _ in range(top - 1):
+                (power,) = _sum_products([[(pw[-1], iv)]])
+                pw.append(list(power.items()))
             powers.append((dv, top, pw))
             den *= dv**top
-        acc: dict[tuple[int, ...], int] = {}
+        last: list[tuple[IntTerms, IntTerms]] = []
         for key, piece in buckets.items():
             scale = 1
             for (dv, top, _), p in zip(powers, key):
@@ -548,11 +630,11 @@ class MultiPoly:
                 piece = [(e, c * scale) for e, c in piece]
             factors = [pw[p] for (_, _, pw), p in zip(powers, key) if p] or [unit]
             for f in factors[:-1]:
-                part: dict[tuple[int, ...], int] = {}
-                _mac(part, piece, f)
+                (part,) = _sum_products([[(piece, f)]])
                 piece = list(part.items())
-            _mac(acc, piece, factors[-1])
-        return MultiPoly._raw(self.ctx, _divided(acc.items(), den))
+            last.append((piece, factors[-1]))
+        (sums,) = _sum_products([last])
+        return MultiPoly._raw(self.ctx, _divided(sums.items(), den))
 
     def evaluate(self, values: Mapping[str, QLike]) -> Q:
         missing = self.variables_used() - set(values)

@@ -62,9 +62,9 @@ from .exactalg import (
     _graded_mul,
     _graded_series,
     _gradedlex_key,
-    _mac,
     _mul_terms,
     _scaled,
+    _sum_products,
 )
 from .localization import DegenerateWeightsError
 
@@ -246,16 +246,9 @@ def residue_expand(form: ResidueForm, max_terms: int = DEFAULT_TERM_CAP) -> Mult
             e0 = list(e)
             e0[zj] = 0
             buckets.setdefault(e[zj] + 1, []).append((tuple(e0), c))
-        acc: dict[tuple[int, ...], int] = {}
-        for s, bucket in buckets.items():
-            g = conv.get(s)
-            if not g:
-                continue
-            _mac(acc, bucket, _scaled(g, dv), ti, tm)
-            # acc keeps cancelled sums as zeros; only nonzero terms count
-            if len(acc) > max_terms and sum(map(bool, acc.values())) > max_terms:
-                raise ResourceLimitError(f"residue_expand exceeded {max_terms} terms")
-        carried = _divided(acc.items(), dc * dv)
+        pairs = [(bucket, _scaled(conv[s], dv)) for s, bucket in buckets.items() if conv.get(s)]
+        (sums,) = _sum_products([pairs], ti, tm, (max_terms, "residue_expand"))
+        carried = _divided(sums.items(), dc * dv)
 
     for e in carried:
         if any(e[i] for i in zpos):
@@ -332,13 +325,13 @@ def residue_stepwise(form: ResidueForm, max_terms: int = DEFAULT_TERM_CAP) -> Mu
             for pole in poles:
                 f0, m0 = table[pole]
                 a0 = f0[unit]
-                # the (m0-1)-st derivative of num over the other factors
-                moving = [table[key] for key in poles if key != pole]
-                F = reduce(_mul_terms, (ft for ft, _ in moving), one)
-                cofactors = [reduce(_mul_terms, (gt for gt, _ in moving if gt is not ft), one)
-                             for ft, _ in moving]
                 numer = num
                 if m0 > 1:
+                    # the (m0-1)-st derivative of num over the other factors
+                    moving = [table[key] for key in poles if key != pole]
+                    F = reduce(_mul_terms, (ft for ft, _ in moving), one)
+                    cofactors = [reduce(_mul_terms, (gt for gt, _ in moving if gt is not ft), one)
+                                 for ft, _ in moving]
                     # on integers, numer = inum / dnum: each step sums both
                     # products over the common denominator of F and -G
                     dnum, inum = _cleared(num)
@@ -347,10 +340,9 @@ def residue_stepwise(form: ResidueForm, max_terms: int = DEFAULT_TERM_CAP) -> Mu
                         for (ft, m), cof in zip(moving, cofactors):
                             _add_into(minus_g, cof, -(m + step) * ft[unit])
                         dfg = _denominator((F, minus_g))
-                        acc: dict[tuple[int, ...], int] = {}
-                        _mac(acc, _derivative(inum, zj), _scaled(F, dfg))
-                        _mac(acc, inum, _scaled(minus_g, dfg))
-                        dnum, inum = dnum * dfg, [(e, c) for e, c in acc.items() if c]
+                        (sums,) = _sum_products([[(_derivative(inum, zj), _scaled(F, dfg)),
+                                                  (inum, _scaled(minus_g, dfg))]])
+                        dnum, inum = dnum * dfg, list(sums.items())
                     numer = _divided(inum, dnum)
                 # substitute z_j = w, w = -(f0 - a0 z_j)/a0, with the minus
                 # sign of the residue at infinity
@@ -502,9 +494,8 @@ def _tower_integrand(n: int, k: int, P: MultiPoly, level: Callable[[MultiPoly], 
     den, num = _cleared(live(P.terms))
     for f in [kernel] + [g for level_num, _ in levels for g in level_num]:
         df, fi = _cleared(f.terms)
-        acc: dict[tuple[int, ...], int] = {}
-        _mac(acc, num, fi, ti, tm)
-        den, num = den * df, [(e, c) for e, c in live(acc).items() if c]
+        (sums,) = _sum_products([[(num, fi)]], ti, tm)
+        den, num = den * df, list(live(sums).items())
     zh = [name in zvars or name == "h" for name in ctx.names]
     degrees = {sum(p for p, used in zip(e, zh) if used) for e in P.terms}
     return ResidueForm(

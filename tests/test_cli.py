@@ -4,6 +4,7 @@ import json
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -138,9 +139,12 @@ def test_caps_below_one_are_validation_errors(argv, capsys):
         (["fibre-integral", "-n", "-3", "-k", "2", "--lambdas", "1,2", "-P", "u1"],
          "n must be at least 1"),
         (["integral", "-n", "2", "-k", "0", "-P", "1"], "k must be at least 1"),
+        (["ggl", "-n", "-1"], "n must be >= 2"),
+        (["diagnostics", "-n", "-2"], "n must be >= 2"),
     ],
     ids=["defect-cap-negative", "defect-cap-minus-one", "lambdas-length", "fibre-n-negative",
-         "integral-n-0", "euler-n-0", "fibre-n-with-lambdas", "integral-k-0"],
+         "integral-n-0", "euler-n-0", "fibre-n-with-lambdas", "integral-k-0", "ggl-n-negative",
+         "diagnostics-n-negative"],
 )
 def test_out_of_range_values_are_validation_errors(argv, message, capsys):
     code = main(argv)
@@ -377,6 +381,18 @@ def test_residue_expand_cap_names_its_stage(capsys):
     assert code == 3
     assert error["code"] == "resource"
     assert "residue_expand" in error["message"]
+
+
+def test_diagnostics_term_cap_is_a_resource_error(capsys):
+    # the first table result over 1,000 terms comes within a second; without
+    # the cap one n = 4 product alone runs for half a minute
+    start = time.monotonic()
+    code = main(["diagnostics", "-n", "4", "--max-terms", "1000"])
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert code == 3
+    assert error["code"] == "resource"
+    assert error["message"] == "expansion_diagnostics exceeded 1000 terms"
+    assert time.monotonic() - start < 15
 
 
 def test_ggl_point_cap_is_a_resource_error(capsys):

@@ -13,6 +13,7 @@ from jetres.exactalg import (
     MultiPoly,
     NonUnitError,
     Q,
+    ResourceLimitError,
     VarContext,
     _add_into,
     _flat,
@@ -21,6 +22,7 @@ from jetres.exactalg import (
     _graded_inverse,
     _graded_mul,
     _mul_terms,
+    _sum_products,
 )
 
 CTX = VarContext(("z1", "z2", "h"))
@@ -201,9 +203,26 @@ antisymmetric_st = st.builds(Q, st.integers(1, 9), st.integers(1, 5)).map(
 )
 
 
+# Exponents for the packed kernel: negative ones, and ones at the edges of
+# the 1-, 2- and 4-byte digits, where a product can need a wider digit than
+# either operand.
+EDGES = (127, 128, 255, 256, 32767, 32768)
+edge_exp_st = st.integers(-3, 3) | st.sampled_from(EDGES + tuple(-x for x in EDGES))
+edge_terms_st = st.dictionaries(
+    st.tuples(*[edge_exp_st] * 3),
+    st.builds(Q, st.integers(-9, 9), st.integers(1, 5)),
+    max_size=5,
+).map(lambda t: {e: c for e, c in t.items() if c})
+edge_trunc_st = st.sampled_from([(-1, 0), (0, 1), (2, 2), (1, -3), (0, 256), (2, -32768)])
+
+
 @given(
-    st.one_of(st.tuples(terms_st, terms_st), st.tuples(symmetric_st, antisymmetric_st)),
-    trunc_st,
+    st.one_of(
+        st.tuples(terms_st, terms_st),
+        st.tuples(symmetric_st, antisymmetric_st),
+        st.tuples(edge_terms_st, edge_terms_st),
+    ),
+    edge_trunc_st,
 )
 def test_mul_terms_is_the_fraction_product(operands, trunc):
     a, b = operands
@@ -213,6 +232,49 @@ def test_mul_terms_is_the_fraction_product(operands, trunc):
         assert got == _fraction_product(x, y, ti, tm)
         assert all(type(c) is Q and c for c in got.values())
     assert _mul_terms({}, b) == _mul_terms(a, {}) == {}
+
+
+int_terms_st = st.dictionaries(
+    st.tuples(*[edge_exp_st] * 3), st.integers(-9, 9).filter(bool), max_size=5
+).map(lambda t: list(t.items()))
+pairs_st = st.lists(st.tuples(int_terms_st, int_terms_st), max_size=4)
+
+
+def _product_sums(pairs, ti, tm):
+    """Reference: the sums of all the pairs' products, term by term."""
+    out = {}
+    for a, b in pairs:
+        for ea, ca in a:
+            for eb, cb in b:
+                e = tuple(x + y for x, y in zip(ea, eb))
+                if ti < 0 or e[ti] <= tm:
+                    out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+@given(st.lists(pairs_st, min_size=1, max_size=3), st.booleans(), edge_trunc_st)
+def test_sum_products_is_the_per_term_sum(groups, cancel, trunc):
+    ti, tm = trunc
+    if cancel:
+        # a pair and its negation: every sum of the two cancels to zero
+        groups = [pairs + [(a, [(e, -c) for e, c in b]) for a, b in pairs[:1]] for pairs in groups]
+    assert list(_sum_products(groups, ti, tm)) == [_product_sums(p, ti, tm) for p in groups]
+
+
+@pytest.mark.parametrize("top", [100, 200, 20000])
+def test_product_needs_a_wider_digit_than_its_operands(top):
+    # each operand's exponents fit a digit that the product's 2*top does not
+    a = {(top, -top, 0): Q(1), (-top, 0, 1): Q(2), (1, top, -top): Q(1, 3)}
+    b = {(top, 0, -1): Q(3), (-top, top, 0): Q(-1), (0, -top, top): Q(5)}
+    got = _mul_terms(a, b)
+    assert got == _fraction_product(a, b, -1, 0)
+    assert got[(2 * top, -top, -1)] == 3 and got[(-2 * top, top, 1)] == -2
+
+
+def test_exponents_beyond_the_widest_digit_are_a_resource_error():
+    big = {(2**62, 0, 0): Q(1)}
+    with pytest.raises(ResourceLimitError, match="packed kernel"):
+        _mul_terms(big, big)
 
 
 def _substitute_per_term(poly, assignments):
@@ -245,6 +307,23 @@ def test_substitute_is_the_per_term_substitution(terms, assignments):
     got = p.substitute(assignments)
     assert got == _substitute_per_term(p, assignments)
     assert all(type(c) is Q and c for c in got.terms.values())
+
+
+edge_value_st = st.one_of(
+    edge_terms_st.map(lambda t: MultiPoly(CTX, t)),
+    st.builds(Q, st.integers(-9, 9), st.integers(1, 5)),
+)
+
+
+@given(edge_terms_st, st.dictionaries(st.sampled_from(CTX.names), edge_value_st, min_size=1,
+                                      max_size=2))
+def test_substitute_with_negative_and_edge_exponents(terms, assignments):
+    # the substituted variables keep exponents 0..3 in the polynomial; the
+    # others and every value carry negative and digit-edge exponents
+    slots = [name in assignments for name in CTX.names]
+    p = MultiPoly(CTX, {tuple(min(abs(x), 3) if sub else x for x, sub in zip(e, slots)): c
+                        for e, c in terms.items()})
+    assert p.substitute(assignments) == _substitute_per_term(p, assignments)
 
 
 def test_graded_series_rejects_bad_constant_parts():

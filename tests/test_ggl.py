@@ -5,12 +5,14 @@ import json
 import math
 import pathlib
 import random
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from jetres.exactalg import DPoly, JetresError, Q
+import jetres.exactalg
+from jetres.exactalg import DPoly, JetresError, Q, ResourceLimitError, _flat, _graded, _graded_mul
 from jetres.ggl import (
     GGLConfig,
     ample_condition,
@@ -189,6 +191,58 @@ def test_coefficient_tables_match_recorded_n2():
             assert getattr(table, name) == expected, (cap, name)
 
 
+def _kernel_in_the_old_order(table):
+    """The kernel table as (a0 a1) a2, the product order before a0 went last,
+    from the table's own factors, at the grade cap, weights and h-truncation
+    of expansion_diagnostics."""
+    n = table.n
+    cap = table.defect_cap + 4 * n * n
+    weights = tuple(range(n, 0, -1)) + (n, n)
+
+    def graded(tab):
+        return _graded({z + (s, t): c for (z, s, t), c in tab.items()}, weights, cap)
+
+    a01 = _graded_mul(graded(table.a0), graded(table.a1), cap, n, n)
+    a = _flat(_graded_mul(a01, graded(table.a2), cap, n, n))
+    return {(e[:n], e[n], e[n + 1]): c for e, c in a.items()}
+
+
+@pytest.mark.parametrize("defect_cap", range(5))
+def test_kernel_table_is_the_old_product_order(defect_cap):
+    table = expansion_diagnostics(2, defect_cap)
+    assert table.a == _kernel_in_the_old_order(table)
+
+
+def test_kernel_table_pair_products(monkeypatch):
+    # a deterministic work guard: the monomial pair products that the kernel
+    # multiplies (those the truncation keeps) for the n = 3 tables; the order
+    # (a0 a1) a2 took 1.23 million of them
+    kernel = jetres.exactalg._sum_products
+    pairs = 0
+
+    def counted(groups, trunc_idx=-1, trunc_max=0, cap=None):
+        nonlocal pairs
+        for a, b in (pair for group in groups for pair in group):
+            if trunc_idx < 0:
+                pairs += len(a) * len(b)
+            else:
+                xs = sorted(e[trunc_idx] for e, _ in a)
+                pairs += sum(bisect_right(xs, trunc_max - e[trunc_idx]) for e, _ in b)
+        return kernel(groups, trunc_idx, trunc_max, cap)
+
+    monkeypatch.setattr(jetres.exactalg, "_sum_products", counted)
+    expansion_diagnostics(3, 4)
+    assert 0 < pairs <= 450_000
+
+
+def test_diagnostics_term_cap():
+    # the largest product or series result of the n = 2 tables at cap 4 has
+    # 182 terms
+    with pytest.raises(ResourceLimitError, match="expansion_diagnostics exceeded 181 terms"):
+        expansion_diagnostics(2, 4, max_terms=181)
+    expansion_diagnostics(2, 4, max_terms=182)
+
+
 def test_payload_closed_form_spot_values():
     cfg = canonical_config(2)
     table = expansion_diagnostics(2, defect_cap=4)
@@ -325,6 +379,10 @@ def test_euler_characteristic_truncation_stable():
 
 
 def test_config_validation():
+    # the canonical weights n^(8(n+1-i)) are not integers below n = 1
+    for n in (1, 0, -1, -2):
+        with pytest.raises(ValueError, match="n must be >= 2"):
+            canonical_config(n)
     with pytest.raises(ValueError):
         GGLConfig(n=1, k=1, a=(1,), delta=Q(0))
     with pytest.raises(ValueError):
