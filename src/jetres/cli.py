@@ -32,7 +32,7 @@ from .ggl import (
     ggl_threshold_check,
     intersection_payload,
 )
-from .localization import fibre_integral_fixed_points
+from .localization import fibre_integral_fixed_points, payload_integral_fixed_points
 from .polyparse import parse_poly, parse_residue_form
 from .residue import (
     DEFAULT_TERM_CAP,
@@ -158,10 +158,11 @@ def _fibre_integral(params: Mapping[str, Any], budgets: dict[str, Any]) -> Outco
 def _integral(params: Mapping[str, Any], budgets: dict[str, Any]) -> Outcome:
     _require(params, "n", "k", "polynomial")
     n, k = _positive(params, "n"), _positive(params, "k")
-    form = hypersurface_integrand(n, k, parse_poly(_text(params, "polynomial"), tower_context(k)))
+    P = parse_poly(_text(params, "polynomial"), tower_context(k))
+    form = hypersurface_integrand(n, k, P)
     value = integrate_over_X(residue_expand(form, budgets["max_terms"]), n)
-    check = ("expand-vs-stepwise", "expansion and stepwise residues disagree", lambda: value,
-             lambda: integrate_over_X(residue_stepwise(form, budgets["max_terms"]), n))
+    check = ("expand-vs-localization", "residue expansion and localization disagree",
+             lambda: value, lambda: payload_integral_fixed_points(n, k, P, budgets["max_points"]))
     return {"value": _dpoly_doc(value), "degree_matched": form.degree_matched}, check
 
 
@@ -315,7 +316,8 @@ def _build_argparser() -> argparse.ArgumentParser:
     ap.add_argument("command", choices=HANDLERS)
     ap.add_argument("--job", help="JSON job file with parameters")
     ap.add_argument("--verify", action="store_true", help="run the dual method and compare")
-    ap.add_argument("--max-points", type=int, help="fixed-point enumeration cap")
+    ap.add_argument("--max-points", type=int,
+                    help="fixed-point enumeration cap; in integral it bounds the --verify check")
     ap.add_argument("--max-terms", type=int,
                     help="sparse-term cap for residues and the diagnostics tables")
     ap.add_argument("--budget", type=int, help="series truncation budget (euler-char)")

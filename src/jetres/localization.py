@@ -2,10 +2,7 @@
 
 The integral of an equivariant class over a space with finitely many torus
 fixed points is the sum, over the fixed points, of the class's value divided
-by the equivariant Euler class of the tangent space.  The denominators cancel
-whenever the input is a genuine integral; :func:`abbv_sum` performs the exact
-common-denominator sum and reduces it, so such inputs come back with
-denominator 1.
+by the equivariant Euler class of the tangent space.
 
 :func:`fibre_integral_fixed_points` applies this to the jet-tower fibre:
 weights are specialized to distinct rationals, and every variable other
@@ -16,23 +13,25 @@ to integers, and the weights are scaled by the lcm D of the lambdas'
 denominators.  At each of the n^k fixed points a group then evaluates to an
 integer s and the Euler class to an integer E, and the group gains the
 exact rational s * D^(k(n-1)) / (den * D^g * E); nothing symbolic is
-built per point.  The six-point Grassmannian demo keeps its weights
-symbolic, where the full cancellation is cheap.
+built per point.
 
-:func:`integral_over_tower_fixed_points` integrates a degree-matched class
-in h, d and one linear form in the z_j over the whole tower above the
-degree-d hypersurface: the fixed-point sums are symmetric polynomials in the
-Chern roots of T_X, interpolated from seeded integer draws and then
-evaluated at the Chern classes of X.  It is the primary route of the
-intersection polynomial in :mod:`jetres.ggl`.
+Over the whole tower above the degree-d hypersurface X the fixed-point sums
+are symmetric polynomials in the Chern roots of T_X.  `_interpolate_over_X`
+interpolates them from seeded integer draws and evaluates them at the Chern
+classes of X; two evaluators feed it.
+:func:`integral_over_tower_fixed_points` sums the powers of one linear form
+in the z_j down the DFS tree of the fixed points; it is the primary route of
+the intersection polynomial in :mod:`jetres.ggl`.
+:func:`payload_integral_fixed_points` takes any payload P(z, h, d) through
+`fibre_integral_fixed_points`; it checks the residue route of the
+`integral` command.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, lcm, prod
 from random import Random
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .exactalg import (
     DPoly,
@@ -41,7 +40,6 @@ from .exactalg import (
     Q,
     QLike,
     Terms,
-    VarContext,
     _cleared,
     binomial,
 )
@@ -49,13 +47,9 @@ from .tower import DEFAULT_POINT_CAP, Weight, enumerate_fixed_points
 
 __all__ = [
     "DegenerateWeightsError",
-    "LocalizationDatum",
-    "SymbolicFraction",
-    "abbv_sum",
-    "grassmannian_context",
-    "grassmannian_fixed_point_data",
     "fibre_integral_fixed_points",
     "integral_over_tower_fixed_points",
+    "payload_integral_fixed_points",
 ]
 
 
@@ -63,104 +57,6 @@ class DegenerateWeightsError(JetresError):
     """Weight values collide, making an Euler denominator vanish."""
 
     code = "degenerate"
-
-
-@dataclass(frozen=True)
-class LocalizationDatum:
-    """One fixed point: the class value at the point and the Euler class."""
-
-    numerator_value: MultiPoly
-    euler: MultiPoly
-
-    def __post_init__(self) -> None:
-        if self.euler.is_zero:
-            raise DegenerateWeightsError("zero Euler class at a fixed point")
-
-
-class SymbolicFraction:
-    """A quotient of polynomials, reduced by exact division when possible."""
-
-    __slots__ = ("numerator", "denominator")
-
-    def __init__(self, numerator: MultiPoly, denominator: MultiPoly):
-        if denominator.is_zero:
-            raise ZeroDivisionError("zero denominator")
-        quot = numerator.divide_exact(denominator)
-        if quot is not None:
-            numerator = quot
-            denominator = MultiPoly.const(numerator.ctx, 1)
-        object.__setattr__(self, "numerator", numerator)
-        object.__setattr__(self, "denominator", denominator)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("SymbolicFraction is immutable")
-
-    @property
-    def is_polynomial(self) -> bool:
-        return self.denominator == MultiPoly.const(self.denominator.ctx, 1)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Q)):
-            return self.is_polynomial and self.numerator == other
-        if isinstance(other, MultiPoly):
-            return self.is_polynomial and self.numerator == other
-        if isinstance(other, SymbolicFraction):
-            return (self.numerator * other.denominator) == (other.numerator * self.denominator)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.numerator, self.denominator))
-
-    def __repr__(self) -> str:
-        if self.is_polynomial:
-            return f"SymbolicFraction({self.numerator.to_text()})"
-        return f"SymbolicFraction(({self.numerator.to_text()})/({self.denominator.to_text()}))"
-
-
-def abbv_sum(points: Sequence[LocalizationDatum]) -> SymbolicFraction:
-    """Exact fixed-point sum: sum of value/euler over a common denominator."""
-    if not points:
-        raise ValueError("need at least one fixed point")
-    ctx = points[0].numerator_value.ctx
-    numerator = MultiPoly.zero(ctx)
-    denominator = MultiPoly.const(ctx, 1)
-    for datum in points:
-        numerator = numerator * datum.euler + datum.numerator_value * denominator
-        denominator = denominator * datum.euler
-    return SymbolicFraction(numerator, denominator)
-
-
-def grassmannian_context() -> VarContext:
-    return VarContext(("M1", "M2", "M3", "M4"))
-
-
-def grassmannian_fixed_point_data(
-    mus: Sequence[QLike] | None = None,
-) -> list[LocalizationDatum]:
-    """The six fixed points of Grass(2,4) for the class c_1(tau)^2 c_2(tau).
-
-    Value at the point {i,j} is (m_i+m_j)^2 m_i m_j; the Euler class is
-    prod_{s not in {i,j}} (m_s-m_i)(m_s-m_j).  Symbolic by default.
-    """
-    ctx = grassmannian_context()
-    if mus is None:
-        vals = [MultiPoly.variable(ctx, f"M{i}") for i in range(1, 5)]
-    else:
-        if len(mus) != 4:
-            raise ValueError("need four weights")
-        if len({Q(m) for m in mus}) != 4:
-            raise DegenerateWeightsError("repeated weight values")
-        vals = [MultiPoly.const(ctx, m) for m in mus]
-    out = []
-    for i in range(4):
-        for j in range(i + 1, 4):
-            value = (vals[i] + vals[j]) ** 2 * vals[i] * vals[j]
-            euler = MultiPoly.const(ctx, 1)
-            for s in range(4):
-                if s not in (i, j):
-                    euler = euler * (vals[s] - vals[i]) * (vals[s] - vals[j])
-            out.append(LocalizationDatum(value, euler))
-    return out
 
 
 def fibre_integral_fixed_points(
@@ -273,6 +169,60 @@ def _solve(matrix: list[list[int]], rhs: list[Q]) -> list[Q] | None:
     return [rows[i][m] / rows[i][i] for i in range(m)]
 
 
+def _interpolate_over_X(
+    n: int,
+    blocks: Sequence[tuple[int, DPoly]],
+    evaluate: Callable[[list[int]], list[Q] | None],
+) -> DPoly:
+    """d times the sum over the blocks (b, q) of q(d) [h^n] h^b T(c(T_X)),
+    the integral over the degree-d hypersurface X of sum q(d) h^b T(lambda).
+
+    Each T is a symmetric polynomial of degree n - b in the Chern roots
+    lambda_1..lambda_n of T_X, known only by its values: evaluate(lams)
+    returns those of every block at the integer point lams, or None when the
+    point is degenerate (a tangent weight vanishes there) and must be drawn
+    again.  T is solved for in the basis e_mu (mu a partition of n - b) from
+    p(n - b) seeded integer draws, and every further draw of the p(n) + 1
+    must agree (JetresError otherwise).  Then e_i becomes the Chern class
+    c_i(T_X) = [h^i] (1+h)^(n+2) / (1+dh), and the coefficient of h^n times
+    d is the integral over X.
+    """
+    rng = Random(_DRAW_SEED)
+    draws: list[list[int]] = []  # e_0..e_n of each draw
+    sums: list[list[Q]] = []  # the blocks' values at each draw
+    need = len(_partitions(n)) + 1
+    while len(draws) < need:
+        lams = rng.sample(range(-_DRAW_RANGE, _DRAW_RANGE + 1), n)
+        values = evaluate(lams)
+        if values is not None:
+            draws.append(_elementary(lams))
+            sums.append(values)
+
+    # c_i(T_X) / h^i as a polynomial in d
+    chern = [DPoly([binomial(n + 2, i - j) * (-1) ** j for j in range(i + 1)])
+             for i in range(n + 1)]
+    total = DPoly([])
+    for i, (b, q) in enumerate(blocks):
+        basis = _partitions(n - b)
+        matrix = [[prod(e[part] for part in mu) for mu in basis] for e in draws]
+        t_values = [s[i] for s in sums]
+        m = len(basis)
+        coeffs = _solve(matrix[:m], t_values[:m])
+        if coeffs is None:
+            raise JetresError(f"the drawn weights leave the interpolation of h^{b} singular")
+        if any(sum(c * x for c, x in zip(coeffs, row)) != v
+               for row, v in zip(matrix[m:], t_values[m:])):
+            raise JetresError(
+                f"the fixed-point sums of h^{b} are not one symmetric polynomial of degree "
+                f"{n - b} at the drawn weights"
+            )
+        t_b = DPoly([])
+        for c, mu in zip(coeffs, basis):
+            t_b = t_b + prod((chern[part] for part in mu), start=DPoly([c]))
+        total = total + q * t_b
+    return DPoly([0, 1]) * total
+
+
 def integral_over_tower_fixed_points(
     n: int,
     k: int,
@@ -289,12 +239,9 @@ def integral_over_tower_fixed_points(
     the reflection of `reflect_payload`) and the Euler class is
     E = prod of the tangent weights at lambda.  So the fibre integral of
     h^b c_1^(dim-b) is h^b T_b with T_b = sum over the points of
-    c_1^(dim-b) / E, a symmetric polynomial of degree n - b in lambda.  T_b
-    is solved for in the basis e_mu (mu a partition of n - b) from p(n - b)
-    seeded integer draws of lambda, and every further draw of the p(n) + 1
-    must agree (JetresError otherwise).  Then e_i becomes the Chern class
-    c_i(T_X) = [h^i] (1+h)^(n+2) / (1+dh), and the coefficient of h^n times d
-    is the integral over X.  The fixed-point count is the only cap.
+    c_1^(dim-b) / E, a symmetric polynomial of degree n - b in lambda, which
+    `_interpolate_over_X` takes over X.  The fixed-point count is the only
+    cap.
 
     A draw's n + 1 sums run on integers level by level down the tower, in the
     DFS order of `enumerate_fixed_points`: the n + 1 numerators of a chain
@@ -336,39 +283,53 @@ def integral_over_tower_fixed_points(
             den *= up
         return den, nums
 
-    rng = Random(_DRAW_SEED)
-    draws: list[list[int]] = []  # e_0..e_n of each draw
-    sums: list[list[Q]] = []  # T_0..T_n at each draw
-    need = len(_partitions(n)) + 1
-    while len(draws) < need:
-        lams = rng.sample(range(-_DRAW_RANGE, _DRAW_RANGE + 1), n)
+    def evaluate(lams: list[int]) -> list[Q] | None:
         values = [sum(c * v for c, v in zip(t.coeffs, lams)) for t in index]
         if 0 in values:
-            continue  # a tangent weight vanishes: draw again
+            return None
         den, nums = level_sum(lams, values, 0, len(points), 0)
-        draws.append(_elementary(lams))
-        sums.append([Q(s, den) for s in nums])
+        return [Q(s, den) for s in nums]
 
-    # c_i(T_X) / h^i as a polynomial in d
-    chern = [DPoly([binomial(n + 2, i - j) * (-1) ** j for j in range(i + 1)])
-             for i in range(n + 1)]
-    total = DPoly([])
-    for b in range(n + 1):
-        basis = _partitions(n - b)
-        matrix = [[prod(e[part] for part in mu) for mu in basis] for e in draws]
-        t_values = [s[b] for s in sums]
-        m = len(basis)
-        coeffs = _solve(matrix[:m], t_values[:m])
-        if coeffs is None:
-            raise JetresError(f"the drawn weights leave the interpolation of h^{b} singular")
-        if any(sum(c * x for c, x in zip(coeffs, row)) != v
-               for row, v in zip(matrix[m:], t_values[m:])):
-            raise JetresError(
-                f"the fixed-point sums of h^{b} are not one symmetric polynomial of degree "
-                f"{n - b} at the drawn weights"
-            )
-        t_b = DPoly([])
-        for c, mu in zip(coeffs, basis):
-            t_b = t_b + prod((chern[part] for part in mu), start=DPoly([c]))
-        total = total + blocks[b] * t_b
-    return DPoly([0, 1]) * total
+    return _interpolate_over_X(n, list(enumerate(blocks)), evaluate)
+
+
+def payload_integral_fixed_points(
+    n: int, k: int, P: MultiPoly, point_cap: int = DEFAULT_POINT_CAP
+) -> DPoly:
+    """Integral of P(z_1..z_k, h, d) over the k-tower above the degree-d
+    hypersurface X, P in the context of `residue.tower_context(k)`; exact
+    in d, and equal to `residue.integral_over_tower(n, k, P)`.
+
+    Only the terms z^e h^b d^c with b <= n and |e| + b = n + k(n-1) reach
+    the top degree; every other term integrates to zero.  The kept part is
+    reflected, z -> -z as in `reflect_payload`, so that the fixed-point sums
+    integrate the honest classes, and `fibre_integral_fixed_points` sums it
+    at each draw.  Its h^b d^c coefficient is a symmetric polynomial of
+    degree n - b in lambda, which `_interpolate_over_X` takes over X.  For
+    n = 1 the fibre is one point, where every z_j is -lambda_1 and E = 1.
+    """
+    ctx = P.ctx
+    zvars = [f"z{j}" for j in range(1, k + 1)]
+    zidx, hi, di = [ctx.index(z) for z in zvars], ctx.index("h"), ctx.index("d")
+    dim = n + k * (n - 1)
+    kept: Terms = {}
+    blocks: dict[tuple[int, ...], tuple[int, DPoly]] = {}
+    for e, c in P.terms.items():
+        g = sum(e[i] for i in zidx)
+        if e[hi] <= n and g + e[hi] == dim:
+            kept[e] = (-1) ** g * c
+            rest = tuple(0 if i in zidx else x for i, x in enumerate(e))
+            blocks[rest] = (e[hi], DPoly([0] * e[di] + [1]))
+    reflected = MultiPoly(ctx, kept)
+
+    def evaluate(lams: list[int]) -> list[Q] | None:
+        if n == 1:
+            value = reflected.substitute(dict.fromkeys(zvars, lams[0]))
+        else:
+            try:
+                value = fibre_integral_fixed_points(n, k, reflected, lams, point_cap)
+            except DegenerateWeightsError:
+                return None
+        return [value.terms.get(rest, Q(0)) for rest in blocks]
+
+    return _interpolate_over_X(n, list(blocks.values()), evaluate)

@@ -19,6 +19,11 @@ largest z-index it involves).  Two independent evaluators are provided:
     coefficient 1, so proportional or colliding factors are one pole of the
     summed order rather than an error.
 
+The stepwise engine is the check of a literal form (`residue --verify`).  A
+tower integral over the hypersurface is checked by fixed-point localization
+instead (`localization.payload_integral_fixed_points`, `integral --verify`),
+which shares neither the integrand builder nor the engines with this module.
+
 The single orientation constant lives in :func:`orientation_sign`; all
 paper-level sign conventions downstream are expressed through the builders,
 never through per-case sign adjustments.
@@ -81,7 +86,6 @@ __all__ = [
     "integrate_over_X",
     "integral_over_tower",
     "reflect_payload",
-    "grassmannian_omega",
     "tower_context",
     "DEFAULT_TERM_CAP",
 ]
@@ -634,23 +638,3 @@ def integral_over_tower(
     """Full pipeline: hypersurface integrand -> residue -> integrate over X."""
     return integrate_over_X(residue_expand(hypersurface_integrand(n, k, P), max_terms), n)
 
-
-def grassmannian_omega(mus: Sequence[QLike] | None = None) -> ResidueForm:
-    """The 2-variable form whose iterated residue is twice the Grass(2,4)
-    integral of c_1(tau)^2 c_2(tau)."""
-    if mus is None:
-        ctx = VarContext(("z1", "z2", "M1", "M2", "M3", "M4"))
-        mu_polys = [MultiPoly.variable(ctx, f"M{i}") for i in range(1, 5)]
-    else:
-        if len(mus) != 4 or len(set(Q(m) for m in mus)) != 4:
-            raise DegenerateWeightsError("need four distinct weight values")
-        ctx = VarContext(("z1", "z2"))
-        mu_polys = [MultiPoly.const(ctx, m) for m in mus]
-    z1 = MultiPoly.variable(ctx, "z1")
-    z2 = MultiPoly.variable(ctx, "z2")
-    numerator = -((z2 - z1) ** 2) * (z1 + z2) ** 2 * z1 * z2
-    factors = []
-    for m in mu_polys:
-        factors.append((m - z1, 1))
-        factors.append((m - z2, 1))
-    return ResidueForm(numerator, factors, ("z1", "z2"))

@@ -26,16 +26,11 @@ from jetres.ggl import (
     ggl_threshold_check,
     lambda_plus_member,
 )
-from jetres.localization import (
-    abbv_sum,
-    fibre_integral_fixed_points,
-    grassmannian_fixed_point_data,
-)
+from jetres.localization import fibre_integral_fixed_points
 from jetres.residue import (
     ResidueForm,
     demailly_integrand,
     fibre_residue_integrand,
-    grassmannian_omega,
     hypersurface_integrand,
     integrate_over_X,
     residue_expand,
@@ -44,6 +39,7 @@ from jetres.residue import (
     tower_context,
 )
 from jetres.tower import basis_weights, weight_set_closed, weight_set_recursive
+from oracles import abbv_sum, grassmannian_fixed_point_data, grassmannian_omega
 
 
 def announce(number: int, ok: bool, label: str, elapsed: float, budget: float) -> None:

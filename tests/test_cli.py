@@ -10,7 +10,7 @@ import pytest
 
 import jetres
 from jetres.cli import main, run_job
-from jetres.exactalg import MultiPoly, Q, VarContext
+from jetres.exactalg import DPoly, MultiPoly, Q, VarContext
 from jetres.polyparse import ParseError, UnknownVariableError, parse_poly
 
 CORPUS = pathlib.Path(__file__).parent / "corpus"
@@ -101,6 +101,7 @@ def test_resource_cap_error(capsys):
     for argv in (
         ["fixed-points", "-n", "3", "-k", "2"],
         ["fibre-integral", "-n", "3", "-k", "2", "-P", "u1^2*u2^2", "--lambdas", "1,2,5"],
+        ["integral", "-n", "3", "-k", "3", "-P", "(u1+2*u2-u3+h)^9", "--verify"],
     ):
         code = main(argv + ["--max-points", "5"])
         err = capsys.readouterr().err
@@ -185,7 +186,7 @@ def test_verify_flag_runs_dual_route(capsys):
     out = capsys.readouterr().out
     assert code == 0
     doc = json.loads(out)
-    assert doc["verify"] == {"match": True, "method": "expand-vs-stepwise"}
+    assert doc["verify"] == {"match": True, "method": "expand-vs-localization"}
 
 
 def test_fibre_integral_residue_method(capsys):
@@ -248,7 +249,7 @@ def test_run_job_ggl_custom_config():
     "argv, method",
     [
         (["fibre-integral", "-n", "2", "-k", "2", "-P", "u1*u2", "--lambdas", "1,3"], "dual-route"),
-        (["integral", "-n", "2", "-k", "2", "-P", "(u1+2*u2+h)^4"], "expand-vs-stepwise"),
+        (["integral", "-n", "2", "-k", "2", "-P", "(u1+2*u2+h)^4"], "expand-vs-localization"),
         (["residue", "--form", "z2^2/((z1)^2*(z1-z2)*(2*z1-z2))"], "expand-vs-stepwise"),
         (["ggl", "-n", "2", "--a", "3,1"], "localization-vs-residue"),
         (["euler-char", "-n", "2", "-k", "2", "--a", "6,2"], "budget-stability"),
@@ -281,6 +282,37 @@ def test_ggl_verify_reuses_the_primary_intersection(argv, monkeypatch, capsys):
     assert main(argv + ["--verify"]) == 0
     assert json.loads(capsys.readouterr().out)["verify"]["match"]
     assert calls == {"localization": 1, "residue": 1}
+
+
+def test_integral_verify_checks_by_localization(monkeypatch, capsys):
+    # the check integrates P by fixed points: no stepwise residue, and the
+    # integrand is built once, for the primary route
+    calls = {"stepwise": 0, "integrand": 0, "localization": 0}
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name, attr in (("stepwise", "residue_stepwise"), ("integrand", "hypersurface_integrand"),
+                       ("localization", "payload_integral_fixed_points")):
+        monkeypatch.setattr(jetres.cli, attr, counted(name, getattr(jetres.cli, attr)))
+    assert main(["integral", "-n", "3", "-k", "2", "-P", "(u1-3*u2+d*h)^7", "--verify"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verify"] == {"match": True, "method": "expand-vs-localization"}
+    assert calls == {"stepwise": 0, "integrand": 1, "localization": 1}
+
+
+def test_integral_verify_mismatch_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr("jetres.cli.payload_integral_fixed_points",
+                        lambda n, k, P, point_cap: DPoly([0, 1]))
+    code = main(["integral", "-n", "2", "-k", "2", "-P", "(u1+2*u2+h)^4", "--verify"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"]["code"] == "verify-mismatch"
 
 
 def test_ggl_verify_with_k_not_n(capsys):

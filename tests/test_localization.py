@@ -4,19 +4,26 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetres.exactalg import MultiPoly, Q, VarContext
 from jetres.localization import (
     DegenerateWeightsError,
-    LocalizationDatum,
-    abbv_sum,
     fibre_integral_fixed_points,
-    grassmannian_fixed_point_data,
+    payload_integral_fixed_points,
 )
-from jetres.residue import ResidueForm, residue_expand, tower_context
+from jetres.polyparse import parse_poly
+from jetres.residue import (
+    ResidueForm,
+    hypersurface_integrand,
+    integrate_over_X,
+    residue_expand,
+    residue_stepwise,
+    tower_context,
+)
 from jetres.tower import enumerate_fixed_points, euler_value, weight_value
+from oracles import LocalizationDatum, abbv_sum, grassmannian_fixed_point_data
 
 
 def test_grassmannian_symbolic_is_one():
@@ -202,3 +209,42 @@ def test_fixed_point_sum_is_the_substitution_sum(case):
             fibre_integral_fixed_points(n, k, P, lams)
     else:
         assert fibre_integral_fixed_points(n, k, P, lams) == _substitution_oracle(n, k, P, lams)
+
+
+@st.composite
+def tower_payloads(draw, n, k):
+    """P(z, h, d) over the k-tower above X, mixing degree-matched terms
+    (z-degree g, h-degree b <= n, g + b = n + k(n-1)), terms one degree off,
+    terms with h^(n+1) and powers of d."""
+    dim = n + k * (n - 1)
+    terms = {}
+    for _ in range(draw(st.integers(1, 6))):
+        b = draw(st.integers(0, n + 1))
+        g = max(0, dim - b + draw(st.sampled_from([0, 0, -1, 1])))
+        z = [0] * k
+        for j in draw(st.lists(st.integers(0, k - 1), min_size=g, max_size=g)):
+            z[j] += 1
+        terms[(*z, b, draw(st.integers(0, 2)))] = draw(
+            st.builds(Q, st.integers(-9, 9), st.integers(1, 6)))
+    return MultiPoly(tower_context(k), terms)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@settings(max_examples=20)
+@given(data=st.data())
+def test_payload_integral_is_the_residue_route(n, k, data):
+    P = data.draw(tower_payloads(n, k))
+    expected = integrate_over_X(residue_expand(hypersurface_integrand(n, k, P)), n)
+    assert payload_integral_fixed_points(n, k, P) == expected
+
+
+@pytest.mark.parametrize(
+    "n, k, text",
+    [(1, 3, "u1+2*u3-h+d*h"), (2, 2, "(u1-u2+d*h)^4+u1^3-h^3*u2"), (3, 1, "(2*u1-h)^5*d+h^4"),
+     (2, 3, "(u1+u2-2*u3+h)^5+d^2*u3^4*h")],
+)
+def test_payload_integral_is_the_stepwise_route(n, k, text):
+    P = parse_poly(text, tower_context(k))
+    expected = integrate_over_X(residue_stepwise(hypersurface_integrand(n, k, P)), n)
+    assert payload_integral_fixed_points(n, k, P) == expected

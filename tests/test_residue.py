@@ -23,7 +23,6 @@ from jetres.residue import (
     ResidueForm,
     demailly_integrand,
     fibre_residue_integrand,
-    grassmannian_omega,
     hypersurface_integrand,
     integral_over_tower,
     integrate_over_X,
@@ -36,6 +35,7 @@ from jetres.residue import (
     _plus_kernel,
     _zsum,
 )
+from oracles import grassmannian_omega
 
 Z2CTX = VarContext(("z1", "z2"))
 TZ1 = MultiPoly.variable(Z2CTX, "z1")
