@@ -68,7 +68,6 @@ __all__ = [
     "b0",
     "defect",
     "lambda_plus_member",
-    "lambda_plus_member_bruteforce",
     "CoefficientTable",
     "expansion_diagnostics",
     "assemble_intersection_from_tables",
@@ -78,7 +77,6 @@ __all__ = [
     "ample_condition",
     "euler_characteristic",
     "euler_characteristic_k1_pushforward",
-    "chi_structure_sheaf",
     "todd_of_X",
     "ThresholdReport",
     "ggl_threshold_check",
@@ -220,32 +218,6 @@ def lambda_plus_member(i: Sequence[int]) -> bool:
         if prefix < total:
             return False
     return True
-
-
-def lambda_plus_member_bruteforce(i: Sequence[int], coeff_cap: int = 8) -> bool:
-    """Oracle by explicit generator enumeration (for validation tests).
-
-    Enumerates coefficients of the root generators e_s - e_t up to coeff_cap;
-    the -e_t coefficients are then forced and checked for non-negativity.
-    """
-    n = len(i)
-    pairs = [(s, t) for s in range(n) for t in range(s + 1, n)]
-
-    def rec(idx: int, current: list[int]) -> bool:
-        if idx == len(pairs):
-            return all(c <= 0 for c in current)
-        s, t = pairs[idx]
-        for c in range(coeff_cap + 1):
-            vec = list(current)
-            vec[s] -= c
-            vec[t] += c
-            # after adding c*(e_s - e_t) to the generators, the residual
-            # current - c*(e_s-e_t) must eventually be <= 0 componentwise
-            if rec(idx + 1, vec):
-                return True
-        return False
-
-    return rec(0, list(i))
 
 
 # ---------------------------------------------------------------------------
@@ -623,11 +595,6 @@ def todd_of_X(n: int) -> MultiPoly:
     tangent bundle."""
     ring = _ZHSeries(HD_CTX, n, n)
     return ring.poly(ring.tangent_todd(MultiPoly.zero(HD_CTX)))
-
-
-def chi_structure_sheaf(n: int) -> DPoly:
-    """chi(X, O_X) = integral of the Todd class over the hypersurface."""
-    return integrate_over_X(todd_of_X(n), n)
 
 
 def euler_characteristic(

@@ -10,28 +10,34 @@ than z_1..z_k (h, d) rides along as an opaque constant.  The sum runs on
 integers: P is split once into groups of terms sharing their non-z
 monomial and their total z-degree g, each group's coefficients are cleared
 to integers, and the weights are scaled by the lcm D of the lambdas'
-denominators.  At each of the n^k fixed points a group then evaluates to an
-integer s and the Euler class to an integer E, and the group gains the
-exact rational s * D^(k(n-1)) / (den * D^g * E); nothing symbolic is
-built per point.
+denominators.  A point's w_j depends only on its first j levels, so the sum
+walks the DFS tree of the fixed points: each level-j node substitutes its
+value of z_j into the integer polynomial its parent evaluated partially, in
+z_j..z_k, and a leaf holds one integer s per group.  Each level multiplies
+in its Euler factor, the product of its n - 1 tangent values, and the
+numerators accumulate over one denominator per node.  At the root a group's
+numerator N over the common denominator E gives the exact rational
+N * D^(k(n-1)) / (den * D^g * E), one `Fraction` per group; nothing
+symbolic is built per point.
 
 Over the whole tower above the degree-d hypersurface X the fixed-point sums
 are symmetric polynomials in the Chern roots of T_X.  `_interpolate_over_X`
 interpolates them from seeded integer draws and evaluates them at the Chern
-classes of X; two evaluators feed it.
-:func:`integral_over_tower_fixed_points` sums the powers of one linear form
-in the z_j down the DFS tree of the fixed points; it is the primary route of
-the intersection polynomial in :mod:`jetres.ggl`.
+classes of X; two evaluators feed it, and both sum each draw down the same
+walk, `_tower_sum`.
+:func:`integral_over_tower_fixed_points` carries c_1, one linear form in
+the z_j, down the tree and sums its powers; it is the primary route of the
+intersection polynomial in :mod:`jetres.ggl`.
 :func:`payload_integral_fixed_points` takes any payload P(z, h, d) through
-`fibre_integral_fixed_points`; it checks the residue route of the
-`integral` command.
+the fibre sum, enumerating the points and splitting P once for all draws;
+it checks the residue route of the `integral` command.
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm, prod
 from random import Random
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TypeVar
 
 from .exactalg import (
     DPoly,
@@ -45,6 +51,9 @@ from .exactalg import (
 )
 from .tower import DEFAULT_POINT_CAP, Weight, enumerate_fixed_points
 
+_S = TypeVar("_S")  # the state a fixed-point walk carries down a chain
+_Level = tuple[int, tuple[int, ...]]  # w_j and the level's tangent weights, as table indices
+
 __all__ = [
     "DegenerateWeightsError",
     "fibre_integral_fixed_points",
@@ -57,6 +66,132 @@ class DegenerateWeightsError(JetresError):
     """Weight values collide, making an Euler denominator vanish."""
 
     code = "degenerate"
+
+
+def _tower_points(n: int, k: int, point_cap: int) -> tuple[list[Weight], list[list[_Level]]]:
+    """The distinct weights of the n^k fixed points, as one table, and each
+    point, in the DFS order of `enumerate_fixed_points`, as its k levels:
+    (index of w_j, indices of the level's n - 1 tangent weights)."""
+    index: dict[Weight, int] = {}
+    points = []
+    for fp in enumerate_fixed_points(n, k, point_cap):
+        tangent = [index.setdefault(t, len(index)) for t in fp.tangent]
+        levels = [tuple(tangent[j * (n - 1) : (j + 1) * (n - 1)]) for j in range(k)]
+        points.append([(index.setdefault(w, len(index)), ts) for w, ts in zip(fp.weights, levels)])
+    return list(index), points
+
+
+def _tower_sum(
+    n: int,
+    points: list[list[_Level]],
+    values: list[int],
+    root: _S,
+    descend: Callable[[_S, int, int], _S],
+    leaf: Callable[[_S], list[int]],
+) -> tuple[int, list[int]]:
+    """(den, nums) with nums[i] / den the sum over the fixed points of
+    leaf(state)[i] / E, E the product of the point's tangent values.
+
+    values[t] is the integer value of table weight t (see `_tower_points`).
+    The walk follows the DFS tree: the points below a level-j node are
+    contiguous, n blocks of (hi - lo) // n, and a node's w_j is that of its
+    first point.  The state starts at `root` and each node passes
+    descend(state, j, value of its w_(j+1)) on to its subtree, so work that
+    depends on a chain prefix is done once per prefix.  The numerators of a
+    node share one denominator, the lcm of its children's denominators each
+    times the Euler factor of the child's level (the product of its n - 1
+    tangent values); it stays near the lcm of the Euler classes below the
+    node.  One flat common multiple of all of them (45,057 bits at n = 5)
+    made the c_1 sum 11x slower.  A level factor of 0 raises
+    DegenerateWeightsError before its subtree is summed.
+    """
+    k = len(points[0])
+
+    def rec(state: _S, lo: int, hi: int, depth: int) -> tuple[int, list[int]]:
+        if depth == k:
+            return 1, leaf(state)
+        den, nums, step = 1, [], (hi - lo) // n
+        for child in range(lo, hi, step):
+            w, tangent = points[child][depth]
+            factor = prod(values[t] for t in tangent)
+            if not factor:
+                raise DegenerateWeightsError(
+                    "weight collision at the chosen values; pick different lambdas"
+                )
+            d, sub = rec(descend(state, depth, values[w]), child, child + step, depth + 1)
+            d *= factor
+            if child == lo:
+                den, nums = d, sub
+                continue
+            g = gcd(den, d)
+            up, scale = d // g, den // g
+            nums = [x * up + y * scale for x, y in zip(nums, sub)]
+            den *= up
+        return den, nums
+
+    return rec(root, 0, len(points), 0)
+
+
+def _fibre_sum(
+    n: int, k: int, P: MultiPoly, point_cap: int
+) -> Callable[[Sequence[QLike]], MultiPoly]:
+    """The map from distinct weight values (n rationals) to the fibre
+    integral of P; the fixed points and the split of P are built once.
+
+    P = sum over (rest, g) of rest * (sum of c * z^e with |e| = g); each
+    group's coefficients are cleared to integers once, c = c' / den.  A
+    level-j node's state is the integer vector of its partial evaluation:
+    one entry per (group, exponents of z_(j+1)..z_k), the key set of each
+    level fixed in advance, so a node only substitutes its value of z_j.
+    The weights are scaled by D, the lcm of the lambdas' denominators, and
+    a group with numerator N over the walk's denominator E gains
+    N * D^(k(n-1)) / (den * D^g * E).
+    """
+    table, points = _tower_points(n, k, point_cap)
+    zidx = [P.ctx.index(f"z{i}") for i in range(1, k + 1)]
+    groups: dict[tuple[tuple[int, ...], int], Terms] = {}
+    for e, c in P.terms.items():
+        z = tuple(e[i] for i in zidx)
+        rest = list(e)
+        for i in zidx:
+            rest[i] = 0
+        groups.setdefault((tuple(rest), sum(z)), {})[z] = c
+    cleared = [(rest, g, *_cleared(terms)) for (rest, g), terms in groups.items()]
+    keys = [(gi, z) for gi, (*_, terms) in enumerate(cleared) for z, _ in terms]
+    root = [c for *_, terms in cleared for _, c in terms]
+    # per level: the size of the next key set, the top power of z_j and, per
+    # key, its place in the next key set and its exponent of z_j
+    plans = []
+    for _ in range(k):
+        index: dict[tuple[int, tuple[int, ...]], int] = {}
+        rows = [(index.setdefault((gi, z[1:]), len(index)), z[0]) for gi, z in keys]
+        plans.append((len(index), max((p for _, p in rows), default=0), rows))
+        keys = list(index)
+
+    def descend(state: list[int], depth: int, a: int) -> list[int]:
+        size, top, rows = plans[depth]
+        powers = [1]
+        for _ in range(top):
+            powers.append(powers[-1] * a)
+        out = [0] * size
+        for (t, p), c in zip(rows, state):
+            out[t] += c * powers[p]
+        return out
+
+    def evaluate(lams: Sequence[QLike]) -> MultiPoly:
+        # every weight is an integer combination of the lambdas, so D times
+        # it is an integer
+        D = lcm(*(v.denominator for v in lams))
+        scaled = [v.numerator * (D // v.denominator) for v in lams]
+        values = [sum(c * v for c, v in zip(w.coeffs, scaled)) for w in table]
+        den, nums = _tower_sum(n, points, values, root, descend, lambda s: s)
+        totals = dict.fromkeys((rest for rest, *_ in cleared), Q(0))
+        D_tangent = D ** (k * (n - 1))
+        for (rest, g, d_g, _), s in zip(cleared, nums):
+            totals[rest] += Q(s * D_tangent, den * d_g * D**g)
+        return MultiPoly(P.ctx, totals)
+
+    return evaluate
 
 
 def fibre_integral_fixed_points(
@@ -79,49 +214,7 @@ def fibre_integral_fixed_points(
         raise ValueError("need n weight values")
     if len(set(lams)) != n:
         raise DegenerateWeightsError("repeated weight values")
-    # every weight is an integer combination of the lambdas, so D times it is
-    # an integer: D*(lambda_1..lambda_n) are the weights the loop works with
-    D = lcm(*(v.denominator for v in lams))
-    scaled = [v.numerator * (D // v.denominator) for v in lams]
-    zidx = [P.ctx.index(f"z{i}") for i in range(1, k + 1)]
-    # P = sum over (rest, g) of rest * (sum of c * z^e with |e| = g); each
-    # group's coefficients are cleared to integers once, c = c' / den
-    groups: dict[tuple[tuple[int, ...], int], Terms] = {}
-    for e, c in P.terms.items():
-        z = tuple(e[i] for i in zidx)
-        rest = list(e)
-        for i in zidx:
-            rest[i] = 0
-        groups.setdefault((tuple(rest), sum(z)), {})[z] = c
-    cleared = {key: _cleared(terms) for key, terms in groups.items()}
-    totals = dict.fromkeys((rest for rest, _ in groups), Q(0))
-    tops = [P.degree_in(f"z{i}") for i in range(1, k + 1)]
-    D_tangent = D ** (k * (n - 1))
-
-    def scaled_value(w: Weight) -> int:
-        return sum(c * v for c, v in zip(w.coeffs, scaled))
-
-    for fp in enumerate_fixed_points(n, k, point_cap):
-        # value/euler = (s / (den * D^g)) / (E / D^(k(n-1))) for each group
-        E = prod(scaled_value(t) for t in fp.tangent)
-        if E == 0:
-            raise DegenerateWeightsError(
-                "weight collision at the chosen values; pick different lambdas"
-            )
-        powers = []
-        for w, top in zip(fp.weights, tops):
-            a, row = scaled_value(w), [1]
-            for _ in range(top):
-                row.append(row[-1] * a)
-            powers.append(row)
-        for (rest, g), (den, terms) in cleared.items():
-            s = 0
-            for z, c in terms:
-                for row, p in zip(powers, z):
-                    c *= row[p]
-                s += c
-            totals[rest] += Q(s * D_tangent, den * D**g * E)
-    return MultiPoly(P.ctx, totals)
+    return _fibre_sum(n, k, P, point_cap)(lams)
 
 
 # The Chern roots lambda of T_X are drawn as seeded distinct integers from
@@ -241,53 +334,31 @@ def integral_over_tower_fixed_points(
     h^b c_1^(dim-b) is h^b T_b with T_b = sum over the points of
     c_1^(dim-b) / E, a symmetric polynomial of degree n - b in lambda, which
     `_interpolate_over_X` takes over X.  The fixed-point count is the only
-    cap.
-
-    A draw's n + 1 sums run on integers level by level down the tower, in the
-    DFS order of `enumerate_fixed_points`: the n + 1 numerators of a chain
-    prefix share one denominator, the lcm of its children's denominators each
-    times the Euler factor of the child's level.  The denominators stay near
-    the lcm of the Euler classes below the prefix; one flat common multiple
-    of all of them (45,057 bits at n = 5) made the same sum 11x slower.
+    cap.  Each draw's n + 1 sums run on integers down the shared walk
+    `_tower_sum`, whose state is c_1 at the chain prefix.
     """
     if len(a) != k:
         raise ValueError("need k weights")
     if len(blocks) != n + 1:
         raise ValueError("need one block for each power h^0..h^n")
     dim = n + k * (n - 1)
-    # each point as its c_1 coefficient vector and, per level, the indices of
-    # its tangent weights in one table of the distinct tangent weights
-    index: dict[Weight, int] = {}
-    points = []
-    for fp in enumerate_fixed_points(n, k, point_cap):
-        c1 = tuple(-sum(aj * w.coeffs[i] for aj, w in zip(a, fp.weights)) for i in range(n))
-        tangent = [index.setdefault(t, len(index)) for t in fp.tangent]
-        points.append((c1, [tangent[j * (n - 1) : (j + 1) * (n - 1)] for j in range(k)]))
+    table, points = _tower_points(n, k, point_cap)
 
-    def level_sum(lams: list[int], values: list[int], lo: int, hi: int, depth: int):
-        """(D, [N_0..N_n]): N_b / D sums c_1^(dim-b) / E over points[lo:hi],
-        whose first `depth` levels the caller's Euler factors account for."""
-        if depth == k:
-            x = sum(c * v for c, v in zip(points[lo][0], lams))
-            nums, term = [0] * (n + 1), x ** (dim - n)
-            for b in range(n, -1, -1):
-                nums[b], term = term, term * x
-            return 1, nums
-        den, nums, step = 1, [0] * (n + 1), (hi - lo) // n
-        for child in range(lo, hi, step):
-            d, sub = level_sum(lams, values, child, child + step, depth + 1)
-            d *= prod(values[i] for i in points[child][1][depth])
-            g = gcd(den, d)
-            up, scale = d // g, den // g
-            nums = [x * up + y * scale for x, y in zip(nums, sub)]
-            den *= up
-        return den, nums
+    def descend(x: int, depth: int, w: int) -> int:
+        return x - a[depth] * w
+
+    def leaf(x: int) -> list[int]:
+        nums, term = [0] * (n + 1), x ** (dim - n)
+        for b in range(n, -1, -1):
+            nums[b], term = term, term * x
+        return nums
 
     def evaluate(lams: list[int]) -> list[Q] | None:
-        values = [sum(c * v for c, v in zip(t.coeffs, lams)) for t in index]
-        if 0 in values:
+        values = [sum(c * v for c, v in zip(w.coeffs, lams)) for w in table]
+        try:
+            den, nums = _tower_sum(n, points, values, 0, descend, leaf)
+        except DegenerateWeightsError:
             return None
-        den, nums = level_sum(lams, values, 0, len(points), 0)
         return [Q(s, den) for s in nums]
 
     return _interpolate_over_X(n, list(enumerate(blocks)), evaluate)
@@ -303,10 +374,12 @@ def payload_integral_fixed_points(
     Only the terms z^e h^b d^c with b <= n and |e| + b = n + k(n-1) reach
     the top degree; every other term integrates to zero.  The kept part is
     reflected, z -> -z as in `reflect_payload`, so that the fixed-point sums
-    integrate the honest classes, and `fibre_integral_fixed_points` sums it
-    at each draw.  Its h^b d^c coefficient is a symmetric polynomial of
-    degree n - b in lambda, which `_interpolate_over_X` takes over X.  For
-    n = 1 the fibre is one point, where every z_j is -lambda_1 and E = 1.
+    integrate the honest classes, and the fibre sum of
+    `fibre_integral_fixed_points`, whose fixed points and split of P are
+    built once per call, sums it at each draw.  Its h^b d^c coefficient is a
+    symmetric polynomial of degree n - b in lambda, which
+    `_interpolate_over_X` takes over X.  For n = 1 the fibre is one point,
+    where every z_j is -lambda_1 and E = 1.
     """
     ctx = P.ctx
     zvars = [f"z{j}" for j in range(1, k + 1)]
@@ -321,13 +394,14 @@ def payload_integral_fixed_points(
             rest = tuple(0 if i in zidx else x for i, x in enumerate(e))
             blocks[rest] = (e[hi], DPoly([0] * e[di] + [1]))
     reflected = MultiPoly(ctx, kept)
+    fibre = _fibre_sum(n, k, reflected, point_cap) if n > 1 else None
 
     def evaluate(lams: list[int]) -> list[Q] | None:
-        if n == 1:
+        if fibre is None:
             value = reflected.substitute(dict.fromkeys(zvars, lams[0]))
         else:
             try:
-                value = fibre_integral_fixed_points(n, k, reflected, lams, point_cap)
+                value = fibre(lams)
             except DegenerateWeightsError:
                 return None
         return [value.terms.get(rest, Q(0)) for rest in blocks]

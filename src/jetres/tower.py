@@ -10,9 +10,10 @@ weight set of the previous level.  Weight sets follow two equivalent rules:
   closed:     { L_j - w_[1..i],  w_1 - w_[2..i], ..., w_{i-1} - w_i,  w_i }
               minus its single zero element, minus { -(w_t + ... + w_i) : 2<=t<=i }.
 
-Both always have exactly n elements; the equality of the two rules is checked
-exhaustively by the test suite.  Weights are integer vectors in the L-basis
-and are compared exactly, so "nonzero" and set membership are unambiguous.
+Both always have exactly n elements.  The package walks the recursive rule;
+the closed rule lives with the test oracles, which check the two equal
+exhaustively.  Weights are integer vectors in the L-basis and are compared
+exactly, so "nonzero" and set membership are unambiguous.
 
 Note the count: each weight set carries n elements even though the relative
 tangent bundle of a level has rank n - 1.  The sets list the weights of the
@@ -23,11 +24,10 @@ k(n-1) tangent factors.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .exactalg import JetresError, MultiPoly, Q, QLike, ResourceLimitError, VarContext
+from .exactalg import JetresError, Q, QLike, ResourceLimitError
 
 __all__ = [
     "Weight",
@@ -35,13 +35,9 @@ __all__ = [
     "ValidationError",
     "basis_weights",
     "weight_set_recursive",
-    "weight_set_closed",
     "enumerate_fixed_points",
-    "euler_class",
     "euler_value",
-    "lambda_context",
     "weight_value",
-    "weight_poly",
     "DEFAULT_POINT_CAP",
 ]
 
@@ -98,50 +94,6 @@ def weight_set_recursive(prefix: Sequence[Weight], n: int) -> list[Weight]:
     return _validate_prefix(list(prefix), n)[0]
 
 
-def weight_set_closed(prefix: Sequence[Weight], n: int) -> list[Weight]:
-    """Same set by the closed form; exact multiset bookkeeping is asserted."""
-    prefix = list(prefix)
-    _validate_prefix(prefix, n)
-    i = len(prefix)
-    if i == 0:
-        return sorted(basis_weights(n))
-    candidates: list[Weight] = []
-    total = prefix[0]
-    for w in prefix[1:]:
-        total = total + w
-    for lam in basis_weights(n):
-        candidates.append(lam - total)
-    # w_t - (w_{t+1} + ... + w_i) for t = 1..i-1, then w_i itself
-    for t in range(i - 1):
-        tail = prefix[t + 1]
-        for w in prefix[t + 2 :]:
-            tail = tail + w
-        candidates.append(prefix[t] - tail)
-    candidates.append(prefix[-1])
-
-    bag = Counter(candidates)
-    zeros = bag.pop(Weight((0,) * n), 0)
-    if zeros != 1:
-        raise ValidationError(f"expected exactly one zero element, found {zeros}")
-    removed = 0
-    for t in range(1, i):
-        tail = prefix[t]
-        for w in prefix[t + 1 :]:
-            tail = tail + w
-        drop = -tail
-        if bag[drop] <= 0:
-            raise ValidationError(f"subtracted element {drop.coeffs} absent from candidate set")
-        bag[drop] -= 1
-        removed += 1
-        if not bag[drop]:
-            del bag[drop]
-    # cardinality bookkeeping: n = (n + i) - 1 - (i - 1)
-    if sum(bag.values()) != n or any(m != 1 for m in bag.values()):
-        raise ValidationError("closed-form weight set is not a set of n elements")
-    assert removed == i - 1
-    return sorted(bag)
-
-
 @dataclass(frozen=True)
 class FixedPoint:
     """A fixed point of the tower fibre: a valid chain (w_1, ..., w_k).
@@ -196,32 +148,8 @@ def enumerate_fixed_points(n: int, k: int, point_cap: int = DEFAULT_POINT_CAP) -
     return out
 
 
-def lambda_context(n: int) -> VarContext:
-    return VarContext(tuple(f"L{i}" for i in range(1, n + 1)))
-
-
-def weight_poly(w: Weight, ctx: VarContext) -> MultiPoly:
-    terms = {}
-    for i, c in enumerate(w.coeffs):
-        if c:
-            e = [0] * len(ctx)
-            e[i] = 1
-            terms[tuple(e)] = Q(c)
-    return MultiPoly(ctx, terms)
-
-
 def weight_value(w: Weight, lams: Sequence[QLike]) -> Q:
     return sum((Q(c) * Q(v) for c, v in zip(w.coeffs, lams)), Q(0))
-
-
-def euler_class(fp: FixedPoint, ctx: VarContext | None = None) -> MultiPoly:
-    """Equivariant Euler class: the product of all tangent weights, in L_i's."""
-    if ctx is None:
-        ctx = lambda_context(fp.n)
-    out = MultiPoly.const(ctx, 1)
-    for w in fp.tangent:
-        out = out * weight_poly(w, ctx)
-    return out
 
 
 def euler_value(fp: FixedPoint, lams: Sequence[QLike]) -> Q:

@@ -1,20 +1,30 @@
-"""Test-only oracles: the six-point Grassmannian demo of localization.
+"""Test-only oracles: the package's conventions checked against slower or
+independent definitions.
 
 The integral of c_1(tau)^2 c_2(tau) over Grass(2,4) is 1.  Its six fixed
 points keep their weights symbolic here, where the full cancellation of a
 common-denominator sum is cheap (`abbv_sum`).  `grassmannian_omega` is the
 two-variable residue form whose iterated residue is twice that integral; it
 pins the orientation convention of the residue engines.
+
+`weight_set_closed` is the closed rule for the tower's weight sets, checked
+against the recursion of `tower.weight_set_recursive`; `euler_class` keeps a
+fixed point's Euler class symbolic in the L_i.  `lambda_plus_member_bruteforce`
+enumerates the cone generators that `ggl.lambda_plus_member` tests by prefix
+sums, and `chi_structure_sheaf` is chi(X, O_X) from `ggl.todd_of_X`.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from jetres.exactalg import MultiPoly, Q, QLike, VarContext
+from jetres.exactalg import DPoly, MultiPoly, Q, QLike, VarContext
+from jetres.ggl import todd_of_X
 from jetres.localization import DegenerateWeightsError
-from jetres.residue import ResidueForm
+from jetres.residue import ResidueForm, integrate_over_X
+from jetres.tower import FixedPoint, ValidationError, Weight, basis_weights, weight_set_recursive
 
 
 @dataclass(frozen=True)
@@ -134,3 +144,102 @@ def grassmannian_omega(mus: Sequence[QLike] | None = None) -> ResidueForm:
         factors.append((m - z1, 1))
         factors.append((m - z2, 1))
     return ResidueForm(numerator, factors, ("z1", "z2"))
+
+
+def weight_set_closed(prefix: Sequence[Weight], n: int) -> list[Weight]:
+    """Same set by the closed form; exact multiset bookkeeping is asserted."""
+    prefix = list(prefix)
+    weight_set_recursive(prefix, n)  # raises ValidationError on an invalid prefix
+    i = len(prefix)
+    if i == 0:
+        return sorted(basis_weights(n))
+    candidates: list[Weight] = []
+    total = prefix[0]
+    for w in prefix[1:]:
+        total = total + w
+    for lam in basis_weights(n):
+        candidates.append(lam - total)
+    # w_t - (w_{t+1} + ... + w_i) for t = 1..i-1, then w_i itself
+    for t in range(i - 1):
+        tail = prefix[t + 1]
+        for w in prefix[t + 2 :]:
+            tail = tail + w
+        candidates.append(prefix[t] - tail)
+    candidates.append(prefix[-1])
+
+    bag = Counter(candidates)
+    zeros = bag.pop(Weight((0,) * n), 0)
+    if zeros != 1:
+        raise ValidationError(f"expected exactly one zero element, found {zeros}")
+    removed = 0
+    for t in range(1, i):
+        tail = prefix[t]
+        for w in prefix[t + 1 :]:
+            tail = tail + w
+        drop = -tail
+        if bag[drop] <= 0:
+            raise ValidationError(f"subtracted element {drop.coeffs} absent from candidate set")
+        bag[drop] -= 1
+        removed += 1
+        if not bag[drop]:
+            del bag[drop]
+    # cardinality bookkeeping: n = (n + i) - 1 - (i - 1)
+    if sum(bag.values()) != n or any(m != 1 for m in bag.values()):
+        raise ValidationError("closed-form weight set is not a set of n elements")
+    assert removed == i - 1
+    return sorted(bag)
+
+
+def lambda_context(n: int) -> VarContext:
+    return VarContext(tuple(f"L{i}" for i in range(1, n + 1)))
+
+
+def weight_poly(w: Weight, ctx: VarContext) -> MultiPoly:
+    terms = {}
+    for i, c in enumerate(w.coeffs):
+        if c:
+            e = [0] * len(ctx)
+            e[i] = 1
+            terms[tuple(e)] = Q(c)
+    return MultiPoly(ctx, terms)
+
+
+def euler_class(fp: FixedPoint, ctx: VarContext | None = None) -> MultiPoly:
+    """Equivariant Euler class: the product of all tangent weights, in L_i's."""
+    if ctx is None:
+        ctx = lambda_context(fp.n)
+    out = MultiPoly.const(ctx, 1)
+    for w in fp.tangent:
+        out = out * weight_poly(w, ctx)
+    return out
+
+
+def lambda_plus_member_bruteforce(i: Sequence[int], coeff_cap: int = 8) -> bool:
+    """Membership in the cone of `ggl.lambda_plus_member`, by explicit generator enumeration.
+
+    Enumerates coefficients of the root generators e_s - e_t up to coeff_cap;
+    the -e_t coefficients are then forced and checked for non-negativity.
+    """
+    n = len(i)
+    pairs = [(s, t) for s in range(n) for t in range(s + 1, n)]
+
+    def rec(idx: int, current: list[int]) -> bool:
+        if idx == len(pairs):
+            return all(c <= 0 for c in current)
+        s, t = pairs[idx]
+        for c in range(coeff_cap + 1):
+            vec = list(current)
+            vec[s] -= c
+            vec[t] += c
+            # after adding c*(e_s - e_t) to the generators, the residual
+            # current - c*(e_s-e_t) must eventually be <= 0 componentwise
+            if rec(idx + 1, vec):
+                return True
+        return False
+
+    return rec(0, list(i))
+
+
+def chi_structure_sheaf(n: int) -> DPoly:
+    """chi(X, O_X) = integral of the Todd class over the hypersurface."""
+    return integrate_over_X(todd_of_X(n), n)

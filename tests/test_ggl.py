@@ -21,7 +21,6 @@ from jetres.ggl import (
     build_intersection_polynomial,
     payload_closed_form,
     canonical_config,
-    chi_structure_sheaf,
     defect,
     estimate_checks,
     euler_characteristic,
@@ -31,10 +30,10 @@ from jetres.ggl import (
     ggl_threshold_check,
     intersection_payload,
     lambda_plus_member,
-    lambda_plus_member_bruteforce,
     s_constant,
 )
 from jetres.residue import integral_over_tower
+from oracles import chi_structure_sheaf, lambda_plus_member_bruteforce
 
 CORPUS = pathlib.Path(__file__).parent / "corpus"
 

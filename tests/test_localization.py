@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import jetres.localization
 from jetres.exactalg import MultiPoly, Q, VarContext
 from jetres.localization import (
     DegenerateWeightsError,
@@ -189,7 +190,7 @@ def _substitution_oracle(n, k, P, lams):
 @st.composite
 def localization_cases(draw):
     """(n, k, P, lambdas): P with z, h and d terms of any degree, possibly zero."""
-    n, k = draw(st.sampled_from([2, 3])), draw(st.sampled_from([1, 2, 3]))
+    n, k = draw(st.sampled_from([2, 3, 4])), draw(st.sampled_from([1, 2, 3]))
     exponents = st.tuples(*[st.integers(0, 4)] * k, st.integers(0, 2), st.integers(0, 2))
     coeffs = st.builds(Q, st.integers(-9, 9), st.integers(1, 6))
     P = MultiPoly(tower_context(k), draw(st.dictionaries(exponents, coeffs, max_size=8)))
@@ -209,6 +210,65 @@ def test_fixed_point_sum_is_the_substitution_sum(case):
             fibre_integral_fixed_points(n, k, P, lams)
     else:
         assert fibre_integral_fixed_points(n, k, P, lams) == _substitution_oracle(n, k, P, lams)
+
+
+def test_fixed_point_sum_is_the_substitution_sum_on_the_routes_shape():
+    # n = 4, k = 4 as in the benchmark's fibre-integral job: a dense degree-12
+    # power in z, plus h-carrying terms whose non-z monomial (h*d, h^2) comes
+    # with two z-degrees, rational coefficients of different denominators in
+    # one group, and rational lambdas (D = 60)
+    ctx = tower_context(4)
+    P = (parse_poly("(3*u1-2*u2+u4)^12 + 5*u1^4*u2*u3^3*u4^4 + d*h*(u1^3*u2^2*u4^8 - 4*u3^14)"
+                    " + h^2*(2*u2*u4^12 + u1^5)", ctx) * Q(1, 7)
+         + parse_poly("d*h*u1^3*u2^2*u3*u4^7 + u3^12", ctx) * Q(2, 5)
+         + parse_poly("h^2*u2^3*u3^10", ctx) * Q(1, 9))
+    lams = [Q(1, 2), Q(13, 3), Q(-7, 5), Q(29, 4)]
+    value = fibre_integral_fixed_points(4, 4, P, lams)
+    assert value == _substitution_oracle(4, 4, P, lams)
+    assert {e[4:] for e in value.terms} == {(0, 0), (1, 1), (2, 0)}
+
+
+def _level_values(n, k, lams):
+    """Each level's tangent values over all fixed points."""
+    return [[weight_value(t, lams) for fp in enumerate_fixed_points(n, k)
+             for t in fp.tangent[j * (n - 1) : (j + 1) * (n - 1)]] for j in range(k)]
+
+
+def test_collision_at_the_deepest_level_only(monkeypatch):
+    # at lambda = (-4, -3, -1) every Euler factor of levels 1 and 2 is nonzero
+    # and only a level-3 tangent value vanishes
+    n, k, lams = 3, 3, [-4, -3, -1]
+    levels = _level_values(n, k, lams)
+    assert all(0 not in values for values in levels[:-1]) and 0 in levels[-1]
+    P = parse_poly("(u1+2*u2-3*u3+h)^9+d*u3^6", tower_context(k))
+    with pytest.raises(DegenerateWeightsError):
+        fibre_integral_fixed_points(n, k, P, lams)
+
+    # the payload route draws these lambdas first, rejects them and redraws
+    expected = payload_integral_fixed_points(n, k, P)
+    drawn = []
+
+    class DegenerateFirst(random.Random):
+        def sample(self, population, count):
+            drawn.append(list(lams) if not drawn else super().sample(population, count))
+            return drawn[-1]
+
+    monkeypatch.setattr(jetres.localization, "Random", DegenerateFirst)
+    assert payload_integral_fixed_points(n, k, P) == expected
+    assert drawn[0] == lams and len(drawn) == 5  # p(3) + 1 = 4 draws kept
+
+
+def test_payload_integral_enumerates_the_fixed_points_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return enumerate_fixed_points(*args)
+
+    monkeypatch.setattr(jetres.localization, "enumerate_fixed_points", counted)
+    P = parse_poly("(u1+2*u2-3*u3+h)^9+d*u3^6", tower_context(3))
+    payload_integral_fixed_points(3, 3, P)
+    assert len(calls) == 1  # not once per draw: p(3) + 1 = 4 draws
 
 
 @st.composite

@@ -9,13 +9,10 @@ from jetres.tower import (
     Weight,
     basis_weights,
     enumerate_fixed_points,
-    euler_class,
     euler_value,
-    lambda_context,
-    weight_poly,
-    weight_set_closed,
     weight_set_recursive,
 )
+from oracles import euler_class, lambda_context, weight_poly, weight_set_closed
 
 
 def W(*coeffs):
