@@ -11,14 +11,14 @@ integers: P is split once into groups of terms sharing their non-z
 monomial and their total z-degree g, each group's coefficients are cleared
 to integers, and the weights are scaled by the lcm D of the lambdas'
 denominators.  A point's w_j depends only on its first j levels, so the sum
-walks the DFS tree of the fixed points: each level-j node substitutes its
-value of z_j into the integer polynomial its parent evaluated partially, in
-z_j..z_k, and a leaf holds one integer s per group.  Each level multiplies
-in its Euler factor, the product of its n - 1 tangent values, and the
-numerators accumulate over one denominator per node.  At the root a group's
-numerator N over the common denominator E gives the exact rational
-N * D^(k(n-1)) / (den * D^g * E), one `Fraction` per group; nothing
-symbolic is built per point.
+walks the tree of the weight-set recursion of `jetres.tower` directly on
+integer weight values, never building a symbolic weight: each level-j node
+substitutes its value of z_j into the integer polynomial its parent
+evaluated partially, in z_j..z_k, and a leaf holds one integer s per group.
+Each level multiplies in its Euler factor, the product of its n - 1 tangent
+values, and the numerators accumulate over one denominator per node.  At
+the root a group's numerator N over the common denominator E gives the
+exact rational N * D^(k(n-1)) / (den * D^g * E), one `Fraction` per group.
 
 Over the whole tower above the degree-d hypersurface X the fixed-point sums
 are symmetric polynomials in the Chern roots of T_X.  `_interpolate_over_X`
@@ -29,8 +29,8 @@ walk, `_tower_sum`.
 the z_j, down the tree and sums its powers; it is the primary route of the
 intersection polynomial in :mod:`jetres.ggl`.
 :func:`payload_integral_fixed_points` takes any payload P(z, h, d) through
-the fibre sum, enumerating the points and splitting P once for all draws;
-it checks the residue route of the `integral` command.
+the fibre sum, splitting P once for all draws; it checks the residue route
+of the `integral` command.
 """
 
 from __future__ import annotations
@@ -49,10 +49,9 @@ from .exactalg import (
     _cleared,
     binomial,
 )
-from .tower import DEFAULT_POINT_CAP, Weight, enumerate_fixed_points
+from .tower import DEFAULT_POINT_CAP, _check_cap, _step
 
 _S = TypeVar("_S")  # the state a fixed-point walk carries down a chain
-_Level = tuple[int, tuple[int, ...]]  # w_j and the level's tangent weights, as table indices
 
 __all__ = [
     "DegenerateWeightsError",
@@ -68,23 +67,9 @@ class DegenerateWeightsError(JetresError):
     code = "degenerate"
 
 
-def _tower_points(n: int, k: int, point_cap: int) -> tuple[list[Weight], list[list[_Level]]]:
-    """The distinct weights of the n^k fixed points, as one table, and each
-    point, in the DFS order of `enumerate_fixed_points`, as its k levels:
-    (index of w_j, indices of the level's n - 1 tangent weights)."""
-    index: dict[Weight, int] = {}
-    points = []
-    for fp in enumerate_fixed_points(n, k, point_cap):
-        tangent = [index.setdefault(t, len(index)) for t in fp.tangent]
-        levels = [tuple(tangent[j * (n - 1) : (j + 1) * (n - 1)]) for j in range(k)]
-        points.append([(index.setdefault(w, len(index)), ts) for w, ts in zip(fp.weights, levels)])
-    return list(index), points
-
-
 def _tower_sum(
-    n: int,
-    points: list[list[_Level]],
-    values: list[int],
+    k: int,
+    lams: list[int],
     root: _S,
     descend: Callable[[_S, int, int], _S],
     leaf: Callable[[_S], list[int]],
@@ -92,35 +77,36 @@ def _tower_sum(
     """(den, nums) with nums[i] / den the sum over the fixed points of
     leaf(state)[i] / E, E the product of the point's tangent values.
 
-    values[t] is the integer value of table weight t (see `_tower_points`).
-    The walk follows the DFS tree: the points below a level-j node are
-    contiguous, n blocks of (hi - lo) // n, and a node's w_j is that of its
-    first point.  The state starts at `root` and each node passes
-    descend(state, j, value of its w_(j+1)) on to its subtree, so work that
-    depends on a chain prefix is done once per prefix.  The numerators of a
-    node share one denominator, the lcm of its children's denominators each
-    times the Euler factor of the child's level (the product of its n - 1
-    tangent values); it stays near the lcm of the Euler classes below the
-    node.  One flat common multiple of all of them (45,057 bits at n = 5)
-    made the c_1 sum 11x slower.  A level factor of 0 raises
-    DegenerateWeightsError before its subtree is summed.
+    The walk runs the weight-set recursion of `jetres.tower` on the integer
+    values of the weights: the root's set is `lams`, a node's children are
+    the entries of its set, taken by position, and `tower._step` gives a
+    child's n - 1 tangent values and the set above it.  Entries are never
+    merged or compared, so two weights of equal value stay two children, and
+    either one's Euler factor holds their zero difference.  The state
+    starts at `root` and each child passes descend(state, j, its value) on
+    to its subtree, so work that depends on a chain prefix is done once per
+    prefix.  The numerators of a node share one denominator, the lcm of its
+    children's denominators each times the Euler factor of the child's level
+    (the product of its n - 1 tangent values); it stays near the lcm of the
+    Euler classes below the node.  One flat common multiple of all of them
+    (45,057 bits at n = 5) made the c_1 sum 11x slower.  A level factor of 0
+    raises DegenerateWeightsError before its subtree is summed.
     """
-    k = len(points[0])
 
-    def rec(state: _S, lo: int, hi: int, depth: int) -> tuple[int, list[int]]:
+    def rec(state: _S, current: list[int], depth: int) -> tuple[int, list[int]]:
         if depth == k:
             return 1, leaf(state)
-        den, nums, step = 1, [], (hi - lo) // n
-        for child in range(lo, hi, step):
-            w, tangent = points[child][depth]
-            factor = prod(values[t] for t in tangent)
+        den, nums = 1, []
+        for i, w in enumerate(current):
+            tangent, above = _step(current, i)
+            factor = prod(tangent)
             if not factor:
                 raise DegenerateWeightsError(
                     "weight collision at the chosen values; pick different lambdas"
                 )
-            d, sub = rec(descend(state, depth, values[w]), child, child + step, depth + 1)
+            d, sub = rec(descend(state, depth, w), above, depth + 1)
             d *= factor
-            if child == lo:
+            if i == 0:
                 den, nums = d, sub
                 continue
             g = gcd(den, d)
@@ -129,7 +115,7 @@ def _tower_sum(
             den *= up
         return den, nums
 
-    return rec(root, 0, len(points), 0)
+    return rec(root, lams, 0)
 
 
 def _fibre_sum(
@@ -147,7 +133,7 @@ def _fibre_sum(
     a group with numerator N over the walk's denominator E gains
     N * D^(k(n-1)) / (den * D^g * E).
     """
-    table, points = _tower_points(n, k, point_cap)
+    _check_cap(n, k, point_cap)
     zidx = [P.ctx.index(f"z{i}") for i in range(1, k + 1)]
     groups: dict[tuple[tuple[int, ...], int], Terms] = {}
     for e, c in P.terms.items():
@@ -183,8 +169,7 @@ def _fibre_sum(
         # it is an integer
         D = lcm(*(v.denominator for v in lams))
         scaled = [v.numerator * (D // v.denominator) for v in lams]
-        values = [sum(c * v for c, v in zip(w.coeffs, scaled)) for w in table]
-        den, nums = _tower_sum(n, points, values, root, descend, lambda s: s)
+        den, nums = _tower_sum(k, scaled, root, descend, lambda s: s)
         totals = dict.fromkeys((rest for rest, *_ in cleared), Q(0))
         D_tangent = D ** (k * (n - 1))
         for (rest, g, d_g, _), s in zip(cleared, nums):
@@ -214,6 +199,8 @@ def fibre_integral_fixed_points(
         raise ValueError("need n weight values")
     if len(set(lams)) != n:
         raise DegenerateWeightsError("repeated weight values")
+    if n < 2 or k < 1:
+        raise ValueError("need n >= 2 and k >= 1")
     return _fibre_sum(n, k, P, point_cap)(lams)
 
 
@@ -329,7 +316,7 @@ def integral_over_tower_fixed_points(
 
     The torus acts on T_X with weights lambda_1..lambda_n, its Chern roots.
     At each fixed point z_j takes the value -w_j(lambda) (the honest classes,
-    the reflection of `reflect_payload`) and the Euler class is
+    reflected by z -> -z) and the Euler class is
     E = prod of the tangent weights at lambda.  So the fibre integral of
     h^b c_1^(dim-b) is h^b T_b with T_b = sum over the points of
     c_1^(dim-b) / E, a symmetric polynomial of degree n - b in lambda, which
@@ -342,7 +329,7 @@ def integral_over_tower_fixed_points(
     if len(blocks) != n + 1:
         raise ValueError("need one block for each power h^0..h^n")
     dim = n + k * (n - 1)
-    table, points = _tower_points(n, k, point_cap)
+    _check_cap(n, k, point_cap)
 
     def descend(x: int, depth: int, w: int) -> int:
         return x - a[depth] * w
@@ -354,9 +341,8 @@ def integral_over_tower_fixed_points(
         return nums
 
     def evaluate(lams: list[int]) -> list[Q] | None:
-        values = [sum(c * v for c, v in zip(w.coeffs, lams)) for w in table]
         try:
-            den, nums = _tower_sum(n, points, values, 0, descend, leaf)
+            den, nums = _tower_sum(k, lams, 0, descend, leaf)
         except DegenerateWeightsError:
             return None
         return [Q(s, den) for s in nums]
@@ -373,17 +359,16 @@ def payload_integral_fixed_points(
 
     Only the terms z^e h^b d^c with b <= n and |e| + b = n + k(n-1) reach
     the top degree; every other term integrates to zero.  The kept part is
-    reflected, z -> -z as in `reflect_payload`, so that the fixed-point sums
-    integrate the honest classes, and the fibre sum of
-    `fibre_integral_fixed_points`, whose fixed points and split of P are
-    built once per call, sums it at each draw.  Its h^b d^c coefficient is a
-    symmetric polynomial of degree n - b in lambda, which
-    `_interpolate_over_X` takes over X.  For n = 1 the fibre is one point,
-    where every z_j is -lambda_1 and E = 1.
+    reflected, z -> -z, so that the fixed-point sums integrate the honest
+    classes, and the fibre sum of `fibre_integral_fixed_points`, whose split
+    of P is built once per call, sums it at each draw.  Its h^b d^c
+    coefficient is a symmetric polynomial of degree n - b in lambda, which
+    `_interpolate_over_X` takes over X.  At n = 1 the walk reaches the one
+    fixed point, where every z_j is -lambda_1 and every Euler factor is 1.
     """
     ctx = P.ctx
-    zvars = [f"z{j}" for j in range(1, k + 1)]
-    zidx, hi, di = [ctx.index(z) for z in zvars], ctx.index("h"), ctx.index("d")
+    zidx = [ctx.index(f"z{j}") for j in range(1, k + 1)]
+    hi, di = ctx.index("h"), ctx.index("d")
     dim = n + k * (n - 1)
     kept: Terms = {}
     blocks: dict[tuple[int, ...], tuple[int, DPoly]] = {}
@@ -393,17 +378,13 @@ def payload_integral_fixed_points(
             kept[e] = (-1) ** g * c
             rest = tuple(0 if i in zidx else x for i, x in enumerate(e))
             blocks[rest] = (e[hi], DPoly([0] * e[di] + [1]))
-    reflected = MultiPoly(ctx, kept)
-    fibre = _fibre_sum(n, k, reflected, point_cap) if n > 1 else None
+    fibre = _fibre_sum(n, k, MultiPoly(ctx, kept), point_cap)
 
     def evaluate(lams: list[int]) -> list[Q] | None:
-        if fibre is None:
-            value = reflected.substitute(dict.fromkeys(zvars, lams[0]))
-        else:
-            try:
-                value = fibre(lams)
-            except DegenerateWeightsError:
-                return None
+        try:
+            value = fibre(lams)
+        except DegenerateWeightsError:
+            return None
         return [value.terms.get(rest, Q(0)) for rest in blocks]
 
     return _interpolate_over_X(n, list(blocks.values()), evaluate)

@@ -85,7 +85,6 @@ __all__ = [
     "hypersurface_integrand",
     "integrate_over_X",
     "integral_over_tower",
-    "reflect_payload",
     "tower_context",
     "DEFAULT_TERM_CAP",
 ]
@@ -557,16 +556,6 @@ def segre_hypersurface(n: int, d: QLike | str = "symbolic") -> tuple[MultiPoly, 
         series.coefficient_of({"h": i}) * MultiPoly.monomial(HD_CTX, {"h": i})
         for i in range(1, n + 1)
     )
-
-
-def reflect_payload(P: MultiPoly, k: int) -> MultiPoly:
-    """P(z_1..z_k, ...) -> P(-z_1..-z_k, ...): the bridge between the
-    fixed-point convention and the honest-class convention."""
-    subs = {}
-    for i in range(1, k + 1):
-        name = f"z{i}"
-        subs[name] = -MultiPoly.variable(P.ctx, name)
-    return P.substitute(subs)
 
 
 def _plus_kernel(

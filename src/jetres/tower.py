@@ -10,10 +10,14 @@ weight set of the previous level.  Weight sets follow two equivalent rules:
   closed:     { L_j - w_[1..i],  w_1 - w_[2..i], ..., w_{i-1} - w_i,  w_i }
               minus its single zero element, minus { -(w_t + ... + w_i) : 2<=t<=i }.
 
-Both always have exactly n elements.  The package walks the recursive rule;
-the closed rule lives with the test oracles, which check the two equal
-exhaustively.  Weights are integer vectors in the L-basis and are compared
-exactly, so "nonzero" and set membership are unambiguous.
+Both always have exactly n elements.  The package walks the recursive rule
+through one positional step, `_step`, in two places: here, on symbolic
+weights, as the sorted enumeration of the chains; and in
+`jetres.localization`, on the integer values of the weights at chosen
+lambdas, as the walk that sums the fixed points.  The closed rule lives with
+the test oracles, which check the two equal exhaustively.  Weights are
+integer vectors in the L-basis and are compared exactly, so "nonzero" and
+set membership are unambiguous.
 
 Note the count: each weight set carries n elements even though the relative
 tangent bundle of a level has rank n - 1.  The sets list the weights of the
@@ -25,7 +29,7 @@ k(n-1) tangent factors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Sequence, TypeVar
 
 from .exactalg import JetresError, Q, QLike, ResourceLimitError
 
@@ -70,11 +74,22 @@ def basis_weights(n: int) -> list[Weight]:
     return [Weight(tuple(1 if j == i else 0 for j in range(n))) for i in range(n)]
 
 
-def _step(current: Sequence[Weight], chosen: Weight) -> tuple[tuple[Weight, ...], list[Weight]]:
-    """One level: its tangent weights w - chosen (w != chosen in the sorted
-    set `current`) and the sorted weight set above it, those and chosen."""
-    deltas = tuple(w - chosen for w in current if w != chosen)
-    return deltas, sorted({chosen, *deltas})
+_W = TypeVar("_W", Weight, int)  # a symbolic weight or its integer value
+
+
+def _step(current: Sequence[_W], i: int) -> tuple[list[_W], list[_W]]:
+    """One level at entry i of the weight set `current`: its tangent
+    weights w - current[i] over the other n - 1 entries, and the weight set
+    above it, current[i] followed by those.  Entries are taken by position
+    and never compared."""
+    chosen = current[i]
+    deltas = [w - chosen for j, w in enumerate(current) if j != i]
+    return deltas, [chosen, *deltas]
+
+
+def _check_cap(n: int, k: int, point_cap: int) -> None:
+    if n**k > point_cap:
+        raise ResourceLimitError(f"{n}^{k} fixed points exceed cap {point_cap}")
 
 
 def _validate_prefix(prefix: Sequence[Weight], n: int) -> tuple[list[Weight], list[Weight]]:
@@ -84,8 +99,9 @@ def _validate_prefix(prefix: Sequence[Weight], n: int) -> tuple[list[Weight], li
     for i, w in enumerate(prefix):
         if w not in current:
             raise ValidationError(f"prefix weight {w.coeffs} at position {i} not in its weight set")
-        deltas, current = _step(current, w)
+        deltas, above = _step(current, current.index(w))
         tangent.extend(deltas)
+        current = sorted(above)
     return current, tangent
 
 
@@ -132,17 +148,16 @@ def enumerate_fixed_points(n: int, k: int, point_cap: int = DEFAULT_POINT_CAP) -
     """
     if n < 2 or k < 1:
         raise ValueError("need n >= 2 and k >= 1")
-    if n**k > point_cap:
-        raise ResourceLimitError(f"{n}^{k} fixed points exceed cap {point_cap}")
+    _check_cap(n, k, point_cap)
     out: list[FixedPoint] = []
 
     def rec(chain: tuple[Weight, ...], current: list[Weight], tangent: tuple[Weight, ...]) -> None:
-        for wj in current:
-            deltas, above = _step(current, wj)
+        for i, wj in enumerate(current):
+            deltas, above = _step(current, i)
             if len(chain) == k - 1:
-                out.append(FixedPoint._walked(chain + (wj,), n, tangent + deltas))
+                out.append(FixedPoint._walked(chain + (wj,), n, tangent + tuple(deltas)))
             else:
-                rec(chain + (wj,), above, tangent + deltas)
+                rec(chain + (wj,), sorted(above), tangent + tuple(deltas))
 
     rec((), sorted(basis_weights(n)), ())
     return out

@@ -5,7 +5,9 @@ The integral of c_1(tau)^2 c_2(tau) over Grass(2,4) is 1.  Its six fixed
 points keep their weights symbolic here, where the full cancellation of a
 common-denominator sum is cheap (`abbv_sum`).  `grassmannian_omega` is the
 two-variable residue form whose iterated residue is twice that integral; it
-pins the orientation convention of the residue engines.
+pins the orientation convention of the residue engines.  `reflect_payload`
+is z -> -z, the bridge between the fixed-point and the honest-class payload
+conventions.
 
 `weight_set_closed` is the closed rule for the tower's weight sets, checked
 against the recursion of `tower.weight_set_recursive`; `euler_class` keeps a
@@ -144,6 +146,16 @@ def grassmannian_omega(mus: Sequence[QLike] | None = None) -> ResidueForm:
         factors.append((m - z1, 1))
         factors.append((m - z2, 1))
     return ResidueForm(numerator, factors, ("z1", "z2"))
+
+
+def reflect_payload(P: MultiPoly, k: int) -> MultiPoly:
+    """P(z_1..z_k, ...) -> P(-z_1..-z_k, ...): the bridge between the
+    fixed-point convention and the honest-class convention."""
+    subs = {}
+    for i in range(1, k + 1):
+        name = f"z{i}"
+        subs[name] = -MultiPoly.variable(P.ctx, name)
+    return P.substitute(subs)
 
 
 def weight_set_closed(prefix: Sequence[Weight], n: int) -> list[Weight]:

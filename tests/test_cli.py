@@ -142,10 +142,11 @@ def test_caps_below_one_are_validation_errors(argv, capsys):
         (["integral", "-n", "2", "-k", "0", "-P", "1"], "k must be at least 1"),
         (["ggl", "-n", "-1"], "n must be >= 2"),
         (["diagnostics", "-n", "-2"], "n must be >= 2"),
+        (["fibre-integral", "-n", "1", "-k", "1", "-P", "u1", "--lambdas", "5"], "need n >= 2"),
     ],
     ids=["defect-cap-negative", "defect-cap-minus-one", "lambdas-length", "fibre-n-negative",
          "integral-n-0", "euler-n-0", "fibre-n-with-lambdas", "integral-k-0", "ggl-n-negative",
-         "diagnostics-n-negative"],
+         "diagnostics-n-negative", "fibre-n-1"],
 )
 def test_out_of_range_values_are_validation_errors(argv, message, capsys):
     code = main(argv)

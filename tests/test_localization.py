@@ -258,19 +258,6 @@ def test_collision_at_the_deepest_level_only(monkeypatch):
     assert drawn[0] == lams and len(drawn) == 5  # p(3) + 1 = 4 draws kept
 
 
-def test_payload_integral_enumerates_the_fixed_points_once(monkeypatch):
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return enumerate_fixed_points(*args)
-
-    monkeypatch.setattr(jetres.localization, "enumerate_fixed_points", counted)
-    P = parse_poly("(u1+2*u2-3*u3+h)^9+d*u3^6", tower_context(3))
-    payload_integral_fixed_points(3, 3, P)
-    assert len(calls) == 1  # not once per draw: p(3) + 1 = 4 draws
-
-
 @st.composite
 def tower_payloads(draw, n, k):
     """P(z, h, d) over the k-tower above X, mixing degree-matched terms

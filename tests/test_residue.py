@@ -27,7 +27,6 @@ from jetres.residue import (
     integral_over_tower,
     integrate_over_X,
     orientation_sign,
-    reflect_payload,
     residue_expand,
     residue_stepwise,
     segre_hypersurface,
@@ -35,7 +34,7 @@ from jetres.residue import (
     _plus_kernel,
     _zsum,
 )
-from oracles import grassmannian_omega
+from oracles import grassmannian_omega, reflect_payload
 
 Z2CTX = VarContext(("z1", "z2"))
 TZ1 = MultiPoly.variable(Z2CTX, "z1")
