@@ -28,6 +28,9 @@ M_b among the right ones.  A product's exponents stay within that bound, so
 two distinct exponent vectors never share a key and every key reads back
 exactly.  Keys never leave ``_sum_products``: its callers pass and receive
 exponent tuples.
+
+Truncated series are grade buckets multiplied through the same kernel; the
+one series inverse, ``_graded_inverse``, solves a*b = 1 grade by grade.
 """
 
 from __future__ import annotations
@@ -407,12 +410,27 @@ def _graded_exp(
 def _graded_inverse(
     a: Graded, cap: int, width: int, trunc_idx: int = -1, trunc_max: int = 0
 ) -> Graded:
-    """The b with a*b == 1 modulo grade > cap; a's grade-0 part must be exactly 1."""
-    if a.get(0) != {(0,) * width: 1}:
+    """The b with a*b == 1 modulo grade > cap; a's grade-0 part must be exactly 1.
+
+    Grade by grade from the recurrence b_0 = 1, b_g = -sum_(g' >= 1) a_g' b_(g - g').
+    With D the lcm of a's denominators, D^g b_g is an integer polynomial, so
+    each grade is one group of _sum_products over the integer terms D^g' a_g'
+    and D^(g - g') b_(g - g'), negated, and divided by D^g once.
+    """
+    unit = (0,) * width
+    if a.get(0) != {unit: 1}:
         raise NonUnitError("series inverse requires grade-0 part exactly 1")
-    x = {g: t for g, t in a.items() if g}
-    coeffs = [Q((-1) ** m) for m in range(cap + 1)]
-    return _graded_series(x, coeffs, cap, width, trunc_idx, trunc_max)
+    den = _denominator(a.values())
+    ia = {g: _scaled(t, den**g) for g, t in a.items() if 0 < g <= cap}
+    ib: dict[int, IntTerms] = {0: [(unit, 1)]}
+    out: Graded = {0: {unit: Q(1)}}
+    for g in range(1, cap + 1):
+        pairs = [(t, ib[g - g1]) for g1, t in ia.items() if g - g1 in ib]
+        (sums,) = _sum_products([pairs], trunc_idx, trunc_max)
+        if sums:
+            ib[g] = [(e, -c) for e, c in sums.items()]
+            out[g] = _divided(ib[g], den**g)
+    return out
 
 
 class MultiPoly:

@@ -6,11 +6,12 @@ expansion of the fraction on the domain |z_1| << ... << |z_k|, where each
 affine-linear factor omega_i is expanded against its leading variable (the
 largest z-index it involves).  Two independent evaluators are provided:
 
-  * :func:`residue_expand`   -- geometric-series expansion.  Coefficients of
+  * :func:`residue_expand`   -- Laurent expansion.  Coefficients of
     (z_1...z_k)^(-1) are extracted one variable at a time from z_k down to
-    z_1, which makes every stage a finite exact computation: at stage j only
-    finitely many series orders can combine with the carried polynomial's
-    z_j-degrees to land on exponent -1.
+    z_1, which makes every stage a finite exact computation: the factors led
+    by z_j expand together as one series inverse in 1/z_j, and only finitely
+    many of its orders can combine with the carried polynomial's z_j-degrees
+    to land on exponent -1.
   * :func:`residue_stepwise` -- the one-variable Residue Theorem applied from
     z_k down to z_1: the residue at infinity is minus the sum of the residues
     at the finite poles; order-m poles use the (m-1)-st derivative rule,
@@ -51,6 +52,7 @@ from typing import Callable, Sequence
 
 from .exactalg import (
     DPoly,
+    Graded,
     HD_CTX,
     IntTerms,
     JetresError,
@@ -59,13 +61,12 @@ from .exactalg import (
     ResourceLimitError,
     Terms,
     VarContext,
-    binomial,
     _add_into,
     _cleared,
     _denominator,
     _divided,
+    _graded_inverse,
     _graded_mul,
-    _graded_series,
     _gradedlex_key,
     _mul_terms,
     _scaled,
@@ -183,22 +184,43 @@ def _trunc_args(form: ResidueForm) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Engine 1: geometric-series expansion
+# Engine 1: Laurent expansion
 # ---------------------------------------------------------------------------
+
+
+def _stage_series(group: Sequence[tuple[Q, Terms, int]], smax: int, width: int,
+                  ti: int, tm: int) -> tuple[Q, Graded]:
+    """(c, S) for one stage's factors c_f z_j + R_f: the product of the
+    (c_f z_j + R_f)^(-m_f) is c^(-1) sum_s S_s z_j^(-s), here for s <= smax.
+
+    With w = 1/z_j the product of the factors is c z_j^M H(w), where
+    M = sum m_f, c = prod c_f^m_f and H(w) = prod_f (1 + (R_f/c_f) w)^m_f is a
+    polynomial of w-degree M.  So S_(M+r) = G_r for G = 1/H, and only the
+    grades r <= smax - M of H and G are needed.
+    """
+    m_total = sum(m for _, _, m in group)
+    room = smax - m_total
+    unit = (0,) * width
+    H: Graded = {0: {unit: Q(1)}}
+    c = Q(1)
+    for c_f, rest, mult in group:
+        c *= c_f**mult
+        linear = {0: {unit: Q(1)}, 1: {e: v / c_f for e, v in rest.items()}}
+        for _ in range(mult):
+            H = _graded_mul(H, linear, room, ti, tm)
+    G = _graded_inverse(H, room, width, ti, tm)
+    return c, {m_total + r: t for r, t in G.items()}
 
 
 def residue_expand(form: ResidueForm, max_terms: int = DEFAULT_TERM_CAP) -> MultiPoly:
     """Iterated residue by Laurent expansion; exact, no truncation guesswork.
 
-    Variables are eliminated from z_k down to z_1.  At stage j every factor
-    whose leading variable is z_j is expanded as
-
-        1/(c z_j + R)^m = sum_r (-1)^r C(m+r-1, r) R^r / (c z_j)^(m+r),
-
-    where R involves only z_1..z_(j-1) and coefficient variables.  The
-    coefficient of z_j^(-1) in (carried polynomial) * (product of these
-    series) is a finite sum because the carried z_j-degrees bound the usable
-    series orders; it becomes the carried polynomial of stage j-1.
+    Variables are eliminated from z_k down to z_1.  Stage j keeps the
+    coefficient of z_j^(-1) in N * c^(-1) z_j^(-M) G(1/z_j), where N is the
+    carried polynomial and c^(-1) z_j^(-M) G(1/z_j) the product of the
+    inverted factors led by z_j (_stage_series).  The z_j-degrees of N bound
+    the usable grades of G, so the sum is finite; it is the carried
+    polynomial of stage j-1.
     """
     ctx = form.ctx
     zpos = [ctx.index(z) for z in form.zvars]
@@ -213,7 +235,6 @@ def residue_expand(form: ResidueForm, max_terms: int = DEFAULT_TERM_CAP) -> Mult
         groups.setdefault(lead, []).append((c_lead, rest, mult))
 
     carried: Terms = dict(form.numerator.terms)
-    zero_exp = (0,) * len(ctx)
 
     for j in range(k, 0, -1):
         if not carried:
@@ -224,34 +245,25 @@ def residue_expand(form: ResidueForm, max_terms: int = DEFAULT_TERM_CAP) -> Mult
             # polynomial in z_j: no z_j^(-1) term, the whole residue vanishes
             carried = {}
             break
-        numax = max(e[zj] for e in carried)
-        m_total = sum(m for _, _, m in group)
-        smax = numax + 1
-        if smax < m_total:
+        smax = max(e[zj] for e in carried) + 1
+        if smax < sum(m for _, _, m in group):
             carried = {}
             break
-        # convolve the factor series by total z_j^- order
-        conv: dict[int, Terms] = {0: {zero_exp: Q(1)}}
-        for c_lead, rest, mult in group:
-            room = smax - (m_total - mult)
-            coeffs = [
-                Q((-1) ** r * binomial(mult + r - 1, r)) / (c_lead ** (mult + r))
-                for r in range(room - mult + 1)
-            ]
-            fser = _graded_series({1: rest}, coeffs, room - mult, len(ctx), ti, tm)
-            conv = _graded_mul(conv, {mult + r: t for r, t in fser.items()}, smax, ti, tm)
+        c, conv = _stage_series(group, smax, len(ctx), ti, tm)
         # bucket the carried terms by z_j-exponent (slot zeroed): one product
-        # each, all summed as integers over one common denominator
+        # each, all summed as integers over one common denominator, whose
+        # one division also takes the c^(-1)
         dc, cleared = _cleared(carried)
         dv = _denominator(conv.values())
         buckets: dict[int, IntTerms] = {}
-        for e, c in cleared:
+        for e, v in cleared:
             e0 = list(e)
             e0[zj] = 0
-            buckets.setdefault(e[zj] + 1, []).append((tuple(e0), c))
+            buckets.setdefault(e[zj] + 1, []).append((tuple(e0), v))
         pairs = [(bucket, _scaled(conv[s], dv)) for s, bucket in buckets.items() if conv.get(s)]
         (sums,) = _sum_products([pairs], ti, tm, (max_terms, "residue_expand"))
-        carried = _divided(sums.items(), dc * dv)
+        carried = _divided(((e, v * c.denominator) for e, v in sums.items()),
+                           dc * dv * c.numerator)
 
     for e in carried:
         if any(e[i] for i in zpos):

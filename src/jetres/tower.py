@@ -38,7 +38,6 @@ __all__ = [
     "FixedPoint",
     "ValidationError",
     "basis_weights",
-    "weight_set_recursive",
     "enumerate_fixed_points",
     "euler_value",
     "weight_value",
@@ -103,11 +102,6 @@ def _validate_prefix(prefix: Sequence[Weight], n: int) -> tuple[list[Weight], li
         tangent.extend(deltas)
         current = sorted(above)
     return current, tangent
-
-
-def weight_set_recursive(prefix: Sequence[Weight], n: int) -> list[Weight]:
-    """Weight set above a valid prefix, by the level-by-level recursion."""
-    return _validate_prefix(list(prefix), n)[0]
 
 
 @dataclass(frozen=True)

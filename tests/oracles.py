@@ -10,10 +10,12 @@ is z -> -z, the bridge between the fixed-point and the honest-class payload
 conventions.
 
 `weight_set_closed` is the closed rule for the tower's weight sets, checked
-against the recursion of `tower.weight_set_recursive`; `euler_class` keeps a
-fixed point's Euler class symbolic in the L_i.  `lambda_plus_member_bruteforce`
+against the recursion `weight_set_recursive`; `euler_class` keeps a fixed
+point's Euler class symbolic in the L_i.  `lambda_plus_member_bruteforce`
 enumerates the cone generators that `ggl.lambda_plus_member` tests by prefix
 sums, and `chi_structure_sheaf` is chi(X, O_X) from `ggl.todd_of_X`.
+`stage_series_convolved` expands one `residue_expand` stage the long way:
+one binomial series per factor, convolved by total order.
 """
 
 from __future__ import annotations
@@ -22,11 +24,22 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from jetres.exactalg import DPoly, MultiPoly, Q, QLike, VarContext
+from jetres.exactalg import (
+    DPoly,
+    Graded,
+    MultiPoly,
+    Q,
+    QLike,
+    Terms,
+    VarContext,
+    binomial,
+    _graded_mul,
+    _graded_series,
+)
 from jetres.ggl import todd_of_X
 from jetres.localization import DegenerateWeightsError
 from jetres.residue import ResidueForm, integrate_over_X
-from jetres.tower import FixedPoint, ValidationError, Weight, basis_weights, weight_set_recursive
+from jetres.tower import FixedPoint, ValidationError, Weight, _validate_prefix, basis_weights
 
 
 @dataclass(frozen=True)
@@ -158,6 +171,11 @@ def reflect_payload(P: MultiPoly, k: int) -> MultiPoly:
     return P.substitute(subs)
 
 
+def weight_set_recursive(prefix: Sequence[Weight], n: int) -> list[Weight]:
+    """Weight set above a valid prefix, by the level-by-level recursion."""
+    return _validate_prefix(list(prefix), n)[0]
+
+
 def weight_set_closed(prefix: Sequence[Weight], n: int) -> list[Weight]:
     """Same set by the closed form; exact multiset bookkeeping is asserted."""
     prefix = list(prefix)
@@ -255,3 +273,21 @@ def lambda_plus_member_bruteforce(i: Sequence[int], coeff_cap: int = 8) -> bool:
 def chi_structure_sheaf(n: int) -> DPoly:
     """chi(X, O_X) = integral of the Todd class over the hypersurface."""
     return integrate_over_X(todd_of_X(n), n)
+
+
+def stage_series_convolved(group: Sequence[tuple[Q, Terms, int]], smax: int, width: int,
+                           trunc_idx: int = -1, trunc_max: int = 0) -> Graded:
+    """The product of the factors (c z_j + R)^(-m) of one residue stage,
+    keyed by the order s of z_j^(-s), for s up to smax: each factor expanded
+    as sum_r (-1)^r C(m+r-1, r) R^r / (c z_j)^(m+r), and the series
+    convolved by total order."""
+    m_total = sum(m for _, _, m in group)
+    conv: Graded = {0: {(0,) * width: Q(1)}}
+    for c_lead, rest, mult in group:
+        room = smax - (m_total - mult)
+        coeffs = [Q((-1) ** r * binomial(mult + r - 1, r)) / (c_lead ** (mult + r))
+                  for r in range(room - mult + 1)]
+        fser = _graded_series({1: rest}, coeffs, room - mult, width, trunc_idx, trunc_max)
+        conv = _graded_mul(conv, {mult + r: t for r, t in fser.items()}, smax, trunc_idx,
+                           trunc_max)
+    return conv

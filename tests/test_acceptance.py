@@ -38,8 +38,14 @@ from jetres.residue import (
     segre_hypersurface,
     tower_context,
 )
-from jetres.tower import basis_weights, weight_set_recursive
-from oracles import abbv_sum, grassmannian_fixed_point_data, grassmannian_omega, weight_set_closed
+from jetres.tower import basis_weights
+from oracles import (
+    abbv_sum,
+    grassmannian_fixed_point_data,
+    grassmannian_omega,
+    weight_set_closed,
+    weight_set_recursive,
+)
 
 
 def announce(number: int, ok: bool, label: str, elapsed: float, budget: float) -> None:

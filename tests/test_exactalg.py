@@ -21,6 +21,7 @@ from jetres.exactalg import (
     _graded_exp,
     _graded_inverse,
     _graded_mul,
+    _graded_series,
     _mul_terms,
     _sum_products,
 )
@@ -170,6 +171,16 @@ def test_graded_inverse_times_series_is_one(x, cap, trunc):
     a = _graded({**x, UNIT: Q(1)}, WEIGHTS, cap)
     inv = _graded_inverse(a, cap, 3, ti, tm)
     assert _flat(_graded_mul(inv, a, cap, ti, tm)) == {UNIT: Q(1)}
+
+
+@given(nonconstant_st, cap_st, trunc_st)
+def test_graded_inverse_is_the_geometric_series(x, cap, trunc):
+    # 1/(1 + x) = sum_m (-1)^m x^m, the definition the recurrence replaced
+    ti, tm = trunc
+    a = _graded({**x, UNIT: Q(1)}, WEIGHTS, cap)
+    geometric = _graded_series(_graded(x, WEIGHTS, cap), [(-1) ** m for m in range(cap + 1)],
+                               cap, 3, ti, tm)
+    assert _graded_inverse(a, cap, 3, ti, tm) == geometric
 
 
 @given(nonconstant_st, nonconstant_st, cap_st, trunc_st)

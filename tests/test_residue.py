@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from jetres.exactalg import (
@@ -32,9 +32,10 @@ from jetres.residue import (
     segre_hypersurface,
     tower_context,
     _plus_kernel,
+    _stage_series,
     _zsum,
 )
-from oracles import grassmannian_omega, reflect_payload
+from oracles import grassmannian_omega, reflect_payload, stage_series_convolved
 
 Z2CTX = VarContext(("z1", "z2"))
 TZ1 = MultiPoly.variable(Z2CTX, "z1")
@@ -201,6 +202,33 @@ def factor_table_forms(draw):
 @given(factor_table_forms())
 def test_engines_agree_on_merged_and_collapsing_factors(form):
     assert residue_stepwise(form) == residue_expand(form)
+
+
+# One residue stage: factors c z_j + R over exponent vectors of width 3, R of
+# grade 1 whatever its exponents, multiplicities 1..6 (n + 2 up to n = 4).
+STAGE_WIDTH = 3
+stage_factor_st = st.tuples(
+    st.builds(Q, st.integers(1, 9) | st.integers(-9, -1), st.integers(1, 5)),
+    st.dictionaries(st.tuples(*[st.integers(0, 2)] * STAGE_WIDTH),
+                    st.builds(Q, st.integers(-9, 9), st.integers(1, 4)), max_size=3)
+    .map(lambda t: {e: c for e, c in t.items() if c}),
+    st.integers(1, 6),
+)
+
+
+@given(st.lists(stage_factor_st, min_size=1, max_size=3), st.integers(0, 4),
+       st.sampled_from([(-1, 0), (0, 1), (2, 3)]))
+@example([(Q(-2, 3), {}, 2), (Q(1), {(1, 0, 0): Q(1), (0, 0, 1): Q(-1, 2)}, 3)], 3, (-1, 0))
+@example([(Q(3), {(0, 0, 1): Q(1)}, 6)], 0, (2, 3))
+@example([(Q(-1), {(1, 0, 0): Q(1, 3), (0, 0, 0): Q(-11)}, 1)], 4, (0, 1))
+def test_stage_series_is_the_convolved_factor_series(group, room, trunc):
+    # leading coefficients rational or negative, an empty R (a factor c z_j),
+    # a room of 0 and the h-truncation on and off
+    ti, tm = trunc
+    smax = sum(m for _, _, m in group) + room
+    c, series = _stage_series(group, smax, STAGE_WIDTH, ti, tm)
+    got = {s: {e: v / c for e, v in t.items()} for s, t in series.items()}
+    assert got == stage_series_convolved(group, smax, STAGE_WIDTH, ti, tm)
 
 
 def test_factors_that_meet_after_a_substitution_share_one_entry():

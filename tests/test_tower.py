@@ -10,9 +10,14 @@ from jetres.tower import (
     basis_weights,
     enumerate_fixed_points,
     euler_value,
+)
+from oracles import (
+    euler_class,
+    lambda_context,
+    weight_poly,
+    weight_set_closed,
     weight_set_recursive,
 )
-from oracles import euler_class, lambda_context, weight_poly, weight_set_closed
 
 
 def W(*coeffs):
