@@ -16,34 +16,35 @@ function, so values can be shared freely between threads.  Canonical form is
 "no zero terms"; serialization order is graded lexicographic on the context's
 fixed variable order, so equal values print identically.
 
-Every sum of sparse products runs through one kernel, on integer
-coefficients (each operand cleared of its denominators once) and on packed
-exponent keys: inside ``_sum_products`` an exponent vector is one integer
-with a fixed-width signed digit per variable, so adding two exponent vectors
-is one integer addition.  The invariant: no digit of a key ever leaves its
-width.  ``_sum_products`` enforces it for each call by choosing the digit
-width from the operands, with room for every exponent of magnitude up to
-M_a + M_b, where M_a is the largest |exponent| among the left operands and
-M_b among the right ones.  A product's exponents stay within that bound, so
-two distinct exponent vectors never share a key and every key reads back
-exactly.  Keys never leave ``_sum_products``: its callers pass and receive
-exponent tuples.
-
-Truncated series are grade buckets multiplied through the same kernel; the
-one series inverse, ``_graded_inverse``, solves a*b = 1 grade by grade.
+Every sum of sparse products runs through one kernel, ``_mac``, on integer
+coefficients and packed exponent keys: an exponent vector is one integer
+with a fixed-width signed digit per variable (``_Codec``), so adding two
+exponent vectors is one integer addition.  The invariant: no digit of a key
+ever leaves its width.  The width rule enforces it: keys whose exponents
+are bounded by M_a and M_b in magnitude are multiplied with digits that
+hold M_a + M_b, so two distinct exponent vectors never share a key and
+every key reads back exactly.  Two kinds of value hold keys.
+``_sum_products`` packs operands given as exponent tuples for one call and
+reads its sums back.  A truncated series (``Graded``) stays packed from
+its construction through every product, sum, series and inverse: it
+carries its codec, one integer denominator and a bound on its exponents,
+and its keys are read back only by ``_flat`` (and by a widening).  A
+product whose bounds do not fit the digits first makes them exact and, if
+that is not enough, widens both operands.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from bisect import bisect_right
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, replace
 from fractions import Fraction as Q
-from functools import cached_property
+from functools import cache, cached_property
 from heapq import heapify, heappop, heappush
-from math import factorial, lcm
-from operator import add, mul
+from itertools import chain
+from math import factorial, gcd, lcm
+from operator import add, itemgetter, mul
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 __all__ = [
@@ -56,6 +57,7 @@ __all__ = [
     "VarContext",
     "MultiPoly",
     "DPoly",
+    "Graded",
     "HD_CTX",
     "binomial",
     "multinomial",
@@ -174,99 +176,127 @@ def _cleared(terms: Terms) -> tuple[int, IntTerms]:
 # Signed array typecodes by digit width in bytes, narrowest first.
 _DIGIT_FORMATS = {array(t).itemsize: t for t in "bhiq"}
 
-# A packed operand: (key, coefficient) terms and, when the product is
-# truncated, the terms' exponents at the truncation slot in ascending order
-# (the terms sorted the same way); else None.
-Packed = tuple[list[tuple[int, int]], list[int] | None]
+
+def _digit_size(reach: int) -> int:
+    """The width rule: the least digit size s (bytes) with 2 reach < 256^s,
+    so that digits of magnitude up to reach fit the range [-256^s/2, 256^s/2)."""
+    size = next((s for s in _DIGIT_FORMATS if 2 * reach < 256**s), None)
+    if size is None:
+        raise ResourceLimitError(f"exponents of {reach} exceed the packed kernel's range")
+    return size
 
 
-def _mac(acc: dict[int, int], a: Packed, b: Packed, trunc_max: int) -> None:
-    """acc += a * b on packed operands, dropping truncation exponents above
-    trunc_max: the one multiply-accumulate kernel.  Under truncation each
-    term of the shorter operand meets the prefix of the longer one whose
-    exponents fit beside its own."""
-    (ta, xa), (tb, xb) = (a, b) if len(a[0]) >= len(b[0]) else (b, a)
+class _Codec:
+    """Packed exponent keys of width variables, one signed digit of size bytes
+    each: e is the integer sum_i e_i 256^(size pos(i)).  The truncation slot ti
+    (if ti >= 0) takes the top position and the others keep their order below
+    it, so sorting keys sorts them by the truncation exponent, and a product
+    key ka + kb keeps exponent <= tm there iff ka + kb < limit."""
+
+    def __init__(self, width: int, size: int, ti: int, tm: int) -> None:
+        self.width, self.size, self.ti, self.tm = width, size, ti, tm
+        pos = [i - (i > ti >= 0) for i in range(width)]
+        if ti >= 0:
+            pos[ti] = width - 1
+        self.place = [256 ** (size * p) for p in pos]
+        top = 256 ** (size * (width - 1))
+        self.limit = tm * top + top // 2 if ti >= 0 else None
+        # reading a key back: adding half of each digit's range makes every
+        # digit its exponent plus that half, unsigned; the xor then leaves each
+        # exponent in two's complement, which the signed typecode reads
+        self._half = sum(256 ** (size * p) for p in range(width)) << (8 * size - 1)
+        self._fmt, self._nbytes = _DIGIT_FORMATS[size], size * width
+        self._order = itemgetter(*pos) if pos != sorted(pos) else None
+
+    def packed(self, terms: Iterable[tuple[tuple[int, ...], int]]) -> list[tuple[int, int]]:
+        """Integer terms as (key, coefficient), sorted by key under truncation."""
+        out = [(sum(map(mul, e, self.place)), c) for e, c in terms]
+        return sorted(out) if self.limit is not None else out
+
+    def unpack(self, keys: Iterable[int]) -> list[tuple[int, ...]]:
+        """The exponent tuples of the keys."""
+        half, nbytes, order = self._half, self._nbytes, sys.byteorder
+        buf = b"".join([((k + half) ^ half).to_bytes(nbytes, order) for k in keys])
+        rows = zip(*[iter(memoryview(buf).cast(self._fmt).tolist())] * self.width)
+        return list(rows if self._order is None else map(self._order, rows))
+
+
+_codec = cache(_Codec)  # one codec per (width, size, ti, tm)
+
+
+# A packed operand: (key, coefficient) terms, sorted by key when the product
+# is truncated.
+Packed = list[tuple[int, int]]
+TermCap = tuple[int, str] | None  # (max_terms, the stage a count above it names)
+
+
+def _mac(acc: dict[int, int], a: Packed, b: Packed, limit: int | None) -> None:
+    """acc += a * b on packed operands, dropping product keys at or above
+    limit (the truncation) unless it is None: the one multiply-accumulate
+    kernel.  Under truncation each term of the shorter operand meets the
+    prefix of the longer one whose keys fit beside its own."""
+    ta, tb = (a, b) if len(a) >= len(b) else (b, a)
     get = acc.get
-    if xa is None:
+    if limit is None:
         for kb, cb in tb:
             for ka, ca in ta:
                 k = ka + kb
                 acc[k] = get(k, 0) + ca * cb
         return
-    for (kb, cb), x in zip(tb, xb):
-        cut = bisect_right(xa, trunc_max - x)
+    for kb, cb in tb:
+        cut = bisect_left(ta, (limit - kb,))
         if not cut:
-            break  # xb ascends, so no later term has room either
+            break  # tb ascends, so no later term has room either
         for ka, ca in ta[:cut]:
             k = ka + kb
             acc[k] = get(k, 0) + ca * cb
 
 
+def _sums(pairs: Iterable[tuple[Packed, Packed]], limit: int | None,
+          term_cap: TermCap = None, before: int = 0) -> dict[int, int]:
+    """The sums of the pairs' products by key, zeros included: the one entry
+    point to _mac.  With a term cap, before plus the nonzero sums above
+    max_terms after any pair raise ResourceLimitError naming the stage."""
+    acc: dict[int, int] = {}
+    for a, b in pairs:
+        _mac(acc, a, b, limit)
+        if term_cap and before + len(acc) > term_cap[0] and (
+                before + sum(map(bool, acc.values())) > term_cap[0]):
+            raise ResourceLimitError(f"{term_cap[1]} exceeded {term_cap[0]} terms")
+    return acc
+
+
+def _canonical(acc: dict[int, int], limit: int | None) -> Packed:
+    """The nonzero sums as packed terms, sorted by key under truncation."""
+    out = [(k, c) for k, c in acc.items() if c]
+    return sorted(out) if limit is not None else out
+
+
 def _sum_products(
-    groups: Sequence[Sequence[tuple[IntTerms, IntTerms]]],
-    trunc_idx: int = -1,
-    trunc_max: int = 0,
-    cap: tuple[int, str] | None = None,
-) -> Iterator[dict[tuple[int, ...], int]]:
-    """For each group of operand pairs (a, b), the nonzero sums of the
-    products a * b over the group, keyed by exponent tuples (which may be
-    negative); exponents above trunc_max at trunc_idx are dropped if
-    trunc_idx is set.
+    pairs: Sequence[tuple[IntTerms, IntTerms]], trunc_idx: int = -1, trunc_max: int = 0
+) -> dict[tuple[int, ...], int]:
+    """The nonzero sums of the products a * b over the operand pairs (a, b),
+    keyed by exponent tuples (which may be negative); exponents above
+    trunc_max at trunc_idx are dropped if trunc_idx is set.
 
-    The one entry point to _mac, and the only code that builds or reads a
-    packed key.  An exponent vector e of width w is the integer
-    sum_i e_i 256^(s i): one signed digit of s bytes per variable.  The width
-    rule: with M_a the largest |e_i| over the left operands of the call and
-    M_b over the right ones, s is the least of 1, 2, 4, 8 with
-    2 (M_a + M_b) < 256^s.  Every digit of a left key plus a right key, the
-    key of the exponent sum, then lies in [-(M_a + M_b), M_a + M_b], inside
-    the digit's range [-256^s / 2, 256^s / 2): no digit spills into the next,
-    so distinct exponent vectors have distinct keys and every sum reads back
-    exactly.  Exponents too large for 8-byte digits raise ResourceLimitError.
-
-    Each distinct operand is packed once, each group is summed
-    into one accumulator and read back as it is yielded.  With cap =
-    (max_terms, stage), a group whose nonzero sums exceed max_terms after
-    any of its pairs raises ResourceLimitError naming the stage.
+    The product of operands held as exponent tuples: with M_a the largest
+    |e_i| over the left operands and M_b over the right ones, the keys take
+    the digit size that the width rule gives M_a + M_b.  Each distinct
+    operand is packed once and the sums are read back once.
     """
-    left: dict[int, IntTerms] = {}
-    right: dict[int, IntTerms] = {}
-    for pairs in groups:
-        for a, b in pairs:
-            left[id(a)] = a
-            right[id(b)] = b
+    left = {id(a): a for a, _ in pairs}
+    right = {id(b): b for _, b in pairs}
     ea = [e for t in left.values() for e, _ in t]
     eb = [e for t in right.values() for e, _ in t]
-    width = len(ea[0]) if ea and eb else 0
-    # the width rule: M_a + M_b
+    if not ea or not eb:
+        return {}
     reach = (max(max(map(max, ea)), -min(map(min, ea)))
-             + max(max(map(max, eb)), -min(map(min, eb)))) if width else 0
-    size = next((s for s in _DIGIT_FORMATS if 2 * reach < 256**s), None)
-    if size is None:
-        raise ResourceLimitError(f"exponents of {reach} exceed the packed kernel's range")
-    place = [256 ** (size * i) for i in range(width)]
-    if trunc_idx < 0:
-        packed = {i: ([(sum(map(mul, e, place)), c) for e, c in t], None)
-                  for i, t in (left | right).items()}
-    else:
-        packed = {}
-        for i, t in (left | right).items():
-            t = sorted(t, key=lambda term: term[0][trunc_idx])
-            packed[i] = ([(sum(map(mul, e, place)), c) for e, c in t],
-                         [e[trunc_idx] for e, _ in t])
-    # reading a key back: adding half of each digit's range makes every digit
-    # its exponent plus that half, unsigned; the xor then leaves each
-    # exponent in two's complement, which the signed typecode reads
-    half = sum(place) << (8 * size - 1)
-    fmt, nbytes, order = _DIGIT_FORMATS[size], size * width, sys.byteorder
-    for pairs in groups:
-        acc: dict[int, int] = {}
-        for a, b in pairs:
-            _mac(acc, packed[id(a)], packed[id(b)], trunc_max)
-            if cap is not None and len(acc) > cap[0] and sum(map(bool, acc.values())) > cap[0]:
-                raise ResourceLimitError(f"{cap[1]} exceeded {cap[0]} terms")
-        yield {tuple(memoryview(((k + half) ^ half).to_bytes(nbytes, order)).cast(fmt)): c
-               for k, c in acc.items() if c}
+             + max(max(map(max, eb)), -min(map(min, eb))))
+    codec = _codec(len(ea[0]), _digit_size(reach), trunc_idx, trunc_max)
+    packed = {i: codec.packed(t) for i, t in (left | right).items()}
+    acc = _sums(((packed[id(a)], packed[id(b)]) for a, b in pairs), codec.limit)
+    sums = [(k, c) for k, c in acc.items() if c]
+    return dict(zip(codec.unpack([k for k, _ in sums]), [c for _, c in sums]))
 
 
 def _divided(sums: Iterable[tuple[tuple[int, ...], int]], den: int) -> Terms:
@@ -293,8 +323,7 @@ def _mul_terms(
         return {}
     da, ia = _cleared(ta)
     db, ib = _cleared(tb)
-    (sums,) = _sum_products([[(ia, ib)]], trunc_idx, trunc_max)
-    return _divided(sums.items(), da * db)
+    return _divided(_sum_products([(ia, ib)], trunc_idx, trunc_max).items(), da * db)
 
 
 def _add_into(acc: Terms, terms: Terms, scale: Q | None = None) -> None:
@@ -318,119 +347,196 @@ def _add_into(acc: Terms, terms: Terms, scale: Q | None = None) -> None:
 # Grade-bucketed truncated series
 # ---------------------------------------------------------------------------
 
-Graded = dict[int, Terms]  # grade -> terms of that grade
+@dataclass(eq=False, slots=True)
+class Graded:
+    """A truncated series on packed keys: parts maps each grade to its terms
+    (key, coefficient), sorted by key under truncation, each of value
+    coefficient / den; no grade is empty and no coefficient zero.  Every
+    exponent has magnitude at most reach, and codec, which also holds the
+    truncation, packs the keys."""
+
+    codec: _Codec
+    reach: int
+    den: int
+    parts: dict[int, Packed]
 
 
-def _graded(terms: Terms, weights: Sequence[int], cap: int) -> Graded:
+def _packed(buckets: Mapping[int, Terms], width: int, trunc_idx: int = -1,
+            trunc_max: int = 0) -> Graded:
+    """The series of the given grade buckets, over the lcm of their
+    denominators, its digits with room for a product with its own reach."""
+    den = _denominator(buckets.values())
+    reach = max((abs(x) for t in buckets.values() for e in t for x in e), default=0)
+    codec = _codec(width, _digit_size(2 * reach), trunc_idx, trunc_max)
+    return Graded(codec, reach, den,
+                  {g: codec.packed(_scaled(t, den)) for g, t in sorted(buckets.items()) if t})
+
+
+def _graded(terms: Terms, weights: Sequence[int], cap: int, trunc_idx: int = -1,
+            trunc_max: int = 0) -> Graded:
     """Bucket terms by the weighted degree sum(w_i e_i), dropping grades above cap."""
-    out: Graded = {}
+    out: dict[int, Terms] = {}
     for e, c in terms.items():
         g = sum(w * x for w, x in zip(weights, e))
         if g <= cap:
             out.setdefault(g, {})[e] = c
-    return out
+    return _packed(out, len(weights), trunc_idx, trunc_max)
 
 
 def _flat(series: Graded) -> Terms:
-    return {e: c for part in series.values() for e, c in part.items()}
+    """The series' terms read back, canonical, all grades together."""
+    terms = [term for part in series.parts.values() for term in part]
+    return _divided(zip(series.codec.unpack([k for k, _ in terms]), [c for _, c in terms]),
+                    series.den)
 
 
-def _graded_add(acc: Graded, other: Graded, scale: Q | None = None) -> None:
-    for g, terms in other.items():
-        _add_into(acc.setdefault(g, {}), terms, scale)
+def _repacked(series: Graded, size: int) -> Graded:
+    """The series keyed with digits of the given size (keys keep their order)."""
+    old = series.codec
+    if old.size == size:
+        return series
+    new = _codec(old.width, size, old.ti, old.tm)
+    return replace(series, codec=new, parts={
+        g: new.packed(zip(old.unpack([k for k, _ in t]), [c for _, c in t]))
+        for g, t in series.parts.items()})
 
 
-def _graded_mul(
-    a: Graded,
-    b: Graded,
-    cap: int,
-    trunc_idx: int = -1,
-    trunc_max: int = 0,
-) -> Graded:
+def _aligned(a: Graded, b: Graded) -> tuple[Graded, Graded]:
+    """a and b keyed by one codec whose digits hold M_a + M_b, the width rule
+    of their product (and of their sum).  When the digits are short, both
+    reach bounds are first made exact, and only if that is not enough are
+    the operands widened."""
+    if a.codec is b.codec and 2 * (a.reach + b.reach) < 256**a.codec.size:
+        return a, b
+    if (a.codec.width, a.codec.ti, a.codec.tm) != (b.codec.width, b.codec.ti, b.codec.tm):
+        raise ValueError("series of different widths or truncations")
+    a, b = (replace(s, reach=max(map(abs, chain.from_iterable(s.codec.unpack(
+        k for t in s.parts.values() for k, _ in t))), default=0)) for s in (a, b))
+    size = max(_digit_size(a.reach + b.reach), a.codec.size, b.codec.size)
+    return _repacked(a, size), _repacked(b, size)
+
+
+def _reduced(codec: _Codec, reach: int, den: int, parts: dict[int, Packed]) -> Graded:
+    """The series over den with the gcd of den and the coefficients divided out."""
+    g = gcd(den, *(c for t in parts.values() for _, c in t)) if den > 1 else 1
+    if g > 1:
+        den, parts = den // g, {gr: [(k, c // g) for k, c in t] for gr, t in parts.items()}
+    return Graded(codec, reach, den, parts)
+
+
+def _graded_mul(a: Graded, b: Graded, cap: int, term_cap: TermCap = None) -> Graded:
     """Product of two graded series modulo grade > cap (and the truncation).
 
     Only bucket pairs with g1 + g2 <= cap are multiplied.  Dropping grades
     above cap is exact for every later product as long as no grade is
     negative, which all callers guarantee by their choice of weights.
 
-    Each operand is scaled to integers once, by the lcm of the denominators
-    over all of its buckets, and packed once.  The output grades are made one
-    at a time: every bucket pair with g1 + g2 = g is one group of
-    _sum_products, whose sums are divided by the two denominators' product
-    once.  Zero sums and empty grades are dropped.
+    The output grades are made one at a time, each from the bucket pairs
+    with g1 + g2 = g, over the product of the two denominators, from which
+    the gcd is divided out at the end.  With term_cap, the running count of
+    terms is checked after every pair (see _sums).
     """
-    da = _denominator(a.values())
-    db = _denominator(b.values())
-    ia = {g: _scaled(t, da) for g, t in a.items()}
-    ib = {g: _scaled(t, db) for g, t in b.items()}
-    grades = sorted({g1 + g2 for g1 in ia for g2 in ib if g1 + g2 <= cap})
-    groups = [[(t1, ib[g - g1]) for g1, t1 in ia.items() if g - g1 in ib] for g in grades]
-    out: Graded = {}
-    for g, sums in zip(grades, _sum_products(groups, trunc_idx, trunc_max)):
-        if sums:
-            out[g] = _divided(sums.items(), da * db)
-    return out
+    a, b = _aligned(a, b)
+    pa, pb, limit = a.parts, b.parts, a.codec.limit
+    parts: dict[int, Packed] = {}
+    total = 0
+    for g in sorted({g1 + g2 for g1 in pa for g2 in pb if g1 + g2 <= cap}):
+        pairs = ((t, pb[g - g1]) for g1, t in pa.items() if g - g1 in pb)
+        if terms := _canonical(_sums(pairs, limit, term_cap, total), limit):
+            parts[g] = terms
+            total += len(terms)
+    return _reduced(a.codec, a.reach + b.reach, a.den * b.den, parts)
 
 
-def _graded_series(
-    x: Graded,
-    coeffs: Sequence[QLike],
-    cap: int,
-    width: int,
-    trunc_idx: int = -1,
-    trunc_max: int = 0,
-) -> Graded:
+def _graded_dot(a: Graded, b: Graded, term_cap: TermCap = None) -> Graded:
+    """sum_g a_g b_g over the grades both hold, as a series of grade 0."""
+    a, b = _aligned(a, b)
+    limit = a.codec.limit
+    pairs = ((t, b.parts[g]) for g, t in a.parts.items() if g in b.parts)
+    terms = _canonical(_sums(pairs, limit, term_cap), limit)
+    return Graded(a.codec, a.reach + b.reach, a.den * b.den, {0: terms} if terms else {})
+
+
+def _summed(codec: _Codec, reach: int, den: int, items: Iterable[tuple[int, Graded]]) -> Graded:
+    """sum_i m_i s_i / den over series keyed by codec, for integers m_i."""
+    sums: dict[int, dict[int, int]] = {}
+    for m, s in items:
+        for g, t in s.parts.items():
+            _mac(sums.setdefault(g, {}), t, [(0, m)], None)
+    parts = {g: t for g, acc in sorted(sums.items()) if (t := _canonical(acc, codec.limit))}
+    return _reduced(codec, reach, den, parts)
+
+
+def _graded_add(a: Graded, b: Graded) -> Graded:
+    """a + b."""
+    a, b = _aligned(a, b)
+    den = lcm(a.den, b.den)
+    return _summed(a.codec, max(a.reach, b.reach), den, [(den // a.den, a), (den // b.den, b)])
+
+
+def _graded_series(x: Graded, coeffs: Sequence[QLike], cap: int,
+                   term_cap: TermCap = None) -> Graded:
     """sum_m coeffs[m] x^m modulo grade > cap, building the powers step by step.
 
     The sum stops at the last coefficient or at the first power that the grade
-    cap and the truncation have emptied.
+    cap and the truncation have emptied.  x is keyed once, with room for the
+    last power that the cap leaves, so every power shares its codec, and the
+    sum is over D^top times the coefficients' denominators, which every
+    power's denominator divides.  With term_cap, each power's product counts
+    against it.
     """
-    unit = (0,) * width
-    out: Graded = {0: {unit: _coerce_q(coeffs[0])}} if coeffs[0] else {}
-    power: Graded = {0: {unit: Q(1)}}
-    for c in coeffs[1:]:
-        power = _graded_mul(power, x, cap, trunc_idx, trunc_max)
-        if not power:
-            break
-        if c:
-            _graded_add(out, power, _coerce_q(c))
-    return {g: t for g, t in out.items() if t}
+    low = min(x.parts, default=0)
+    top = len(coeffs) - 1 if low == 0 else min(len(coeffs) - 1, cap // low)
+    x = _repacked(x, max(x.codec.size, _digit_size(top * x.reach)))
+    coeffs = [_coerce_q(c) for c in coeffs[: top + 1]]
+    den = x.den**top * lcm(*(c.denominator for c in coeffs))
+
+    def terms() -> Iterator[tuple[int, Graded]]:
+        power = Graded(x.codec, 0, 1, {0: [(0, 1)]})
+        for m, c in enumerate(coeffs):
+            if m:
+                power = _graded_mul(power, x, cap, term_cap)
+                if not power.parts:
+                    break
+            yield den // (power.den * c.denominator) * c.numerator, power
+
+    return _summed(x.codec, top * x.reach, den, terms())
 
 
-def _graded_exp(
-    x: Graded, cap: int, width: int, trunc_idx: int = -1, trunc_max: int = 0
-) -> Graded:
+def _graded_exp(x: Graded, cap: int, term_cap: TermCap = None) -> Graded:
     """exp(x) modulo grade > cap; x must have no grade-0 part."""
-    if x.get(0):
+    if 0 in x.parts:
         raise ValueError("exponent must have no grade-0 part")
     coeffs = [Q(1, factorial(m)) for m in range(cap + 1)]
-    return _graded_series(x, coeffs, cap, width, trunc_idx, trunc_max)
+    return _graded_series(x, coeffs, cap, term_cap)
 
 
-def _graded_inverse(
-    a: Graded, cap: int, width: int, trunc_idx: int = -1, trunc_max: int = 0
-) -> Graded:
+def _graded_inverse(a: Graded, cap: int) -> Graded:
     """The b with a*b == 1 modulo grade > cap; a's grade-0 part must be exactly 1.
 
     Grade by grade from the recurrence b_0 = 1, b_g = -sum_(g' >= 1) a_g' b_(g - g').
-    With D the lcm of a's denominators, D^g b_g is an integer polynomial, so
-    each grade is one group of _sum_products over the integer terms D^g' a_g'
-    and D^(g - g') b_(g - g'), negated, and divided by D^g once.
+    With D = a.den, D^g b_g is an integer polynomial, so each grade is summed
+    from the integer terms D^g' a_g', negated, and D^(g - g') b_(g - g'),
+    each packed once; the result is over D^G for the top grade G.  b_g is a
+    sum of products of at most g / g_min terms of a, g_min its least
+    positive grade, so a is keyed once with room for that.
     """
-    unit = (0,) * width
-    if a.get(0) != {unit: 1}:
+    if a.parts.get(0) != [(0, a.den)]:
         raise NonUnitError("series inverse requires grade-0 part exactly 1")
-    den = _denominator(a.values())
-    ia = {g: _scaled(t, den**g) for g, t in a.items() if 0 < g <= cap}
-    ib: dict[int, IntTerms] = {0: [(unit, 1)]}
-    out: Graded = {0: {unit: Q(1)}}
-    for g in range(1, cap + 1):
-        pairs = [(t, ib[g - g1]) for g1, t in ia.items() if g - g1 in ib]
-        (sums,) = _sum_products([pairs], trunc_idx, trunc_max)
-        if sums:
-            ib[g] = [(e, -c) for e, c in sums.items()]
-            out[g] = _divided(ib[g], den**g)
-    return out
+    low = min((g for g in a.parts if g), default=cap + 1)
+    reach = cap // low * a.reach
+    a = _repacked(a, max(a.codec.size, _digit_size(a.reach + reach)))
+    den, limit = a.den, a.codec.limit
+    ia = {g: [(k, -c * den ** (g - 1)) for k, c in t] for g, t in a.parts.items() if 0 < g <= cap}
+    ib: dict[int, Packed] = {0: [(0, 1)]}
+    for g in range(low, cap + 1):
+        pairs = ((t, ib[g - g1]) for g1, t in ia.items() if g - g1 in ib)
+        if terms := _canonical(_sums(pairs, limit), limit):
+            ib[g] = terms
+    top = max(ib)
+    if den > 1:
+        ib = {g: [(k, c * den ** (top - g)) for k, c in t] for g, t in ib.items()}
+    return _reduced(a.codec, reach, den**top, ib)
 
 
 class MultiPoly:
@@ -635,8 +741,7 @@ class MultiPoly:
             top = max((key[pos] for key in buckets), default=0)
             pw = [unit, iv][: top + 1]
             for _ in range(top - 1):
-                (power,) = _sum_products([[(pw[-1], iv)]])
-                pw.append(list(power.items()))
+                pw.append(list(_sum_products([(pw[-1], iv)]).items()))
             powers.append((dv, top, pw))
             den *= dv**top
         last: list[tuple[IntTerms, IntTerms]] = []
@@ -648,10 +753,9 @@ class MultiPoly:
                 piece = [(e, c * scale) for e, c in piece]
             factors = [pw[p] for (_, _, pw), p in zip(powers, key) if p] or [unit]
             for f in factors[:-1]:
-                (part,) = _sum_products([[(piece, f)]])
-                piece = list(part.items())
+                piece = list(_sum_products([(piece, f)]).items())
             last.append((piece, factors[-1]))
-        (sums,) = _sum_products([last])
+        sums = _sum_products(last)
         return MultiPoly._raw(self.ctx, _divided(sums.items(), den))
 
     def evaluate(self, values: Mapping[str, QLike]) -> Q:
@@ -712,9 +816,8 @@ class MultiPoly:
 
         Requires constant term exactly 1.
         """
-        width = len(self.ctx)
-        graded = _graded(self.terms, [1] * width, cap)
-        return MultiPoly._raw(self.ctx, _flat(_graded_inverse(graded, cap, width)))
+        graded = _graded(self.terms, [1] * len(self.ctx), cap)
+        return MultiPoly._raw(self.ctx, _flat(_graded_inverse(graded, cap)))
 
     def divide_exact(self, divisor: "MultiPoly") -> "MultiPoly | None":
         """Exact quotient self/divisor, or None if it does not divide.

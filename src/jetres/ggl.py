@@ -22,8 +22,9 @@ residue kernel with exponential and Todd factors.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction as Q
+from functools import reduce
 from math import factorial
 from typing import Sequence
 
@@ -34,7 +35,6 @@ from .exactalg import (
     JetresError,
     MultiPoly,
     QLike,
-    ResourceLimitError,
     VarContext,
     _flat,
     _graded,
@@ -244,16 +244,17 @@ class CoefficientTable:
     a2: dict[Key, Q]
     a: dict[Key, Q]
     b: dict[Key, Q]
-    _a_by_z: dict[tuple[int, ...], list[tuple[int, int, Q]]] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        for (zvec, s, t), c in self.a.items():
-            self._a_by_z.setdefault(zvec, []).append((s, t, c))
+    _a_by_z: dict[tuple[int, ...], list[tuple[int, int, Q]]] | None = field(
+        default=None, repr=False, compare=False)
 
     def a_coeff(self, zvec: Sequence[int], s: int = 0, t: int = 0) -> Q:
         return self.a.get((tuple(zvec), s, t), Q(0))
 
     def a_slice(self, zvec: Sequence[int]) -> list[tuple[int, int, Q]]:
+        if self._a_by_z is None:  # built on the first call: only assembly reads it
+            self._a_by_z = {}
+            for (z, s, t), c in self.a.items():
+                self._a_by_z.setdefault(z, []).append((s, t, c))
         return self._a_by_z.get(tuple(zvec), [])
 
     def b_coeff(self, zvec: Sequence[int], s: int = 0, t: int = 0) -> Q:
@@ -291,21 +292,29 @@ def expansion_diagnostics(
     nothing below the cap.  The geometric series are cut at order
     defect_cap + 2n^2, and the dh power never exceeds n because each of the
     n a0 factors has one dh.  Every returned coefficient is a finite exact sum.
+    Entries above grade order are partial sums, not Laurent coefficients of
+    the kernel: they miss the series terms beyond the cut (at n = 3, defect
+    cap 4, a2 first differs from the exact inverse at grade 23).
 
-    The kernel table is a = a0 (a1 a2).  Every grade is >= 0 and h is cut at
-    h^(n+1), so the truncated product is associative and the order is free.
-    a0 is multiplied last because it is small (14 terms at n = 3) but
-    spreads whatever it meets: a0 a1 has 2,930 terms at n = 3, defect cap 4,
-    against 744 for a1, and that table times a2 (1,364 terms) takes 1.16
-    million monomial pair products, while a1 a2 takes 0.31 million and a0
-    times it 0.04 million.  Every product and series result counts against
-    max_terms; the first one above it raises ResourceLimitError.
+    The kernel table is a = a0 ((a2 A1_n) ... A1_2), where A1_j is the
+    product of the level-j factors of a1 and a1 is the product of the A1_j.
+    Every grade is >= 0 and h is cut at h^(n+1), so the truncated product is
+    associative and the order is free.  a0 is multiplied last because it is
+    small (14 terms at n = 3) but spreads whatever it meets, and the levels
+    of a1 meet a2 one at a time, the widest (level n) first, because a1 as a
+    whole spreads a2 more than its levels do one by one.  At n = 3, defect
+    cap 4, the final kernel takes 243,518 monomial pair products, against
+    352,970 for a0 (a1 a2) and 1.23 million for (a0 a1) a2; at n = 2 the
+    order is a0 (a1 a2).  Every product, the powers of a series included,
+    counts its terms against max_terms after every pair of buckets; the
+    first count above it raises ResourceLimitError.
     """
     if defect_cap < 0:
         raise ValueError("defect_cap must be >= 0")
     order = defect_cap + 2 * n * n
     cap = order + 2 * n * n
     weights = tuple(range(n, 0, -1)) + (n, n)
+    term_cap = (max_terms, "expansion_diagnostics")
 
     def mono(z: dict[int, int], s: int = 0, t: int = 0) -> tuple[int, ...]:
         v = [0] * n + [s, t]
@@ -314,21 +323,17 @@ def expansion_diagnostics(
         return tuple(v)
 
     def graded(terms: dict[tuple[int, ...], Q]) -> Graded:
-        return _graded(terms, weights, cap)
-
-    def capped(out: Graded) -> Graded:
-        if sum(map(len, out.values())) > max_terms:
-            raise ResourceLimitError(f"expansion_diagnostics exceeded {max_terms} terms")
-        return out
+        return _graded(terms, weights, cap, n, n)
 
     def mul(x: Graded, y: Graded) -> Graded:
-        return capped(_graded_mul(x, y, cap, n, n))
+        return _graded_mul(x, y, cap, term_cap)
 
     def series(x: dict[tuple[int, ...], Q], coeffs: list[Q]) -> Graded:
-        return capped(_graded_series(graded(x), coeffs, cap, n + 2, n, n))
+        return _graded_series(graded(x), coeffs, cap, term_cap)
 
     one = graded({mono({}): Q(1)})
-    a0 = a1 = a2 = one
+    a0 = a2 = one
+    levels = []  # A1_2 .. A1_n
     for j in range(1, n + 1):
         lower = {mono({i: 1, j: -1}): Q(1) for i in range(1, j)}  # z_i / z_j, i < j
         # 1 + (z_[1..j-1] + dh)/z_j
@@ -336,20 +341,23 @@ def expansion_diagnostics(
         # (z_j / (z_[1..j] + h))^(n+2) = sum_r C(-(n+2), r) y^r, y = (z_[1..j-1] + h)/z_j
         y = {**lower, mono({j: -1}, s=1): Q(1)}
         a2 = mul(a2, series(y, [Q(binomial(-(n + 2), r)) for r in range(order + 1)]))
+        level = one
         for t1 in range(1, j):
             # z_[t1..j] / (-z_t1 + z_[t1+1..j]) = 1 + (2 z_t1/z_j) sum_m x^m
             # with x = (z_t1 - z_[t1+1..j-1]) / z_j
             x = {mono({t1: 1, j: -1}): Q(1)}
             x.update({mono({u: 1, j: -1}): Q(-1) for u in range(t1 + 1, j)})
             factor = mul(graded({mono({t1: 1, j: -1}): Q(2)}), series(x, [Q(1)] * (order + 1)))
-            _graded_add(factor, one)
-            a1 = mul(a1, factor)
-    a = mul(a0, mul(a1, a2))
+            level = mul(level, _graded_add(factor, one))
+        if j > 1:
+            levels.append(level)
+    a1 = reduce(mul, levels)
+    a = mul(a0, reduce(mul, reversed(levels), a2))
 
     def keyed(tb: Graded) -> dict[Key, Q]:
         out = {}
-        while tb:  # release each bucket once converted
-            for e, c in tb.popitem()[1].items():
+        while tb.parts:  # release each bucket once converted
+            for e, c in _flat(replace(tb, parts=dict([tb.parts.popitem()]))).items():
                 out[(e[:n], e[n], e[n + 1])] = c
         return out
 
@@ -387,8 +395,8 @@ def payload_closed_form(cfg: GGLConfig, i: Sequence[int], s: int) -> Q:
     if sum(i) != -s:
         raise ValueError("requires sum(i) = -s")
     shifted = [x + n for x in i]
-    # the d-free part of S_{n,k,delta,d} at n = k: S_{n,delta} = 2 - 2n^2 + n^2(n+2) delta
-    s_ndelta = s_constant(n, n, cfg.delta).coefficient_of({"d": 0}).constant()
+    # the d-free part of S_{n,k,delta,d} at n = k
+    s_ndelta = 2 - 2 * n * n + n * n * (n + 2) * cfg.delta
     main = multinomial(n * n, [s] + shifted)
     corr = multinomial(n * n - 1, [s - 1] + shifted) if s >= 1 else 0
     apart = Q(1)
@@ -446,7 +454,8 @@ def estimate_checks(
         )
 
     table = expansion_diagnostics(n, defect_cap, max_terms)
-    bad = [z for (z, s, t) in table.a if not lambda_plus_member(z)]
+    outside = {z for z in {z for z, _, _ in table.a} if not lambda_plus_member(z)}
+    bad = [z for (z, s, t) in table.a if z in outside]
     report.add(
         "A-support contained in the admissible cone",
         not bad,
@@ -543,8 +552,8 @@ def _td_inverse_coeffs(order: int) -> list[Q]:
 
 def _td_series_coeffs(order: int) -> list[Q]:
     """Coefficients t_0..t_order of x / (1 - e^(-x)), the inverse of (1 - e^(-x))/x."""
-    inv = {i: {(i,): c} for i, c in enumerate(_td_inverse_coeffs(order))}
-    t = _flat(_graded_inverse(inv, order, 1))
+    inv = {(i,): c for i, c in enumerate(_td_inverse_coeffs(order))}
+    t = _flat(_graded_inverse(_graded(inv, (1,), order), order))
     return [t.get((m,), Q(0)) for m in range(order + 1)]
 
 
@@ -560,19 +569,10 @@ class _ZHSeries:
 
     def of(self, poly: MultiPoly) -> Graded:
         weights = [0 if name == "d" else 1 for name in self.ctx.names]
-        return _graded(poly.terms, weights, self.cap)
+        return _graded(poly.terms, weights, self.cap, self.ctx.index("h"), self.n)
 
     def poly(self, series: Graded) -> MultiPoly:
         return MultiPoly._raw(self.ctx, _flat(series))
-
-    def mul(self, a: Graded, b: Graded) -> Graded:
-        return _graded_mul(a, b, self.cap, self.ctx.index("h"), self.n)
-
-    def series(self, x: Graded, coeffs: Sequence[Q]) -> Graded:
-        return _graded_series(x, coeffs, self.cap, len(self.ctx), self.ctx.index("h"), self.n)
-
-    def exp(self, x: Graded) -> Graded:
-        return _graded_exp(x, self.cap, len(self.ctx), self.ctx.index("h"), self.n)
 
     def tangent_todd(self, w: MultiPoly) -> Graded:
         """prod_s Td(L_s + w) over the tangent roots L_s of the hypersurface.
@@ -582,11 +582,11 @@ class _ZHSeries:
         """
         h = MultiPoly.variable(self.ctx, "h")
         d = MultiPoly.variable(self.ctx, "d")
-        inv_td = _td_inverse_coeffs(self.cap)
-        td = self.series(self.of(w + h), _td_series_coeffs(self.cap))
-        out = self.mul(self.series(self.of(w), inv_td), self.series(self.of(w + d * h), inv_td))
-        for _ in range(self.n + 2):
-            out = self.mul(out, td)
+        cap, inv_td = self.cap, _td_inverse_coeffs(self.cap)
+        td = _graded_series(self.of(w + h), _td_series_coeffs(cap), cap)
+        out = _graded_series(self.of(w), inv_td, cap)
+        for factor in [_graded_series(self.of(w + d * h), inv_td, cap)] + [td] * (self.n + 2):
+            out = _graded_mul(out, factor, cap)
         return out
 
 
@@ -632,16 +632,16 @@ def euler_characteristic(
     expo = MultiPoly.zero(ctx)
     for j, aj in enumerate(a, start=1):
         expo = expo - aj * MultiPoly.variable(ctx, f"z{j}")
-    payload = ring.mul(ring.exp(ring.of(expo)), ring.of(todd_of_X(n).embed(ctx)))
+    payload = _graded_mul(_graded_exp(ring.of(expo), cap), ring.of(todd_of_X(n).embed(ctx)), cap)
 
     for j in range(1, k + 1):
         level = ring.tangent_todd(_zsum(ctx, 1, j))
         for t in range(1, j):
             arg = _zsum(ctx, t + 1, j) - MultiPoly.variable(ctx, f"z{t}")
-            level = ring.mul(level, ring.series(ring.of(arg), td))
+            level = _graded_mul(level, _graded_series(ring.of(arg), td, cap), cap)
         for t in range(2, j + 1):
-            level = ring.mul(level, ring.series(ring.of(_zsum(ctx, t, j)), inv_td))
-        payload = ring.mul(payload, level)
+            level = _graded_mul(level, _graded_series(ring.of(_zsum(ctx, t, j)), inv_td, cap), cap)
+        payload = _graded_mul(payload, level, cap)
 
     # hypersurface kernel with Segre clearing, payload at +z (honest classes)
     form = demailly_integrand(n, k, ring.poly(payload), segre_hypersurface(n))
@@ -659,10 +659,11 @@ def euler_characteristic_k1_pushforward(n: int, a1: int) -> DPoly:
     ctx = VarContext(("u", "h", "d"))
     u = MultiPoly.variable(ctx, "u")
     # pushforward kills u-powers beyond 2n-1, and h^(n+1) = 0
-    ring = _ZHSeries(ctx, n, 2 * n - 1 + n)
+    cap = 2 * n - 1 + n
+    ring = _ZHSeries(ctx, n, cap)
     # e^(a1 u) times the fibre tangent's Todd class prod_s Td(L_s - u)
-    payload = ring.mul(ring.exp(ring.of(Q(a1) * u)), ring.tangent_todd(-u))
-    payload = ring.mul(payload, ring.of(todd_of_X(n).embed(ctx)))
+    payload = _graded_mul(_graded_exp(ring.of(Q(a1) * u), cap), ring.tangent_todd(-u), cap)
+    payload = _graded_mul(payload, ring.of(todd_of_X(n).embed(ctx)), cap)
     payload_poly = ring.poly(payload)
 
     # pushforward: u^m -> (-1)^m s_(m-n+1)

@@ -65,10 +65,13 @@ from .exactalg import (
     _cleared,
     _denominator,
     _divided,
+    _flat,
+    _graded_dot,
     _graded_inverse,
     _graded_mul,
     _gradedlex_key,
     _mul_terms,
+    _packed,
     _scaled,
     _sum_products,
 )
@@ -189,38 +192,40 @@ def _trunc_args(form: ResidueForm) -> tuple[int, int]:
 
 
 def _stage_series(group: Sequence[tuple[Q, Terms, int]], smax: int, width: int,
-                  ti: int, tm: int) -> tuple[Q, Graded]:
-    """(c, S) for one stage's factors c_f z_j + R_f: the product of the
-    (c_f z_j + R_f)^(-m_f) is c^(-1) sum_s S_s z_j^(-s), here for s <= smax.
+                  ti: int, tm: int) -> Graded:
+    """S for one stage's factors c_f z_j + R_f: the product of the
+    (c_f z_j + R_f)^(-m_f) is sum_s S_s z_j^(-s), here for s <= smax.
 
     With w = 1/z_j the product of the factors is c z_j^M H(w), where
     M = sum m_f, c = prod c_f^m_f and H(w) = prod_f (1 + (R_f/c_f) w)^m_f is a
-    polynomial of w-degree M.  So S_(M+r) = G_r for G = 1/H, and only the
+    polynomial of w-degree M.  So S_(M+r) = G_r / c for G = 1/H, and only the
     grades r <= smax - M of H and G are needed.
     """
     m_total = sum(m for _, _, m in group)
     room = smax - m_total
     unit = (0,) * width
-    H: Graded = {0: {unit: Q(1)}}
+    H = _packed({0: {unit: Q(1)}}, width, ti, tm)
     c = Q(1)
     for c_f, rest, mult in group:
         c *= c_f**mult
-        linear = {0: {unit: Q(1)}, 1: {e: v / c_f for e, v in rest.items()}}
+        linear = _packed({0: {unit: Q(1)}, 1: {e: v / c_f for e, v in rest.items()}}, width,
+                         ti, tm)
         for _ in range(mult):
-            H = _graded_mul(H, linear, room, ti, tm)
-    G = _graded_inverse(H, room, width, ti, tm)
-    return c, {m_total + r: t for r, t in G.items()}
+            H = _graded_mul(H, linear, room)
+    G = _graded_inverse(H, room)
+    up = c.denominator if c > 0 else -c.denominator
+    return Graded(G.codec, G.reach, G.den * abs(c.numerator),
+                  {m_total + r: [(k, v * up) for k, v in t] for r, t in G.parts.items()})
 
 
 def residue_expand(form: ResidueForm, max_terms: int = DEFAULT_TERM_CAP) -> MultiPoly:
     """Iterated residue by Laurent expansion; exact, no truncation guesswork.
 
     Variables are eliminated from z_k down to z_1.  Stage j keeps the
-    coefficient of z_j^(-1) in N * c^(-1) z_j^(-M) G(1/z_j), where N is the
-    carried polynomial and c^(-1) z_j^(-M) G(1/z_j) the product of the
-    inverted factors led by z_j (_stage_series).  The z_j-degrees of N bound
-    the usable grades of G, so the sum is finite; it is the carried
-    polynomial of stage j-1.
+    coefficient of z_j^(-1) in N * sum_s S_s z_j^(-s), where N is the
+    carried polynomial and the sum the product of the inverted factors led
+    by z_j (_stage_series).  The z_j-degrees of N bound the usable grades of
+    S, so the sum is finite; it is the carried polynomial of stage j-1.
     """
     ctx = form.ctx
     zpos = [ctx.index(z) for z in form.zvars]
@@ -249,21 +254,17 @@ def residue_expand(form: ResidueForm, max_terms: int = DEFAULT_TERM_CAP) -> Mult
         if smax < sum(m for _, _, m in group):
             carried = {}
             break
-        c, conv = _stage_series(group, smax, len(ctx), ti, tm)
-        # bucket the carried terms by z_j-exponent (slot zeroed): one product
-        # each, all summed as integers over one common denominator, whose
-        # one division also takes the c^(-1)
-        dc, cleared = _cleared(carried)
-        dv = _denominator(conv.values())
-        buckets: dict[int, IntTerms] = {}
-        for e, v in cleared:
+        conv = _stage_series(group, smax, len(ctx), ti, tm)
+        # bucket the carried terms by z_j-exponent (slot zeroed): the bucket
+        # of z_j^(s-1) meets S_s, all summed as integers over one denominator
+        buckets: dict[int, Terms] = {}
+        for e, v in carried.items():
             e0 = list(e)
             e0[zj] = 0
-            buckets.setdefault(e[zj] + 1, []).append((tuple(e0), v))
-        pairs = [(bucket, _scaled(conv[s], dv)) for s, bucket in buckets.items() if conv.get(s)]
-        (sums,) = _sum_products([pairs], ti, tm, (max_terms, "residue_expand"))
-        carried = _divided(((e, v * c.denominator) for e, v in sums.items()),
-                           dc * dv * c.numerator)
+            buckets.setdefault(e[zj] + 1, {})[tuple(e0)] = v
+        buckets = {s: t for s, t in buckets.items() if s in conv.parts}
+        dot = _graded_dot(_packed(buckets, len(ctx), ti, tm), conv, (max_terms, "residue_expand"))
+        carried = _flat(dot)
 
     for e in carried:
         if any(e[i] for i in zpos):
@@ -355,8 +356,8 @@ def residue_stepwise(form: ResidueForm, max_terms: int = DEFAULT_TERM_CAP) -> Mu
                         for (ft, m), cof in zip(moving, cofactors):
                             _add_into(minus_g, cof, -(m + step) * ft[unit])
                         dfg = _denominator((F, minus_g))
-                        (sums,) = _sum_products([[(_derivative(inum, zj), _scaled(F, dfg)),
-                                                  (inum, _scaled(minus_g, dfg))]])
+                        sums = _sum_products([(_derivative(inum, zj), _scaled(F, dfg)),
+                                              (inum, _scaled(minus_g, dfg))])
                         dnum, inum = dnum * dfg, list(sums.items())
                     numer = _divided(inum, dnum)
                 # substitute z_j = w, w = -(f0 - a0 z_j)/a0, with the minus
@@ -509,7 +510,7 @@ def _tower_integrand(n: int, k: int, P: MultiPoly, level: Callable[[MultiPoly], 
     den, num = _cleared(live(P.terms))
     for f in [kernel] + [g for level_num, _ in levels for g in level_num]:
         df, fi = _cleared(f.terms)
-        (sums,) = _sum_products([[(num, fi)]], ti, tm)
+        sums = _sum_products([(num, fi)], ti, tm)
         den, num = den * df, list(live(sums).items())
     zh = [name in zvars or name == "h" for name in ctx.names]
     degrees = {sum(p for p, used in zip(e, zh) if used) for e in P.terms}

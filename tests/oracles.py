@@ -16,6 +16,10 @@ enumerates the cone generators that `ggl.lambda_plus_member` tests by prefix
 sums, and `chi_structure_sheaf` is chi(X, O_X) from `ggl.todd_of_X`.
 `stage_series_convolved` expands one `residue_expand` stage the long way:
 one binomial series per factor, convolved by total order.
+
+`naive_mul`, `naive_series` and `naive_inverse` are the truncated series
+operations of `exactalg` term by term in `Fraction` arithmetic, on series
+held as grade -> {exponent tuple: coefficient}.
 """
 
 from __future__ import annotations
@@ -26,15 +30,12 @@ from typing import Sequence
 
 from jetres.exactalg import (
     DPoly,
-    Graded,
     MultiPoly,
     Q,
     QLike,
     Terms,
     VarContext,
     binomial,
-    _graded_mul,
-    _graded_series,
 )
 from jetres.ggl import todd_of_X
 from jetres.localization import DegenerateWeightsError
@@ -275,19 +276,62 @@ def chi_structure_sheaf(n: int) -> DPoly:
     return integrate_over_X(todd_of_X(n), n)
 
 
+Buckets = dict[int, Terms]  # grade -> terms of that grade
+
+
+def naive_mul(a: Buckets, b: Buckets, cap: int, trunc_idx: int = -1,
+              trunc_max: int = 0) -> Buckets:
+    """The product modulo grade > cap and exponents above trunc_max at
+    trunc_idx (if set), term by term."""
+    out: Buckets = {}
+    for g1, t1 in a.items():
+        for g2, t2 in b.items():
+            if g1 + g2 > cap:
+                continue
+            part = out.setdefault(g1 + g2, {})
+            for e1, c1 in t1.items():
+                for e2, c2 in t2.items():
+                    e = tuple(x + y for x, y in zip(e1, e2))
+                    if trunc_idx < 0 or e[trunc_idx] <= trunc_max:
+                        part[e] = part.get(e, Q(0)) + c1 * c2
+    return {g: kept for g, t in sorted(out.items()) if (kept := {e: c for e, c in t.items() if c})}
+
+
+def naive_series(x: Buckets, coeffs: Sequence[QLike], cap: int, width: int,
+                 trunc_idx: int = -1, trunc_max: int = 0) -> Buckets:
+    """sum_m coeffs[m] x^m modulo grade > cap, with every power of the sum."""
+    out: Buckets = {}
+    power: Buckets = {0: {(0,) * width: Q(1)}}
+    for c in coeffs:
+        for g, t in power.items():
+            part = out.setdefault(g, {})
+            for e, v in t.items():
+                part[e] = part.get(e, Q(0)) + Q(c) * v
+        power = naive_mul(power, x, cap, trunc_idx, trunc_max)
+    return {g: kept for g, t in sorted(out.items()) if (kept := {e: c for e, c in t.items() if c})}
+
+
+def naive_inverse(a: Buckets, cap: int, width: int, trunc_idx: int = -1,
+                  trunc_max: int = 0) -> Buckets:
+    """1/a modulo grade > cap for a of grade-0 part 1, as the geometric series
+    sum_m (1 - a)^m, which stops because 1 - a has no grade 0."""
+    rest = {g: {e: -c for e, c in t.items()} for g, t in a.items() if g}
+    return naive_series(rest, [1] * (cap + 1), cap, width, trunc_idx, trunc_max)
+
+
 def stage_series_convolved(group: Sequence[tuple[Q, Terms, int]], smax: int, width: int,
-                           trunc_idx: int = -1, trunc_max: int = 0) -> Graded:
+                           trunc_idx: int = -1, trunc_max: int = 0) -> Buckets:
     """The product of the factors (c z_j + R)^(-m) of one residue stage,
     keyed by the order s of z_j^(-s), for s up to smax: each factor expanded
     as sum_r (-1)^r C(m+r-1, r) R^r / (c z_j)^(m+r), and the series
     convolved by total order."""
     m_total = sum(m for _, _, m in group)
-    conv: Graded = {0: {(0,) * width: Q(1)}}
+    conv: Buckets = {0: {(0,) * width: Q(1)}}
     for c_lead, rest, mult in group:
         room = smax - (m_total - mult)
         coeffs = [Q((-1) ** r * binomial(mult + r - 1, r)) / (c_lead ** (mult + r))
                   for r in range(room - mult + 1)]
-        fser = _graded_series({1: rest}, coeffs, room - mult, width, trunc_idx, trunc_max)
-        conv = _graded_mul(conv, {mult + r: t for r, t in fser.items()}, smax, trunc_idx,
-                           trunc_max)
+        fser = naive_series({1: rest}, coeffs, room - mult, width, trunc_idx, trunc_max)
+        conv = naive_mul(conv, {mult + r: t for r, t in fser.items()}, smax, trunc_idx,
+                         trunc_max)
     return conv

@@ -1,6 +1,7 @@
 """Exact arithmetic substrate: ring axioms, series, truncation, division."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -18,6 +19,7 @@ from jetres.exactalg import (
     _add_into,
     _flat,
     _graded,
+    _graded_add,
     _graded_exp,
     _graded_inverse,
     _graded_mul,
@@ -25,6 +27,7 @@ from jetres.exactalg import (
     _mul_terms,
     _sum_products,
 )
+from oracles import naive_inverse, naive_mul, naive_series
 
 CTX = VarContext(("z1", "z2", "h"))
 Z1 = MultiPoly.variable(CTX, "z1")
@@ -150,49 +153,109 @@ operands_st = st.one_of(
 )
 
 
+def _buckets(terms, cap):
+    """The terms by grade, grades above cap dropped, for the naive oracles."""
+    out = {}
+    for e, c in terms.items():
+        if _grade(e) <= cap:
+            out.setdefault(_grade(e), {})[e] = c
+    return out
+
+
+def _by_grade(series):
+    """The series read back grade by grade."""
+    return {g: _flat(replace(series, parts={g: t})) for g, t in series.parts.items()}
+
+
 @given(operands_st, st.integers(0, 10), trunc_st)
 def test_graded_mul_is_the_truncated_full_product(operands, cap, trunc):
     a, b = operands
     ti, tm = trunc
-    got = _graded_mul(_graded(a, WEIGHTS, cap), _graded(b, WEIGHTS, cap), cap, ti, tm)
-    assert all(_grade(e) == g for g, part in got.items() for e in part)
+    got = _graded_mul(_graded(a, WEIGHTS, cap, ti, tm), _graded(b, WEIGHTS, cap, ti, tm), cap)
+    by_grade = _by_grade(got)
+    assert all(_grade(e) == g for g, part in by_grade.items() for e in part)
     # canonical: no empty grade, no zero coefficient, every coefficient a Q
-    assert all(got.values())
-    assert all(type(c) is Q and c for part in got.values() for c in part.values())
+    assert all(got.parts.values())
+    assert all(type(c) is Q and c for part in by_grade.values() for c in part.values())
     full = _mul_terms(a, b)
     assert _flat(got) == {
         e: c for e, c in full.items() if _grade(e) <= cap and (ti < 0 or e[ti] <= tm)
     }
 
 
+@given(operands_st, st.integers(0, 10), trunc_st)
+def test_graded_mul_is_the_naive_product(operands, cap, trunc):
+    a, b = operands
+    got = _graded_mul(_graded(a, WEIGHTS, cap, *trunc), _graded(b, WEIGHTS, cap, *trunc), cap)
+    assert _by_grade(got) == naive_mul(_buckets(a, cap), _buckets(b, cap), cap, *trunc)
+
+
+@given(terms_st, st.lists(st.builds(Q, st.integers(-9, 9), st.integers(1, 6)), max_size=8),
+       cap_st, trunc_st)
+def test_graded_series_is_the_naive_series(x, coeffs, cap, trunc):
+    got = _graded_series(_graded(x, WEIGHTS, cap, *trunc), [1] + coeffs, cap)
+    assert _by_grade(got) == naive_series(_buckets(x, cap), [1] + coeffs, cap, 3, *trunc)
+
+
+@given(nonconstant_st, cap_st, trunc_st)
+def test_graded_inverse_is_the_naive_inverse(x, cap, trunc):
+    a = {**x, UNIT: Q(1)}
+    got = _graded_inverse(_graded(a, WEIGHTS, cap, *trunc), cap)
+    assert _by_grade(got) == naive_inverse(_buckets(a, cap), cap, 3, *trunc)
+
+
 @given(nonconstant_st, cap_st, trunc_st)
 def test_graded_inverse_times_series_is_one(x, cap, trunc):
-    ti, tm = trunc
-    a = _graded({**x, UNIT: Q(1)}, WEIGHTS, cap)
-    inv = _graded_inverse(a, cap, 3, ti, tm)
-    assert _flat(_graded_mul(inv, a, cap, ti, tm)) == {UNIT: Q(1)}
+    a = _graded({**x, UNIT: Q(1)}, WEIGHTS, cap, *trunc)
+    assert _flat(_graded_mul(_graded_inverse(a, cap), a, cap)) == {UNIT: Q(1)}
 
 
 @given(nonconstant_st, cap_st, trunc_st)
 def test_graded_inverse_is_the_geometric_series(x, cap, trunc):
     # 1/(1 + x) = sum_m (-1)^m x^m, the definition the recurrence replaced
-    ti, tm = trunc
-    a = _graded({**x, UNIT: Q(1)}, WEIGHTS, cap)
-    geometric = _graded_series(_graded(x, WEIGHTS, cap), [(-1) ** m for m in range(cap + 1)],
-                               cap, 3, ti, tm)
-    assert _graded_inverse(a, cap, 3, ti, tm) == geometric
+    a = _graded({**x, UNIT: Q(1)}, WEIGHTS, cap, *trunc)
+    geometric = _graded_series(_graded(x, WEIGHTS, cap, *trunc),
+                               [(-1) ** m for m in range(cap + 1)], cap)
+    assert _flat(_graded_inverse(a, cap)) == _flat(geometric)
 
 
 @given(nonconstant_st, nonconstant_st, cap_st, trunc_st)
 def test_graded_exp_of_sum_is_product_of_exps(x, y, cap, trunc):
-    ti, tm = trunc
-
     def exp(t):
-        return _graded_exp(_graded(t, WEIGHTS, cap), cap, 3, ti, tm)
+        return _graded_exp(_graded(t, WEIGHTS, cap, *trunc), cap)
 
     xy = dict(x)
     _add_into(xy, y)
-    assert _flat(exp(xy)) == _flat(_graded_mul(exp(x), exp(y), cap, ti, tm))
+    assert _flat(exp(xy)) == _flat(_graded_mul(exp(x), exp(y), cap))
+
+
+@pytest.mark.parametrize("trunc", [(-1, 0), (0, 150), (2, 90)])
+def test_graded_chain_that_outgrows_its_digits(trunc):
+    # every product of the chain adds the operands' reach bounds: x^3 keeps
+    # 1-byte digits, x^4 needs 2-byte ones, so the chain widens on the way
+    cap = 1000
+    x = {(40, 0, 1): Q(1, 2), (0, 40, 0): Q(3), (1, 1, 1): Q(-2, 3), (0, 0, 30): Q(5, 7)}
+    packed, naive = _graded(x, WEIGHTS, cap, *trunc), _buckets(x, cap)
+    power, expected = packed, naive
+    sizes = set()
+    for _ in range(4):
+        power = _graded_mul(power, packed, cap)
+        expected = naive_mul(expected, naive, cap, *trunc)
+        sizes.add(power.codec.size)
+        assert _by_grade(power) == expected
+    assert sizes == {1, 2}
+    # a sum of two series keyed with different digits, and the series and
+    # inverse whose powers outgrow the operand's digits
+    expected = _flat(power)
+    _add_into(expected, _flat(packed))
+    assert _flat(_graded_add(power, packed)) == expected
+    coeffs = [Q(1, m + 1) for m in range(6)]
+    assert _by_grade(_graded_series(packed, coeffs, cap)) == naive_series(naive, coeffs, cap, 3,
+                                                                          *trunc)
+    unit_plus = {**x, UNIT: Q(1)}
+    inverse = _graded_inverse(_graded(unit_plus, WEIGHTS, 90, *trunc), 90)
+    assert inverse.codec.size == 2
+    assert _by_grade(inverse) == naive_inverse(_buckets(unit_plus, 90), 90, 3, *trunc)
 
 
 def _fraction_product(a, b, ti, tm):
@@ -269,7 +332,7 @@ def test_sum_products_is_the_per_term_sum(groups, cancel, trunc):
     if cancel:
         # a pair and its negation: every sum of the two cancels to zero
         groups = [pairs + [(a, [(e, -c) for e, c in b]) for a, b in pairs[:1]] for pairs in groups]
-    assert list(_sum_products(groups, ti, tm)) == [_product_sums(p, ti, tm) for p in groups]
+    assert [_sum_products(p, ti, tm) for p in groups] == [_product_sums(p, ti, tm) for p in groups]
 
 
 @pytest.mark.parametrize("top", [100, 200, 20000])
@@ -339,9 +402,9 @@ def test_substitute_with_negative_and_edge_exponents(terms, assignments):
 
 def test_graded_series_rejects_bad_constant_parts():
     with pytest.raises(NonUnitError):
-        _graded_inverse({0: {UNIT: Q(2)}}, 3, 3)
+        _graded_inverse(_graded({UNIT: Q(2)}, WEIGHTS, 3), 3)
     with pytest.raises(ValueError):
-        _graded_exp({0: {UNIT: Q(1)}}, 3, 3)
+        _graded_exp(_graded({UNIT: Q(1)}, WEIGHTS, 3), 3)
 
 
 def test_segre_of_surface_multiplies_back():

@@ -5,7 +5,7 @@ import json
 import math
 import pathlib
 import random
-from bisect import bisect_right
+from bisect import bisect_left
 
 import pytest
 from hypothesis import given
@@ -199,44 +199,43 @@ def _kernel_in_the_old_order(table):
     weights = tuple(range(n, 0, -1)) + (n, n)
 
     def graded(tab):
-        return _graded({z + (s, t): c for (z, s, t), c in tab.items()}, weights, cap)
+        return _graded({z + (s, t): c for (z, s, t), c in tab.items()}, weights, cap, n, n)
 
-    a01 = _graded_mul(graded(table.a0), graded(table.a1), cap, n, n)
-    a = _flat(_graded_mul(a01, graded(table.a2), cap, n, n))
+    a01 = _graded_mul(graded(table.a0), graded(table.a1), cap)
+    a = _flat(_graded_mul(a01, graded(table.a2), cap))
     return {(e[:n], e[n], e[n + 1]): c for e, c in a.items()}
 
 
-@pytest.mark.parametrize("defect_cap", range(5))
-def test_kernel_table_is_the_old_product_order(defect_cap):
-    table = expansion_diagnostics(2, defect_cap)
+@pytest.mark.parametrize("n, defect_cap", [(2, cap) for cap in range(5)] + [(3, 4)],
+                         ids=[str(cap) for cap in range(5)] + ["n3-cap4"])
+def test_kernel_table_is_the_old_product_order(n, defect_cap):
+    table = expansion_diagnostics(n, defect_cap)
     assert table.a == _kernel_in_the_old_order(table)
 
 
 def test_kernel_table_pair_products(monkeypatch):
     # a deterministic work guard: the monomial pair products that the kernel
     # multiplies (those the truncation keeps) for the n = 3 tables; the order
-    # (a0 a1) a2 took 1.23 million of them
-    kernel = jetres.exactalg._sum_products
+    # (a0 a1) a2 took 1.23 million of them and a0 (a1 a2) 407,808
+    kernel = jetres.exactalg._mac
     pairs = 0
 
-    def counted(groups, trunc_idx=-1, trunc_max=0, cap=None):
+    def counted(acc, a, b, limit):
         nonlocal pairs
-        for a, b in (pair for group in groups for pair in group):
-            if trunc_idx < 0:
-                pairs += len(a) * len(b)
-            else:
-                xs = sorted(e[trunc_idx] for e, _ in a)
-                pairs += sum(bisect_right(xs, trunc_max - e[trunc_idx]) for e, _ in b)
-        return kernel(groups, trunc_idx, trunc_max, cap)
+        if limit is None:
+            pairs += len(a) * len(b)
+        else:
+            keys = [k for k, _ in a]
+            pairs += sum(bisect_left(keys, limit - k) for k, _ in b)
+        return kernel(acc, a, b, limit)
 
-    monkeypatch.setattr(jetres.exactalg, "_sum_products", counted)
+    monkeypatch.setattr(jetres.exactalg, "_mac", counted)
     expansion_diagnostics(3, 4)
-    assert 0 < pairs <= 450_000
+    assert 0 < pairs <= 310_000
 
 
 def test_diagnostics_term_cap():
-    # the largest product or series result of the n = 2 tables at cap 4 has
-    # 182 terms
+    # the largest product of the n = 2 tables at cap 4 has 182 terms
     with pytest.raises(ResourceLimitError, match="expansion_diagnostics exceeded 181 terms"):
         expansion_diagnostics(2, 4, max_terms=181)
     expansion_diagnostics(2, 4, max_terms=182)

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given
@@ -15,6 +16,7 @@ from jetres.exactalg import (
     Q,
     ResourceLimitError,
     VarContext,
+    _flat,
 )
 from jetres.ggl import canonical_config, intersection_payload
 from jetres.localization import fibre_integral_fixed_points
@@ -226,8 +228,8 @@ def test_stage_series_is_the_convolved_factor_series(group, room, trunc):
     # a room of 0 and the h-truncation on and off
     ti, tm = trunc
     smax = sum(m for _, _, m in group) + room
-    c, series = _stage_series(group, smax, STAGE_WIDTH, ti, tm)
-    got = {s: {e: v / c for e, v in t.items()} for s, t in series.items()}
+    series = _stage_series(group, smax, STAGE_WIDTH, ti, tm)
+    got = {s: _flat(replace(series, parts={s: t})) for s, t in series.parts.items()}
     assert got == stage_series_convolved(group, smax, STAGE_WIDTH, ti, tm)
 
 
