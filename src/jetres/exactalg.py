@@ -17,20 +17,14 @@ function, so values can be shared freely between threads.  Canonical form is
 fixed variable order, so equal values print identically.
 
 Every sum of sparse products runs through one kernel, ``_mac``, on integer
-coefficients and packed exponent keys: an exponent vector is one integer
-with a fixed-width signed digit per variable (``_Codec``), so adding two
-exponent vectors is one integer addition.  The invariant: no digit of a key
-ever leaves its width.  The width rule enforces it: keys whose exponents
-are bounded by M_a and M_b in magnitude are multiplied with digits that
-hold M_a + M_b, so two distinct exponent vectors never share a key and
-every key reads back exactly.  Two kinds of value hold keys.
-``_sum_products`` packs operands given as exponent tuples for one call and
-reads its sums back.  A truncated series (``Graded``) stays packed from
-its construction through every product, sum, series and inverse: it
-carries its codec, one integer denominator and a bound on its exponents,
-and its keys are read back only by ``_flat`` (and by a widening).  A
-product whose bounds do not fit the digits first makes them exact and, if
-that is not enough, widens both operands.
+coefficients and packed exponent keys (``_Codec``): an exponent vector is one
+integer with a fixed-width signed digit per variable, so adding two exponent
+vectors is one integer addition.  The invariant: no digit of a key ever
+leaves its width.  The width rule (``_digit_size``) keeps it: operands whose
+exponents are bounded by M_a and M_b in magnitude (``_reach``) are multiplied
+with digits that hold M_a + M_b.  ``_sum_products`` packs exponent tuples for
+one call; a truncated series (``Graded``) stays packed through every product,
+sum, series and inverse, and is read back only by ``_flat``.
 """
 
 from __future__ import annotations
@@ -177,6 +171,11 @@ def _cleared(terms: Terms) -> tuple[int, IntTerms]:
 _DIGIT_FORMATS = {array(t).itemsize: t for t in "bhiq"}
 
 
+def _reach(exponents: Iterable[Sequence[int]]) -> int:
+    """The largest |e_i| over the exponent vectors, 0 if there is none."""
+    return max(map(abs, chain.from_iterable(exponents)), default=0)
+
+
 def _digit_size(reach: int) -> int:
     """The width rule: the least digit size s (bytes) with 2 reach < 256^s,
     so that digits of magnitude up to reach fit the range [-256^s/2, 256^s/2)."""
@@ -195,12 +194,10 @@ class _Codec:
 
     def __init__(self, width: int, size: int, ti: int, tm: int) -> None:
         self.width, self.size, self.ti, self.tm = width, size, ti, tm
-        pos = [i - (i > ti >= 0) for i in range(width)]
-        if ti >= 0:
-            pos[ti] = width - 1
+        pos = [width - 1 if i == ti else i - (i > ti >= 0) for i in range(width)]
         self.place = [256 ** (size * p) for p in pos]
         top = 256 ** (size * (width - 1))
-        self.limit = tm * top + top // 2 if ti >= 0 else None
+        self.limit = tm * top + (top + 1) // 2 if ti >= 0 else None
         # reading a key back: adding half of each digit's range makes every
         # digit its exponent plus that half, unsigned; the xor then leaves each
         # exponent in two's complement, which the signed typecode reads
@@ -215,6 +212,8 @@ class _Codec:
 
     def unpack(self, keys: Iterable[int]) -> list[tuple[int, ...]]:
         """The exponent tuples of the keys."""
+        if not self.width:
+            return [() for _ in keys]
         half, nbytes, order = self._half, self._nbytes, sys.byteorder
         buf = b"".join([((k + half) ^ half).to_bytes(nbytes, order) for k in keys])
         rows = zip(*[iter(memoryview(buf).cast(self._fmt).tolist())] * self.width)
@@ -224,9 +223,7 @@ class _Codec:
 _codec = cache(_Codec)  # one codec per (width, size, ti, tm)
 
 
-# A packed operand: (key, coefficient) terms, sorted by key when the product
-# is truncated.
-Packed = list[tuple[int, int]]
+Packed = list[tuple[int, int]]  # (key, coefficient) terms, sorted under truncation
 TermCap = tuple[int, str] | None  # (max_terms, the stage a count above it names)
 
 
@@ -277,25 +274,18 @@ def _sum_products(
 ) -> dict[tuple[int, ...], int]:
     """The nonzero sums of the products a * b over the operand pairs (a, b),
     keyed by exponent tuples (which may be negative); exponents above
-    trunc_max at trunc_idx are dropped if trunc_idx is set.
-
-    The product of operands held as exponent tuples: with M_a the largest
-    |e_i| over the left operands and M_b over the right ones, the keys take
-    the digit size that the width rule gives M_a + M_b.  Each distinct
-    operand is packed once and the sums are read back once.
-    """
+    trunc_max at trunc_idx are dropped if trunc_idx is set.  The keys take
+    the width rule's digits for the reach of the left operands plus that of
+    the right ones; each distinct operand is packed once."""
     left = {id(a): a for a, _ in pairs}
     right = {id(b): b for _, b in pairs}
     ea = [e for t in left.values() for e, _ in t]
     eb = [e for t in right.values() for e, _ in t]
     if not ea or not eb:
         return {}
-    reach = (max(max(map(max, ea)), -min(map(min, ea)))
-             + max(max(map(max, eb)), -min(map(min, eb))))
-    codec = _codec(len(ea[0]), _digit_size(reach), trunc_idx, trunc_max)
+    codec = _codec(len(ea[0]), _digit_size(_reach(ea) + _reach(eb)), trunc_idx, trunc_max)
     packed = {i: codec.packed(t) for i, t in (left | right).items()}
-    acc = _sums(((packed[id(a)], packed[id(b)]) for a, b in pairs), codec.limit)
-    sums = [(k, c) for k, c in acc.items() if c]
+    sums = _canonical(_sums(((packed[id(a)], packed[id(b)]) for a, b in pairs), codec.limit), None)
     return dict(zip(codec.unpack([k for k, _ in sums]), [c for _, c in sums]))
 
 
@@ -313,12 +303,8 @@ def _mul_terms(
     trunc_max: int = 0,
 ) -> Terms:
     """Raw sparse product; drops exponents above trunc_max at trunc_idx if set.
-
-    The one-pair case of _sum_products: each operand is scaled to integers
-    by the lcm of its denominators, the products are summed as ints, and
-    each sum is divided by the product of the two denominators once, at the
-    end.
-    """
+    Each operand is scaled to integers by the lcm of its denominators, and
+    each sum is divided by the product of the two once."""
     if not ta or not tb:
         return {}
     da, ia = _cleared(ta)
@@ -350,10 +336,9 @@ def _add_into(acc: Terms, terms: Terms, scale: Q | None = None) -> None:
 @dataclass(eq=False, slots=True)
 class Graded:
     """A truncated series on packed keys: parts maps each grade to its terms
-    (key, coefficient), sorted by key under truncation, each of value
-    coefficient / den; no grade is empty and no coefficient zero.  Every
-    exponent has magnitude at most reach, and codec, which also holds the
-    truncation, packs the keys."""
+    (key, coefficient), sorted by key under truncation, each worth
+    coefficient / den; no grade is empty and no coefficient zero.  codec
+    (which holds the truncation) packs the keys, all |exponents| <= reach."""
 
     codec: _Codec
     reach: int
@@ -366,7 +351,7 @@ def _packed(buckets: Mapping[int, Terms], width: int, trunc_idx: int = -1,
     """The series of the given grade buckets, over the lcm of their
     denominators, its digits with room for a product with its own reach."""
     den = _denominator(buckets.values())
-    reach = max((abs(x) for t in buckets.values() for e in t for x in e), default=0)
+    reach = _reach(e for t in buckets.values() for e in t)
     codec = _codec(width, _digit_size(2 * reach), trunc_idx, trunc_max)
     return Graded(codec, reach, den,
                   {g: codec.packed(_scaled(t, den)) for g, t in sorted(buckets.items()) if t})
@@ -402,16 +387,15 @@ def _repacked(series: Graded, size: int) -> Graded:
 
 
 def _aligned(a: Graded, b: Graded) -> tuple[Graded, Graded]:
-    """a and b keyed by one codec whose digits hold M_a + M_b, the width rule
-    of their product (and of their sum).  When the digits are short, both
-    reach bounds are first made exact, and only if that is not enough are
-    the operands widened."""
+    """a and b keyed by one codec whose digits hold M_a + M_b (the width rule
+    of their product); when they do not, the reach bounds are made exact
+    first, and the operands widened only if that is not enough."""
     if a.codec is b.codec and 2 * (a.reach + b.reach) < 256**a.codec.size:
         return a, b
     if (a.codec.width, a.codec.ti, a.codec.tm) != (b.codec.width, b.codec.ti, b.codec.tm):
         raise ValueError("series of different widths or truncations")
-    a, b = (replace(s, reach=max(map(abs, chain.from_iterable(s.codec.unpack(
-        k for t in s.parts.values() for k, _ in t))), default=0)) for s in (a, b))
+    a, b = (replace(s, reach=_reach(s.codec.unpack([k for t in s.parts.values() for k, _ in t])))
+            for s in (a, b))
     size = max(_digit_size(a.reach + b.reach), a.codec.size, b.codec.size)
     return _repacked(a, size), _repacked(b, size)
 
@@ -427,19 +411,14 @@ def _reduced(codec: _Codec, reach: int, den: int, parts: dict[int, Packed]) -> G
 def _graded_mul(a: Graded, b: Graded, cap: int, term_cap: TermCap = None) -> Graded:
     """Product of two graded series modulo grade > cap (and the truncation).
 
-    Only bucket pairs with g1 + g2 <= cap are multiplied.  Dropping grades
-    above cap is exact for every later product as long as no grade is
-    negative, which all callers guarantee by their choice of weights.
-
-    The output grades are made one at a time, each from the bucket pairs
-    with g1 + g2 = g, over the product of the two denominators, from which
-    the gcd is divided out at the end.  With term_cap, the running count of
-    terms is checked after every pair (see _sums).
-    """
+    Only bucket pairs with g1 + g2 <= cap are multiplied: exact for every
+    later product as long as no grade is negative, which all callers
+    guarantee by their choice of weights.  With term_cap, the running count
+    of terms is checked after every pair (see _sums)."""
     a, b = _aligned(a, b)
     pa, pb, limit = a.parts, b.parts, a.codec.limit
     parts: dict[int, Packed] = {}
-    total = 0
+    total = 0  # terms so far, for the term cap
     for g in sorted({g1 + g2 for g1 in pa for g2 in pb if g1 + g2 <= cap}):
         pairs = ((t, pb[g - g1]) for g1, t in pa.items() if g - g1 in pb)
         if terms := _canonical(_sums(pairs, limit, term_cap, total), limit):
@@ -451,9 +430,8 @@ def _graded_mul(a: Graded, b: Graded, cap: int, term_cap: TermCap = None) -> Gra
 def _graded_dot(a: Graded, b: Graded, term_cap: TermCap = None) -> Graded:
     """sum_g a_g b_g over the grades both hold, as a series of grade 0."""
     a, b = _aligned(a, b)
-    limit = a.codec.limit
     pairs = ((t, b.parts[g]) for g, t in a.parts.items() if g in b.parts)
-    terms = _canonical(_sums(pairs, limit, term_cap), limit)
+    terms = _canonical(_sums(pairs, a.codec.limit, term_cap), a.codec.limit)
     return Graded(a.codec, a.reach + b.reach, a.den * b.den, {0: terms} if terms else {})
 
 
@@ -480,11 +458,8 @@ def _graded_series(x: Graded, coeffs: Sequence[QLike], cap: int,
 
     The sum stops at the last coefficient or at the first power that the grade
     cap and the truncation have emptied.  x is keyed once, with room for the
-    last power that the cap leaves, so every power shares its codec, and the
-    sum is over D^top times the coefficients' denominators, which every
-    power's denominator divides.  With term_cap, each power's product counts
-    against it.
-    """
+    last power the cap leaves; the sum is over D^top times the coefficients'
+    denominators.  With term_cap, each power's product and the sum count."""
     low = min(x.parts, default=0)
     top = len(coeffs) - 1 if low == 0 else min(len(coeffs) - 1, cap // low)
     x = _repacked(x, max(x.codec.size, _digit_size(top * x.reach)))
@@ -500,27 +475,27 @@ def _graded_series(x: Graded, coeffs: Sequence[QLike], cap: int,
                     break
             yield den // (power.den * c.denominator) * c.numerator, power
 
-    return _summed(x.codec, top * x.reach, den, terms())
+    out = _summed(x.codec, top * x.reach, den, terms())
+    if term_cap and sum(map(len, out.parts.values())) > term_cap[0]:
+        raise ResourceLimitError(f"{term_cap[1]} exceeded {term_cap[0]} terms")
+    return out
 
 
-def _graded_exp(x: Graded, cap: int, term_cap: TermCap = None) -> Graded:
+def _graded_exp(x: Graded, cap: int) -> Graded:
     """exp(x) modulo grade > cap; x must have no grade-0 part."""
     if 0 in x.parts:
         raise ValueError("exponent must have no grade-0 part")
     coeffs = [Q(1, factorial(m)) for m in range(cap + 1)]
-    return _graded_series(x, coeffs, cap, term_cap)
+    return _graded_series(x, coeffs, cap)
 
 
 def _graded_inverse(a: Graded, cap: int) -> Graded:
     """The b with a*b == 1 modulo grade > cap; a's grade-0 part must be exactly 1.
 
-    Grade by grade from the recurrence b_0 = 1, b_g = -sum_(g' >= 1) a_g' b_(g - g').
-    With D = a.den, D^g b_g is an integer polynomial, so each grade is summed
-    from the integer terms D^g' a_g', negated, and D^(g - g') b_(g - g'),
-    each packed once; the result is over D^G for the top grade G.  b_g is a
-    sum of products of at most g / g_min terms of a, g_min its least
-    positive grade, so a is keyed once with room for that.
-    """
+    Grade by grade from the recurrence b_0 = 1, b_g = -sum_(g' >= 1) a_g' b_(g - g'),
+    on the integer polynomials D^g b_g for D = a.den, each packed once.  b_g
+    is a sum of products of at most g / g_min terms of a (g_min its least
+    positive grade), so a is keyed once with room for that."""
     if a.parts.get(0) != [(0, a.den)]:
         raise NonUnitError("series inverse requires grade-0 part exactly 1")
     low = min((g for g in a.parts if g), default=cap + 1)

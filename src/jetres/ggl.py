@@ -291,23 +291,19 @@ def expansion_diagnostics(
     j - i, an h/z_j or dh/z_j pick j - 1), so truncating every product loses
     nothing below the cap.  The geometric series are cut at order
     defect_cap + 2n^2, and the dh power never exceeds n because each of the
-    n a0 factors has one dh.  Every returned coefficient is a finite exact sum.
-    Entries above grade order are partial sums, not Laurent coefficients of
-    the kernel: they miss the series terms beyond the cut (at n = 3, defect
-    cap 4, a2 first differs from the exact inverse at grade 23).
+    n a0 factors has one dh.  Every returned coefficient is a finite exact sum;
+    entries above grade order are partial sums, not Laurent coefficients of
+    the kernel (at n = 3, defect cap 4, a2 first differs from the exact
+    inverse at grade 23).
 
-    The kernel table is a = a0 ((a2 A1_n) ... A1_2), where A1_j is the
-    product of the level-j factors of a1 and a1 is the product of the A1_j.
-    Every grade is >= 0 and h is cut at h^(n+1), so the truncated product is
-    associative and the order is free.  a0 is multiplied last because it is
-    small (14 terms at n = 3) but spreads whatever it meets, and the levels
-    of a1 meet a2 one at a time, the widest (level n) first, because a1 as a
-    whole spreads a2 more than its levels do one by one.  At n = 3, defect
-    cap 4, the final kernel takes 243,518 monomial pair products, against
-    352,970 for a0 (a1 a2) and 1.23 million for (a0 a1) a2; at n = 2 the
-    order is a0 (a1 a2).  Every product, the powers of a series included,
-    counts its terms against max_terms after every pair of buckets; the
-    first count above it raises ResourceLimitError.
+    The kernel is a = a0 ((a2 A1_n) ... A1_2), A1_j the product of a1's
+    level-j factors; the truncated product is associative, so the order is
+    free.  a0 (14 terms at n = 3) goes last because it spreads whatever it
+    meets, and a1's levels meet a2 one at a time, widest first: at n = 3,
+    defect cap 4, the final kernel takes 243,518 monomial pair products,
+    against 352,970 for a0 (a1 a2); at n = 2 the two orders agree.  Every
+    product counts its terms against max_terms after every pair of buckets,
+    every series its sum; the first count above it raises ResourceLimitError.
     """
     if defect_cap < 0:
         raise ValueError("defect_cap must be >= 0")
@@ -351,7 +347,7 @@ def expansion_diagnostics(
             level = mul(level, _graded_add(factor, one))
         if j > 1:
             levels.append(level)
-    a1 = reduce(mul, levels)
+    a1 = reduce(mul, levels, one)
     a = mul(a0, reduce(mul, reversed(levels), a2))
 
     def keyed(tb: Graded) -> dict[Key, Q]:

@@ -203,13 +203,12 @@ def _stage_series(group: Sequence[tuple[Q, Terms, int]], smax: int, width: int,
     """
     m_total = sum(m for _, _, m in group)
     room = smax - m_total
-    unit = (0,) * width
-    H = _packed({0: {unit: Q(1)}}, width, ti, tm)
+    one = {(0,) * width: Q(1)}
+    H = _packed({0: one}, width, ti, tm)
     c = Q(1)
     for c_f, rest, mult in group:
         c *= c_f**mult
-        linear = _packed({0: {unit: Q(1)}, 1: {e: v / c_f for e, v in rest.items()}}, width,
-                         ti, tm)
+        linear = _packed({0: one, 1: {e: v / c_f for e, v in rest.items()}}, width, ti, tm)
         for _ in range(mult):
             H = _graded_mul(H, linear, room)
     G = _graded_inverse(H, room)

@@ -345,6 +345,50 @@ def test_product_needs_a_wider_digit_than_its_operands(top):
     assert got[(2 * top, -top, -1)] == 3 and got[(-2 * top, top, 1)] == -2
 
 
+# One variable: the truncation slot is the only digit, with none below it.
+one_var_terms_st = st.dictionaries(
+    st.tuples(st.integers(0, 4)), st.builds(Q, st.integers(-9, 9), st.integers(1, 5)), max_size=5
+).map(lambda t: {e: c for e, c in t.items() if c})
+
+
+@given(one_var_terms_st, one_var_terms_st, st.integers(0, 6), st.integers(0, 6))
+def test_one_variable_truncation_keeps_the_top_exponent(a, b, cap, tm):
+    assert _mul_terms({(1,): Q(1)}, {(2,): Q(1)}, 0, 3) == {(3,): Q(1)}
+    assert _mul_terms(a, b, 0, tm) == _fraction_product(a, b, 0, tm)
+
+    def buckets(t):
+        return {e[0]: {e: c} for e, c in t.items() if e[0] <= cap}
+
+    def graded(t):
+        return _graded(t, (1,), cap, 0, tm)
+
+    got = _graded_mul(graded(a), graded(b), cap)
+    assert _by_grade(got) == naive_mul(buckets(a), buckets(b), cap, 0, tm)
+    got = _graded_series(graded(a), [1, Q(1, 2), -3], cap)
+    assert _by_grade(got) == naive_series(buckets(a), [1, Q(1, 2), -3], cap, 1, 0, tm)
+    unit_plus = {**a, (0,): Q(1)}
+    got = _graded_inverse(graded(unit_plus), cap)
+    assert _by_grade(got) == naive_inverse(buckets(unit_plus), cap, 1, 0, tm)
+
+
+def test_products_in_the_empty_context():
+    ctx = VarContext(())
+    two, three = MultiPoly.const(ctx, 2), MultiPoly.const(ctx, 3)
+    assert two * three == 6 and two**3 == 8
+    assert _sum_products([([((), 2)], [((), 3)]), ([((), 1)], [((), -1)])]) == {(): 5}
+    half = _graded({(): Q(1, 2)}, (), 4)
+    assert _flat(_graded_mul(half, half, 4)) == {(): Q(1, 4)}
+    assert _flat(_graded_add(half, half)) == {(): Q(1)}
+
+
+def test_graded_series_counts_its_sum_against_the_term_cap():
+    # every power of x is one term, the sum of the six powers six terms
+    x = _graded({(1, 0, 0): Q(1)}, WEIGHTS, 5)
+    assert len(_flat(_graded_series(x, [1] * 6, 5, (6, "stage")))) == 6
+    with pytest.raises(ResourceLimitError, match="stage exceeded 5 terms"):
+        _graded_series(x, [1] * 6, 5, (5, "stage"))
+
+
 def test_exponents_beyond_the_widest_digit_are_a_resource_error():
     big = {(2**62, 0, 0): Q(1)}
     with pytest.raises(ResourceLimitError, match="packed kernel"):

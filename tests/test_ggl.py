@@ -234,6 +234,11 @@ def test_kernel_table_pair_products(monkeypatch):
     assert 0 < pairs <= 310_000
 
 
+def test_diagnostics_needs_n_at_least_2():
+    with pytest.raises(ValueError, match="n must be >= 2"):
+        expansion_diagnostics(1, 0)
+
+
 def test_diagnostics_term_cap():
     # the largest product of the n = 2 tables at cap 4 has 182 terms
     with pytest.raises(ResourceLimitError, match="expansion_diagnostics exceeded 181 terms"):
