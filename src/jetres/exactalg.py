@@ -22,9 +22,11 @@ integer with a fixed-width signed digit per variable, so adding two exponent
 vectors is one integer addition.  The invariant: no digit of a key ever
 leaves its width.  The width rule (``_digit_size``) keeps it: operands whose
 exponents are bounded by M_a and M_b in magnitude (``_reach``) are multiplied
-with digits that hold M_a + M_b.  ``_sum_products`` packs exponent tuples for
-one call; a truncated series (``Graded``) stays packed through every product,
-sum, series and inverse, and is read back only by ``_flat``.
+with digits that hold M_a + M_b.  Every product is one of a truncated series
+(``Graded``): its terms are packed once by ``_packed`` (``_repacked`` and
+``_aligned`` widen them), stay packed through every product, sum, series and
+inverse, and are read back only by ``_flat``.  A single product
+(``_mul_terms``) is one of two grade-0 series.
 """
 
 from __future__ import annotations
@@ -161,12 +163,6 @@ def _scaled(terms: Terms, den: int) -> IntTerms:
     return [(e, c.numerator * (den // c.denominator)) for e, c in terms.items()]
 
 
-def _cleared(terms: Terms) -> tuple[int, IntTerms]:
-    """(D, [(e, D*c)]) with D the lcm of the coefficients' denominators."""
-    den = _denominator((terms,))
-    return den, _scaled(terms, den)
-
-
 # Signed array typecodes by digit width in bytes, narrowest first.
 _DIGIT_FORMATS = {array(t).itemsize: t for t in "bhiq"}
 
@@ -269,33 +265,6 @@ def _canonical(acc: dict[int, int], limit: int | None) -> Packed:
     return sorted(out) if limit is not None else out
 
 
-def _sum_products(
-    pairs: Sequence[tuple[IntTerms, IntTerms]], trunc_idx: int = -1, trunc_max: int = 0
-) -> dict[tuple[int, ...], int]:
-    """The nonzero sums of the products a * b over the operand pairs (a, b),
-    keyed by exponent tuples (which may be negative); exponents above
-    trunc_max at trunc_idx are dropped if trunc_idx is set.  The keys take
-    the width rule's digits for the reach of the left operands plus that of
-    the right ones; each distinct operand is packed once."""
-    left = {id(a): a for a, _ in pairs}
-    right = {id(b): b for _, b in pairs}
-    ea = [e for t in left.values() for e, _ in t]
-    eb = [e for t in right.values() for e, _ in t]
-    if not ea or not eb:
-        return {}
-    codec = _codec(len(ea[0]), _digit_size(_reach(ea) + _reach(eb)), trunc_idx, trunc_max)
-    packed = {i: codec.packed(t) for i, t in (left | right).items()}
-    sums = _canonical(_sums(((packed[id(a)], packed[id(b)]) for a, b in pairs), codec.limit), None)
-    return dict(zip(codec.unpack([k for k, _ in sums]), [c for _, c in sums]))
-
-
-def _divided(sums: Iterable[tuple[tuple[int, ...], int]], den: int) -> Terms:
-    """Nonzero integer sums over den as canonical terms."""
-    if den == 1:
-        return {e: Q(c) for e, c in sums}
-    return {e: Q(c, den) for e, c in sums}
-
-
 def _mul_terms(
     ta: Terms,
     tb: Terms,
@@ -303,13 +272,14 @@ def _mul_terms(
     trunc_max: int = 0,
 ) -> Terms:
     """Raw sparse product; drops exponents above trunc_max at trunc_idx if set.
-    Each operand is scaled to integers by the lcm of its denominators, and
-    each sum is divided by the product of the two once."""
+    The product of the operands as two grade-0 series (each over the lcm of
+    its denominators), read back once."""
     if not ta or not tb:
         return {}
-    da, ia = _cleared(ta)
-    db, ib = _cleared(tb)
-    return _divided(_sum_products([(ia, ib)], trunc_idx, trunc_max).items(), da * db)
+    width = len(next(iter(ta)))
+    a = _packed({0: ta}, width, trunc_idx, trunc_max)
+    b = _packed({0: tb}, width, trunc_idx, trunc_max)
+    return _flat(_graded_mul(a, b, 0))
 
 
 def _add_into(acc: Terms, terms: Terms, scale: Q | None = None) -> None:
@@ -371,8 +341,10 @@ def _graded(terms: Terms, weights: Sequence[int], cap: int, trunc_idx: int = -1,
 def _flat(series: Graded) -> Terms:
     """The series' terms read back, canonical, all grades together."""
     terms = [term for part in series.parts.values() for term in part]
-    return _divided(zip(series.codec.unpack([k for k, _ in terms]), [c for _, c in terms]),
-                    series.den)
+    exponents, den = series.codec.unpack([k for k, _ in terms]), series.den
+    if den == 1:
+        return {e: Q(c) for e, (_, c) in zip(exponents, terms)}
+    return {e: Q(c, den) for e, (_, c) in zip(exponents, terms)}
 
 
 def _repacked(series: Graded, size: int) -> Graded:
@@ -688,50 +660,37 @@ class MultiPoly:
     def substitute(self, assignments: Mapping[str, "MultiPoly | QLike"]) -> "MultiPoly":
         """Substitute polynomials or rationals for variables (exact).
 
-        Terms are grouped by their exponents in the substituted variables;
-        each variable's powers are built once by repeated multiplication, and
-        each group takes one product per variable it carries.  Everything
-        runs on integers: with D the denominator of the polynomial's terms,
-        D_v that of a value v and p_v the top power of v, a group holding
-        v^p is scaled by D_v^(p_v - p), so the groups' last products are
-        one sum over D * prod_v D_v^(p_v), which is divided once.
+        Terms are grouped by their exponents in the substituted variables,
+        which are then taken one at a time: the groups that differ only in
+        the exponent p of a variable's value v become one dot product of
+        {p: group} with sum_p v^p, v^p at grade p.  A group is only ever
+        multiplied by powers of values and nothing is substituted into a
+        value, so the substitution is simultaneous.
         """
-        subs: dict[int, Terms] = {}
+        width = len(self.ctx)
+        values: list[tuple[int, Terms]] = []
         for name, val in assignments.items():
             if not isinstance(val, MultiPoly):
                 val = MultiPoly.const(self.ctx, val)
             self._check_ctx(val)
-            subs[self.ctx.index(name)] = val.terms
-        den, cleared = _cleared(self.terms)
-        buckets: dict[tuple[int, ...], IntTerms] = {}
-        for e, c in cleared:
+            i = self.ctx.index(name)
+            if any(e[i] for e in self.terms):  # else every term keeps v^0 = 1
+                values.append((i, val.terms))
+        groups: dict[tuple[int, ...], Terms] = {}
+        for e, c in self.terms.items():
             rest = list(e)
-            for i in subs:
+            for i, _ in values:
                 rest[i] = 0
-            buckets.setdefault(tuple(e[i] for i in subs), []).append((tuple(rest), c))
-        unit: IntTerms = [((0,) * len(self.ctx), 1)]
-        powers: list[tuple[int, int, list[IntTerms]]] = []  # (D_v, p_v, [v^0, ..., v^p_v])
-        for pos, value in enumerate(subs.values()):
-            dv, iv = _cleared(value)
-            top = max((key[pos] for key in buckets), default=0)
-            pw = [unit, iv][: top + 1]
-            for _ in range(top - 1):
-                pw.append(list(_sum_products([(pw[-1], iv)]).items()))
-            powers.append((dv, top, pw))
-            den *= dv**top
-        last: list[tuple[IntTerms, IntTerms]] = []
-        for key, piece in buckets.items():
-            scale = 1
-            for (dv, top, _), p in zip(powers, key):
-                scale *= dv ** (top - p)
-            if scale != 1:
-                piece = [(e, c * scale) for e, c in piece]
-            factors = [pw[p] for (_, _, pw), p in zip(powers, key) if p] or [unit]
-            for f in factors[:-1]:
-                piece = list(_sum_products([(piece, f)]).items())
-            last.append((piece, factors[-1]))
-        sums = _sum_products(last)
-        return MultiPoly._raw(self.ctx, _divided(sums.items(), den))
+            groups.setdefault(tuple(e[i] for i, _ in values), {})[tuple(rest)] = c
+        for _, value in values:
+            top = max((key[0] for key in groups), default=0)
+            powers = _graded_series(_packed({1: value}, width), [1] * (top + 1), top)
+            families: dict[tuple[int, ...], dict[int, Terms]] = {}
+            for key, terms in groups.items():
+                families.setdefault(key[1:], {})[key[0]] = terms
+            groups = {key: _flat(_graded_dot(_packed(buckets, width), powers))
+                      for key, buckets in families.items()}
+        return MultiPoly._raw(self.ctx, groups.get((), {}))
 
     def evaluate(self, values: Mapping[str, QLike]) -> Q:
         missing = self.variables_used() - set(values)

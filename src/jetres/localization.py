@@ -46,7 +46,8 @@ from .exactalg import (
     Q,
     QLike,
     Terms,
-    _cleared,
+    _denominator,
+    _scaled,
     binomial,
 )
 from .tower import DEFAULT_POINT_CAP, _check_cap, _step
@@ -142,7 +143,10 @@ def _fibre_sum(
         for i in zidx:
             rest[i] = 0
         groups.setdefault((tuple(rest), sum(z)), {})[z] = c
-    cleared = [(rest, g, *_cleared(terms)) for (rest, g), terms in groups.items()]
+    cleared = []
+    for (rest, g), terms in groups.items():
+        d_g = _denominator((terms,))
+        cleared.append((rest, g, d_g, _scaled(terms, d_g)))
     keys = [(gi, z) for gi, (*_, terms) in enumerate(cleared) for z, _ in terms]
     root = [c for *_, terms in cleared for _, c in terms]
     # per level: the size of the next key set, the top power of z_j and, per

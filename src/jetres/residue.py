@@ -44,6 +44,7 @@ pins this on both symbolic and random inputs.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction as Q
 from functools import reduce
 from itertools import accumulate
@@ -54,7 +55,6 @@ from .exactalg import (
     DPoly,
     Graded,
     HD_CTX,
-    IntTerms,
     JetresError,
     MultiPoly,
     QLike,
@@ -62,9 +62,6 @@ from .exactalg import (
     Terms,
     VarContext,
     _add_into,
-    _cleared,
-    _denominator,
-    _divided,
     _flat,
     _graded_dot,
     _graded_inverse,
@@ -72,8 +69,6 @@ from .exactalg import (
     _gradedlex_key,
     _mul_terms,
     _packed,
-    _scaled,
-    _sum_products,
 )
 from .localization import DegenerateWeightsError
 
@@ -296,10 +291,10 @@ def _enter(table: FactorTable, terms: Terms, mult: int) -> Q:
     return scale**mult
 
 
-def _derivative(terms: IntTerms, idx: int) -> IntTerms:
-    """The derivative in the variable at idx, on integer terms (distinct
-    exponents stay distinct, so nothing is summed)."""
-    return [(e[:idx] + (e[idx] - 1,) + e[idx + 1:], c * e[idx]) for e, c in terms if e[idx]]
+def _derivative(terms: Terms, idx: int) -> Terms:
+    """The derivative in the variable at idx (distinct exponents stay
+    distinct, so nothing is summed)."""
+    return {e[:idx] + (e[idx] - 1,) + e[idx + 1:]: c * e[idx] for e, c in terms.items() if e[idx]}
 
 
 def residue_stepwise(form: ResidueForm, max_terms: int = DEFAULT_TERM_CAP) -> MultiPoly:
@@ -347,18 +342,14 @@ def residue_stepwise(form: ResidueForm, max_terms: int = DEFAULT_TERM_CAP) -> Mu
                     F = reduce(_mul_terms, (ft for ft, _ in moving), one)
                     cofactors = [reduce(_mul_terms, (gt for gt, _ in moving if gt is not ft), one)
                                  for ft, _ in moving]
-                    # on integers, numer = inum / dnum: each step sums both
-                    # products over the common denominator of F and -G
-                    dnum, inum = _cleared(num)
+                    # each step is one dot product: N' F + N (-G)
                     for step in range(m0 - 1):
                         minus_g: Terms = {}
                         for (ft, m), cof in zip(moving, cofactors):
                             _add_into(minus_g, cof, -(m + step) * ft[unit])
-                        dfg = _denominator((F, minus_g))
-                        sums = _sum_products([(_derivative(inum, zj), _scaled(F, dfg)),
-                                              (inum, _scaled(minus_g, dfg))])
-                        dnum, inum = dnum * dfg, list(sums.items())
-                    numer = _divided(inum, dnum)
+                        numer = _flat(_graded_dot(
+                            _packed({0: _derivative(numer, zj), 1: numer}, len(ctx)),
+                            _packed({0: F, 1: minus_g}, len(ctx))))
                 # substitute z_j = w, w = -(f0 - a0 z_j)/a0, with the minus
                 # sign of the residue at infinity
                 w = {e: -c / a0 for e, c in f0.items() if not e[zj]}
@@ -440,10 +431,11 @@ LevelFactors = tuple[list[MultiPoly], list[tuple[MultiPoly, int]]]
 
 
 def _prefix_filter(ctx: VarContext, n: int, zpos: Sequence[int],
-                   factors: Sequence[tuple[MultiPoly, int]]) -> Callable[[Terms], Terms]:
-    """The filter that keeps the numerator terms z^a h^b obeying
+                   factors: Sequence[tuple[MultiPoly, int]]) -> Callable[[Graded], Graded]:
+    """The filter that keeps the terms z^a h^b of a grade-0 series obeying
     a_1 + ... + a_i + b <= M_i + n - i for i = 0..k-1, where M_i is the
-    total multiplicity of the factors led by one of z_1..z_i."""
+    total multiplicity of the factors led by one of z_1..z_i.  It reads the
+    exponents off the packed keys and keeps the integer coefficients."""
     mult = [0] * (len(zpos) + 1)
     for poly, m in factors:
         mult[_leading_z(poly, zpos)[0]] += m
@@ -451,17 +443,18 @@ def _prefix_filter(ctx: VarContext, n: int, zpos: Sequence[int],
     # the prefix sum b, b + a_1, ..., b + a_1 + ... + a_(k-1) reads these slots
     slots = [ctx.index("h")] + list(zpos[:-1])
 
-    def live(terms: Terms) -> Terms:
-        out: Terms = {}
-        for e, c in terms.items():
+    def live(series: Graded) -> Graded:
+        terms = series.parts.get(0, [])
+        kept = []
+        for term, e in zip(terms, series.codec.unpack([key for key, _ in terms])):
             s = 0
             for p, cap in zip(slots, caps):
                 s += e[p]
                 if s > cap:
                     break
             else:
-                out[e] = c
-        return out
+                kept.append(term)
+        return replace(series, parts={0: kept} if kept else {})
 
     return live
 
@@ -503,18 +496,16 @@ def _tower_integrand(n: int, k: int, P: MultiPoly, level: Callable[[MultiPoly], 
     for _, level_den in levels:
         factors += level_den
     zpos = [ctx.index(z) for z in zvars]
-    live = _prefix_filter(ctx, n, zpos, factors) if over_X else (lambda terms: terms)
-    # the products run on integers over one growing denominator, filtered
-    # before the single division at the end
-    den, num = _cleared(live(P.terms))
+    live = _prefix_filter(ctx, n, zpos, factors) if over_X else (lambda series: series)
+    # the numerator stays one packed grade-0 series from P to the last level
+    # product, filtered after every product and read back once at the end
+    num = live(_packed({0: P.terms}, len(ctx), ti, tm))
     for f in [kernel] + [g for level_num, _ in levels for g in level_num]:
-        df, fi = _cleared(f.terms)
-        sums = _sum_products([(num, fi)], ti, tm)
-        den, num = den * df, list(live(sums).items())
+        num = live(_graded_mul(num, _packed({0: f.terms}, len(ctx), ti, tm), 0))
     zh = [name in zvars or name == "h" for name in ctx.names]
     degrees = {sum(p for p, used in zip(e, zh) if used) for e in P.terms}
     return ResidueForm(
-        MultiPoly._raw(ctx, _divided(num, den)),
+        MultiPoly._raw(ctx, _flat(num)),
         factors,
         zvars,
         trunc=("h", n) if over_X else None,

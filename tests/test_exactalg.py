@@ -20,12 +20,13 @@ from jetres.exactalg import (
     _flat,
     _graded,
     _graded_add,
+    _graded_dot,
     _graded_exp,
     _graded_inverse,
     _graded_mul,
     _graded_series,
     _mul_terms,
-    _sum_products,
+    _packed,
 )
 from oracles import naive_inverse, naive_mul, naive_series
 
@@ -326,13 +327,22 @@ def _product_sums(pairs, ti, tm):
     return {e: c for e, c in out.items() if c}
 
 
+def _dot_of_pairs(pairs, ti, tm):
+    """The pairs' products summed as one _graded_dot, pair i at grade i."""
+    def series(side):
+        return _packed({i: {e: Q(c) for e, c in pair[side]} for i, pair in enumerate(pairs)},
+                       3, ti, tm)
+
+    return _flat(_graded_dot(series(0), series(1)))
+
+
 @given(st.lists(pairs_st, min_size=1, max_size=3), st.booleans(), edge_trunc_st)
-def test_sum_products_is_the_per_term_sum(groups, cancel, trunc):
+def test_graded_dot_is_the_per_term_sum(groups, cancel, trunc):
     ti, tm = trunc
     if cancel:
         # a pair and its negation: every sum of the two cancels to zero
         groups = [pairs + [(a, [(e, -c) for e, c in b]) for a, b in pairs[:1]] for pairs in groups]
-    assert [_sum_products(p, ti, tm) for p in groups] == [_product_sums(p, ti, tm) for p in groups]
+    assert [_dot_of_pairs(p, ti, tm) for p in groups] == [_product_sums(p, ti, tm) for p in groups]
 
 
 @pytest.mark.parametrize("top", [100, 200, 20000])
@@ -375,7 +385,9 @@ def test_products_in_the_empty_context():
     ctx = VarContext(())
     two, three = MultiPoly.const(ctx, 2), MultiPoly.const(ctx, 3)
     assert two * three == 6 and two**3 == 8
-    assert _sum_products([([((), 2)], [((), 3)]), ([((), 1)], [((), -1)])]) == {(): 5}
+    left = _packed({0: {(): Q(2)}, 1: {(): Q(1)}}, 0)
+    right = _packed({0: {(): Q(3)}, 1: {(): Q(-1)}}, 0)
+    assert _flat(_graded_dot(left, right)) == {(): 5}
     half = _graded({(): Q(1, 2)}, (), 4)
     assert _flat(_graded_mul(half, half, 4)) == {(): Q(1, 4)}
     assert _flat(_graded_add(half, half)) == {(): Q(1)}
@@ -425,6 +437,16 @@ def test_substitute_is_the_per_term_substitution(terms, assignments):
     got = p.substitute(assignments)
     assert got == _substitute_per_term(p, assignments)
     assert all(type(c) is Q and c for c in got.terms.values())
+
+
+def test_substitute_is_simultaneous():
+    # each value holds the other substituted variable: substituting one
+    # variable after the other would substitute into the first value
+    p = Z1**2 * Z2 + 3 * Z1 * Z2**2 * H - Z2 + 2
+    assignments = {"z1": Z2, "z2": Z1 * H}
+    got = p.substitute(assignments)
+    assert got == _substitute_per_term(p, assignments)
+    assert got == Z2**2 * Z1 * H + 3 * Z2 * Z1**2 * H**3 - Z1 * H + 2
 
 
 edge_value_st = st.one_of(

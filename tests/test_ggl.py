@@ -291,6 +291,17 @@ def test_threshold_n5():
     assert rep.intersection.degree() == 6
 
 
+@pytest.mark.slow
+def test_threshold_n6_pins_p():
+    # p(d) of the canonical n = 6 instance as `jetres ggl -n 6` printed it
+    # (about 30 s, all by fixed points)
+    recorded = json.loads((CORPUS / "p_ggl_n6.json").read_text())
+    rep = ggl_threshold_check(6)
+    assert rep.certificate
+    assert all(ok for _, ok in rep.spot_checks)
+    assert list(rep.p.coeffs) == [Q(int(c["num"]), int(c["den"])) for c in recorded["p"]]
+
+
 @given(
     st.integers(2, 3).flatmap(lambda n: st.tuples(
         st.just(n),
