@@ -554,22 +554,9 @@ class MultiPoly:
     def constant(self) -> Q:
         return self.terms.get((0,) * len(self.ctx), Q(0))
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def degree_in(self, name: str) -> int:
         i = self.ctx.index(name)
         return max((e[i] for e in self.terms), default=0)
-
-    def is_homogeneous(self, weights: Mapping[str, int] | None = None) -> bool:
-        if not self.terms:
-            return True
-        if weights is None:
-            w = [1] * len(self.ctx)
-        else:
-            w = [weights.get(name, 0) for name in self.ctx.names]
-        degs = {sum(ei * wi for ei, wi in zip(e, w)) for e in self.terms}
-        return len(degs) == 1
 
     def variables_used(self) -> set[str]:
         used: set[str] = set()
@@ -710,9 +697,6 @@ class MultiPoly:
         """Drop all terms whose exponent in `name` exceeds maxdeg."""
         i = self.ctx.index(name)
         return MultiPoly._raw(self.ctx, {e: c for e, c in self.terms.items() if e[i] <= maxdeg})
-
-    def truncate_total(self, cap: int) -> "MultiPoly":
-        return MultiPoly._raw(self.ctx, {e: c for e, c in self.terms.items() if sum(e) <= cap})
 
     def embed(self, ctx: VarContext) -> "MultiPoly":
         """Re-express in a larger context containing all used variables."""

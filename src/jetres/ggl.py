@@ -38,7 +38,6 @@ from .exactalg import (
     VarContext,
     _flat,
     _graded,
-    _graded_add,
     _graded_exp,
     _graded_inverse,
     _graded_mul,
@@ -49,6 +48,9 @@ from .exactalg import (
 from .localization import integral_over_tower_fixed_points
 from .residue import (
     DEFAULT_TERM_CAP,
+    _hypersurface_level,
+    _leading_z,
+    _plus_kernel,
     _zsum,
     demailly_integrand,
     integrate_over_X,
@@ -232,8 +234,8 @@ class CoefficientTable:
     """Exact Laurent coefficients of the kernel factors and the payload.
 
     Keys are (z-exponent vector, power of h, power of dh).  The kernel tables
-    a0/a1/a2 (and their product a) hold coefficients of the expanded ratio
-    factors; b holds the payload coefficients of B(z) = payload/(z_1...z_n)^n,
+    a0/a1/a2 (and their product a) hold the exact Laurent coefficients of the
+    expanded ratio factors up to grade defect_cap + 2n^2; b holds the payload coefficients of B(z) = payload/(z_1...z_n)^n,
     including the -n^2 delta |a| factor carried by its dh entry.
     """
 
@@ -261,23 +263,25 @@ class CoefficientTable:
         return self.b.get((tuple(zvec), s, t), Q(0))
 
 
-def _payload_table(cfg: GGLConfig) -> dict[Key, Q]:
-    """Key table of B(z) = payload / (z_1...z_n)^n; dh powers split off of h."""
-    n = cfg.n
-    ctx = tower_context(n)
-    P = intersection_payload(cfg, ctx)
-    zpos = [ctx.index(f"z{i}") for i in range(1, n + 1)]
-    hpos = ctx.index("h")
-    dpos = ctx.index("d")
-    out: dict[Key, Q] = {}
-    for e, c in P.terms.items():
-        t = e[dpos]
-        s = e[hpos] - t  # every d in the payload arrives as dh
+def _flat_terms(poly: MultiPoly, zshift: Sequence[int]) -> dict[tuple[int, ...], Q]:
+    """The terms z^e h^s (dh)^t of a polynomial over tower_context(n) as
+    z^(e + zshift) h^s (dh)^t, in the flat exponents (z_1..z_n, s, t): every d
+    arrives as dh."""
+    n = len(zshift)
+    out = {}
+    for e, c in poly.terms.items():
+        s, t = e[n] - e[n + 1], e[n + 1]
         if s < 0:
-            raise JetresError("payload has d without matching h")
-        zvec = tuple(e[i] - n for i in zpos)
-        out[(zvec, s, t)] = out.get((zvec, s, t), Q(0)) + c
+            raise JetresError("d without matching h")
+        out[tuple(x + y for x, y in zip(e, zshift)) + (s, t)] = c
     return out
+
+
+def _payload_table(cfg: GGLConfig) -> dict[Key, Q]:
+    """Key table of B(z) = payload / (z_1...z_n)^n."""
+    n = cfg.n
+    P = intersection_payload(cfg, tower_context(n))
+    return {(e[:n], e[n], e[n + 1]): c for e, c in _flat_terms(P, [-n] * n).items()}
 
 
 def expansion_diagnostics(
@@ -285,70 +289,62 @@ def expansion_diagnostics(
 ) -> CoefficientTable:
     """Exact coefficient tables of the kernel and the canonical payload (k = n).
 
-    Kernel entries are built on flat exponents (z_1..z_n, s, t), graded by
-    D(z) + n(s + t) and kept up to grade defect_cap + 4n^2, with h^(n+1) = 0.
-    Every factor entry has grade >= 0 (a z_i/z_j ratio with i < j has grade
-    j - i, an h/z_j or dh/z_j pick j - 1), so truncating every product loses
-    nothing below the cap.  The geometric series are cut at order
-    defect_cap + 2n^2, and the dh power never exceeds n because each of the
-    n a0 factors has one dh.  Every returned coefficient is a finite exact sum;
-    entries above grade order are partial sums, not Laurent coefficients of
-    the kernel (at n = 3, defect cap 4, a2 first differs from the exact
-    inverse at grade 23).
+    The kernel is the ratio of the hypersurface integrand's factors
+    (residue._plus_kernel and residue._hypersurface_level), each factor f
+    led by z_j with coefficient c taken as f/(c z_j) = 1 + r.  Its entries
+    are built on flat exponents (z_1..z_n, s, t), graded by D(z) + n(s + t),
+    with h^(n+1) = 0, and are the exact Laurent coefficients up to grade
+    defect_cap + 2n^2.  Every r has grade >= 0 (a z_i/z_j ratio with i < j
+    has grade j - i, an h/z_j or dh/z_j pick j - 1), so truncating every
+    product loses nothing up to the cap, and a denominator's series
+    (1 + r)^(-m) is exact with its terms up to r^cap: for j >= 2 the least
+    grade of r is >= 1, and for j = 1 (r = h/z_1) h^(n+1) = 0 ends it.
 
-    The kernel is a = a0 ((a2 A1_n) ... A1_2), A1_j the product of a1's
-    level-j factors; the truncated product is associative, so the order is
-    free.  a0 (14 terms at n = 3) goes last because it spreads whatever it
-    meets, and a1's levels meet a2 one at a time, widest first: at n = 3,
-    defect cap 4, the final kernel takes 243,518 monomial pair products,
-    against 352,970 for a0 (a1 a2); at n = 2 the two orders agree.  Every
-    product counts its terms against max_terms after every pair of buckets,
-    every series its sum; the first count above it raises ResourceLimitError.
+    a0 collects the factors that hold d, a2 the denominators that hold h,
+    and a1 the rest, as the product of its levels A1_j (the factors led by
+    z_j).  The kernel is a = a0 ((a2 A1_n) ... A1_2); the truncated product
+    is associative, so the order is free.  a0 goes last because it spreads
+    whatever it meets, and a1's levels meet a2 one at a time, widest first.
+    Every product counts its terms against max_terms after every pair of
+    buckets, every series its sum; the first count above it raises
+    ResourceLimitError.
     """
     if defect_cap < 0:
         raise ValueError("defect_cap must be >= 0")
-    order = defect_cap + 2 * n * n
-    cap = order + 2 * n * n
+    cap = defect_cap + 2 * n * n
     weights = tuple(range(n, 0, -1)) + (n, n)
     term_cap = (max_terms, "expansion_diagnostics")
-
-    def mono(z: dict[int, int], s: int = 0, t: int = 0) -> tuple[int, ...]:
-        v = [0] * n + [s, t]
-        for i, p in z.items():
-            v[i - 1] += p
-        return tuple(v)
-
-    def graded(terms: dict[tuple[int, ...], Q]) -> Graded:
-        return _graded(terms, weights, cap, n, n)
+    ctx = tower_context(n)
+    numerators, denominators = _plus_kernel(ctx, n)
+    for j in range(1, n + 1):
+        level_num, level_den = _hypersurface_level(n, _zsum(ctx, 1, j))
+        numerators += level_num
+        denominators += level_den
 
     def mul(x: Graded, y: Graded) -> Graded:
         return _graded_mul(x, y, cap, term_cap)
 
-    def series(x: dict[tuple[int, ...], Q], coeffs: list[Q]) -> Graded:
-        return _graded_series(graded(x), coeffs, cap, term_cap)
-
-    one = graded({mono({}): Q(1)})
+    one = _graded({(0,) * (n + 2): Q(1)}, weights, cap, n, n)
     a0 = a2 = one
-    levels = []  # A1_2 .. A1_n
-    for j in range(1, n + 1):
-        lower = {mono({i: 1, j: -1}): Q(1) for i in range(1, j)}  # z_i / z_j, i < j
-        # 1 + (z_[1..j-1] + dh)/z_j
-        a0 = mul(a0, graded({mono({}): Q(1), **lower, mono({j: -1}, t=1): Q(1)}))
-        # (z_j / (z_[1..j] + h))^(n+2) = sum_r C(-(n+2), r) y^r, y = (z_[1..j-1] + h)/z_j
-        y = {**lower, mono({j: -1}, s=1): Q(1)}
-        a2 = mul(a2, series(y, [Q(binomial(-(n + 2), r)) for r in range(order + 1)]))
-        level = one
-        for t1 in range(1, j):
-            # z_[t1..j] / (-z_t1 + z_[t1+1..j]) = 1 + (2 z_t1/z_j) sum_m x^m
-            # with x = (z_t1 - z_[t1+1..j-1]) / z_j
-            x = {mono({t1: 1, j: -1}): Q(1)}
-            x.update({mono({u: 1, j: -1}): Q(-1) for u in range(t1 + 1, j)})
-            factor = mul(graded({mono({t1: 1, j: -1}): Q(2)}), series(x, [Q(1)] * (order + 1)))
-            level = mul(level, _graded_add(factor, one))
-        if j > 1:
-            levels.append(level)
-    a1 = reduce(mul, levels, one)
-    a = mul(a0, reduce(mul, reversed(levels), a2))
+    levels: dict[int, Graded] = {}
+    for f, power in [(f, 1) for f in numerators] + [(f, -m) for f, m in denominators]:
+        j, c = _leading_z(f, range(n))
+        r = _flat_terms(f * (1 / c) - MultiPoly.variable(ctx, f"z{j}"),
+                        [-(i == j) for i in range(1, n + 1)])
+        if not r:
+            continue  # f = c z_j
+        coeffs = [Q(binomial(power, i)) for i in range(power + 1 if power > 0 else cap + 1)]
+        series = _graded_series(_graded(r, weights, cap, n, n), coeffs, cap, term_cap)
+        used = f.variables_used()
+        if "d" in used:
+            a0 = mul(a0, series)
+        elif power < 0 and "h" in used:
+            a2 = mul(a2, series)
+        else:
+            levels[j] = mul(levels.get(j, one), series)
+    a1_levels = [levels[j] for j in sorted(levels)]  # A1_2 .. A1_n
+    a1 = reduce(mul, a1_levels, one)
+    a = mul(a0, reduce(mul, reversed(a1_levels), a2))
 
     def keyed(tb: Graded) -> dict[Key, Q]:
         out = {}

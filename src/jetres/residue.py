@@ -46,9 +46,10 @@ from __future__ import annotations
 
 from dataclasses import replace
 from fractions import Fraction as Q
-from functools import reduce
+from functools import partial, reduce
 from itertools import accumulate
 from math import factorial
+from operator import mul
 from typing import Callable, Sequence
 
 from .exactalg import (
@@ -491,7 +492,8 @@ def _tower_integrand(n: int, k: int, P: MultiPoly, level: Callable[[MultiPoly], 
     ctx = P.ctx
     zvars = [f"z{i}" for i in range(1, k + 1)]
     ti, tm = (ctx.index("h"), n) if over_X else (-1, 0)
-    kernel, factors = _plus_kernel(ctx, n, k)
+    kernel_num, factors = _plus_kernel(ctx, k)
+    kernel = reduce(mul, kernel_num, MultiPoly.const(ctx, (-1) ** k))
     levels = [level(_zsum(ctx, 1, j)) for j in range(1, k + 1)]
     for _, level_den in levels:
         factors += level_den
@@ -562,19 +564,16 @@ def segre_hypersurface(n: int, d: QLike | str = "symbolic") -> tuple[MultiPoly, 
 
 
 def _plus_kernel(
-    ctx: VarContext, n: int, k: int
-) -> tuple[MultiPoly, list[tuple[MultiPoly, int]]]:
-    """Shared sign-flipped kernel: numerator prod z_[t1..t2] (t1 >= 2) with the
-    (-1)^k prefactor, denominators (-z_s1 + z_[s1+1..s2])."""
-    numerator = MultiPoly.const(ctx, (-1) ** k)
-    for t1 in range(2, k + 1):
-        for t2 in range(t1, k + 1):
-            numerator = numerator * _zsum(ctx, t1, t2)
+    ctx: VarContext, k: int
+) -> tuple[list[MultiPoly], list[tuple[MultiPoly, int]]]:
+    """Shared sign-flipped kernel without its (-1)^k prefactor: numerator
+    factors z_[t1..t2] (2 <= t1 <= t2 <= k), denominators (-z_s1 + z_[s1+1..s2])."""
+    numerators = [_zsum(ctx, t1, t2) for t1 in range(2, k + 1) for t2 in range(t1, k + 1)]
     factors: list[tuple[MultiPoly, int]] = []
     for s1 in range(1, k + 1):
         for s2 in range(s1 + 1, k + 1):
             factors.append((_zsum(ctx, s1 + 1, s2) - MultiPoly.variable(ctx, f"z{s1}"), 1))
-    return numerator, factors
+    return numerators, factors
 
 
 def demailly_integrand(n: int, k: int, P: MultiPoly, segre: Sequence[MultiPoly]) -> ResidueForm:
@@ -598,6 +597,14 @@ def demailly_integrand(n: int, k: int, P: MultiPoly, segre: Sequence[MultiPoly])
     return _tower_integrand(n, k, P, cleared_tangent, True)
 
 
+def _hypersurface_level(n: int, w: MultiPoly) -> LevelFactors:
+    """The hypersurface factors of the level at w = z_[1..j]: numerators w and
+    w + dh, denominator (w + h)^(n+2)."""
+    h = MultiPoly.variable(w.ctx, "h")
+    d = MultiPoly.variable(w.ctx, "d")
+    return [w, w + d * h], [(w + h, n + 2)]
+
+
 def hypersurface_integrand(n: int, k: int, P: MultiPoly) -> ResidueForm:
     """Integrand for the degree-d hypersurface: all tangent data in (h, d).
 
@@ -606,9 +613,7 @@ def hypersurface_integrand(n: int, k: int, P: MultiPoly) -> ResidueForm:
     The numerator keeps only the terms that pass the prefix-degree caps of
     _tower_integrand.
     """
-    h = MultiPoly.variable(P.ctx, "h")
-    d = MultiPoly.variable(P.ctx, "d")
-    return _tower_integrand(n, k, P, lambda w: ([w, w + d * h], [(w + h, n + 2)]), True)
+    return _tower_integrand(n, k, P, partial(_hypersurface_level, n), True)
 
 
 def integrate_over_X(poly: MultiPoly, n: int) -> DPoly:

@@ -17,6 +17,9 @@ sums, and `chi_structure_sheaf` is chi(X, O_X) from `ggl.todd_of_X`.
 `stage_series_convolved` expands one `residue_expand` stage the long way:
 one binomial series per factor, convolved by total order.
 
+`total_degree`, `is_homogeneous` and `truncate_total` read or cut a
+`MultiPoly` by its total degree.
+
 `naive_mul`, `naive_series` and `naive_inverse` are the truncated series
 operations of `exactalg` term by term in `Fraction` arithmetic, on series
 held as grade -> {exponent tuple: coefficient}.
@@ -274,6 +277,19 @@ def lambda_plus_member_bruteforce(i: Sequence[int], coeff_cap: int = 8) -> bool:
 def chi_structure_sheaf(n: int) -> DPoly:
     """chi(X, O_X) = integral of the Todd class over the hypersurface."""
     return integrate_over_X(todd_of_X(n), n)
+
+
+def total_degree(poly: MultiPoly) -> int:
+    return max((sum(e) for e in poly.terms), default=0)
+
+
+def is_homogeneous(poly: MultiPoly) -> bool:
+    return len({sum(e) for e in poly.terms}) <= 1
+
+
+def truncate_total(poly: MultiPoly, cap: int) -> MultiPoly:
+    """The terms of total degree <= cap."""
+    return MultiPoly(poly.ctx, {e: c for e, c in poly.terms.items() if sum(e) <= cap})
 
 
 Buckets = dict[int, Terms]  # grade -> terms of that grade

@@ -418,7 +418,7 @@ def test_residue_expand_cap_names_its_stage(capsys):
 
 def test_diagnostics_term_cap_is_a_resource_error(capsys):
     # the first table result over 1,000 terms comes within a second; without
-    # the cap one n = 4 product alone runs for half a minute
+    # the cap the n = 4 tables take a few seconds (196,403 kernel entries)
     start = time.monotonic()
     code = main(["diagnostics", "-n", "4", "--max-terms", "1000"])
     error = json.loads(capsys.readouterr().err)["error"]

@@ -28,7 +28,7 @@ from jetres.exactalg import (
     _mul_terms,
     _packed,
 )
-from oracles import naive_inverse, naive_mul, naive_series
+from oracles import naive_inverse, naive_mul, naive_series, truncate_total
 
 CTX = VarContext(("z1", "z2", "h"))
 Z1 = MultiPoly.variable(CTX, "z1")
@@ -111,7 +111,7 @@ def test_series_inverse_randomized():
         u = random_poly(rng)
         u = u - MultiPoly.const(CTX, u.constant()) + one  # force constant term 1
         inv = u.series_inverse(cap)
-        assert (u * inv).truncate_total(cap) == one
+        assert truncate_total(u * inv, cap) == one
 
 
 # Graded truncated series: exponent tuples of width 3 graded by weights

@@ -33,7 +33,7 @@ from jetres.ggl import (
     s_constant,
 )
 from jetres.residue import integral_over_tower
-from oracles import chi_structure_sheaf, lambda_plus_member_bruteforce
+from oracles import chi_structure_sheaf, lambda_plus_member_bruteforce, naive_mul
 
 CORPUS = pathlib.Path(__file__).parent / "corpus"
 
@@ -180,6 +180,15 @@ def test_coefficient_route_equality_n3():
     assert assemble_intersection_from_tables(table) == I
 
 
+@pytest.mark.slow
+def test_coefficient_route_equality_n4():
+    # a second route for n = 4 that shares nothing with the fixed-point walk
+    I, _ = build_intersection_polynomial(canonical_config(4))
+    assert assemble_intersection_from_tables(expansion_diagnostics(4, defect_cap=4)) == I
+    rep = estimate_checks(4)
+    assert rep.all_passed, rep.summary()
+
+
 def test_coefficient_tables_match_recorded_n2():
     # all five tables, entry for entry, at defect caps 4 and 10
     recorded = json.loads((CORPUS / "expected_tables_n2.json").read_text())
@@ -195,7 +204,7 @@ def _kernel_in_the_old_order(table):
     from the table's own factors, at the grade cap, weights and h-truncation
     of expansion_diagnostics."""
     n = table.n
-    cap = table.defect_cap + 4 * n * n
+    cap = table.defect_cap + 2 * n * n
     weights = tuple(range(n, 0, -1)) + (n, n)
 
     def graded(tab):
@@ -213,10 +222,64 @@ def test_kernel_table_is_the_old_product_order(n, defect_cap):
     assert table.a == _kernel_in_the_old_order(table)
 
 
+def _factors_by_hand(n):
+    """The kernel's factors written out by hand, each divided by its leading
+    variable z_j, as graded buckets in the flat exponents (z_1..z_n, s, t) of
+    z^i h^s dh^t: (numerators, denominators) of a0, a1 and a2."""
+    weights = tuple(range(n, 0, -1)) + (n, n)
+
+    def over_zj(j, lower, s=0, t=0):
+        # 1 + (sum_i lower[i] z_i + h^s dh^t) / z_j
+        terms = {(0,) * (n + 2): Q(1)}
+        for i, c in lower.items():
+            terms[tuple(int(u == i) - int(u == j) for u in range(1, n + 1)) + (0, 0)] = Q(c)
+        if s or t:
+            terms[tuple(-int(u == j) for u in range(1, n + 1)) + (s, t)] = Q(1)
+        out = {}
+        for e, c in terms.items():
+            out.setdefault(sum(w * x for w, x in zip(weights, e)), {})[e] = c
+        return out
+
+    levels = range(1, n + 1)
+    return {
+        # z_[1..j] + dh
+        "a0": ([over_zj(j, {i: 1 for i in range(1, j)}, t=1) for j in levels], []),
+        # z_[t..j] over -z_t + z_[t+1..j], t < j
+        "a1": ([over_zj(j, {i: 1 for i in range(t, j)}) for j in levels for t in range(1, j)],
+               [over_zj(j, {t: -1, **{i: 1 for i in range(t + 1, j)}})
+                for j in levels for t in range(1, j)]),
+        # (z_[1..j] + h)^(n+2)
+        "a2": ([], [over_zj(j, {i: 1 for i in range(1, j)}, s=1)
+                    for j in levels for _ in range(n + 2)]),
+    }
+
+
+@pytest.mark.parametrize("n, defect_cap", [(2, cap) for cap in (0, 1, 2, 3, 4, 10)] + [(3, 4)],
+                         ids=[str(cap) for cap in (0, 1, 2, 3, 4, 10)] + ["n3-cap4"])
+def test_factor_tables_are_exact_laurent_coefficients(n, defect_cap):
+    # each of a0, a1, a2 times its denominators is the product of its
+    # numerators at every grade up to defect_cap + 2n^2 and up to every grade
+    # the table holds: an entry past the series' cut would be a partial sum
+    table = expansion_diagnostics(n, defect_cap)
+    weights = tuple(range(n, 0, -1)) + (n, n)
+    for name, (numerators, denominators) in _factors_by_hand(n).items():
+        entries = {z + (s, t): c for (z, s, t), c in getattr(table, name).items()}
+        grade = {e: sum(w * x for w, x in zip(weights, e)) for e in entries}
+        cap = max([defect_cap + 2 * n * n, *grade.values()])
+        lhs = {}
+        for e, c in entries.items():
+            lhs.setdefault(grade[e], {})[e] = c
+        for f in denominators:
+            lhs = naive_mul(lhs, f, cap, n, n)
+        rhs = {0: {(0,) * (n + 2): Q(1)}}
+        for f in numerators:
+            rhs = naive_mul(rhs, f, cap, n, n)
+        assert lhs == rhs, name
+
+
 def test_kernel_table_pair_products(monkeypatch):
     # a deterministic work guard: the monomial pair products that the kernel
-    # multiplies (those the truncation keeps) for the n = 3 tables; the order
-    # (a0 a1) a2 took 1.23 million of them and a0 (a1 a2) 407,808
+    # multiplies (those the truncation keeps) for the n = 3 tables, 60,988
     kernel = jetres.exactalg._mac
     pairs = 0
 
@@ -231,7 +294,7 @@ def test_kernel_table_pair_products(monkeypatch):
 
     monkeypatch.setattr(jetres.exactalg, "_mac", counted)
     expansion_diagnostics(3, 4)
-    assert 0 < pairs <= 310_000
+    assert 0 < pairs <= 62_000
 
 
 def test_diagnostics_needs_n_at_least_2():
@@ -240,10 +303,10 @@ def test_diagnostics_needs_n_at_least_2():
 
 
 def test_diagnostics_term_cap():
-    # the largest product of the n = 2 tables at cap 4 has 182 terms
-    with pytest.raises(ResourceLimitError, match="expansion_diagnostics exceeded 181 terms"):
-        expansion_diagnostics(2, 4, max_terms=181)
-    expansion_diagnostics(2, 4, max_terms=182)
+    # the largest product of the n = 2 tables at cap 4 has 110 terms
+    with pytest.raises(ResourceLimitError, match="expansion_diagnostics exceeded 109 terms"):
+        expansion_diagnostics(2, 4, max_terms=109)
+    expansion_diagnostics(2, 4, max_terms=110)
 
 
 def test_payload_closed_form_spot_values():

@@ -37,7 +37,7 @@ from jetres.residue import (
     _stage_series,
     _zsum,
 )
-from oracles import grassmannian_omega, reflect_payload, stage_series_convolved
+from oracles import grassmannian_omega, reflect_payload, stage_series_convolved, total_degree
 
 Z2CTX = VarContext(("z1", "z2"))
 TZ1 = MultiPoly.variable(Z2CTX, "z1")
@@ -309,7 +309,7 @@ def test_fibre_integrand_structure():
         z_only = [poly for poly, _ in form.factors if poly.variables_used() <= set(zvars)]
         assert len(z_only) == (k - 1) * k // 2
         assert len(form.factors) == (k - 1) * k // 2 + n * k
-        num_deg = form.numerator.total_degree()
+        num_deg = total_degree(form.numerator)
         assert num_deg == k * (n - 1) + (k - 1) * k // 2
         den_deg = sum(m for _, m in form.factors)
         assert num_deg - den_deg == -k
@@ -521,7 +521,9 @@ def _pruned_at_the_end(n, k, P, level_factor, level_mult):
     i = 0..k-1, with M_i = i * level_mult + i(i-1)/2 (a level's denominator
     has multiplicity level_mult, the kernel factor -z_s1 + z_[s1+1..s2] is
     led by z_s2)."""
-    numerator = _plus_kernel(P.ctx, n, k)[0] * P
+    numerator = (-1) ** k * P
+    for f in _plus_kernel(P.ctx, k)[0]:
+        numerator = numerator * f
     for j in range(1, k + 1):
         numerator = numerator * level_factor(_zsum(P.ctx, 1, j))
     slots = [P.ctx.index(v) for v in ["h"] + [f"z{i}" for i in range(1, k)]]
