@@ -265,21 +265,13 @@ def _canonical(acc: dict[int, int], limit: int | None) -> Packed:
     return sorted(out) if limit is not None else out
 
 
-def _mul_terms(
-    ta: Terms,
-    tb: Terms,
-    trunc_idx: int = -1,
-    trunc_max: int = 0,
-) -> Terms:
-    """Raw sparse product; drops exponents above trunc_max at trunc_idx if set.
-    The product of the operands as two grade-0 series (each over the lcm of
-    its denominators), read back once."""
+def _mul_terms(ta: Terms, tb: Terms) -> Terms:
+    """Raw sparse product: the product of the operands as two grade-0 series
+    (each over the lcm of its denominators), read back once."""
     if not ta or not tb:
         return {}
     width = len(next(iter(ta)))
-    a = _packed({0: ta}, width, trunc_idx, trunc_max)
-    b = _packed({0: tb}, width, trunc_idx, trunc_max)
-    return _flat(_graded_mul(a, b, 0))
+    return _flat(_graded_mul(_packed({0: ta}, width), _packed({0: tb}, width), 0))
 
 
 def _add_into(acc: Terms, terms: Terms, scale: Q | None = None) -> None:
@@ -417,13 +409,6 @@ def _summed(codec: _Codec, reach: int, den: int, items: Iterable[tuple[int, Grad
     return _reduced(codec, reach, den, parts)
 
 
-def _graded_add(a: Graded, b: Graded) -> Graded:
-    """a + b."""
-    a, b = _aligned(a, b)
-    den = lcm(a.den, b.den)
-    return _summed(a.codec, max(a.reach, b.reach), den, [(den // a.den, a), (den // b.den, b)])
-
-
 def _graded_series(x: Graded, coeffs: Sequence[QLike], cap: int,
                    term_cap: TermCap = None) -> Graded:
     """sum_m coeffs[m] x^m modulo grade > cap, building the powers step by step.
@@ -529,15 +514,6 @@ class MultiPoly:
         return cls(ctx, {tuple(e): Q(1)})
 
     @classmethod
-    def monomial(cls, ctx: VarContext, powers: Mapping[str, int], coeff: QLike = 1) -> "MultiPoly":
-        e = [0] * len(ctx)
-        for name, p in powers.items():
-            if p < 0:
-                raise ValueError(f"negative exponent for {name}")
-            e[ctx.index(name)] = p
-        return cls(ctx, {tuple(e): _coerce_q(coeff)})
-
-    @classmethod
     def _raw(cls, ctx: VarContext, terms: Terms) -> "MultiPoly":
         # Internal: terms must already be canonical (no zeros, right arity).
         obj = object.__new__(cls)
@@ -550,9 +526,6 @@ class MultiPoly:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def constant(self) -> Q:
-        return self.terms.get((0,) * len(self.ctx), Q(0))
 
     def degree_in(self, name: str) -> int:
         i = self.ctx.index(name)
@@ -679,20 +652,6 @@ class MultiPoly:
                       for key, buckets in families.items()}
         return MultiPoly._raw(self.ctx, groups.get((), {}))
 
-    def evaluate(self, values: Mapping[str, QLike]) -> Q:
-        missing = self.variables_used() - set(values)
-        if missing:
-            raise ContextError(f"no values for {sorted(missing)}")
-        vals = {self.ctx.index(name): _coerce_q(v) for name, v in values.items()}
-        total = Q(0)
-        for e, c in self.terms.items():
-            term = c
-            for i, p in enumerate(e):
-                if p:
-                    term *= vals[i] ** p
-            total += term
-        return total
-
     def truncate(self, name: str, maxdeg: int) -> "MultiPoly":
         """Drop all terms whose exponent in `name` exceeds maxdeg."""
         i = self.ctx.index(name)
@@ -727,15 +686,7 @@ class MultiPoly:
             out[key] = out.get(key, Q(0)) + c
         return MultiPoly(ctx, out)
 
-    # -- series and division -----------------------------------------------
-
-    def series_inverse(self, cap: int) -> "MultiPoly":
-        """The unique b with self*b == 1 modulo total degree > cap.
-
-        Requires constant term exactly 1.
-        """
-        graded = _graded(self.terms, [1] * len(self.ctx), cap)
-        return MultiPoly._raw(self.ctx, _flat(_graded_inverse(graded, cap)))
+    # -- division ------------------------------------------------------------
 
     def divide_exact(self, divisor: "MultiPoly") -> "MultiPoly | None":
         """Exact quotient self/divisor, or None if it does not divide.

@@ -78,7 +78,6 @@ __all__ = [
     "estimate_checks",
     "ample_condition",
     "euler_characteristic",
-    "euler_characteristic_k1_pushforward",
     "todd_of_X",
     "ThresholdReport",
     "ggl_threshold_check",
@@ -235,8 +234,9 @@ class CoefficientTable:
 
     Keys are (z-exponent vector, power of h, power of dh).  The kernel tables
     a0/a1/a2 (and their product a) hold the exact Laurent coefficients of the
-    expanded ratio factors up to grade defect_cap + 2n^2; b holds the payload coefficients of B(z) = payload/(z_1...z_n)^n,
-    including the -n^2 delta |a| factor carried by its dh entry.
+    expanded ratio factors up to grade defect_cap + 2n^2; b holds the payload
+    coefficients of B(z) = payload/(z_1...z_n)^n, including the
+    -n^2 delta |a| factor carried by its dh entry.
     """
 
     n: int
@@ -249,18 +249,12 @@ class CoefficientTable:
     _a_by_z: dict[tuple[int, ...], list[tuple[int, int, Q]]] | None = field(
         default=None, repr=False, compare=False)
 
-    def a_coeff(self, zvec: Sequence[int], s: int = 0, t: int = 0) -> Q:
-        return self.a.get((tuple(zvec), s, t), Q(0))
-
     def a_slice(self, zvec: Sequence[int]) -> list[tuple[int, int, Q]]:
         if self._a_by_z is None:  # built on the first call: only assembly reads it
             self._a_by_z = {}
             for (z, s, t), c in self.a.items():
                 self._a_by_z.setdefault(z, []).append((s, t, c))
         return self._a_by_z.get(tuple(zvec), [])
-
-    def b_coeff(self, zvec: Sequence[int], s: int = 0, t: int = 0) -> Q:
-        return self.b.get((tuple(zvec), s, t), Q(0))
 
 
 def _flat_terms(poly: MultiPoly, zshift: Sequence[int]) -> dict[tuple[int, ...], Q]:
@@ -405,7 +399,6 @@ class EstimateReport:
     looser display-level bounds fare and are reported either way.
     """
 
-    n: int
     checks: list[tuple[str, bool, bool, str]] = field(default_factory=list)
 
     def add(self, name: str, ok: bool, details: str = "", required: bool = True) -> None:
@@ -415,20 +408,13 @@ class EstimateReport:
     def all_passed(self) -> bool:
         return all(ok for _, ok, required, _ in self.checks if required)
 
-    def summary(self) -> str:
-        lines = [f"estimate checks for n={self.n}:"]
-        for name, ok, required, details in self.checks:
-            mark = "pass" if ok else ("FAIL" if required else "finding")
-            lines.append(f"  [{mark}] {name}" + (f"  ({details})" if details else ""))
-        return "\n".join(lines)
-
 
 def estimate_checks(
     n: int, defect_cap: int = 4, max_terms: int = DEFAULT_TERM_CAP
 ) -> EstimateReport:
     """Recompute the displayed coefficient estimates as exact comparisons."""
     cfg = canonical_config(n)
-    report = EstimateReport(n=n)
+    report = EstimateReport()
     _, p = build_intersection_polynomial(cfg)
     B0 = b0(n, cfg.a)
 
@@ -501,10 +487,11 @@ def estimate_checks(
             break
     report.add("payload coefficients match the closed multinomial form (|defect| <= 3)", ok, worst)
 
+    b_zero = table.b.get(((0,) * n, 0, 0), Q(0))
     report.add(
         "B_0 identity",
-        table.b_coeff((0,) * n, 0, 0) == B0 and table.a_coeff((-1,) * n, 0, n) == 1,
-        f"B_(0) = {table.b_coeff((0,) * n, 0, 0)}",
+        b_zero == B0 and table.a.get(((-1,) * n, 0, n)) == 1,
+        f"B_(0) = {b_zero}",
     )
     return report
 
@@ -640,57 +627,16 @@ def euler_characteristic(
     return integrate_over_X(residue_expand(form, max_terms), n)
 
 
-def euler_characteristic_k1_pushforward(n: int, a1: int) -> DPoly:
-    """Independent k = 1 oracle via the degree-shift pushforward rule.
-
-    On the projectivized tangent bundle the honest tautological class u
-    pushes forward by u^m -> (-1)^m s_(m-n+1)(X) in the fibre machinery's
-    coordinates; chi is the X-integral of the u-expansion of
-    e^(a1 u) Td(fibre tangent) Td(X) pushed down term by term.
-    """
-    ctx = VarContext(("u", "h", "d"))
-    u = MultiPoly.variable(ctx, "u")
-    # pushforward kills u-powers beyond 2n-1, and h^(n+1) = 0
-    cap = 2 * n - 1 + n
-    ring = _ZHSeries(ctx, n, cap)
-    # e^(a1 u) times the fibre tangent's Todd class prod_s Td(L_s - u)
-    payload = _graded_mul(_graded_exp(ring.of(Q(a1) * u), cap), ring.tangent_todd(-u), cap)
-    payload = _graded_mul(payload, ring.of(todd_of_X(n).embed(ctx)), cap)
-    payload_poly = ring.poly(payload)
-
-    # pushforward: u^m -> (-1)^m s_(m-n+1)
-    segre = (MultiPoly.const(HD_CTX, 1),) + segre_hypersurface(n)
-    total = MultiPoly.zero(HD_CTX)
-    for m in range(n - 1, 2 * n):
-        coeff = payload_poly.coefficient_of({"u": m}).restrict(HD_CTX)
-        total = total + Q((-1) ** m) * coeff * segre[m - n + 1]
-    return integrate_over_X(total, n)
-
-
 @dataclass
 class ThresholdReport:
     """Scaled theorem instance: certificate plus exact spot sign checks."""
 
-    n: int
     config: GGLConfig
     intersection: DPoly
     p: DPoly
     bound: int
     certificate: bool
     spot_checks: list[tuple[int, bool]]
-
-    @property
-    def all_passed(self) -> bool:
-        return self.certificate and all(ok for _, ok in self.spot_checks)
-
-    def summary(self) -> str:
-        lines = [
-            f"threshold check n={self.n}: certificate at bound {self.bound} -> {self.certificate}",
-            f"  positivity certified for d > {2 * self.bound}",
-        ]
-        for dval, ok in self.spot_checks:
-            lines.append(f"  I({dval}) > 0: {ok}")
-        return "\n".join(lines)
 
 
 def ggl_threshold_check(n: int, max_points: int = DEFAULT_POINT_CAP) -> ThresholdReport:
@@ -704,5 +650,5 @@ def ggl_threshold_check(n: int, max_points: int = DEFAULT_POINT_CAP) -> Threshol
     for dval in (threshold + 1, 2 * threshold, 10 * threshold, 100 * threshold):
         spots.append((dval, I(dval) > 0))
     return ThresholdReport(
-        n=n, config=cfg, intersection=I, p=p, bound=bound, certificate=cert, spot_checks=spots
+        config=cfg, intersection=I, p=p, bound=bound, certificate=cert, spot_checks=spots
     )

@@ -70,6 +70,7 @@ from .exactalg import (
     _gradedlex_key,
     _mul_terms,
     _packed,
+    binomial,
 )
 from .localization import DegenerateWeightsError
 
@@ -409,12 +410,9 @@ def residue_stepwise(form: ResidueForm, max_terms: int = DEFAULT_TERM_CAP) -> Mu
 # ---------------------------------------------------------------------------
 
 
-def tower_context(k: int, n: int | None = None) -> VarContext:
-    """Context (z_1..z_k, h, d[, L_1..L_n]) used by the tower integrands."""
-    names = [f"z{i}" for i in range(1, k + 1)] + ["h", "d"]
-    if n is not None:
-        names += [f"L{i}" for i in range(1, n + 1)]
-    return VarContext(tuple(names))
+def tower_context(k: int) -> VarContext:
+    """Context (z_1..z_k, h, d) used by the tower integrands."""
+    return VarContext(tuple(f"z{i}" for i in range(1, k + 1)) + ("h", "d"))
 
 
 def _zsum(ctx: VarContext, lo: int, hi: int) -> MultiPoly:
@@ -515,52 +513,36 @@ def _tower_integrand(n: int, k: int, P: MultiPoly, level: Callable[[MultiPoly], 
     )
 
 
-def fibre_residue_integrand(
-    n: int,
-    k: int,
-    P: MultiPoly,
-    lambdas: Sequence[QLike] | None = None,
-) -> ResidueForm:
+def fibre_residue_integrand(n: int, k: int, P: MultiPoly, lambdas: Sequence[QLike]) -> ResidueForm:
     """Integrand whose residue is the fibre integral of P over the k-tower.
 
-    With symbolic weights the denominators are (L_i - z_[1..j]); numeric
-    weights are folded into the constants and must be pairwise distinct.
-    For k = 1 this is the single-variable projective-space form
-    P(z)/prod_i (L_i - z).
+    The weights are the numeric values `lambdas` (pairwise distinct), folded
+    into the denominators (lam_i - z_[1..j]).  For k = 1 this is the
+    single-variable projective-space form P(z)/prod_i (lam_i - z).
     """
-    ctx = P.ctx
-    if lambdas is not None:
-        lambdas = [Q(v) for v in lambdas]
-        if len(lambdas) != n:
-            raise ValueError("need n weight values")
-        if len(set(lambdas)) != n:
-            raise DegenerateWeightsError("repeated weight values")
+    lambdas = [Q(v) for v in lambdas]
+    if len(lambdas) != n:
+        raise ValueError("need n weight values")
+    if len(set(lambdas)) != n:
+        raise DegenerateWeightsError("repeated weight values")
+    lams = [MultiPoly.const(P.ctx, v) for v in lambdas]
 
     def weights(w: MultiPoly) -> LevelFactors:
-        # made here, after the builder has checked k, not before it
-        if lambdas is None:
-            lams = [MultiPoly.variable(ctx, f"L{i}") for i in range(1, n + 1)]
-        else:
-            lams = [MultiPoly.const(ctx, v) for v in lambdas]
         return [], [(lam - w, 1) for lam in lams]
 
     # the plus kernel without its (-1)^k prefactor
     return _tower_integrand(n, k, (-1) ** k * P, weights, False)
 
 
-def segre_hypersurface(n: int, d: QLike | str = "symbolic") -> tuple[MultiPoly, ...]:
-    """Segre classes (s_1, ..., s_n) of a degree-d hypersurface, from
-    s(X) = (1+dh) (1+h)^-(n+2); s_i is c_i h^i in the context (h, d)."""
+def segre_hypersurface(n: int) -> tuple[MultiPoly, ...]:
+    """Segre classes (s_1, ..., s_n) of a degree-d hypersurface in the
+    context (h, d): s(X) = (1+dh) (1+h)^-(n+2), so
+    s_i = (C(-(n+2), i) + C(-(n+2), i-1) d) h^i."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    h = MultiPoly.variable(HD_CTX, "h")
-    dval = MultiPoly.variable(HD_CTX, "d") if d == "symbolic" else MultiPoly.const(HD_CTX, d)
-    c_total = ((1 + h) ** (n + 2)).truncate("h", n)
-    series = ((1 + dval * h) * c_total.series_inverse(n)).truncate("h", n)
-    return tuple(
-        series.coefficient_of({"h": i}) * MultiPoly.monomial(HD_CTX, {"h": i})
-        for i in range(1, n + 1)
-    )
+    m = -(n + 2)
+    return tuple(MultiPoly(HD_CTX, {(i, 0): binomial(m, i), (i, 1): binomial(m, i - 1)})
+                 for i in range(1, n + 1))
 
 
 def _plus_kernel(

@@ -28,15 +28,14 @@ k(n-1) tangent factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence, TypeVar
 
-from .exactalg import JetresError, Q, QLike, ResourceLimitError
+from .exactalg import Q, QLike, ResourceLimitError
 
 __all__ = [
     "Weight",
     "FixedPoint",
-    "ValidationError",
     "basis_weights",
     "enumerate_fixed_points",
     "euler_value",
@@ -45,12 +44,6 @@ __all__ = [
 ]
 
 DEFAULT_POINT_CAP = 10**6
-
-
-class ValidationError(JetresError):
-    """An invalid fixed-point prefix or weight chain."""
-
-    code = "validation"
 
 
 @dataclass(frozen=True, order=True)
@@ -91,54 +84,21 @@ def _check_cap(n: int, k: int, point_cap: int) -> None:
         raise ResourceLimitError(f"{n}^{k} fixed points exceed cap {point_cap}")
 
 
-def _validate_prefix(prefix: Sequence[Weight], n: int) -> tuple[list[Weight], list[Weight]]:
-    """Walk the recursion: the weight set above the prefix and the prefix's
-    tangent weights, level by level."""
-    current, tangent = sorted(basis_weights(n)), []
-    for i, w in enumerate(prefix):
-        if w not in current:
-            raise ValidationError(f"prefix weight {w.coeffs} at position {i} not in its weight set")
-        deltas, above = _step(current, current.index(w))
-        tangent.extend(deltas)
-        current = sorted(above)
-    return current, tangent
-
-
 @dataclass(frozen=True)
 class FixedPoint:
-    """A fixed point of the tower fibre: a valid chain (w_1, ..., w_k).
-
-    `tangent` holds the k(n-1) tangent weights w - w_j over all levels j; it
-    is derived from the chain while the chain is validated, never passed in.
-    """
+    """A fixed point of the tower fibre: a chain (w_1, ..., w_k) of weights
+    and its k(n-1) tangent weights w - w_j over all levels j."""
 
     weights: tuple[Weight, ...]
     n: int
-    tangent: tuple[Weight, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "tangent", tuple(_validate_prefix(self.weights, self.n)[1]))
-
-    @classmethod
-    def _walked(
-        cls, weights: tuple[Weight, ...], n: int, tangent: tuple[Weight, ...]
-    ) -> "FixedPoint":
-        """A chain whose weight sets the caller has just walked: no second walk."""
-        fp = object.__new__(cls)
-        for name, value in (("weights", weights), ("n", n), ("tangent", tangent)):
-            object.__setattr__(fp, name, value)
-        return fp
-
-    @property
-    def k(self) -> int:
-        return len(self.weights)
+    tangent: tuple[Weight, ...]
 
 
 def enumerate_fixed_points(n: int, k: int, point_cap: int = DEFAULT_POINT_CAP) -> list[FixedPoint]:
     """All n^k weight chains, in deterministic (sorted-set DFS) order.
 
     One DFS builds each chain with its tangent weights, walking every
-    weight set once; a point is not validated a second time.
+    weight set once.
     """
     if n < 2 or k < 1:
         raise ValueError("need n >= 2 and k >= 1")
@@ -149,7 +109,7 @@ def enumerate_fixed_points(n: int, k: int, point_cap: int = DEFAULT_POINT_CAP) -
         for i, wj in enumerate(current):
             deltas, above = _step(current, i)
             if len(chain) == k - 1:
-                out.append(FixedPoint._walked(chain + (wj,), n, tangent + tuple(deltas)))
+                out.append(FixedPoint(chain + (wj,), n, tangent + tuple(deltas)))
             else:
                 rec(chain + (wj,), sorted(above), tangent + tuple(deltas))
 

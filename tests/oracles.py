@@ -17,33 +17,58 @@ sums, and `chi_structure_sheaf` is chi(X, O_X) from `ggl.todd_of_X`.
 `stage_series_convolved` expands one `residue_expand` stage the long way:
 one binomial series per factor, convolved by total order.
 
+`validate_prefix` walks a weight chain level by level, raising
+`ValidationError` on a weight outside its weight set; `fixed_point` builds
+a `tower.FixedPoint` from a chain it has validated.
+`euler_characteristic_k1_pushforward` is chi at k = 1 by the degree-shift
+pushforward rule, independent of the residue kernel.
+
 `total_degree`, `is_homogeneous` and `truncate_total` read or cut a
-`MultiPoly` by its total degree.
+`MultiPoly` by its total degree; `constant`, `evaluate`, `monomial` and
+`series_inverse` read, evaluate, build or invert one.
 
 `naive_mul`, `naive_series` and `naive_inverse` are the truncated series
 operations of `exactalg` term by term in `Fraction` arithmetic, on series
-held as grade -> {exponent tuple: coefficient}.
+held as grade -> {exponent tuple: coefficient}.  `graded_add` sums two
+packed series through the package's own alignment and integer sums.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from math import lcm
+from typing import Mapping, Sequence
 
 from jetres.exactalg import (
     DPoly,
+    Graded,
+    HD_CTX,
+    JetresError,
     MultiPoly,
     Q,
     QLike,
     Terms,
     VarContext,
+    _aligned,
+    _flat,
+    _graded,
+    _graded_exp,
+    _graded_inverse,
+    _graded_mul,
+    _summed,
     binomial,
 )
-from jetres.ggl import todd_of_X
+from jetres.ggl import _ZHSeries, todd_of_X
 from jetres.localization import DegenerateWeightsError
-from jetres.residue import ResidueForm, integrate_over_X
-from jetres.tower import FixedPoint, ValidationError, Weight, _validate_prefix, basis_weights
+from jetres.residue import ResidueForm, integrate_over_X, segre_hypersurface
+from jetres.tower import FixedPoint, Weight, _step, basis_weights
+
+
+class ValidationError(JetresError):
+    """An invalid fixed-point prefix or weight chain."""
+
+    code = "validation"
 
 
 @dataclass(frozen=True)
@@ -175,9 +200,27 @@ def reflect_payload(P: MultiPoly, k: int) -> MultiPoly:
     return P.substitute(subs)
 
 
+def validate_prefix(prefix: Sequence[Weight], n: int) -> tuple[list[Weight], list[Weight]]:
+    """Walk the recursion: the weight set above the prefix and the prefix's
+    tangent weights, level by level."""
+    current, tangent = sorted(basis_weights(n)), []
+    for i, w in enumerate(prefix):
+        if w not in current:
+            raise ValidationError(f"prefix weight {w.coeffs} at position {i} not in its weight set")
+        deltas, above = _step(current, current.index(w))
+        tangent.extend(deltas)
+        current = sorted(above)
+    return current, tangent
+
+
+def fixed_point(chain: Sequence[Weight], n: int) -> FixedPoint:
+    """The fixed point of a valid chain, its tangent weights walked here."""
+    return FixedPoint(tuple(chain), n, tuple(validate_prefix(chain, n)[1]))
+
+
 def weight_set_recursive(prefix: Sequence[Weight], n: int) -> list[Weight]:
     """Weight set above a valid prefix, by the level-by-level recursion."""
-    return _validate_prefix(list(prefix), n)[0]
+    return validate_prefix(prefix, n)[0]
 
 
 def weight_set_closed(prefix: Sequence[Weight], n: int) -> list[Weight]:
@@ -279,6 +322,65 @@ def chi_structure_sheaf(n: int) -> DPoly:
     return integrate_over_X(todd_of_X(n), n)
 
 
+def euler_characteristic_k1_pushforward(n: int, a1: int) -> DPoly:
+    """Independent k = 1 oracle via the degree-shift pushforward rule.
+
+    On the projectivized tangent bundle the honest tautological class u
+    pushes forward by u^m -> (-1)^m s_(m-n+1)(X) in the fibre machinery's
+    coordinates; chi is the X-integral of the u-expansion of
+    e^(a1 u) Td(fibre tangent) Td(X) pushed down term by term.
+    """
+    ctx = VarContext(("u", "h", "d"))
+    u = MultiPoly.variable(ctx, "u")
+    # pushforward kills u-powers beyond 2n-1, and h^(n+1) = 0
+    cap = 2 * n - 1 + n
+    ring = _ZHSeries(ctx, n, cap)
+    # e^(a1 u) times the fibre tangent's Todd class prod_s Td(L_s - u)
+    payload = _graded_mul(_graded_exp(ring.of(Q(a1) * u), cap), ring.tangent_todd(-u), cap)
+    payload = _graded_mul(payload, ring.of(todd_of_X(n).embed(ctx)), cap)
+    payload_poly = ring.poly(payload)
+
+    # pushforward: u^m -> (-1)^m s_(m-n+1)
+    segre = (MultiPoly.const(HD_CTX, 1),) + segre_hypersurface(n)
+    total = MultiPoly.zero(HD_CTX)
+    for m in range(n - 1, 2 * n):
+        coeff = payload_poly.coefficient_of({"u": m}).restrict(HD_CTX)
+        total = total + Q((-1) ** m) * coeff * segre[m - n + 1]
+    return integrate_over_X(total, n)
+
+
+def constant(poly: MultiPoly) -> Q:
+    """The constant term."""
+    return poly.terms.get((0,) * len(poly.ctx), Q(0))
+
+
+def evaluate(poly: MultiPoly, values: Mapping[str, QLike]) -> Q:
+    """The value at rational values of every variable the polynomial uses."""
+    vals = {poly.ctx.index(name): Q(v) for name, v in values.items()}
+    total = Q(0)
+    for e, c in poly.terms.items():
+        for i, p in enumerate(e):
+            if p:
+                c *= vals[i] ** p
+        total += c
+    return total
+
+
+def monomial(ctx: VarContext, powers: Mapping[str, int]) -> MultiPoly:
+    """The product of the named variables to their powers."""
+    e = [0] * len(ctx)
+    for name, p in powers.items():
+        e[ctx.index(name)] = p
+    return MultiPoly(ctx, {tuple(e): 1})
+
+
+def series_inverse(poly: MultiPoly, cap: int) -> MultiPoly:
+    """The b with poly * b == 1 modulo total degree > cap; the constant term
+    must be exactly 1."""
+    graded = _graded(poly.terms, [1] * len(poly.ctx), cap)
+    return MultiPoly(poly.ctx, _flat(_graded_inverse(graded, cap)))
+
+
 def total_degree(poly: MultiPoly) -> int:
     return max((sum(e) for e in poly.terms), default=0)
 
@@ -351,3 +453,10 @@ def stage_series_convolved(group: Sequence[tuple[Q, Terms, int]], smax: int, wid
         conv = naive_mul(conv, {mult + r: t for r, t in fser.items()}, smax, trunc_idx,
                          trunc_max)
     return conv
+
+
+def graded_add(a: Graded, b: Graded) -> Graded:
+    """a + b, over the lcm of the two denominators."""
+    a, b = _aligned(a, b)
+    den = lcm(a.den, b.den)
+    return _summed(a.codec, max(a.reach, b.reach), den, [(den // a.den, a), (den // b.den, b)])

@@ -20,7 +20,6 @@ from jetres.ggl import (
     defect,
     estimate_checks,
     euler_characteristic,
-    euler_characteristic_k1_pushforward,
     expansion_diagnostics,
     fujiwara_certificate,
     ggl_threshold_check,
@@ -41,6 +40,8 @@ from jetres.residue import (
 from jetres.tower import basis_weights
 from oracles import (
     abbv_sum,
+    constant,
+    euler_characteristic_k1_pushforward,
     grassmannian_fixed_point_data,
     grassmannian_omega,
     weight_set_closed,
@@ -90,7 +91,7 @@ def test_criterion_01_grassmannian():
     r1 = residue_expand(omega)
     r2 = residue_stepwise(omega)
     ok = ok and r1 == r2 == MultiPoly.const(omega.ctx, 2)
-    integral = r1.constant() / 2
+    integral = constant(r1) / 2
     ok = ok and integral == 1
     announce(1, ok, "six-point sum = 1; residue form = 2, halved integral = 1", time.monotonic() - start, 1.0)
 
@@ -269,5 +270,5 @@ def test_criterion_10_headline_reduced_to_computable_instances():
     start = time.monotonic()
     rep2 = ggl_threshold_check(2)
     est = estimate_checks(2)
-    ok = rep2.all_passed and est.all_passed
+    ok = rep2.certificate and all(ok for _, ok in rep2.spot_checks) and est.all_passed
     announce(10, ok, "computable hypotheses (items 7-8) stand in for the headline result", time.monotonic() - start, 600.0)

@@ -19,7 +19,6 @@ from jetres.exactalg import (
     _add_into,
     _flat,
     _graded,
-    _graded_add,
     _graded_dot,
     _graded_exp,
     _graded_inverse,
@@ -28,7 +27,16 @@ from jetres.exactalg import (
     _mul_terms,
     _packed,
 )
-from oracles import naive_inverse, naive_mul, naive_series, truncate_total
+from oracles import (
+    constant,
+    evaluate,
+    graded_add,
+    naive_inverse,
+    naive_mul,
+    naive_series,
+    series_inverse,
+    truncate_total,
+)
 
 CTX = VarContext(("z1", "z2", "h"))
 Z1 = MultiPoly.variable(CTX, "z1")
@@ -91,16 +99,16 @@ def test_context_mismatch_raises():
 
 def test_series_inverse_geometric():
     one = MultiPoly.const(CTX, 1)
-    inv = (one + H).series_inverse(3)
+    inv = series_inverse(one + H, 3)
     assert inv == 1 - H + H**2 - H**3
-    assert one.series_inverse(5) == one
+    assert series_inverse(one, 5) == one
 
 
 def test_series_inverse_non_unit():
     with pytest.raises(NonUnitError):
-        (2 + H).series_inverse(3)
+        series_inverse(2 + H, 3)
     with pytest.raises(NonUnitError):
-        H.series_inverse(3)
+        series_inverse(H, 3)
 
 
 def test_series_inverse_randomized():
@@ -109,8 +117,8 @@ def test_series_inverse_randomized():
     one = MultiPoly.const(CTX, 1)
     for _ in range(100):
         u = random_poly(rng)
-        u = u - MultiPoly.const(CTX, u.constant()) + one  # force constant term 1
-        inv = u.series_inverse(cap)
+        u = u - constant(u) + one  # force constant term 1
+        inv = series_inverse(u, cap)
         assert truncate_total(u * inv, cap) == one
 
 
@@ -249,7 +257,7 @@ def test_graded_chain_that_outgrows_its_digits(trunc):
     # inverse whose powers outgrow the operand's digits
     expected = _flat(power)
     _add_into(expected, _flat(packed))
-    assert _flat(_graded_add(power, packed)) == expected
+    assert _flat(graded_add(power, packed)) == expected
     coeffs = [Q(1, m + 1) for m in range(6)]
     assert _by_grade(_graded_series(packed, coeffs, cap)) == naive_series(naive, coeffs, cap, 3,
                                                                           *trunc)
@@ -257,6 +265,11 @@ def test_graded_chain_that_outgrows_its_digits(trunc):
     inverse = _graded_inverse(_graded(unit_plus, WEIGHTS, 90, *trunc), 90)
     assert inverse.codec.size == 2
     assert _by_grade(inverse) == naive_inverse(_buckets(unit_plus, 90), 90, 3, *trunc)
+
+
+def _truncated_product(a, b, width, ti, tm):
+    """The product of two grade-0 series packed with the truncation (ti, tm)."""
+    return _flat(_graded_mul(_packed({0: a}, width, ti, tm), _packed({0: b}, width, ti, tm), 0))
 
 
 def _fraction_product(a, b, ti, tm):
@@ -303,9 +316,10 @@ def test_mul_terms_is_the_fraction_product(operands, trunc):
     a, b = operands
     ti, tm = trunc
     for x, y in ((a, b), (b, a)):
-        got = _mul_terms(x, y, ti, tm)
+        got = _truncated_product(x, y, 3, ti, tm)
         assert got == _fraction_product(x, y, ti, tm)
         assert all(type(c) is Q and c for c in got.values())
+        assert _mul_terms(x, y) == _fraction_product(x, y, -1, 0)
     assert _mul_terms({}, b) == _mul_terms(a, {}) == {}
 
 
@@ -363,8 +377,8 @@ one_var_terms_st = st.dictionaries(
 
 @given(one_var_terms_st, one_var_terms_st, st.integers(0, 6), st.integers(0, 6))
 def test_one_variable_truncation_keeps_the_top_exponent(a, b, cap, tm):
-    assert _mul_terms({(1,): Q(1)}, {(2,): Q(1)}, 0, 3) == {(3,): Q(1)}
-    assert _mul_terms(a, b, 0, tm) == _fraction_product(a, b, 0, tm)
+    assert _truncated_product({(1,): Q(1)}, {(2,): Q(1)}, 1, 0, 3) == {(3,): Q(1)}
+    assert _truncated_product(a, b, 1, 0, tm) == _fraction_product(a, b, 0, tm)
 
     def buckets(t):
         return {e[0]: {e: c} for e, c in t.items() if e[0] <= cap}
@@ -390,7 +404,7 @@ def test_products_in_the_empty_context():
     assert _flat(_graded_dot(left, right)) == {(): 5}
     half = _graded({(): Q(1, 2)}, (), 4)
     assert _flat(_graded_mul(half, half, 4)) == {(): Q(1, 4)}
-    assert _flat(_graded_add(half, half)) == {(): Q(1)}
+    assert _flat(graded_add(half, half)) == {(): Q(1)}
 
 
 def test_graded_series_counts_its_sum_against_the_term_cap():
@@ -477,8 +491,8 @@ def test_segre_of_surface_multiplies_back():
     # inverse of (1+h)^4/(1+dh) for n=2 to cap 2: check c*s = 1 mod h^3
     h = MultiPoly.variable(HD_CTX, "h")
     d = MultiPoly.variable(HD_CTX, "d")
-    c = ((1 + h) ** 4 * (1 + d * h).series_inverse(4)).truncate("h", 2)
-    s = c.series_inverse(6).truncate("h", 2)
+    c = ((1 + h) ** 4 * series_inverse(1 + d * h, 4)).truncate("h", 2)
+    s = series_inverse(c, 6).truncate("h", 2)
     assert (c * s).truncate("h", 2) == MultiPoly.const(HD_CTX, 1)
 
 
@@ -519,7 +533,7 @@ def test_substitute_and_evaluate():
     p = Z1**2 + Z2 * H
     q = p.substitute({"z1": Z2 + 1})
     assert q == (Z2 + 1) ** 2 + Z2 * H
-    val = p.evaluate({"z1": Q(2), "z2": Q(1, 2), "h": Q(3)})
+    val = evaluate(p, {"z1": Q(2), "z2": Q(1, 2), "h": Q(3)})
     assert val == Q(4) + Q(3, 2)
 
 

@@ -1,8 +1,10 @@
-"""Module exports: every ``__all__`` name exists, every public definition is listed."""
+"""Module exports: every ``__all__`` name exists, every public definition is
+listed, and every listed name is used by the package or the benchmark."""
 
 import importlib
 import inspect
 import pathlib
+import re
 
 import pytest
 
@@ -28,3 +30,26 @@ def test_all_lists_exactly_the_public_definitions(name):
         and obj.__module__ == name
     }
     assert defined - exported == set(), "public definitions missing from __all__"
+
+
+ROOT = PACKAGE.parent.parent
+# the code that may read a module's exports: the package and the benchmark
+# (whose tracer looks names up by string, so quoted names count)
+USERS = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").rglob("*.py"))
+ALL_BLOCK = re.compile(r"^__all__ = \[.*?\]", re.M | re.S)
+
+
+@pytest.mark.parametrize("name", [m for m in LIBRARY if m != "jetres"])
+def test_every_export_has_a_user(name):
+    # the package's own __init__ only re-exports names and holds __version__
+    home = PACKAGE / f"{name.rsplit('.', 1)[1]}.py"
+    texts = {path: path.read_text() for path in USERS}
+    texts[home] = ALL_BLOCK.sub("", texts[home])
+    unused = []
+    for x in importlib.import_module(name).__all__:
+        word = re.compile(rf"\b{re.escape(x)}\b")
+        definition = re.compile(rf"^(?:class |def )?{re.escape(x)}\b", re.M)
+        uses = sum(len(word.findall(t)) for t in texts.values())
+        if uses - len(definition.findall(texts[home])) < 1:
+            unused.append(x)
+    assert unused == [], "exported names that no package or benchmark code uses"

@@ -37,7 +37,15 @@ from jetres.residue import (
     _stage_series,
     _zsum,
 )
-from oracles import grassmannian_omega, reflect_payload, stage_series_convolved, total_degree
+from oracles import (
+    constant,
+    grassmannian_omega,
+    monomial,
+    reflect_payload,
+    series_inverse,
+    stage_series_convolved,
+    total_degree,
+)
 
 Z2CTX = VarContext(("z1", "z2"))
 TZ1 = MultiPoly.variable(Z2CTX, "z1")
@@ -299,15 +307,15 @@ def test_fibre_residue_equals_fixed_points():
 
 
 def test_fibre_integrand_structure():
-    # numerator sign-bearing factor count (k-1)k/2; z-only denominator factor
-    # count (k-1)k/2; total degree of the fraction with the payload is -k
+    # numerator sign-bearing factor count (k-1)k/2; kernel denominator factor
+    # count (k-1)k/2 (the factors with no constant term: every weight is
+    # nonzero); total degree of the fraction with the payload is -k
     for n, k in ((2, 2), (3, 3), (2, 4)):
-        ctx = tower_context(k, n=n)
-        zvars = [f"z{i}" for i in range(1, k + 1)]
-        P = MultiPoly.monomial(ctx, {"z1": k * (n - 1)})
-        form = fibre_residue_integrand(n, k, P)
-        z_only = [poly for poly, _ in form.factors if poly.variables_used() <= set(zvars)]
-        assert len(z_only) == (k - 1) * k // 2
+        ctx = tower_context(k)
+        P = monomial(ctx, {"z1": k * (n - 1)})
+        form = fibre_residue_integrand(n, k, P, range(1, n + 1))
+        kernel = [poly for poly, _ in form.factors if not constant(poly)]
+        assert len(kernel) == (k - 1) * k // 2
         assert len(form.factors) == (k - 1) * k // 2 + n * k
         num_deg = total_degree(form.numerator)
         assert num_deg == k * (n - 1) + (k - 1) * k // 2
@@ -315,47 +323,23 @@ def test_fibre_integrand_structure():
         assert num_deg - den_deg == -k
 
 
-def test_fibre_residue_symbolic_lambdas_small():
-    # symbolic weights at n=2, k=2: matches the numeric evaluation
-    rng = random.Random(43)
-    n, k = 2, 2
-    ctx = tower_context(k, n=n)
-    zvars = [f"z{i}" for i in range(1, k + 1)]
-    P = random_homogeneous(rng, ctx, zvars, k * (n - 1))
-    sym = residue_expand(fibre_residue_integrand(n, k, P))
-    for _ in range(3):
-        lams = distinct_lambdas(rng, n)
-        numeric = sym.evaluate({"L1": lams[0], "L2": lams[1]})
-        restricted = P.restrict(tower_context(k))
-        direct = fibre_integral_fixed_points(n, k, restricted, lams)
-        assert numeric == direct.constant()
-
-
 def test_segre_hypersurface_values():
-    seg = segre_hypersurface(1)
     h = MultiPoly.variable(HD_CTX, "h")
     d = MultiPoly.variable(HD_CTX, "d")
-    assert seg == ((d - 3) * h,)
-    # c * s = 1 mod h^(n+1) for n <= 6
-    for n in range(1, 7):
-        seg = segre_hypersurface(n)
-        c = ((1 + h) ** (n + 2) * (1 + d * h).series_inverse(2 * n)).truncate("h", n)
-        s = MultiPoly.const(HD_CTX, 1)
-        for cls in seg:
-            s = s + cls
-        assert (c * s).truncate("h", n) == MultiPoly.const(HD_CTX, 1)
-    # d = 0 placeholder: s(X) = (1+h)^-(n+2) truncated
-    seg0 = segre_hypersurface(3, 0)
-    inv = ((1 + h) ** 5).series_inverse(3).truncate("h", 3)
-    total = MultiPoly.const(HD_CTX, 1)
-    for cls in seg0:
-        total = total + cls
-    assert total == inv
+    assert segre_hypersurface(1) == ((d - 3) * h,)
+    # c * s = 1 mod h^(n+1), with c(X) = (1+h)^(n+2) / (1+dh)
+    for n in range(1, 9):
+        c = ((1 + h) ** (n + 2) * series_inverse(1 + d * h, 2 * n)).truncate("h", n)
+        s = sum(segre_hypersurface(n), MultiPoly.const(HD_CTX, 1))
+        assert (c * s).truncate("h", n) == 1
+    # at d = 0 the classes are those of (1+h)^-(n+2)
+    total = sum(segre_hypersurface(3), MultiPoly.const(HD_CTX, 1)).substitute({"d": 0})
+    assert total == series_inverse((1 + h) ** 5, 3)
 
 
 def test_hypersurface_integrand_structure_n2_k2():
     ctx = tower_context(2)
-    P = MultiPoly.monomial(ctx, {"z1": 2, "z2": 2})
+    P = monomial(ctx, {"z1": 2, "z2": 2})
     form = hypersurface_integrand(2, 2, P)
     z1 = MultiPoly.variable(ctx, "z1")
     z2 = MultiPoly.variable(ctx, "z2")
@@ -627,6 +611,6 @@ def test_k_below_one_rejected():
     ctx = tower_context(1)
     P = MultiPoly.variable(ctx, "z1")
     with pytest.raises(ValueError):
-        fibre_residue_integrand(2, 0, P)
+        fibre_residue_integrand(2, 0, P, [1, 2])
     with pytest.raises(ValueError):
         hypersurface_integrand(2, 0, P)
