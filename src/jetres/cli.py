@@ -140,7 +140,7 @@ def _fibre_integral(params: Mapping[str, Any], budgets: dict[str, Any]) -> Outco
     _require(params, "n", "k", "polynomial")
     n, k = _positive(params, "n"), _positive(params, "k")
     method = params.get("method", "fixed-point")
-    P = parse_poly(_text(params, "polynomial"), tower_context(k))
+    P = parse_poly(_text(params, "polynomial"), tower_context(k), budgets["max_terms"])
     lams = _lambda_values(params, n)
     budgets["lambdas"] = [_q_doc(v) for v in lams]
     routes = (
@@ -158,7 +158,7 @@ def _fibre_integral(params: Mapping[str, Any], budgets: dict[str, Any]) -> Outco
 def _integral(params: Mapping[str, Any], budgets: dict[str, Any]) -> Outcome:
     _require(params, "n", "k", "polynomial")
     n, k = _positive(params, "n"), _positive(params, "k")
-    P = parse_poly(_text(params, "polynomial"), tower_context(k))
+    P = parse_poly(_text(params, "polynomial"), tower_context(k), budgets["max_terms"])
     form = hypersurface_integrand(n, k, P)
     value = integrate_over_X(residue_expand(form, budgets["max_terms"]), n)
     check = ("expand-vs-localization", "residue expansion and localization disagree",
@@ -179,7 +179,8 @@ def _residue(params: Mapping[str, Any], budgets: dict[str, Any]) -> Outcome:
             "parameter zvars must be a non-empty list of distinct names other than h and d"
         )
     ctx = VarContext(tuple(zvars) + ("h", "d"))
-    form = ResidueForm(*parse_residue_form(_text(params, "form"), ctx), zvars)
+    form = ResidueForm(*parse_residue_form(_text(params, "form"), ctx, budgets["max_terms"]),
+                       zvars)
     value = residue_expand(form, budgets["max_terms"])
     check = ("expand-vs-stepwise", "expansion and stepwise residues disagree",
              lambda: value, lambda: residue_stepwise(form, budgets["max_terms"]))
@@ -249,8 +250,8 @@ def _euler_char(params: Mapping[str, Any], budgets: dict[str, Any]) -> Outcome:
     budget = _scalar(params["budget"], "budget") if params.get("budget") is not None else None
     budgets["budget"] = budget
     value = euler_characteristic(n, k, a, budget, budgets["max_terms"])
-    # the default budget is the tower dimension plus n
-    raised = (budget if budget is not None else n + k * (n - 1) + n) + 2
+    # the default budget is the tower dimension
+    raised = (budget if budget is not None else n + k * (n - 1)) + 2
     check = ("budget-stability", "Euler characteristic unstable under budget increase",
              lambda: value, lambda: euler_characteristic(n, k, a, raised, budgets["max_terms"]))
     return {"value": _dpoly_doc(value)}, check
@@ -319,7 +320,7 @@ def _build_argparser() -> argparse.ArgumentParser:
     ap.add_argument("--max-points", type=int,
                     help="fixed-point enumeration cap; in integral it bounds the --verify check")
     ap.add_argument("--max-terms", type=int,
-                    help="sparse-term cap for residues and the diagnostics tables")
+                    help="sparse-term cap for parsed powers, residues and the diagnostics tables")
     ap.add_argument("--budget", type=int, help="series truncation budget (euler-char)")
     ap.add_argument("--out", help="write the result document to this file")
     ap.add_argument("-n", type=int, dest="n")

@@ -15,8 +15,11 @@ under `ggl --verify`.
 Also here: the Laurent-coefficient tables of the kernel factors behind the
 defect/lattice estimates, the lattice cone of admissible exponents with its
 defect grading, the relative nef/ample test for weight vectors, and the
-Euler characteristic of the pushed-forward tautological line bundle via the
-residue kernel with exponential and Todd factors.
+Euler characteristic of the pushed-forward tautological line bundle.  Both
+the tables and the Euler characteristic read the hypersurface integrand's
+factor list: the tables expand its ratio, and chi takes the tower's Todd
+class as one Todd factor per listed factor, times the exponential character,
+and sends only the payload's top degree to the residue kernel.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from typing import Sequence
 from .exactalg import (
     DPoly,
     Graded,
-    HD_CTX,
     JetresError,
     MultiPoly,
     QLike,
@@ -39,7 +41,6 @@ from .exactalg import (
     _flat,
     _graded,
     _graded_exp,
-    _graded_inverse,
     _graded_mul,
     _graded_series,
     binomial,
@@ -48,10 +49,9 @@ from .exactalg import (
 from .localization import integral_over_tower_fixed_points
 from .residue import (
     DEFAULT_TERM_CAP,
+    _hypersurface_factors,
     _hypersurface_level,
     _leading_z,
-    _plus_kernel,
-    _zsum,
     demailly_integrand,
     integrate_over_X,
     residue_expand,
@@ -78,7 +78,6 @@ __all__ = [
     "estimate_checks",
     "ample_condition",
     "euler_characteristic",
-    "todd_of_X",
     "ThresholdReport",
     "ggl_threshold_check",
 ]
@@ -284,8 +283,8 @@ def expansion_diagnostics(
     """Exact coefficient tables of the kernel and the canonical payload (k = n).
 
     The kernel is the ratio of the hypersurface integrand's factors
-    (residue._plus_kernel and residue._hypersurface_level), each factor f
-    led by z_j with coefficient c taken as f/(c z_j) = 1 + r.  Its entries
+    (residue._hypersurface_factors), each factor f led by z_j with
+    coefficient c taken as f/(c z_j) = 1 + r.  Its entries
     are built on flat exponents (z_1..z_n, s, t), graded by D(z) + n(s + t),
     with h^(n+1) = 0, and are the exact Laurent coefficients up to grade
     defect_cap + 2n^2.  Every r has grade >= 0 (a z_i/z_j ratio with i < j
@@ -309,11 +308,7 @@ def expansion_diagnostics(
     weights = tuple(range(n, 0, -1)) + (n, n)
     term_cap = (max_terms, "expansion_diagnostics")
     ctx = tower_context(n)
-    numerators, denominators = _plus_kernel(ctx, n)
-    for j in range(1, n + 1):
-        level_num, level_den = _hypersurface_level(n, _zsum(ctx, 1, j))
-        numerators += level_num
-        denominators += level_den
+    numerators, denominators = _hypersurface_factors(ctx, n, n)
 
     def mul(x: Graded, y: Graded) -> Graded:
         return _graded_mul(x, y, cap, term_cap)
@@ -524,56 +519,16 @@ def ample_condition(a: Sequence[int]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _td_inverse_coeffs(order: int) -> list[Q]:
-    """Coefficients of (1 - e^(-x))/x = 1/Td(x) up to x^order."""
-    return [Q((-1) ** i, factorial(i + 1)) for i in range(order + 1)]
-
-
-def _td_series_coeffs(order: int) -> list[Q]:
-    """Coefficients t_0..t_order of x / (1 - e^(-x)), the inverse of (1 - e^(-x))/x."""
-    inv = {(i,): c for i, c in enumerate(_td_inverse_coeffs(order))}
-    t = _flat(_graded_inverse(_graded(inv, (1,), order), order))
-    return [t.get((m,), Q(0)) for m in range(order + 1)]
-
-
-@dataclass(frozen=True)
-class _ZHSeries:
-    """Truncated series in a context holding h and d, on the hypersurface of
-    dimension n: the grade is the degree in every variable but d (a
-    coefficient), kept up to cap, and h^(n+1) = 0."""
-
-    ctx: VarContext
-    n: int
-    cap: int
-
-    def of(self, poly: MultiPoly) -> Graded:
-        weights = [0 if name == "d" else 1 for name in self.ctx.names]
-        return _graded(poly.terms, weights, self.cap, self.ctx.index("h"), self.n)
-
-    def poly(self, series: Graded) -> MultiPoly:
-        return MultiPoly._raw(self.ctx, _flat(series))
-
-    def tangent_todd(self, w: MultiPoly) -> Graded:
-        """prod_s Td(L_s + w) over the tangent roots L_s of the hypersurface.
-
-        In K-theory the tangent bundle is (n+2)O(h) - O - O(dh), so the product
-        is Td(w + h)^(n+2) / (Td(w) Td(w + dh)).
-        """
-        h = MultiPoly.variable(self.ctx, "h")
-        d = MultiPoly.variable(self.ctx, "d")
-        cap, inv_td = self.cap, _td_inverse_coeffs(self.cap)
-        td = _graded_series(self.of(w + h), _td_series_coeffs(cap), cap)
-        out = _graded_series(self.of(w), inv_td, cap)
-        for factor in [_graded_series(self.of(w + d * h), inv_td, cap)] + [td] * (self.n + 2):
-            out = _graded_mul(out, factor, cap)
-        return out
-
-
-def todd_of_X(n: int) -> MultiPoly:
-    """Todd class of the hypersurface, in (h, d), from the K-theory class of its
-    tangent bundle."""
-    ring = _ZHSeries(HD_CTX, n, n)
-    return ring.poly(ring.tangent_todd(MultiPoly.zero(HD_CTX)))
+def _todd_power(m: int, order: int) -> list[Q]:
+    """Coefficients of Td(x)^m = (x / (1 - e^(-x)))^m up to x^order, for any
+    integer m: the power b = a^(-m) of a = (1 - e^(-x))/x, whose coefficients
+    are a_i = (-1)^i / (i+1)!, by the recurrence
+    g b_g = sum_(i=1..g) ((1 - m) i - g) a_i b_(g-i) with b_0 = 1."""
+    a = [Q((-1) ** i, factorial(i + 1)) for i in range(order + 1)]
+    b = [Q(1)]
+    for g in range(1, order + 1):
+        b.append(sum(((1 - m) * i - g) * a[i] * b[g - i] for i in range(1, g + 1)) / g)
+    return b
 
 
 def euler_characteristic(
@@ -585,45 +540,42 @@ def euler_characteristic(
 ) -> DPoly:
     """chi of the pushed-forward weighted tautological bundle, exact in d.
 
-    The residue kernel is the hypersurface kernel; the payload multiplies the
-    exponential character of the weight vector by the Todd classes of the
-    base and of every fibre level (the level-j tangent roots are the
-    weight-set elements, giving lambda-symmetric factors resolved through
-    the tangent bundle's K-theory class, pure-z factors, and the
-    removed-element divisions).
-    All series are truncated at combined (z, h)-degree `budget`; degrees
-    above the tower dimension cannot contribute, so the default budget
-    dim + n is exact and raising it must not change the value.
+    chi = integral over the tower of ch(L) Td(T), with ch(L) the exponential
+    character e^(-sum a_j z_j) of the weight vector in the honest-class
+    coordinates.  Td(T) is read off the hypersurface integrand's factor list
+    (residue._hypersurface_factors) plus the level at w = 0, which is X's own
+    tangent bundle (n+2)O(h) - O - O(dh): Td(f)^m for each denominator
+    factor f^m and Td(f)^(-1) for each numerator factor f.
+    The kernel is homogeneous of degree -kn in (z, h), with d of degree 0,
+    so only the payload's part of degree dim = n + k(n-1) can reach
+    (z_1...z_k)^(-1) h^n.  Every series is truncated above (z, h)-degree
+    `budget` (default dim) and only the degree-dim part goes to the
+    Segre-cleared kernel, so any budget >= dim gives the same value.
     """
     if len(a) != k:
         raise ValueError("need k weights")
     dim = n + k * (n - 1)
-    cap = budget if budget is not None else dim + n
+    cap = budget if budget is not None else dim
     if cap < dim:
         raise ValueError("budget below the tower dimension cannot be exact")
     ctx = tower_context(k)
-    ring = _ZHSeries(ctx, n, cap)
-    td = _td_series_coeffs(cap)
-    inv_td = _td_inverse_coeffs(cap)
+    weights = [0 if name == "d" else 1 for name in ctx.names]
 
-    # exponential character of the weight vector, in the honest-class
-    # coordinates (u_j evaluates to -z_j on the fibre machinery side)
+    def graded(poly: MultiPoly) -> Graded:
+        return _graded(poly.terms, weights, cap, ctx.index("h"), n)
+
     expo = MultiPoly.zero(ctx)
     for j, aj in enumerate(a, start=1):
         expo = expo - aj * MultiPoly.variable(ctx, f"z{j}")
-    payload = _graded_mul(_graded_exp(ring.of(expo), cap), ring.of(todd_of_X(n).embed(ctx)), cap)
-
-    for j in range(1, k + 1):
-        level = ring.tangent_todd(_zsum(ctx, 1, j))
-        for t in range(1, j):
-            arg = _zsum(ctx, t + 1, j) - MultiPoly.variable(ctx, f"z{t}")
-            level = _graded_mul(level, _graded_series(ring.of(arg), td, cap), cap)
-        for t in range(2, j + 1):
-            level = _graded_mul(level, _graded_series(ring.of(_zsum(ctx, t, j)), inv_td, cap), cap)
-        payload = _graded_mul(payload, level, cap)
+    payload = _graded_exp(graded(expo), cap)
+    numerators, denominators = _hypersurface_factors(ctx, n, k)
+    x_num, x_den = _hypersurface_level(n, MultiPoly.zero(ctx))
+    for f, m in [(f, -1) for f in numerators + x_num] + denominators + x_den:
+        payload = _graded_mul(payload, _graded_series(graded(f), _todd_power(m, cap), cap), cap)
+    top = replace(payload, parts={g: t for g, t in payload.parts.items() if g == dim})
 
     # hypersurface kernel with Segre clearing, payload at +z (honest classes)
-    form = demailly_integrand(n, k, ring.poly(payload), segre_hypersurface(n))
+    form = demailly_integrand(n, k, MultiPoly._raw(ctx, _flat(top)), segre_hypersurface(n))
     return integrate_over_X(residue_expand(form, max_terms), n)
 
 

@@ -20,7 +20,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction as Q
 
-from .exactalg import JetresError, MultiPoly, VarContext
+from .exactalg import JetresError, MultiPoly, ResourceLimitError, VarContext
+from .residue import DEFAULT_TERM_CAP
 
 __all__ = ["ParseError", "UnknownVariableError", "parse_poly", "parse_residue_form"]
 
@@ -68,12 +69,13 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
-    def __init__(self, text: str, ctx: VarContext, aliases: dict[str, str] | None = None):
+    def __init__(self, text: str, ctx: VarContext, aliases: dict[str, str], max_terms: int):
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
         self.ctx = ctx
-        self.aliases = aliases or {}
+        self.aliases = aliases
+        self.max_terms = max_terms
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -117,7 +119,16 @@ class _Parser:
                     f"exponent must be a non-negative integer literal at {tok.pos + 1}"
                 )
             self.take()
-            base = base ** int(exp_tok.text)
+            exp, t = int(exp_tok.text), len(base.terms)
+            # a t-term base to the power exp has at most C(exp + t - 1, t - 1)
+            # terms, built as C(exp + i, i) for i = 1..t-1 until it passes the cap
+            bound = 1
+            for i in range(1, t):
+                bound = bound * (exp + i) // i
+                if bound > self.max_terms:
+                    raise ResourceLimitError(f"parse: a {t}-term base to the power {exp} "
+                                             f"may exceed {self.max_terms} terms")
+            base = base**exp
         return base
 
     def parse_atom(self) -> MultiPoly:
@@ -162,25 +173,27 @@ def _default_aliases(ctx: VarContext) -> dict[str, str]:
     return out
 
 
-def parse_poly(text: str, ctx: VarContext) -> MultiPoly:
-    """Parse a polynomial expression into the given variable context."""
-    parser = _Parser(text, ctx, _default_aliases(ctx))
+def parse_poly(text: str, ctx: VarContext, max_terms: int = DEFAULT_TERM_CAP) -> MultiPoly:
+    """Parse a polynomial expression into the given variable context.
+
+    A power whose expansion may hold more than max_terms terms raises
+    ResourceLimitError before it is expanded."""
+    parser = _Parser(text, ctx, _default_aliases(ctx), max_terms)
     value = parser.parse_expr()
     parser.expect_end()
     return value
 
 
 def parse_residue_form(
-    text: str, ctx: VarContext
+    text: str, ctx: VarContext, max_terms: int = DEFAULT_TERM_CAP
 ) -> tuple[MultiPoly, list[tuple[MultiPoly, int]]]:
     """Parse "numerator/(f1^m1*f2*...)" into numerator and factor list.
 
     The denominator, if present, must be a parenthesized product whose
     factors are themselves parenthesized expressions with optional positive
-    integer powers.
+    integer powers.  Powers are capped as in parse_poly.
     """
-    aliases = _default_aliases(ctx)
-    parser = _Parser(text, ctx, aliases)
+    parser = _Parser(text, ctx, _default_aliases(ctx), max_terms)
     numerator = parser.parse_expr()
     factors: list[tuple[MultiPoly, int]] = []
     if parser.peek().kind == "/":

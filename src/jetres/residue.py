@@ -587,6 +587,17 @@ def _hypersurface_level(n: int, w: MultiPoly) -> LevelFactors:
     return [w, w + d * h], [(w + h, n + 2)]
 
 
+def _hypersurface_factors(ctx: VarContext, n: int, k: int) -> LevelFactors:
+    """The factors of the hypersurface integrand without its (-1)^k
+    prefactor: the plus kernel's and those of every level j = 1..k."""
+    numerators, denominators = _plus_kernel(ctx, k)
+    for j in range(1, k + 1):
+        level_num, level_den = _hypersurface_level(n, _zsum(ctx, 1, j))
+        numerators += level_num
+        denominators += level_den
+    return numerators, denominators
+
+
 def hypersurface_integrand(n: int, k: int, P: MultiPoly) -> ResidueForm:
     """Integrand for the degree-d hypersurface: all tangent data in (h, d).
 

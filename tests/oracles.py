@@ -13,7 +13,8 @@ conventions.
 against the recursion `weight_set_recursive`; `euler_class` keeps a fixed
 point's Euler class symbolic in the L_i.  `lambda_plus_member_bruteforce`
 enumerates the cone generators that `ggl.lambda_plus_member` tests by prefix
-sums, and `chi_structure_sheaf` is chi(X, O_X) from `ggl.todd_of_X`.
+sums.  `todd_of_X` is the hypersurface's Todd class Td(h)^(n+2) / Td(dh)
+on `ggl._todd_power`, and `chi_structure_sheaf` is chi(X, O_X) from it.
 `stage_series_convolved` expands one `residue_expand` stage the long way:
 one binomial series per factor, convolved by total order.
 
@@ -56,10 +57,11 @@ from jetres.exactalg import (
     _graded_exp,
     _graded_inverse,
     _graded_mul,
+    _graded_series,
     _summed,
     binomial,
 )
-from jetres.ggl import _ZHSeries, todd_of_X
+from jetres.ggl import _todd_power
 from jetres.localization import DegenerateWeightsError
 from jetres.residue import ResidueForm, integrate_over_X, segre_hypersurface
 from jetres.tower import FixedPoint, Weight, _step, basis_weights
@@ -317,6 +319,26 @@ def lambda_plus_member_bruteforce(i: Sequence[int], coeff_cap: int = 8) -> bool:
     return rec(0, list(i))
 
 
+def _on_X(poly: MultiPoly, n: int, cap: int) -> Graded:
+    """poly as a series graded by the degree in every variable but d, cut
+    above cap, with h^(n+1) = 0."""
+    weights = [0 if name == "d" else 1 for name in poly.ctx.names]
+    return _graded(poly.terms, weights, cap, poly.ctx.index("h"), n)
+
+
+def _todd_series(f: MultiPoly, m: int, n: int, cap: int) -> Graded:
+    """Td(f)^m on X, cut above degree cap."""
+    return _graded_series(_on_X(f, n, cap), _todd_power(m, cap), cap)
+
+
+def todd_of_X(n: int) -> MultiPoly:
+    """Todd class of the hypersurface in (h, d): Td(h)^(n+2) / Td(dh), from
+    the K-theory class (n+2)O(h) - O - O(dh) of its tangent bundle."""
+    h, d = (MultiPoly.variable(HD_CTX, name) for name in ("h", "d"))
+    td = _graded_mul(_todd_series(h, n + 2, n, n), _todd_series(d * h, -1, n, n), n)
+    return MultiPoly._raw(HD_CTX, _flat(td))
+
+
 def chi_structure_sheaf(n: int) -> DPoly:
     """chi(X, O_X) = integral of the Todd class over the hypersurface."""
     return integrate_over_X(todd_of_X(n), n)
@@ -331,14 +353,16 @@ def euler_characteristic_k1_pushforward(n: int, a1: int) -> DPoly:
     e^(a1 u) Td(fibre tangent) Td(X) pushed down term by term.
     """
     ctx = VarContext(("u", "h", "d"))
-    u = MultiPoly.variable(ctx, "u")
+    u, h, d = (MultiPoly.variable(ctx, name) for name in ("u", "h", "d"))
     # pushforward kills u-powers beyond 2n-1, and h^(n+1) = 0
     cap = 2 * n - 1 + n
-    ring = _ZHSeries(ctx, n, cap)
-    # e^(a1 u) times the fibre tangent's Todd class prod_s Td(L_s - u)
-    payload = _graded_mul(_graded_exp(ring.of(Q(a1) * u), cap), ring.tangent_todd(-u), cap)
-    payload = _graded_mul(payload, ring.of(todd_of_X(n).embed(ctx)), cap)
-    payload_poly = ring.poly(payload)
+    payload = _graded_exp(_on_X(Q(a1) * u, n, cap), cap)
+    # the fibre tangent's Todd class prod_s Td(L_s - u), from the tangent
+    # bundle's K-theory class: Td(h - u)^(n+2) / (Td(-u) Td(dh - u))
+    for f, m in [(h - u, n + 2), (-u, -1), (d * h - u, -1)]:
+        payload = _graded_mul(payload, _todd_series(f, m, n, cap), cap)
+    payload = _graded_mul(payload, _on_X(todd_of_X(n).embed(ctx), n, cap), cap)
+    payload_poly = MultiPoly._raw(ctx, _flat(payload))
 
     # pushforward: u^m -> (-1)^m s_(m-n+1)
     segre = (MultiPoly.const(HD_CTX, 1),) + segre_hypersurface(n)

@@ -10,7 +10,7 @@ import pytest
 
 import jetres
 from jetres.cli import main, run_job
-from jetres.exactalg import DPoly, MultiPoly, Q, VarContext
+from jetres.exactalg import DPoly, MultiPoly, Q, ResourceLimitError, VarContext
 from jetres.polyparse import ParseError, UnknownVariableError, parse_poly
 
 CORPUS = pathlib.Path(__file__).parent / "corpus"
@@ -34,8 +34,12 @@ def test_corpus_regression(job_path, tmp_path, capsys):
     assert code == 0
     got = load(out_path)
     got.pop("elapsed_seconds", None)
-    expected = load(CORPUS / ("expected_" + job_path.name[len("job_") :]))
-    assert got == expected
+    expected_path = CORPUS / ("expected_" + job_path.name[len("job_") :])
+    assert got == load(expected_path)
+    # the written bytes too, once the one non-deterministic line is dropped
+    lines = out_path.read_bytes().splitlines(keepends=True)
+    kept = b"".join(line for line in lines if not line.startswith(b'  "elapsed_seconds": '))
+    assert kept == expected_path.read_bytes()
 
 
 def test_byte_determinism(tmp_path, capsys):
@@ -426,6 +430,30 @@ def test_diagnostics_term_cap_is_a_resource_error(capsys):
     assert error["code"] == "resource"
     assert error["message"] == "expansion_diagnostics exceeded 1000 terms"
     assert time.monotonic() - start < 15
+
+
+@pytest.mark.parametrize("command", [
+    ["integral", "-n", "2", "-k", "1", "--polynomial", "(z1+h+d)^100000"],
+    ["residue", "--form", "(z1+h+d)^100000/((z1)^2)"],
+], ids=["integral", "residue"])
+def test_parser_power_cap_is_a_resource_error(command, capsys):
+    # C(100002, 2), about 5e9, bounds the terms of the power, so the default
+    # cap of 10^7 stops it before expansion; uncapped it ran for minutes
+    start = time.monotonic()
+    code = main(command)
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert code == 3
+    assert error["code"] == "resource"
+    assert error["message"] == "parse: a 3-term base to the power 100000 may exceed 10000000 terms"
+    assert time.monotonic() - start < 5
+
+
+def test_parser_power_cap_is_the_term_bound():
+    # (z1 + h)^3 has C(3 + 1, 1) = 4 terms: a cap of 4 passes, 3 does not
+    ctx = VarContext(("z1", "h"))
+    assert len(parse_poly("(z1 + h)^3", ctx, 4).terms) == 4
+    with pytest.raises(ResourceLimitError, match="2-term base to the power 3 may exceed 3"):
+        parse_poly("(z1 + h)^3", ctx, 3)
 
 
 def test_ggl_point_cap_is_a_resource_error(capsys):

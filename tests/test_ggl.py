@@ -15,6 +15,7 @@ import jetres.exactalg
 from jetres.exactalg import DPoly, JetresError, Q, ResourceLimitError, _flat, _graded, _graded_mul
 from jetres.ggl import (
     GGLConfig,
+    _todd_power,
     ample_condition,
     assemble_intersection_from_tables,
     b0,
@@ -417,6 +418,21 @@ def test_ample_condition():
         ample_condition(())
 
 
+def _convolved(x, y):
+    return [sum(x[i] * y[g - i] for i in range(g + 1)) for g in range(len(x))]
+
+
+def test_todd_power_is_the_power_of_the_todd_series():
+    # Td(x) = x / (1 - e^(-x)) = 1 + x/2 + x^2/12 - x^4/720 + ...
+    assert _todd_power(1, 6) == [1, Q(1, 2), Q(1, 12), 0, Q(-1, 720), 0, Q(1, 30240)]
+    assert _todd_power(-1, 4) == [1, Q(-1, 2), Q(1, 6), Q(-1, 24), Q(1, 120)]
+    assert _todd_power(0, 5) == [1, 0, 0, 0, 0, 0]
+    for m in range(-4, 6):
+        power = _todd_power(m, 9)
+        assert _convolved(power, _todd_power(-m, 9)) == [1] + [0] * 9
+        assert _convolved(power, _todd_power(1, 9)) == _todd_power(m + 1, 9)
+
+
 def test_chi_structure_sheaf_classical():
     assert chi_structure_sheaf(2) == DPoly([0, Q(11, 6), -1, Q(1, 6)])
     chi3 = chi_structure_sheaf(3)
@@ -438,7 +454,25 @@ def test_euler_characteristic_k1_oracle_n3():
 def test_euler_characteristic_n3_k2_truncation_stable():
     dim = 3 + 2 * 2
     base = euler_characteristic(3, 2, (9, 3))
+    assert euler_characteristic(3, 2, (9, 3), budget=dim) == base
+    # dim + n, the default budget while every payload degree reached the kernel
+    assert euler_characteristic(3, 2, (9, 3), budget=dim + 3) == base
     assert euler_characteristic(3, 2, (9, 3), budget=dim + 3 + 2) == base
+
+
+@pytest.mark.slow
+def test_euler_characteristic_n4_k4_pins_chi():
+    # about 10 s; the value of the earlier route, which built the tower's
+    # Todd class level by level and sent every degree up to dim + n to the kernel
+    chi = euler_characteristic(4, 4, (65536, 4096, 256, 16))
+    assert chi == DPoly([
+        0,
+        Q(26584056079425132797075803954594204710073001514657851, 20),
+        Q(-4996352907494350595443177310737276649153727004079699, 8),
+        Q(174135725873259236721472724696079230851899789397787, 8),
+        Q(-274430666333629955850885449535341789644404050421, 8),
+        Q(96000760945568303780641838451738205674719523, 40),
+    ])
 
 
 def test_euler_characteristic_zero_weights():
