@@ -34,14 +34,13 @@ from __future__ import annotations
 import sys
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass, replace
 from fractions import Fraction as Q
-from functools import cache, cached_property
+from functools import cache
 from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import factorial, gcd, lcm
 from operator import add, itemgetter, mul
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 __all__ = [
     "Q",
@@ -110,19 +109,25 @@ def multinomial(total: int, parts: Sequence[int]) -> int:
     return out
 
 
-@dataclass(frozen=True)
 class VarContext:
     """An ordered tuple of variable names shared by a family of polynomials."""
 
-    names: tuple[str, ...]
+    __slots__ = ("names", "_index")
 
-    def __post_init__(self) -> None:
-        if len(set(self.names)) != len(self.names):
-            raise ContextError(f"duplicate variable names in context {self.names}")
+    def __init__(self, names: tuple[str, ...]) -> None:
+        self.names = names
+        self._index = {name: i for i, name in enumerate(names)}
+        if len(self._index) != len(names):
+            raise ContextError(f"duplicate variable names in context {names}")
 
-    @cached_property
-    def _index(self) -> dict[str, int]:
-        return {name: i for i, name in enumerate(self.names)}
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, VarContext) and self.names == other.names
+
+    def __hash__(self) -> int:
+        return hash(self.names)
+
+    def __repr__(self) -> str:
+        return f"VarContext(names={self.names!r})"
 
     def index(self, name: str) -> int:
         try:
@@ -295,8 +300,7 @@ def _add_into(acc: Terms, terms: Terms, scale: Q | None = None) -> None:
 # Grade-bucketed truncated series
 # ---------------------------------------------------------------------------
 
-@dataclass(eq=False, slots=True)
-class Graded:
+class Graded(NamedTuple):
     """A truncated series on packed keys: parts maps each grade to its terms
     (key, coefficient), sorted by key under truncation, each worth
     coefficient / den; no grade is empty and no coefficient zero.  codec
@@ -345,7 +349,7 @@ def _repacked(series: Graded, size: int) -> Graded:
     if old.size == size:
         return series
     new = _codec(old.width, size, old.ti, old.tm)
-    return replace(series, codec=new, parts={
+    return series._replace(codec=new, parts={
         g: new.packed(zip(old.unpack([k for k, _ in t]), [c for _, c in t]))
         for g, t in series.parts.items()})
 
@@ -358,7 +362,7 @@ def _aligned(a: Graded, b: Graded) -> tuple[Graded, Graded]:
         return a, b
     if (a.codec.width, a.codec.ti, a.codec.tm) != (b.codec.width, b.codec.ti, b.codec.tm):
         raise ValueError("series of different widths or truncations")
-    a, b = (replace(s, reach=_reach(s.codec.unpack([k for t in s.parts.values() for k, _ in t])))
+    a, b = (s._replace(reach=_reach(s.codec.unpack([k for t in s.parts.values() for k, _ in t])))
             for s in (a, b))
     size = max(_digit_size(a.reach + b.reach), a.codec.size, b.codec.size)
     return _repacked(a, size), _repacked(b, size)

@@ -25,11 +25,10 @@ and sends only the payload's top degree to the residue kernel.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
 from fractions import Fraction as Q
 from functools import reduce
 from math import factorial
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .exactalg import (
     DPoly,
@@ -83,25 +82,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class GGLConfig:
     """Problem instance: dimension n, jet order k, weights a, twist delta."""
 
-    n: int
-    k: int
-    a: tuple[int, ...]
-    delta: Q
+    __slots__ = ("n", "k", "a", "delta")
 
-    def __post_init__(self) -> None:
-        if self.n < 2:
+    def __init__(self, *, n: int, k: int, a: tuple[int, ...], delta: QLike) -> None:
+        if n < 2:
             raise ValueError("n must be >= 2")
-        if self.k < 1:
+        if k < 1:
             raise ValueError("k must be >= 1")
-        if len(self.a) != self.k:
+        if len(a) != k:
             raise ValueError("need k weights")
-        if any(ai <= 0 for ai in self.a):
+        if any(ai <= 0 for ai in a):
             raise ValueError("weights must be positive")
-        object.__setattr__(self, "delta", Q(self.delta))
+        self.n, self.k, self.a, self.delta = n, k, a, Q(delta)
         if self.delta < 0:
             raise ValueError("delta must be >= 0")
 
@@ -227,26 +222,22 @@ def lambda_plus_member(i: Sequence[int]) -> bool:
 Key = tuple[tuple[int, ...], int, int]  # (z exponent vector, h power, dh power)
 
 
-@dataclass
 class CoefficientTable:
     """Exact Laurent coefficients of the kernel factors and the payload.
 
     Keys are (z-exponent vector, power of h, power of dh).  The kernel tables
-    a0/a1/a2 (and their product a) hold the exact Laurent coefficients of the
-    expanded ratio factors up to grade defect_cap + 2n^2; b holds the payload
+    a0/a1/a2 (and their product a, at h power + dh power <= n) hold the exact
+    Laurent coefficients of the expanded ratio factors up to grade
+    defect_cap + 2n^2; b holds the payload
     coefficients of B(z) = payload/(z_1...z_n)^n, including the
     -n^2 delta |a| factor carried by its dh entry.
     """
 
-    n: int
-    defect_cap: int
-    a0: dict[Key, Q]
-    a1: dict[Key, Q]
-    a2: dict[Key, Q]
-    a: dict[Key, Q]
-    b: dict[Key, Q]
-    _a_by_z: dict[tuple[int, ...], list[tuple[int, int, Q]]] | None = field(
-        default=None, repr=False, compare=False)
+    def __init__(self, n: int, defect_cap: int, a0: dict[Key, Q], a1: dict[Key, Q],
+                 a2: dict[Key, Q], a: dict[Key, Q], b: dict[Key, Q]) -> None:
+        self.n, self.defect_cap = n, defect_cap
+        self.a0, self.a1, self.a2, self.a, self.b = a0, a1, a2, a, b
+        self._a_by_z: dict[tuple[int, ...], list[tuple[int, int, Q]]] | None = None
 
     def a_slice(self, zvec: Sequence[int]) -> list[tuple[int, int, Q]]:
         if self._a_by_z is None:  # built on the first call: only assembly reads it
@@ -258,15 +249,14 @@ class CoefficientTable:
 
 def _flat_terms(poly: MultiPoly, zshift: Sequence[int]) -> dict[tuple[int, ...], Q]:
     """The terms z^e h^s (dh)^t of a polynomial over tower_context(n) as
-    z^(e + zshift) h^s (dh)^t, in the flat exponents (z_1..z_n, s, t): every d
-    arrives as dh."""
+    z^(e + zshift) h^s (dh)^t, in the flat exponents (z_1..z_n, s + t, t): the
+    total h power s + t is the exponent of h, and every d arrives as dh."""
     n = len(zshift)
     out = {}
     for e, c in poly.terms.items():
-        s, t = e[n] - e[n + 1], e[n + 1]
-        if s < 0:
+        if e[n] < e[n + 1]:
             raise JetresError("d without matching h")
-        out[tuple(x + y for x, y in zip(e, zshift)) + (s, t)] = c
+        out[tuple(x + y for x, y in zip(e, zshift)) + e[n:]] = c
     return out
 
 
@@ -274,7 +264,7 @@ def _payload_table(cfg: GGLConfig) -> dict[Key, Q]:
     """Key table of B(z) = payload / (z_1...z_n)^n."""
     n = cfg.n
     P = intersection_payload(cfg, tower_context(n))
-    return {(e[:n], e[n], e[n + 1]): c for e, c in _flat_terms(P, [-n] * n).items()}
+    return {(e[:n], e[n] - e[n + 1], e[n + 1]): c for e, c in _flat_terms(P, [-n] * n).items()}
 
 
 def expansion_diagnostics(
@@ -285,13 +275,14 @@ def expansion_diagnostics(
     The kernel is the ratio of the hypersurface integrand's factors
     (residue._hypersurface_factors), each factor f led by z_j with
     coefficient c taken as f/(c z_j) = 1 + r.  Its entries
-    are built on flat exponents (z_1..z_n, s, t), graded by D(z) + n(s + t),
-    with h^(n+1) = 0, and are the exact Laurent coefficients up to grade
+    are built on flat exponents (z_1..z_n, s + t, t), graded by D(z) + n(s + t),
+    cut at s + t <= n (assembly pairs no other entry: a payload entry has
+    s, t >= 0), and are the exact Laurent coefficients up to grade
     defect_cap + 2n^2.  Every r has grade >= 0 (a z_i/z_j ratio with i < j
     has grade j - i, an h/z_j or dh/z_j pick j - 1), so truncating every
     product loses nothing up to the cap, and a denominator's series
     (1 + r)^(-m) is exact with its terms up to r^cap: for j >= 2 the least
-    grade of r is >= 1, and for j = 1 (r = h/z_1) h^(n+1) = 0 ends it.
+    grade of r is >= 1, and for j = 1 (r = h/z_1) the cut s + t <= n ends it.
 
     a0 collects the factors that hold d, a2 the denominators that hold h,
     and a1 the rest, as the product of its levels A1_j (the factors led by
@@ -305,7 +296,7 @@ def expansion_diagnostics(
     if defect_cap < 0:
         raise ValueError("defect_cap must be >= 0")
     cap = defect_cap + 2 * n * n
-    weights = tuple(range(n, 0, -1)) + (n, n)
+    weights = tuple(range(n, 0, -1)) + (n, 0)
     term_cap = (max_terms, "expansion_diagnostics")
     ctx = tower_context(n)
     numerators, denominators = _hypersurface_factors(ctx, n, n)
@@ -338,8 +329,8 @@ def expansion_diagnostics(
     def keyed(tb: Graded) -> dict[Key, Q]:
         out = {}
         while tb.parts:  # release each bucket once converted
-            for e, c in _flat(replace(tb, parts=dict([tb.parts.popitem()]))).items():
-                out[(e[:n], e[n], e[n + 1])] = c
+            for e, c in _flat(tb._replace(parts=dict([tb.parts.popitem()]))).items():
+                out[(e[:n], e[n] - e[n + 1], e[n + 1])] = c
         return out
 
     tables = [keyed(tb) for tb in (a0, a1, a2, a)]
@@ -386,7 +377,6 @@ def payload_closed_form(cfg: GGLConfig, i: Sequence[int], s: int) -> Q:
     return (main + (s_ndelta / 2 - 1) * corr) * Q(2 * cfg.a_total) ** s * apart
 
 
-@dataclass
 class EstimateReport:
     """Outcome of the displayed-inequality recomputation; failures are findings.
 
@@ -394,7 +384,8 @@ class EstimateReport:
     looser display-level bounds fare and are reported either way.
     """
 
-    checks: list[tuple[str, bool, bool, str]] = field(default_factory=list)
+    def __init__(self) -> None:
+        self.checks: list[tuple[str, bool, bool, str]] = []
 
     def add(self, name: str, ok: bool, details: str = "", required: bool = True) -> None:
         self.checks.append((name, bool(ok), bool(required), details))
@@ -572,15 +563,14 @@ def euler_characteristic(
     x_num, x_den = _hypersurface_level(n, MultiPoly.zero(ctx))
     for f, m in [(f, -1) for f in numerators + x_num] + denominators + x_den:
         payload = _graded_mul(payload, _graded_series(graded(f), _todd_power(m, cap), cap), cap)
-    top = replace(payload, parts={g: t for g, t in payload.parts.items() if g == dim})
+    top = payload._replace(parts={g: t for g, t in payload.parts.items() if g == dim})
 
     # hypersurface kernel with Segre clearing, payload at +z (honest classes)
     form = demailly_integrand(n, k, MultiPoly._raw(ctx, _flat(top)), segre_hypersurface(n))
     return integrate_over_X(residue_expand(form, max_terms), n)
 
 
-@dataclass
-class ThresholdReport:
+class ThresholdReport(NamedTuple):
     """Scaled theorem instance: certificate plus exact spot sign checks."""
 
     config: GGLConfig

@@ -17,8 +17,9 @@ factors, each optionally raised to a positive power.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction as Q
+from math import lcm
+from typing import NamedTuple
 
 from .exactalg import JetresError, MultiPoly, ResourceLimitError, VarContext
 from .residue import DEFAULT_TERM_CAP
@@ -41,8 +42,7 @@ class UnknownVariableError(JetresError):
 _TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*^()/]))")
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "int" | "name" | one of + - * ^ ( ) / | "end"
     text: str
     pos: int
@@ -128,6 +128,16 @@ class _Parser:
                 if bound > self.max_terms:
                     raise ResourceLimitError(f"parse: a {t}-term base to the power {exp} "
                                              f"may exceed {self.max_terms} terms")
+            # and each coefficient is at most S^exp / den^exp, for den the lcm
+            # of the base's denominators and S = den * sum |c|: the terms times
+            # these 64-bit words count against the same cap
+            den = lcm(*(c.denominator for c in base.terms.values()))
+            s = int(den * sum(map(abs, base.terms.values())))
+            words = 1 + exp * (s.bit_length() + (den - 1).bit_length()) // 64
+            if bound * words > self.max_terms:
+                raise ResourceLimitError(f"parse: a {t}-term base to the power {exp} may exceed "
+                                         f"{self.max_terms} words (terms times 64-bit words "
+                                         "per coefficient)")
             base = base**exp
         return base
 

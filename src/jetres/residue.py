@@ -44,7 +44,6 @@ pins this on both symbolic and random inputs.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction as Q
 from functools import partial, reduce
 from itertools import accumulate
@@ -453,7 +452,7 @@ def _prefix_filter(ctx: VarContext, n: int, zpos: Sequence[int],
                     break
             else:
                 kept.append(term)
-        return replace(series, parts={0: kept} if kept else {})
+        return series._replace(parts={0: kept} if kept else {})
 
     return live
 

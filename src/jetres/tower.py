@@ -28,8 +28,7 @@ k(n-1) tangent factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence, TypeVar
+from typing import NamedTuple, Sequence, TypeVar
 
 from .exactalg import Q, QLike, ResourceLimitError
 
@@ -46,8 +45,7 @@ __all__ = [
 DEFAULT_POINT_CAP = 10**6
 
 
-@dataclass(frozen=True, order=True)
-class Weight:
+class Weight(NamedTuple):
     """A weight sum(c_i * L_i) stored as the integer vector (c_1, ..., c_n)."""
 
     coeffs: tuple[int, ...]
@@ -84,8 +82,7 @@ def _check_cap(n: int, k: int, point_cap: int) -> None:
         raise ResourceLimitError(f"{n}^{k} fixed points exceed cap {point_cap}")
 
 
-@dataclass(frozen=True)
-class FixedPoint:
+class FixedPoint(NamedTuple):
     """A fixed point of the tower fibre: a chain (w_1, ..., w_k) of weights
     and its k(n-1) tangent weights w - w_j over all levels j."""
 

@@ -225,6 +225,19 @@ def test_cli_imports_every_module():
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_no_dataclass_machinery():
+    # every job pays for what `import jetres.cli` loads; these stdlib modules
+    # (dataclasses and what it pulls in) cost start-up time and memory
+    package = pathlib.Path(jetres.__file__).parent
+    heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize"]
+    code = (f"import sys; sys.path.insert(0, {str(package.parent)!r}); before = set(sys.modules); "
+            f"import jetres.cli; print([m for m in {heavy!r} "
+            "if m in sys.modules and m not in before])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_closed_pipe_leaves_stderr_empty():
     # the reader stops after one line, as `jetres fixed-points ... | head -1` does;
     # the document (729 points) is larger than a pipe's buffer
@@ -446,6 +459,23 @@ def test_parser_power_cap_is_a_resource_error(command, capsys):
     assert error["code"] == "resource"
     assert error["message"] == "parse: a 3-term base to the power 100000 may exceed 10000000 terms"
     assert time.monotonic() - start < 5
+
+
+def test_parser_power_cap_counts_coefficient_size(capsys):
+    # (z1+h)^100000 has 100,001 terms, under the default cap, but binomial
+    # coefficients of up to about 1,600 64-bit words each
+    start = time.monotonic()
+    code = main(["residue", "--form", "(z1+h)^100000/((z1)^2)"])
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert code == 3
+    assert error["code"] == "resource"
+    assert error["message"].startswith("parse: a 2-term base to the power 100000 may exceed")
+    assert time.monotonic() - start < 5
+    # (z1 + h)^64: 65 terms times 1 + 64 * 2 // 64 = 3 words, coefficients bounded by 2^64
+    ctx = VarContext(("z1", "h"))
+    assert len(parse_poly("(z1 + h)^64", ctx, 195).terms) == 65
+    with pytest.raises(ResourceLimitError, match="may exceed 194 words"):
+        parse_poly("(z1 + h)^64", ctx, 194)
 
 
 def test_parser_power_cap_is_the_term_bound():

@@ -1,7 +1,6 @@
 """Exact arithmetic substrate: ring axioms, series, truncation, division."""
 
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -173,7 +172,7 @@ def _buckets(terms, cap):
 
 def _by_grade(series):
     """The series read back grade by grade."""
-    return {g: _flat(replace(series, parts={g: t})) for g, t in series.parts.items()}
+    return {g: _flat(series._replace(parts={g: t})) for g, t in series.parts.items()}
 
 
 @given(operands_st, st.integers(0, 10), trunc_st)

@@ -2,7 +2,6 @@
 listed, every listed name is used by the package or the benchmark, and every
 name the benchmark looks up still resolves."""
 
-import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -59,14 +58,11 @@ def test_every_export_has_a_user(name):
 
 
 def _resolve(modname, path):
-    """The object at a dotted attribute path of a module, or the name of a
-    dataclass field, which is a field and not a class attribute."""
+    """The object at a dotted attribute path of a module."""
     owner = importlib.import_module(modname)
     *parents, leaf = path.split(".")
     for part in parents:
         owner = getattr(owner, part)
-    if dataclasses.is_dataclass(owner) and leaf in {f.name for f in dataclasses.fields(owner)}:
-        return leaf
     return getattr(owner, leaf)
 
 

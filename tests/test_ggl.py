@@ -197,19 +197,22 @@ def test_coefficient_route_equality_n4():
 
 
 def test_coefficient_tables_match_recorded_n2():
-    # all five tables, entry for entry, at defect caps 4 and 10
+    # all five tables, entry for entry, at defect caps 4 and 10; the kernel
+    # a against the recorded entries with s + t <= n, the only ones it keeps
     recorded = json.loads((CORPUS / "expected_tables_n2.json").read_text())
     for cap, tables in recorded.items():
         table = expansion_diagnostics(2, defect_cap=int(cap))
         for name, rows in tables.items():
-            expected = {(tuple(z), s, t): Q(c) for z, s, t, c in rows}
+            expected = {(tuple(z), s, t): Q(c) for z, s, t, c in rows
+                        if name != "a" or s + t <= 2}
             assert getattr(table, name) == expected, (cap, name)
 
 
 def _kernel_in_the_old_order(table):
     """The kernel table as (a0 a1) a2, the product order before a0 went last,
-    from the table's own factors, at the grade cap, weights and h-truncation
-    of expansion_diagnostics."""
+    from the table's own factors, at the grade cap of expansion_diagnostics
+    and the earlier truncation on s alone (h^(n+1) = 0), restricted to the
+    entries with s + t <= n that the table keeps."""
     n = table.n
     cap = table.defect_cap + 2 * n * n
     weights = tuple(range(n, 0, -1)) + (n, n)
@@ -219,7 +222,7 @@ def _kernel_in_the_old_order(table):
 
     a01 = _graded_mul(graded(table.a0), graded(table.a1), cap)
     a = _flat(_graded_mul(a01, graded(table.a2), cap))
-    return {(e[:n], e[n], e[n + 1]): c for e, c in a.items()}
+    return {(e[:n], e[n], e[n + 1]): c for e, c in a.items() if e[n] + e[n + 1] <= n}
 
 
 @pytest.mark.parametrize("n, defect_cap", [(2, cap) for cap in range(5)] + [(3, 4)],
@@ -310,10 +313,10 @@ def test_diagnostics_needs_n_at_least_2():
 
 
 def test_diagnostics_term_cap():
-    # the largest product of the n = 2 tables at cap 4 has 110 terms
-    with pytest.raises(ResourceLimitError, match="expansion_diagnostics exceeded 109 terms"):
-        expansion_diagnostics(2, 4, max_terms=109)
-    expansion_diagnostics(2, 4, max_terms=110)
+    # the largest product of the n = 2 tables at cap 4 has 73 terms
+    with pytest.raises(ResourceLimitError, match="expansion_diagnostics exceeded 72 terms"):
+        expansion_diagnostics(2, 4, max_terms=72)
+    expansion_diagnostics(2, 4, max_terms=73)
 
 
 def test_payload_closed_form_spot_values():

@@ -2,7 +2,6 @@
 
 import itertools
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given
@@ -237,7 +236,7 @@ def test_stage_series_is_the_convolved_factor_series(group, room, trunc):
     ti, tm = trunc
     smax = sum(m for _, _, m in group) + room
     series = _stage_series(group, smax, STAGE_WIDTH, ti, tm)
-    got = {s: _flat(replace(series, parts={s: t})) for s, t in series.parts.items()}
+    got = {s: _flat(series._replace(parts={s: t})) for s, t in series.parts.items()}
     assert got == stage_series_convolved(group, smax, STAGE_WIDTH, ti, tm)
 
 
