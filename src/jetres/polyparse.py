@@ -128,9 +128,9 @@ class _Parser:
                 if bound > self.max_terms:
                     raise ResourceLimitError(f"parse: a {t}-term base to the power {exp} "
                                              f"may exceed {self.max_terms} terms")
-            # and each coefficient is at most S^exp / den^exp, for den the lcm
-            # of the base's denominators and S = den * sum |c|: the terms times
-            # these 64-bit words count against the same cap
+            # and each coefficient is at most S^exp over den^exp, for den the
+            # lcm of the base's denominators and S = den * sum |c|: the terms
+            # times the 64-bit words of both count against the same cap
             den = lcm(*(c.denominator for c in base.terms.values()))
             s = int(den * sum(map(abs, base.terms.values())))
             words = 1 + exp * (s.bit_length() + (den - 1).bit_length()) // 64

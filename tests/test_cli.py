@@ -435,7 +435,7 @@ def test_residue_expand_cap_names_its_stage(capsys):
 
 def test_diagnostics_term_cap_is_a_resource_error(capsys):
     # the first table result over 1,000 terms comes within a second; without
-    # the cap the n = 4 tables take a few seconds (196,403 kernel entries)
+    # the cap the n = 4 tables take a few seconds (127,161 kernel entries)
     start = time.monotonic()
     code = main(["diagnostics", "-n", "4", "--max-terms", "1000"])
     error = json.loads(capsys.readouterr().err)["error"]
@@ -445,11 +445,19 @@ def test_diagnostics_term_cap_is_a_resource_error(capsys):
     assert time.monotonic() - start < 15
 
 
-@pytest.mark.parametrize("command", [
-    ["integral", "-n", "2", "-k", "1", "--polynomial", "(z1+h+d)^100000"],
-    ["residue", "--form", "(z1+h+d)^100000/((z1)^2)"],
-], ids=["integral", "residue"])
-def test_parser_power_cap_is_a_resource_error(command, capsys):
+TERMS_CAPPED = "parse: a 3-term base to the power 100000 may exceed 10000000 terms"
+
+
+@pytest.mark.parametrize("command, message", [
+    (["integral", "-n", "2", "-k", "1", "--polynomial", "(z1+h+d)^100000"], TERMS_CAPPED),
+    (["residue", "--form", "(z1+h+d)^100000/((z1)^2)"], TERMS_CAPPED),
+    # 100,001 terms, under the cap, but coefficients bounded by 3,126 words
+    # (the largest, C(100000, 50000), has about 1,560)
+    (["residue", "--form", "(z1+h)^100000/((z1)^2)"],
+     "parse: a 2-term base to the power 100000 may exceed 10000000 words "
+     "(terms times 64-bit words per coefficient)"),
+], ids=["integral", "residue", "residue-size"])
+def test_parser_power_cap_is_a_resource_error(command, message, capsys):
     # C(100002, 2), about 5e9, bounds the terms of the power, so the default
     # cap of 10^7 stops it before expansion; uncapped it ran for minutes
     start = time.monotonic()
@@ -457,24 +465,16 @@ def test_parser_power_cap_is_a_resource_error(command, capsys):
     error = json.loads(capsys.readouterr().err)["error"]
     assert code == 3
     assert error["code"] == "resource"
-    assert error["message"] == "parse: a 3-term base to the power 100000 may exceed 10000000 terms"
+    assert error["message"] == message
     assert time.monotonic() - start < 5
 
 
-def test_parser_power_cap_counts_coefficient_size(capsys):
-    # (z1+h)^100000 has 100,001 terms, under the default cap, but binomial
-    # coefficients of up to about 1,600 64-bit words each
-    start = time.monotonic()
-    code = main(["residue", "--form", "(z1+h)^100000/((z1)^2)"])
-    error = json.loads(capsys.readouterr().err)["error"]
-    assert code == 3
-    assert error["code"] == "resource"
-    assert error["message"].startswith("parse: a 2-term base to the power 100000 may exceed")
-    assert time.monotonic() - start < 5
-    # (z1 + h)^64: 65 terms times 1 + 64 * 2 // 64 = 3 words, coefficients bounded by 2^64
+def test_parser_power_cap_counts_coefficient_words():
+    # (z1 + h)^64 has 65 terms of at most 2^64 = (1 + 1)^64, counted as
+    # 1 + 64 * 2 // 64 = 3 words each: a cap of 195 passes, 194 does not
     ctx = VarContext(("z1", "h"))
     assert len(parse_poly("(z1 + h)^64", ctx, 195).terms) == 65
-    with pytest.raises(ResourceLimitError, match="may exceed 194 words"):
+    with pytest.raises(ResourceLimitError, match="power 64 may exceed 194 words"):
         parse_poly("(z1 + h)^64", ctx, 194)
 
 

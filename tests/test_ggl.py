@@ -289,7 +289,7 @@ def test_factor_tables_are_exact_laurent_coefficients(n, defect_cap):
 
 def test_kernel_table_pair_products(monkeypatch):
     # a deterministic work guard: the monomial pair products that the kernel
-    # multiplies (those the truncation keeps) for the n = 3 tables, 60,988
+    # multiplies (those the truncation keeps) for the n = 3 tables, 57,757
     kernel = jetres.exactalg._mac
     pairs = 0
 
@@ -304,7 +304,7 @@ def test_kernel_table_pair_products(monkeypatch):
 
     monkeypatch.setattr(jetres.exactalg, "_mac", counted)
     expansion_diagnostics(3, 4)
-    assert 0 < pairs <= 62_000
+    assert 0 < pairs <= 59_000
 
 
 def test_diagnostics_needs_n_at_least_2():
