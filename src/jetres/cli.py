@@ -227,7 +227,8 @@ def _ggl(params: Mapping[str, Any], budgets: dict[str, Any]) -> Outcome:
             "spot_checks": [{"d": dv, "positive": ok} for dv, ok in rep.spot_checks],
         }
     check = ("localization-vs-residue", "localization and residue routes disagree", lambda: I,
-             lambda: integral_over_tower(cfg.n, cfg.k, intersection_payload(cfg),
+             lambda: integral_over_tower(cfg.n, cfg.k,
+                                         intersection_payload(cfg, budgets["max_terms"]),
                                          budgets["max_terms"]))
     return result, check
 
@@ -320,7 +321,7 @@ def _build_argparser() -> argparse.ArgumentParser:
     ap.add_argument("--max-points", type=int,
                     help="fixed-point enumeration cap; in integral it bounds the --verify check")
     ap.add_argument("--max-terms", type=int,
-                    help="sparse-term cap for parsed powers, residues and the diagnostics tables")
+                    help="sparse-term cap for parsing, payload, residues and diagnostics")
     ap.add_argument("--budget", type=int, help="series truncation budget (euler-char)")
     ap.add_argument("--out", help="write the result document to this file")
     ap.add_argument("-n", type=int, dest="n")

@@ -582,18 +582,24 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, exp: int) -> "MultiPoly":
+        """sum_k C(exp, k) (c x^m)^k r^(exp-k) for c x^m one term and r the
+        rest: about t times the work of the terms _power_cap bounds."""
         if not isinstance(exp, int) or exp < 0:
             raise ValueError("exponent must be a non-negative integer")
-        # Repeated squaring on the sparse term dict.
-        result = MultiPoly.const(self.ctx, 1)
-        base = self
-        while exp:
-            if exp & 1:
-                result = result * base
-            exp >>= 1
-            if exp:
-                base = base * base
-        return result
+        if not self.terms or not exp:
+            return self if exp else MultiPoly.const(self.ctx, 1)
+        (m, c), *others = self.terms.items()
+        rest = MultiPoly._raw(self.ctx, dict(others))
+        powers = [MultiPoly.const(self.ctx, 1)]
+        for _ in range(exp):
+            powers.append(powers[-1] * rest)
+        out: Terms = {}
+        scale = Q(1)  # C(exp, k) c^k
+        for k, power in enumerate(reversed(powers)):
+            shift = tuple(k * x for x in m)
+            _add_into(out, {tuple(map(add, shift, e)): v for e, v in power.terms.items()}, scale)
+            scale = scale * c * (exp - k) / (k + 1)
+        return MultiPoly._raw(self.ctx, out)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Q)):
@@ -762,6 +768,33 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.to_text()})"
+
+
+def _size_cap(what: str, terms: int, factors: Sequence[tuple[MultiPoly, int]],
+              max_terms: int) -> None:
+    """Refuse terms whose coefficients are bounded by a product of factors
+    p^m when terms times their 64-bit words exceed max_terms: p's are at most
+    S/L, for L the lcm of its denominators and S = L sum |c|."""
+    bits = 0
+    for p, m in factors:
+        den = lcm(*(c.denominator for c in p.terms.values()))
+        bits += m * (int(den * sum(map(abs, p.terms.values()))).bit_length()
+                     + (den - 1).bit_length())
+    if terms * (1 + bits // 64) > max_terms:
+        raise ResourceLimitError(f"{what} may exceed {max_terms} words "
+                                 "(terms times 64-bit words per coefficient)")
+
+
+def _power_cap(stage: str, base: MultiPoly, exp: int, max_terms: int) -> None:
+    """Refuse base**exp unexpanded: a t-term base gives at most
+    C(exp + t - 1, t - 1) terms, and their size is _size_cap's."""
+    t, bound = len(base.terms), 1
+    what = f"{stage}: a {t}-term base to the power {exp}"
+    for i in range(1, t):  # C(exp + i, i), until it passes max_terms
+        bound = bound * (exp + i) // i
+        if bound > max_terms:
+            raise ResourceLimitError(f"{what} may exceed {max_terms} terms")
+    _size_cap(what, bound, [(base, exp)], max_terms)
 
 
 def _gradedlex_key(e: tuple[int, ...]) -> tuple:

@@ -19,7 +19,8 @@ Euler characteristic of the pushed-forward tautological line bundle.  Both
 the tables and the Euler characteristic read the hypersurface integrand's
 factor list: the tables expand its ratio, and chi takes the tower's Todd
 class as one Todd factor per listed factor, times the exponential character,
-and sends only the payload's top degree to the residue kernel.
+and integrates only the payload's top degree with `integral_over_tower`, the
+same hypersurface kernel that checks I(d).
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .exactalg import (
     _graded_exp,
     _graded_mul,
     _graded_series,
+    _power_cap,
     binomial,
     multinomial,
 )
@@ -51,10 +53,7 @@ from .residue import (
     _hypersurface_factors,
     _hypersurface_level,
     _leading_z,
-    demailly_integrand,
-    integrate_over_X,
-    residue_expand,
-    segre_hypersurface,
+    integral_over_tower,
     tower_context,
 )
 from .tower import DEFAULT_POINT_CAP
@@ -122,18 +121,19 @@ def s_constant(n: int, k: int, delta: QLike) -> MultiPoly:
     return 2 - (n + k * (n - 1)) * (2 + Q(delta) * (d - (n + 2)))
 
 
-def intersection_payload(cfg: GGLConfig, ctx: VarContext | None = None) -> MultiPoly:
+def intersection_payload(cfg: GGLConfig, max_terms: int = DEFAULT_TERM_CAP) -> MultiPoly:
     """The weighted payload (sum a_i z_i + 2|a| h)^((k+1)(n-1)) *
-    (sum a_i z_i + S_{n,k,delta,d} |a| h)."""
+    (sum a_i z_i + S_{n,k,delta,d} |a| h); its power is capped unexpanded."""
     n, k = cfg.n, cfg.k
-    if ctx is None:
-        ctx = tower_context(k)
+    ctx = tower_context(k)
     az = MultiPoly.zero(ctx)
     for i, ai in enumerate(cfg.a, start=1):
         az = az + ai * MultiPoly.variable(ctx, f"z{i}")
     h = MultiPoly.variable(ctx, "h")
     S = s_constant(n, k, cfg.delta).embed(ctx)
-    return (az + 2 * cfg.a_total * h) ** ((k + 1) * (n - 1)) * (az + S * cfg.a_total * h)
+    base, exp = az + 2 * cfg.a_total * h, (k + 1) * (n - 1)
+    _power_cap("intersection_payload", base, exp, max_terms)
+    return base**exp * (az + S * cfg.a_total * h)
 
 
 def _payload_blocks(cfg: GGLConfig) -> list[DPoly]:
@@ -260,13 +260,6 @@ def _flat_terms(poly: MultiPoly, zshift: Sequence[int]) -> dict[tuple[int, ...],
     return out
 
 
-def _payload_table(cfg: GGLConfig) -> dict[Key, Q]:
-    """Key table of B(z) = payload / (z_1...z_n)^n."""
-    n = cfg.n
-    P = intersection_payload(cfg, tower_context(n))
-    return {(e[:n], e[n] - e[n + 1], e[n + 1]): c for e, c in _flat_terms(P, [-n] * n).items()}
-
-
 def expansion_diagnostics(
     n: int, defect_cap: int, max_terms: int = DEFAULT_TERM_CAP
 ) -> CoefficientTable:
@@ -291,7 +284,7 @@ def expansion_diagnostics(
     whatever it meets, and a1's levels meet a2 one at a time, widest first.
     Every product counts its terms against max_terms after every pair of
     buckets, every series its sum; the first count above it raises
-    ResourceLimitError.
+    ResourceLimitError, as does the payload's power (intersection_payload).
     """
     if defect_cap < 0:
         raise ValueError("defect_cap must be >= 0")
@@ -326,15 +319,16 @@ def expansion_diagnostics(
     a1 = reduce(mul, a1_levels, one)
     a = mul(a0, reduce(mul, reversed(a1_levels), a2))
 
-    def keyed(tb: Graded) -> dict[Key, Q]:
-        out = {}
-        while tb.parts:  # release each bucket once converted
-            for e, c in _flat(tb._replace(parts=dict([tb.parts.popitem()]))).items():
-                out[(e[:n], e[n] - e[n + 1], e[n + 1])] = c
-        return out
+    def keyed(terms: dict[tuple[int, ...], Q]) -> dict[Key, Q]:
+        return {(e[:n], e[n] - e[n + 1], e[n + 1]): c for e, c in terms.items()}
 
-    tables = [keyed(tb) for tb in (a0, a1, a2, a)]
-    return CoefficientTable(n, defect_cap, *tables, b=_payload_table(canonical_config(n)))
+    tables: list[dict[Key, Q]] = []
+    for tb in (a0, a1, a2, a):
+        tables.append({})
+        while tb.parts:  # release each bucket once converted
+            tables[-1].update(keyed(_flat(tb._replace(parts=dict([tb.parts.popitem()])))))
+    P = intersection_payload(canonical_config(n), max_terms)  # B(z) = P / (z_1...z_n)^n
+    return CoefficientTable(n, defect_cap, *tables, b=keyed(_flat_terms(P, [-n] * n)))
 
 
 def assemble_intersection_from_tables(table: CoefficientTable) -> DPoly:
@@ -540,8 +534,8 @@ def euler_characteristic(
     The kernel is homogeneous of degree -kn in (z, h), with d of degree 0,
     so only the payload's part of degree dim = n + k(n-1) can reach
     (z_1...z_k)^(-1) h^n.  Every series is truncated above (z, h)-degree
-    `budget` (default dim) and only the degree-dim part goes to the
-    Segre-cleared kernel, so any budget >= dim gives the same value.
+    `budget` (default dim) and only the degree-dim part goes to the kernel
+    (integral_over_tower), so any budget >= dim gives the same value.
     """
     if len(a) != k:
         raise ValueError("need k weights")
@@ -564,10 +558,7 @@ def euler_characteristic(
     for f, m in [(f, -1) for f in numerators + x_num] + denominators + x_den:
         payload = _graded_mul(payload, _graded_series(graded(f), _todd_power(m, cap), cap), cap)
     top = payload._replace(parts={g: t for g, t in payload.parts.items() if g == dim})
-
-    # hypersurface kernel with Segre clearing, payload at +z (honest classes)
-    form = demailly_integrand(n, k, MultiPoly._raw(ctx, _flat(top)), segre_hypersurface(n))
-    return integrate_over_X(residue_expand(form, max_terms), n)
+    return integral_over_tower(n, k, MultiPoly._raw(ctx, _flat(top)), max_terms)
 
 
 class ThresholdReport(NamedTuple):

@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction as Q
-from math import lcm
 from typing import NamedTuple
 
-from .exactalg import JetresError, MultiPoly, ResourceLimitError, VarContext
+from .exactalg import JetresError, MultiPoly, VarContext, _power_cap, _size_cap
 from .residue import DEFAULT_TERM_CAP
 
 __all__ = ["ParseError", "UnknownVariableError", "parse_poly", "parse_residue_form"]
@@ -106,7 +105,10 @@ class _Parser:
         value = self.parse_factor()
         while self.peek().kind == "*":
             self.take()
-            value = value * self.parse_factor()
+            rhs = self.parse_factor()
+            _size_cap(f"parse: a product of {len(value.terms)} by {len(rhs.terms)} terms",
+                      len(value.terms) * len(rhs.terms), [(value, 1), (rhs, 1)], self.max_terms)
+            value = value * rhs
         return value
 
     def parse_factor(self) -> MultiPoly:
@@ -119,25 +121,8 @@ class _Parser:
                     f"exponent must be a non-negative integer literal at {tok.pos + 1}"
                 )
             self.take()
-            exp, t = int(exp_tok.text), len(base.terms)
-            # a t-term base to the power exp has at most C(exp + t - 1, t - 1)
-            # terms, built as C(exp + i, i) for i = 1..t-1 until it passes the cap
-            bound = 1
-            for i in range(1, t):
-                bound = bound * (exp + i) // i
-                if bound > self.max_terms:
-                    raise ResourceLimitError(f"parse: a {t}-term base to the power {exp} "
-                                             f"may exceed {self.max_terms} terms")
-            # and each coefficient is at most S^exp over den^exp, for den the
-            # lcm of the base's denominators and S = den * sum |c|: the terms
-            # times the 64-bit words of both count against the same cap
-            den = lcm(*(c.denominator for c in base.terms.values()))
-            s = int(den * sum(map(abs, base.terms.values())))
-            words = 1 + exp * (s.bit_length() + (den - 1).bit_length()) // 64
-            if bound * words > self.max_terms:
-                raise ResourceLimitError(f"parse: a {t}-term base to the power {exp} may exceed "
-                                         f"{self.max_terms} words (terms times 64-bit words "
-                                         "per coefficient)")
+            exp = int(exp_tok.text)
+            _power_cap("parse", base, exp, self.max_terms)
             base = base**exp
         return base
 
@@ -186,8 +171,9 @@ def _default_aliases(ctx: VarContext) -> dict[str, str]:
 def parse_poly(text: str, ctx: VarContext, max_terms: int = DEFAULT_TERM_CAP) -> MultiPoly:
     """Parse a polynomial expression into the given variable context.
 
-    A power whose expansion may hold more than max_terms terms raises
-    ResourceLimitError before it is expanded."""
+    A power or product whose expansion may hold more than max_terms terms,
+    or terms times 64-bit coefficient words, raises ResourceLimitError before
+    it is expanded."""
     parser = _Parser(text, ctx, _default_aliases(ctx), max_terms)
     value = parser.parse_expr()
     parser.expect_end()
@@ -201,7 +187,7 @@ def parse_residue_form(
 
     The denominator, if present, must be a parenthesized product whose
     factors are themselves parenthesized expressions with optional positive
-    integer powers.  Powers are capped as in parse_poly.
+    integer powers.  Powers and products are capped as in parse_poly.
     """
     parser = _Parser(text, ctx, _default_aliases(ctx), max_terms)
     numerator = parser.parse_expr()

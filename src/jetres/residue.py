@@ -39,7 +39,8 @@ tautological classes), while the hypersurface and Segre builders use the
 sign-flipped kernel with the payload at +z and therefore compute the honest
 tower integral directly.  Bridging the two means reflecting the payload:
 hypersurface_route(P) equals fibre_route(P(-z)) exactly, and the test suite
-pins this on both symbolic and random inputs.
+pins this on both symbolic and random inputs.  Jobs over the hypersurface
+run its builder; the Segre builder is only the tests' reference form.
 """
 
 from __future__ import annotations
@@ -69,7 +70,6 @@ from .exactalg import (
     _gradedlex_key,
     _mul_terms,
     _packed,
-    binomial,
 )
 from .localization import DegenerateWeightsError
 
@@ -80,7 +80,6 @@ __all__ = [
     "residue_expand",
     "residue_stepwise",
     "fibre_residue_integrand",
-    "segre_hypersurface",
     "demailly_integrand",
     "hypersurface_integrand",
     "integrate_over_X",
@@ -533,17 +532,6 @@ def fibre_residue_integrand(n: int, k: int, P: MultiPoly, lambdas: Sequence[QLik
     return _tower_integrand(n, k, (-1) ** k * P, weights, False)
 
 
-def segre_hypersurface(n: int) -> tuple[MultiPoly, ...]:
-    """Segre classes (s_1, ..., s_n) of a degree-d hypersurface in the
-    context (h, d): s(X) = (1+dh) (1+h)^-(n+2), so
-    s_i = (C(-(n+2), i) + C(-(n+2), i-1) d) h^i."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    m = -(n + 2)
-    return tuple(MultiPoly(HD_CTX, {(i, 0): binomial(m, i), (i, 1): binomial(m, i - 1)})
-                 for i in range(1, n + 1))
-
-
 def _plus_kernel(
     ctx: VarContext, k: int
 ) -> tuple[list[MultiPoly], list[tuple[MultiPoly, int]]]:
@@ -558,8 +546,8 @@ def _plus_kernel(
 
 
 def demailly_integrand(n: int, k: int, P: MultiPoly, segre: Sequence[MultiPoly]) -> ResidueForm:
-    """Integrand computing the full tower integral from Segre classes
-    (s_1, ..., s_n) in the context (h, d).
+    """The tests' reference for hypersurface_integrand: the full tower
+    integral from Segre classes (s_1, ..., s_n) in the context (h, d).
 
     Per level j the tangent factor is cleared to polynomial form:
     1/prod_i(L_i + w) = (w^n + s_1 w^(n-1) + ... + s_n) / w^(2n) with

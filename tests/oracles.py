@@ -15,6 +15,8 @@ point's Euler class symbolic in the L_i.  `lambda_plus_member_bruteforce`
 enumerates the cone generators that `ggl.lambda_plus_member` tests by prefix
 sums.  `todd_of_X` is the hypersurface's Todd class Td(h)^(n+2) / Td(dh)
 on `ggl._todd_power`, and `chi_structure_sheaf` is chi(X, O_X) from it.
+`segre_hypersurface` is the hypersurface's Segre classes in closed binomial
+form, the data of `residue.demailly_integrand`, the reference kernel.
 `stage_series_convolved` expands one `residue_expand` stage the long way:
 one binomial series per factor, convolved by total order.
 
@@ -63,7 +65,7 @@ from jetres.exactalg import (
 )
 from jetres.ggl import _todd_power
 from jetres.localization import DegenerateWeightsError
-from jetres.residue import ResidueForm, integrate_over_X, segre_hypersurface
+from jetres.residue import ResidueForm, integrate_over_X
 from jetres.tower import FixedPoint, Weight, _step, basis_weights
 
 
@@ -337,6 +339,17 @@ def todd_of_X(n: int) -> MultiPoly:
     h, d = (MultiPoly.variable(HD_CTX, name) for name in ("h", "d"))
     td = _graded_mul(_todd_series(h, n + 2, n, n), _todd_series(d * h, -1, n, n), n)
     return MultiPoly._raw(HD_CTX, _flat(td))
+
+
+def segre_hypersurface(n: int) -> tuple[MultiPoly, ...]:
+    """Segre classes (s_1, ..., s_n) of a degree-d hypersurface in the
+    context (h, d): s(X) = (1+dh) (1+h)^-(n+2), so
+    s_i = (C(-(n+2), i) + C(-(n+2), i-1) d) h^i."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    m = -(n + 2)
+    return tuple(MultiPoly(HD_CTX, {(i, 0): binomial(m, i), (i, 1): binomial(m, i - 1)})
+                 for i in range(1, n + 1))
 
 
 def chi_structure_sheaf(n: int) -> DPoly:

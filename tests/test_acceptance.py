@@ -34,7 +34,6 @@ from jetres.residue import (
     integrate_over_X,
     residue_expand,
     residue_stepwise,
-    segre_hypersurface,
     tower_context,
 )
 from jetres.tower import basis_weights
@@ -44,6 +43,7 @@ from oracles import (
     euler_characteristic_k1_pushforward,
     grassmannian_fixed_point_data,
     grassmannian_omega,
+    segre_hypersurface,
     weight_set_closed,
     weight_set_recursive,
 )

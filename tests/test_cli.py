@@ -425,8 +425,10 @@ def test_bad_zvars_are_validation_errors(zvars, tmp_path, capsys):
 
 
 def test_residue_expand_cap_names_its_stage(capsys):
-    # only the residue check of ggl --verify is bounded by max_terms
-    code = main(["ggl", "-n", "3", "--max-terms", "30", "--verify"])
+    # the parser's caps pass a one-term numerator; the residue's products
+    # carry more than 30 terms (the value alone has 49)
+    code = main(["residue", "--form", "z2^12*z1^6/((z1-h-d)^4*(z2-z1+h-d)^4)",
+                 "--max-terms", "30"])
     error = json.loads(capsys.readouterr().err)["error"]
     assert code == 3
     assert error["code"] == "resource"
@@ -445,6 +447,23 @@ def test_diagnostics_term_cap_is_a_resource_error(capsys):
     assert time.monotonic() - start < 15
 
 
+@pytest.mark.parametrize("n, cap, message", [
+    (5, 1000, "intersection_payload: a 6-term base to the power 24 may exceed 1000 terms"),
+    # C(11, 3) = 165 terms of 1 + 8 * 40 // 64 = 6 words each
+    (3, 989, "intersection_payload: a 4-term base to the power 8 may exceed 989 words "
+             "(terms times 64-bit words per coefficient)"),
+], ids=["n5", "n3-words"])
+def test_payload_power_cap_is_a_resource_error(n, cap, message, capsys):
+    # uncapped, the n = 5 payload power alone ran for a minute
+    start = time.monotonic()
+    code = main(["ggl", "-n", str(n), "--verify", "--max-terms", str(cap)])
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert code == 3
+    assert error["code"] == "resource"
+    assert error["message"] == message
+    assert time.monotonic() - start < 10
+
+
 TERMS_CAPPED = "parse: a 3-term base to the power 100000 may exceed 10000000 terms"
 
 
@@ -456,10 +475,15 @@ TERMS_CAPPED = "parse: a 3-term base to the power 100000 may exceed 10000000 ter
     (["residue", "--form", "(z1+h)^100000/((z1)^2)"],
      "parse: a 2-term base to the power 100000 may exceed 10000000 words "
      "(terms times 64-bit words per coefficient)"),
-], ids=["integral", "residue", "residue-size"])
+    # each power passes (3,001 terms of at most 94 words), their first
+    # product does not: 3,001^2 pairs of 188 words
+    (["residue", "--form", "(z1+h)^3000*(z1+h)^3000*(z1+h)^3000/((z1)^2)"],
+     "parse: a product of 3001 by 3001 terms may exceed 10000000 words "
+     "(terms times 64-bit words per coefficient)"),
+], ids=["integral", "residue", "residue-size", "residue-product"])
 def test_parser_power_cap_is_a_resource_error(command, message, capsys):
     # C(100002, 2), about 5e9, bounds the terms of the power, so the default
-    # cap of 10^7 stops it before expansion; uncapped it ran for minutes
+    # cap of 10^7 stops it before expansion; uncapped these ran for minutes
     start = time.monotonic()
     code = main(command)
     error = json.loads(capsys.readouterr().err)["error"]
@@ -476,6 +500,16 @@ def test_parser_power_cap_counts_coefficient_words():
     assert len(parse_poly("(z1 + h)^64", ctx, 195).terms) == 65
     with pytest.raises(ResourceLimitError, match="power 64 may exceed 194 words"):
         parse_poly("(z1 + h)^64", ctx, 194)
+
+
+def test_parser_product_cap_counts_pairs_and_words():
+    # (z1 + h)^64 has 65 terms summing to 2^64, a 65-bit bound, so its
+    # square is 65 * 65 pairs of 1 + (65 + 65) // 64 = 3 words each: a cap
+    # of 12,675 passes, 12,674 does not
+    ctx = VarContext(("z1", "h"))
+    assert len(parse_poly("(z1 + h)^64 * (z1 + h)^64", ctx, 12675).terms) == 129
+    with pytest.raises(ResourceLimitError, match="product of 65 by 65 terms may exceed 12674"):
+        parse_poly("(z1 + h)^64 * (z1 + h)^64", ctx, 12674)
 
 
 def test_parser_power_cap_is_the_term_bound():

@@ -135,6 +135,17 @@ cap_st = st.integers(0, 6)
 trunc_st = st.sampled_from([(-1, 0), (0, 1), (2, 2)])  # (truncation index, max exponent)
 
 
+@given(terms_st, st.integers(0, 6))
+def test_power_is_the_repeated_product(terms, exp):
+    # the binomial split off one term against plain products, on rational
+    # coefficients and on monomials that collide (the zero polynomial too)
+    p = MultiPoly(CTX, terms)
+    oracle = MultiPoly.const(CTX, 1)
+    for _ in range(exp):
+        oracle = oracle * p
+    assert p**exp == oracle
+
+
 def _grade(e):
     return sum(w * x for w, x in zip(WEIGHTS, e))
 

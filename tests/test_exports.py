@@ -2,6 +2,7 @@
 listed, every listed name is used by the package or the benchmark, and every
 name the benchmark looks up still resolves."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -81,3 +82,23 @@ def _bench_names():
 @pytest.mark.parametrize("modname,path", _bench_names(), ids=lambda x: x)
 def test_every_name_the_benchmark_reads_resolves(modname, path):
     _resolve(modname, path)
+
+
+def test_one_residue_kernel():
+    # every tower integral over the hypersurface runs hypersurface_integrand;
+    # the Segre-cleared demailly_integrand is the tests' reference kernel, and
+    # its Segre data lives in tests/oracles.py
+    calls, defined = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.Call):
+                func = node.func
+                if getattr(func, "id", getattr(func, "attr", None)) == "demailly_integrand":
+                    calls.append(where)
+            names = [getattr(node, "name", None)] + [getattr(t, "id", None)
+                                                     for t in getattr(node, "targets", [])]
+            if "segre_hypersurface" in names:
+                defined.append(where)
+    assert calls == [], "demailly_integrand called in the package"
+    assert defined == [], "segre_hypersurface defined in the package"

@@ -40,6 +40,7 @@ from oracles import (
     evaluate,
     lambda_plus_member_bruteforce,
     naive_mul,
+    segre_hypersurface,
 )
 
 CORPUS = pathlib.Path(__file__).parent / "corpus"
@@ -160,7 +161,6 @@ def test_two_route_equality_small_config():
         hypersurface_integrand,
         integrate_over_X,
         residue_expand,
-        segre_hypersurface,
     )
 
     cfg = GGLConfig(n=2, k=2, a=(3, 1), delta=Q(0))
@@ -476,6 +476,18 @@ def test_euler_characteristic_n4_k4_pins_chi():
         Q(-274430666333629955850885449535341789644404050421, 8),
         Q(96000760945568303780641838451738205674719523, 40),
     ])
+
+
+@pytest.mark.parametrize("a, chi", [
+    ((27, 9, 3), DPoly([0, Q(755006045, 12), Q(-804844525, 24), Q(52753165, 12),
+                        Q(-3779615, 24)])),
+    # steep ample weights: chi vanishes for every d
+    ((729, 27, 1), DPoly([0])),
+], ids=["27-9-3", "729-27-1"])
+def test_euler_characteristic_n3_k3_pins_chi(a, chi):
+    # the values the Segre-cleared kernel gave before chi ran through
+    # integral_over_tower
+    assert euler_characteristic(3, 3, a) == chi
 
 
 def test_euler_characteristic_zero_weights():

@@ -30,7 +30,6 @@ from jetres.residue import (
     orientation_sign,
     residue_expand,
     residue_stepwise,
-    segre_hypersurface,
     tower_context,
     _plus_kernel,
     _stage_series,
@@ -41,6 +40,7 @@ from oracles import (
     grassmannian_omega,
     monomial,
     reflect_payload,
+    segre_hypersurface,
     series_inverse,
     stage_series_convolved,
     total_degree,
