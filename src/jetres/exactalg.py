@@ -531,10 +531,6 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degree_in(self, name: str) -> int:
-        i = self.ctx.index(name)
-        return max((e[i] for e in self.terms), default=0)
-
     def variables_used(self) -> set[str]:
         used: set[str] = set()
         for e in self.terms:
@@ -612,20 +608,6 @@ class MultiPoly:
         return hash((self.ctx, frozenset(self.terms.items())))
 
     # -- structural operations ---------------------------------------------
-
-    def coefficient_of(self, powers: Mapping[str, int]) -> "MultiPoly":
-        """Coefficient polynomial of the exact monomial given by `powers`.
-
-        Variables not named in `powers` are unconstrained and remain in the
-        result; constrained variable slots are zeroed out.
-        """
-        idx = {self.ctx.index(name): p for name, p in powers.items()}
-        out: Terms = {}
-        for e, c in self.terms.items():
-            if all(e[i] == p for i, p in idx.items()):
-                reduced = tuple(0 if i in idx else ei for i, ei in enumerate(e))
-                out[reduced] = out.get(reduced, Q(0)) + c
-        return MultiPoly(self.ctx, out)
 
     def substitute(self, assignments: Mapping[str, "MultiPoly | QLike"]) -> "MultiPoly":
         """Substitute polynomials or rationals for variables (exact).
@@ -827,18 +809,6 @@ class DPoly:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("DPoly is immutable")
 
-    @classmethod
-    def from_multipoly(cls, poly: MultiPoly, var: str = "d") -> "DPoly":
-        extra = poly.variables_used() - {var}
-        if extra:
-            raise ContextError(f"DPoly: foreign variables {sorted(extra)}")
-        i = poly.ctx.index(var)
-        deg = poly.degree_in(var)
-        cs = [Q(0)] * (deg + 1)
-        for e, c in poly.terms.items():
-            cs[e[i]] += c
-        return cls(cs)
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -879,22 +849,6 @@ class DPoly:
         return DPoly(out)
 
     __rmul__ = __mul__
-
-    def divide_exact(self, other: "DPoly") -> "DPoly | None":
-        if other.is_zero:
-            raise ZeroDivisionError("division by zero polynomial")
-        rem = list(self.coeffs)
-        out = [Q(0)] * max(len(rem) - len(other.coeffs) + 1, 0)
-        lead = other.coeffs[-1]
-        for i in range(len(out) - 1, -1, -1):
-            c = rem[i + len(other.coeffs) - 1] / lead
-            out[i] = c
-            if c:
-                for j, b in enumerate(other.coeffs):
-                    rem[i + j] -= c * b
-        if any(rem):
-            return None
-        return DPoly(out)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DPoly):

@@ -19,15 +19,15 @@ Euler characteristic of the pushed-forward tautological line bundle.  Both
 the tables and the Euler characteristic read the hypersurface integrand's
 factor list: the tables expand its ratio, and chi takes the tower's Todd
 class as one Todd factor per listed factor, times the exponential character,
-and integrates only the payload's top degree with `integral_over_tower`, the
-same hypersurface kernel that checks I(d).
+and integrates only the payload's top degree (`euler_payload`) with
+`integral_over_tower`; `euler-char --verify` integrates it by localization.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction as Q
-from functools import reduce
+from functools import lru_cache, reduce
 from math import factorial
 from typing import NamedTuple, Sequence
 
@@ -37,7 +37,6 @@ from .exactalg import (
     JetresError,
     MultiPoly,
     QLike,
-    VarContext,
     _flat,
     _graded,
     _graded_exp,
@@ -75,6 +74,7 @@ __all__ = [
     "EstimateReport",
     "estimate_checks",
     "ample_condition",
+    "euler_payload",
     "euler_characteristic",
     "ThresholdReport",
     "ggl_threshold_check",
@@ -112,13 +112,11 @@ def canonical_config(n: int) -> GGLConfig:
     return GGLConfig(n=n, k=n, a=a, delta=Q(1, 2 * n ** (8 * n)))
 
 
-D_CTX = VarContext(("d",))
-
-
-def s_constant(n: int, k: int, delta: QLike) -> MultiPoly:
-    """S_{n,k,delta,d} = 2 - (n + k(n-1)) (2 + delta (d - n - 2)), affine in d."""
-    d = MultiPoly.variable(D_CTX, "d")
-    return 2 - (n + k * (n - 1)) * (2 + Q(delta) * (d - (n + 2)))
+def s_constant(n: int, k: int, delta: QLike) -> DPoly:
+    """S_{n,k,delta,d} = 2 - dim (2 + delta (d - n - 2)) with dim = n + k(n-1),
+    the affine DPoly [2 - dim (2 - (n+2) delta), -dim delta]."""
+    dim, delta = n + k * (n - 1), Q(delta)
+    return DPoly([2 - dim * (2 - (n + 2) * delta), -dim * delta])
 
 
 def intersection_payload(cfg: GGLConfig, max_terms: int = DEFAULT_TERM_CAP) -> MultiPoly:
@@ -129,11 +127,11 @@ def intersection_payload(cfg: GGLConfig, max_terms: int = DEFAULT_TERM_CAP) -> M
     az = MultiPoly.zero(ctx)
     for i, ai in enumerate(cfg.a, start=1):
         az = az + ai * MultiPoly.variable(ctx, f"z{i}")
-    h = MultiPoly.variable(ctx, "h")
-    S = s_constant(n, k, cfg.delta).embed(ctx)
+    h, d = MultiPoly.variable(ctx, "h"), MultiPoly.variable(ctx, "d")
+    S = s_constant(n, k, cfg.delta)
     base, exp = az + 2 * cfg.a_total * h, (k + 1) * (n - 1)
     _power_cap("intersection_payload", base, exp, max_terms)
-    return base**exp * (az + S * cfg.a_total * h)
+    return base**exp * (az + (S[0] + S[1] * d) * cfg.a_total * h)
 
 
 def _payload_blocks(cfg: GGLConfig) -> list[DPoly]:
@@ -141,7 +139,7 @@ def _payload_blocks(cfg: GGLConfig) -> list[DPoly]:
     b = 0..n, with c_1 = sum a_i z_i and N = (k+1)(n-1):
     q_b = C(N, b) A^b + C(N, b-1) A^(b-1) |a| S for A = 2|a|."""
     N, A = (cfg.k + 1) * (cfg.n - 1), 2 * cfg.a_total
-    S = DPoly.from_multipoly(s_constant(cfg.n, cfg.k, cfg.delta), "d")
+    S = s_constant(cfg.n, cfg.k, cfg.delta)
     blocks = [DPoly([1])]
     for b in range(1, cfg.n + 1):
         blocks.append(DPoly([binomial(N, b) * A**b])
@@ -152,14 +150,12 @@ def _payload_blocks(cfg: GGLConfig) -> list[DPoly]:
 def build_intersection_polynomial(
     cfg: GGLConfig, max_points: int = DEFAULT_POINT_CAP
 ) -> tuple[DPoly, DPoly]:
-    """The pair (I, p) with I(d) = d * p(d), by fixed-point localization."""
+    """The pair (I, p) with I(d) = d * p(d), by fixed-point localization;
+    every integral over X is a multiple of d, so p is I shifted down."""
     I = integral_over_tower_fixed_points(
         cfg.n, cfg.k, cfg.a, _payload_blocks(cfg), point_cap=max_points
     )
-    p = I.divide_exact(DPoly([0, 1]))
-    if p is None:
-        raise JetresError("intersection polynomial not divisible by d")
-    return I, p
+    return I, DPoly(I.coeffs[1:])
 
 
 def fujiwara_certificate(p: DPoly, bound: QLike) -> bool:
@@ -361,8 +357,7 @@ def payload_closed_form(cfg: GGLConfig, i: Sequence[int], s: int) -> Q:
     if sum(i) != -s:
         raise ValueError("requires sum(i) = -s")
     shifted = [x + n for x in i]
-    # the d-free part of S_{n,k,delta,d} at n = k
-    s_ndelta = 2 - 2 * n * n + n * n * (n + 2) * cfg.delta
+    s_ndelta = s_constant(n, n, cfg.delta)[0]  # the d-free part of S at n = k
     main = multinomial(n * n, [s] + shifted)
     corr = multinomial(n * n - 1, [s - 1] + shifted) if s >= 1 else 0
     apart = Q(1)
@@ -516,26 +511,20 @@ def _todd_power(m: int, order: int) -> list[Q]:
     return b
 
 
-def euler_characteristic(
-    n: int,
-    k: int,
-    a: Sequence[int],
-    budget: int | None = None,
-    max_terms: int = DEFAULT_TERM_CAP,
-) -> DPoly:
-    """chi of the pushed-forward weighted tautological bundle, exact in d.
+@lru_cache(maxsize=1)  # euler-char --verify integrates one payload along both routes
+def euler_payload(n: int, k: int, a: tuple[int, ...], budget: int | None = None) -> MultiPoly:
+    """The part of ch(L) Td(T) of (z, h)-degree dim = n + k(n-1), over
+    tower_context(k): the only part the Euler characteristic integrates.
 
-    chi = integral over the tower of ch(L) Td(T), with ch(L) the exponential
-    character e^(-sum a_j z_j) of the weight vector in the honest-class
-    coordinates.  Td(T) is read off the hypersurface integrand's factor list
-    (residue._hypersurface_factors) plus the level at w = 0, which is X's own
-    tangent bundle (n+2)O(h) - O - O(dh): Td(f)^m for each denominator
-    factor f^m and Td(f)^(-1) for each numerator factor f.
-    The kernel is homogeneous of degree -kn in (z, h), with d of degree 0,
-    so only the payload's part of degree dim = n + k(n-1) can reach
-    (z_1...z_k)^(-1) h^n.  Every series is truncated above (z, h)-degree
-    `budget` (default dim) and only the degree-dim part goes to the kernel
-    (integral_over_tower), so any budget >= dim gives the same value.
+    ch(L) is the exponential character e^(-sum a_j z_j) of the weight vector
+    in the honest-class coordinates.  Td(T) is read off the hypersurface
+    integrand's factor list (residue._hypersurface_factors) plus the level
+    at w = 0, which is X's own tangent bundle (n+2)O(h) - O - O(dh): Td(f)^m
+    for each denominator factor f^m and Td(f)^(-1) for each numerator
+    factor f.  The kernel is homogeneous of degree -kn in (z, h), with d of
+    degree 0, so only the degree-dim part can reach (z_1...z_k)^(-1) h^n.
+    Every series is truncated above degree `budget` (default dim), so any
+    budget >= dim gives the same payload.
     """
     if len(a) != k:
         raise ValueError("need k weights")
@@ -558,7 +547,20 @@ def euler_characteristic(
     for f, m in [(f, -1) for f in numerators + x_num] + denominators + x_den:
         payload = _graded_mul(payload, _graded_series(graded(f), _todd_power(m, cap), cap), cap)
     top = payload._replace(parts={g: t for g, t in payload.parts.items() if g == dim})
-    return integral_over_tower(n, k, MultiPoly._raw(ctx, _flat(top)), max_terms)
+    return MultiPoly._raw(ctx, _flat(top))
+
+
+def euler_characteristic(
+    n: int,
+    k: int,
+    a: Sequence[int],
+    budget: int | None = None,
+    max_terms: int = DEFAULT_TERM_CAP,
+) -> DPoly:
+    """chi of the pushed-forward weighted tautological bundle, exact in d:
+    the integral over the tower of euler_payload(n, k, a, budget) by the
+    hypersurface residue (integral_over_tower)."""
+    return integral_over_tower(n, k, euler_payload(n, k, tuple(a), budget), max_terms)
 
 
 class ThresholdReport(NamedTuple):

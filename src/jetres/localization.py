@@ -30,11 +30,12 @@ the z_j, down the tree and sums its powers; it is the primary route of the
 intersection polynomial in :mod:`jetres.ggl`.
 :func:`payload_integral_fixed_points` takes any payload P(z, h, d) through
 the fibre sum, splitting P once for all draws; it checks the residue route
-of the `integral` command.
+of the `integral` and `euler-char` commands.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from math import gcd, lcm, prod
 from random import Random
 from typing import Callable, Sequence, TypeVar
@@ -256,18 +257,18 @@ def _solve(matrix: list[list[int]], rhs: list[Q]) -> list[Q] | None:
 def _interpolate_over_X(
     n: int,
     blocks: Sequence[tuple[int, DPoly]],
-    evaluate: Callable[[list[int]], list[Q] | None],
+    evaluate: Callable[[list[int]], list[Q]],
 ) -> DPoly:
     """d times the sum over the blocks (b, q) of q(d) [h^n] h^b T(c(T_X)),
     the integral over the degree-d hypersurface X of sum q(d) h^b T(lambda).
 
     Each T is a symmetric polynomial of degree n - b in the Chern roots
     lambda_1..lambda_n of T_X, known only by its values: evaluate(lams)
-    returns those of every block at the integer point lams, or None when the
-    point is degenerate (a tangent weight vanishes there) and must be drawn
-    again.  T is solved for in the basis e_mu (mu a partition of n - b) from
-    p(n - b) seeded integer draws, and every further draw of the p(n) + 1
-    must agree (JetresError otherwise).  Then e_i becomes the Chern class
+    returns those of every block at the integer point lams, and a point
+    where it raises DegenerateWeightsError (a tangent weight vanishes there)
+    is drawn again.  T is solved for in the basis e_mu (mu a partition of
+    n - b) from p(n - b) seeded integer draws, and every further draw of the
+    p(n) + 1 must agree (JetresError otherwise).  Then e_i becomes the Chern class
     c_i(T_X) = [h^i] (1+h)^(n+2) / (1+dh), and the coefficient of h^n times
     d is the integral over X.
     """
@@ -277,10 +278,9 @@ def _interpolate_over_X(
     need = len(_partitions(n)) + 1
     while len(draws) < need:
         lams = rng.sample(range(-_DRAW_RANGE, _DRAW_RANGE + 1), n)
-        values = evaluate(lams)
-        if values is not None:
+        with suppress(DegenerateWeightsError):
+            sums.append(evaluate(lams))
             draws.append(_elementary(lams))
-            sums.append(values)
 
     # c_i(T_X) / h^i as a polynomial in d
     chern = [DPoly([binomial(n + 2, i - j) * (-1) ** j for j in range(i + 1)])
@@ -344,11 +344,8 @@ def integral_over_tower_fixed_points(
             nums[b], term = term, term * x
         return nums
 
-    def evaluate(lams: list[int]) -> list[Q] | None:
-        try:
-            den, nums = _tower_sum(k, lams, 0, descend, leaf)
-        except DegenerateWeightsError:
-            return None
+    def evaluate(lams: list[int]) -> list[Q]:
+        den, nums = _tower_sum(k, lams, 0, descend, leaf)
         return [Q(s, den) for s in nums]
 
     return _interpolate_over_X(n, list(enumerate(blocks)), evaluate)
@@ -384,11 +381,8 @@ def payload_integral_fixed_points(
             blocks[rest] = (e[hi], DPoly([0] * e[di] + [1]))
     fibre = _fibre_sum(n, k, MultiPoly(ctx, kept), point_cap)
 
-    def evaluate(lams: list[int]) -> list[Q] | None:
-        try:
-            value = fibre(lams)
-        except DegenerateWeightsError:
-            return None
+    def evaluate(lams: list[int]) -> list[Q]:
+        value = fibre(lams)
         return [value.terms.get(rest, Q(0)) for rest in blocks]
 
     return _interpolate_over_X(n, list(blocks.values()), evaluate)

@@ -457,9 +457,10 @@ def _prefix_filter(ctx: VarContext, n: int, zpos: Sequence[int],
 
 
 def _tower_integrand(n: int, k: int, P: MultiPoly, level: Callable[[MultiPoly], LevelFactors],
-                     over_X: bool) -> ResidueForm:
+                     over_X: bool, term_cap: tuple[int, str] | None = None) -> ResidueForm:
     """The plus kernel times P times, per level j, the numerator factors of
-    level(z_[1..j]), over the kernel's factors and the level's denominators.
+    level(z_[1..j]), over the kernel's factors and the level's denominators;
+    each product of the numerator counts its terms against term_cap.
 
     The form is degree-matched when P is homogeneous in (z_1..z_k, h) of the
     fibre dimension k(n-1), plus n when the form integrates over X too.
@@ -499,7 +500,7 @@ def _tower_integrand(n: int, k: int, P: MultiPoly, level: Callable[[MultiPoly], 
     # product, filtered after every product and read back once at the end
     num = live(_packed({0: P.terms}, len(ctx), ti, tm))
     for f in [kernel] + [g for level_num, _ in levels for g in level_num]:
-        num = live(_graded_mul(num, _packed({0: f.terms}, len(ctx), ti, tm), 0))
+        num = live(_graded_mul(num, _packed({0: f.terms}, len(ctx), ti, tm), 0, term_cap))
     zh = [name in zvars or name == "h" for name in ctx.names]
     degrees = {sum(p for p, used in zip(e, zh) if used) for e in P.terms}
     return ResidueForm(
@@ -511,7 +512,8 @@ def _tower_integrand(n: int, k: int, P: MultiPoly, level: Callable[[MultiPoly], 
     )
 
 
-def fibre_residue_integrand(n: int, k: int, P: MultiPoly, lambdas: Sequence[QLike]) -> ResidueForm:
+def fibre_residue_integrand(n: int, k: int, P: MultiPoly, lambdas: Sequence[QLike],
+                            max_terms: int = DEFAULT_TERM_CAP) -> ResidueForm:
     """Integrand whose residue is the fibre integral of P over the k-tower.
 
     The weights are the numeric values `lambdas` (pairwise distinct), folded
@@ -529,7 +531,8 @@ def fibre_residue_integrand(n: int, k: int, P: MultiPoly, lambdas: Sequence[QLik
         return [], [(lam - w, 1) for lam in lams]
 
     # the plus kernel without its (-1)^k prefactor
-    return _tower_integrand(n, k, (-1) ** k * P, weights, False)
+    return _tower_integrand(n, k, (-1) ** k * P, weights, False,
+                            (max_terms, "fibre_residue_integrand"))
 
 
 def _plus_kernel(
@@ -585,25 +588,27 @@ def _hypersurface_factors(ctx: VarContext, n: int, k: int) -> LevelFactors:
     return numerators, denominators
 
 
-def hypersurface_integrand(n: int, k: int, P: MultiPoly) -> ResidueForm:
+def hypersurface_integrand(n: int, k: int, P: MultiPoly,
+                           max_terms: int = DEFAULT_TERM_CAP) -> ResidueForm:
     """Integrand for the degree-d hypersurface: all tangent data in (h, d).
 
     Numerator (-1)^k prod_{1<=t1<=t2<=k} z_[t1..t2] * prod_j (z_[1..j]+dh) * P(z, h);
     denominator prod_{s1<s2} (-z_s1 + z_[s1+1..s2]) * prod_j (z_[1..j]+h)^(n+2).
     The numerator keeps only the terms that pass the prefix-degree caps of
-    _tower_integrand.
+    _tower_integrand, and each of its products at most max_terms terms.
     """
-    return _tower_integrand(n, k, P, partial(_hypersurface_level, n), True)
+    return _tower_integrand(n, k, P, partial(_hypersurface_level, n), True,
+                            (max_terms, "hypersurface_integrand"))
 
 
 def integrate_over_X(poly: MultiPoly, n: int) -> DPoly:
-    """Integration over the n-dimensional hypersurface: h^n has degree d, and
-    every other power of h integrates to zero (h^(n+1) = 0 on X).
+    """Integration over the degree-d hypersurface X of dimension n: h^n d^j
+    integrates to d^(j+1), and every other power of h to zero.
 
     `poly` may involve no variables but h and d (ContextError otherwise).
     """
-    top = poly.restrict(HD_CTX).coefficient_of({"h": n})
-    return DPoly((Q(0),) + DPoly.from_multipoly(top, "d").coeffs)
+    top = {j: c for (b, j), c in poly.restrict(HD_CTX).terms.items() if b == n}
+    return DPoly([0] + [top.get(j, 0) for j in range(max(top, default=-1) + 1)])
 
 
 def integral_over_tower(
@@ -613,5 +618,6 @@ def integral_over_tower(
     max_terms: int = DEFAULT_TERM_CAP,
 ) -> DPoly:
     """Full pipeline: hypersurface integrand -> residue -> integrate over X."""
-    return integrate_over_X(residue_expand(hypersurface_integrand(n, k, P), max_terms), n)
+    form = hypersurface_integrand(n, k, P, max_terms)
+    return integrate_over_X(residue_expand(form, max_terms), n)
 

@@ -380,9 +380,9 @@ def euler_characteristic_k1_pushforward(n: int, a1: int) -> DPoly:
     # pushforward: u^m -> (-1)^m s_(m-n+1)
     segre = (MultiPoly.const(HD_CTX, 1),) + segre_hypersurface(n)
     total = MultiPoly.zero(HD_CTX)
-    for m in range(n - 1, 2 * n):
-        coeff = payload_poly.coefficient_of({"u": m}).restrict(HD_CTX)
-        total = total + Q((-1) ** m) * coeff * segre[m - n + 1]
+    for (m, b, j), c in payload_poly.terms.items():
+        if n - 1 <= m < 2 * n:
+            total = total + (-1) ** m * c * MultiPoly(HD_CTX, {(b, j): 1}) * segre[m - n + 1]
     return integrate_over_X(total, n)
 
 

@@ -270,7 +270,7 @@ def test_run_job_ggl_custom_config():
         (["integral", "-n", "2", "-k", "2", "-P", "(u1+2*u2+h)^4"], "expand-vs-localization"),
         (["residue", "--form", "z2^2/((z1)^2*(z1-z2)*(2*z1-z2))"], "expand-vs-stepwise"),
         (["ggl", "-n", "2", "--a", "3,1"], "localization-vs-residue"),
-        (["euler-char", "-n", "2", "-k", "2", "--a", "6,2"], "budget-stability"),
+        (["euler-char", "-n", "2", "-k", "2", "--a", "6,2"], "expand-vs-localization"),
     ],
     ids=["fibre-integral", "integral", "residue", "ggl", "euler-char"],
 )
@@ -327,6 +327,18 @@ def test_integral_verify_mismatch_exits_3(monkeypatch, capsys):
     monkeypatch.setattr("jetres.cli.payload_integral_fixed_points",
                         lambda n, k, P, point_cap: DPoly([0, 1]))
     code = main(["integral", "-n", "2", "-k", "2", "-P", "(u1+2*u2+h)^4", "--verify"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"]["code"] == "verify-mismatch"
+
+
+def test_euler_char_verify_mismatch_exits_3(monkeypatch, capsys):
+    # the check integrates the same Todd payload by fixed points, so a wrong
+    # localization value is caught
+    monkeypatch.setattr("jetres.cli.payload_integral_fixed_points",
+                        lambda n, k, P, point_cap: DPoly([0, 1]))
+    code = main(["euler-char", "-n", "2", "-k", "2", "--a", "6,2", "--verify"])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
@@ -433,6 +445,19 @@ def test_residue_expand_cap_names_its_stage(capsys):
     assert code == 3
     assert error["code"] == "resource"
     assert "residue_expand" in error["message"]
+
+
+def test_integrand_builder_cap_names_its_stage(capsys):
+    # the parser's bound for this power is C(20, 4) = 4,845 terms, under the
+    # cap; the builder's products reach 9,908 terms, so the builder stops it
+    start = time.monotonic()
+    code = main(["integral", "-n", "4", "-k", "4", "--polynomial", "(u1+u2+u3+u4+h)^16",
+                 "--max-terms", "5000"])
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert code == 3
+    assert error["code"] == "resource"
+    assert "hypersurface_integrand" in error["message"]
+    assert time.monotonic() - start < 5
 
 
 def test_diagnostics_term_cap_is_a_resource_error(capsys):

@@ -25,6 +25,7 @@ from jetres.ggl import (
     defect,
     estimate_checks,
     euler_characteristic,
+    euler_payload,
     expansion_diagnostics,
     fujiwara_certificate,
     ggl_threshold_check,
@@ -32,12 +33,11 @@ from jetres.ggl import (
     lambda_plus_member,
     s_constant,
 )
+from jetres.localization import payload_integral_fixed_points
 from jetres.residue import integral_over_tower
 from oracles import (
     chi_structure_sheaf,
-    constant,
     euler_characteristic_k1_pushforward,
-    evaluate,
     lambda_plus_member_bruteforce,
     naive_mul,
     segre_hypersurface,
@@ -47,18 +47,17 @@ CORPUS = pathlib.Path(__file__).parent / "corpus"
 
 
 def test_s_constant_values():
-    assert constant(s_constant(2, 2, 0)) == -6
+    assert s_constant(2, 2, 0) == DPoly([-6])
     # n = k specialization: S = 2 - 2n^2 + n^2(n+2) delta minus n^2 delta d
     for n in (2, 3):
         delta = Q(1, 7)
         S = s_constant(n, n, delta)
-        d_free = constant(S.coefficient_of({"d": 0}))
-        d_coef = constant(S.coefficient_of({"d": 1}))
-        assert d_free == 2 - 2 * n**2 + n**2 * (n + 2) * delta
-        assert d_coef == -(n**2) * delta
+        assert S[0] == 2 - 2 * n**2 + n**2 * (n + 2) * delta
+        assert S[1] == -(n**2) * delta
+        assert S.degree() == 1
     # direct evaluation at numbers
     S = s_constant(2, 2, Q(1, 2**17))
-    assert evaluate(S, {"d": 10**6}) == 2 - 4 * (2 + Q(1, 2**17) * (10**6 - 4))
+    assert S(10**6) == 2 - 4 * (2 + Q(1, 2**17) * (10**6 - 4))
 
 
 def test_b0_values():
@@ -466,8 +465,12 @@ def test_euler_characteristic_n3_k2_truncation_stable():
 @pytest.mark.slow
 def test_euler_characteristic_n4_k4_pins_chi():
     # about 10 s; the value of the earlier route, which built the tower's
-    # Todd class level by level and sent every degree up to dim + n to the kernel
-    chi = euler_characteristic(4, 4, (65536, 4096, 256, 16))
+    # Todd class level by level and sent every degree up to dim + n to the
+    # kernel, and of fixed-point localization on the same payload
+    a = (65536, 4096, 256, 16)
+    chi = euler_characteristic(4, 4, a)
+    # budget None as euler_characteristic passes it, so the cached payload is reused
+    assert payload_integral_fixed_points(4, 4, euler_payload(4, 4, a, None)) == chi
     assert chi == DPoly([
         0,
         Q(26584056079425132797075803954594204710073001514657851, 20),
