@@ -218,6 +218,8 @@ def _ggl(params: Mapping[str, Any], budgets: dict[str, Any]) -> Outcome:
             "spot_checks": [{"d": spot, "positive": I(spot) > 0}],
         }
     else:
+        if unused := [x for x in ("bound", "delta", "k") if params.get(x) is not None]:
+            raise ValueError(f"parameters {', '.join(unused)} need the weights a")
         rep = ggl_threshold_check(n, max_points)
         cfg, I = rep.config, rep.intersection
         result = {

@@ -11,10 +11,10 @@ Everything downstream is built on three value types:
                            the hyperplane class h and the degree variable d.
   * :class:`DPoly`      -- univariate polynomials in the degree variable d.
 
-All values are immutable after construction and every operation is a pure
-function, so values can be shared freely between threads.  Canonical form is
-"no zero terms"; serialization order is graded lexicographic on the context's
-fixed variable order, so equal values print identically.
+No operation changes a value after construction and every operation is a
+pure function, so values can be shared freely between threads.  Canonical
+form is "no zero terms"; serialization order is graded lexicographic on the
+context's fixed variable order, so equal values print identically.
 
 Every sum of sparse products runs through one kernel, ``_mac``, on integer
 coefficients and packed exponent keys (``_Codec``): an exponent vector is one
@@ -140,9 +140,6 @@ class VarContext:
 
     def __contains__(self, name: str) -> bool:
         return name in self._index
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.names)
 
 
 def _coerce_q(value: QLike) -> Q:
@@ -495,11 +492,8 @@ class MultiPoly:
                 q = _coerce_q(c)
                 if q:
                     clean[tuple(e)] = q
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("MultiPoly is immutable")
+        self.ctx = ctx
+        self.terms = clean
 
     # -- constructors ------------------------------------------------------
 
@@ -521,8 +515,8 @@ class MultiPoly:
     def _raw(cls, ctx: VarContext, terms: Terms) -> "MultiPoly":
         # Internal: terms must already be canonical (no zeros, right arity).
         obj = object.__new__(cls)
-        object.__setattr__(obj, "ctx", ctx)
-        object.__setattr__(obj, "terms", terms)
+        obj.ctx = ctx
+        obj.terms = terms
         return obj
 
     # -- inspection --------------------------------------------------------
@@ -609,40 +603,25 @@ class MultiPoly:
 
     # -- structural operations ---------------------------------------------
 
-    def substitute(self, assignments: Mapping[str, "MultiPoly | QLike"]) -> "MultiPoly":
-        """Substitute polynomials or rationals for variables (exact).
+    def substitute(self, name: str, value: "MultiPoly | QLike") -> "MultiPoly":
+        """Substitute a polynomial or rational for one variable (exact).
 
-        Terms are grouped by their exponents in the substituted variables,
-        which are then taken one at a time: the groups that differ only in
-        the exponent p of a variable's value v become one dot product of
-        {p: group} with sum_p v^p, v^p at grade p.  A group is only ever
-        multiplied by powers of values and nothing is substituted into a
-        value, so the substitution is simultaneous.
+        The terms are grouped by their exponent p of the variable, that slot
+        set to zero; the result is one dot product of {p: group} with
+        sum_p value^p, value^p at grade p.
         """
-        width = len(self.ctx)
-        values: list[tuple[int, Terms]] = []
-        for name, val in assignments.items():
-            if not isinstance(val, MultiPoly):
-                val = MultiPoly.const(self.ctx, val)
-            self._check_ctx(val)
-            i = self.ctx.index(name)
-            if any(e[i] for e in self.terms):  # else every term keeps v^0 = 1
-                values.append((i, val.terms))
-        groups: dict[tuple[int, ...], Terms] = {}
+        if not isinstance(value, MultiPoly):
+            value = MultiPoly.const(self.ctx, value)
+        self._check_ctx(value)
+        i = self.ctx.index(name)
+        groups: dict[int, Terms] = {}
         for e, c in self.terms.items():
-            rest = list(e)
-            for i, _ in values:
-                rest[i] = 0
-            groups.setdefault(tuple(e[i] for i, _ in values), {})[tuple(rest)] = c
-        for _, value in values:
-            top = max((key[0] for key in groups), default=0)
-            powers = _graded_series(_packed({1: value}, width), [1] * (top + 1), top)
-            families: dict[tuple[int, ...], dict[int, Terms]] = {}
-            for key, terms in groups.items():
-                families.setdefault(key[1:], {})[key[0]] = terms
-            groups = {key: _flat(_graded_dot(_packed(buckets, width), powers))
-                      for key, buckets in families.items()}
-        return MultiPoly._raw(self.ctx, groups.get((), {}))
+            groups.setdefault(e[i], {})[e[:i] + (0,) + e[i + 1:]] = c
+        if not any(groups):  # every term keeps value^0 = 1
+            return self
+        width, top = len(self.ctx), max(groups)
+        powers = _graded_series(_packed({1: value.terms}, width), [1] * (top + 1), top)
+        return MultiPoly._raw(self.ctx, _flat(_graded_dot(_packed(groups, width), powers)))
 
     def truncate(self, name: str, maxdeg: int) -> "MultiPoly":
         """Drop all terms whose exponent in `name` exceeds maxdeg."""
@@ -804,10 +783,7 @@ class DPoly:
         cs = [_coerce_q(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("DPoly is immutable")
+        self.coeffs = tuple(cs)
 
     @property
     def is_zero(self) -> bool:
@@ -832,12 +808,6 @@ class DPoly:
             a, b = b, a
         return DPoly([c + (b[i] if i < len(b) else Q(0)) for i, c in enumerate(a)])
 
-    def __neg__(self) -> "DPoly":
-        return DPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other: "DPoly") -> "DPoly":
-        return self + (-other)
-
     def __mul__(self, other: "DPoly | QLike") -> "DPoly":
         if not isinstance(other, DPoly):
             q = _coerce_q(other)
@@ -848,8 +818,6 @@ class DPoly:
                 out[i + j] += a * b
         return DPoly(out)
 
-    __rmul__ = __mul__
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DPoly):
             return NotImplemented
@@ -858,7 +826,7 @@ class DPoly:
     def __hash__(self) -> int:
         return hash(self.coeffs)
 
-    def to_text(self, var: str = "d") -> str:
+    def to_text(self) -> str:
         if not self.coeffs:
             return "0"
         parts = []
@@ -869,9 +837,9 @@ class DPoly:
             if p == 0:
                 parts.append(str(c))
             elif p == 1:
-                parts.append(f"{c}*{var}" if c != 1 else var)
+                parts.append(f"{c}*d" if c != 1 else "d")
             else:
-                parts.append(f"{c}*{var}^{p}" if c != 1 else f"{var}^{p}")
+                parts.append(f"{c}*d^{p}" if c != 1 else f"d^{p}")
         return " + ".join(parts).replace("+ -", "- ")
 
     def __repr__(self) -> str:

@@ -165,6 +165,8 @@ def fujiwara_certificate(p: DPoly, bound: QLike) -> bool:
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
+    if bound <= 0:
+        raise ValueError("the certificate bound must be positive")
     n = p.degree()
     lead = p[n]
     if lead <= 0:

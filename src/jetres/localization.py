@@ -204,8 +204,8 @@ def fibre_integral_fixed_points(
         raise ValueError("need n weight values")
     if len(set(lams)) != n:
         raise DegenerateWeightsError("repeated weight values")
-    if n < 2 or k < 1:
-        raise ValueError("need n >= 2 and k >= 1")
+    if n < 1 or k < 1:
+        raise ValueError("need n >= 1 and k >= 1")
     return _fibre_sum(n, k, P, point_cap)(lams)
 
 

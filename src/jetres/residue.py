@@ -132,15 +132,12 @@ class ResidueForm:
             if mult < 1:
                 raise ValueError("factor multiplicities must be >= 1")
             _z_coefficients(poly, zpos)  # validates affine-linearity in the z's
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "zvars", tuple(zvars))
-        object.__setattr__(self, "numerator", numerator)
-        object.__setattr__(self, "factors", tuple((p, int(m)) for p, m in factors))
-        object.__setattr__(self, "trunc", trunc)
-        object.__setattr__(self, "degree_matched", degree_matched)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("ResidueForm is immutable")
+        self.ctx = ctx
+        self.zvars = tuple(zvars)
+        self.numerator = numerator
+        self.factors = tuple((p, int(m)) for p, m in factors)
+        self.trunc = trunc
+        self.degree_matched = degree_matched
 
     @property
     def k(self) -> int:
@@ -326,8 +323,7 @@ def residue_stepwise(form: ResidueForm, max_terms: int = DEFAULT_TERM_CAP) -> Mu
         scale *= _enter(table, poly.terms, mult)
     carried = [({e: c / scale for e, c in form.numerator.terms.items()}, table)]
 
-    for j in range(len(zpos), 0, -1):
-        zj = zpos[j - 1]
+    for zname, zj in zip(reversed(form.zvars), reversed(zpos)):
         unit = tuple(int(i == zj) for i in range(len(ctx)))  # the exponent of z_j
         stage: list[tuple[Terms, FactorTable]] = []
         for num, table in carried:
@@ -352,17 +348,16 @@ def residue_stepwise(form: ResidueForm, max_terms: int = DEFAULT_TERM_CAP) -> Mu
                             _packed({0: F, 1: minus_g}, len(ctx))))
                 # substitute z_j = w, w = -(f0 - a0 z_j)/a0, with the minus
                 # sign of the residue at infinity
-                w = {e: -c / a0 for e, c in f0.items() if not e[zj]}
-                at_w = {form.zvars[j - 1]: MultiPoly._raw(ctx, w)}
+                w = MultiPoly._raw(ctx, {e: -c / a0 for e, c in f0.items() if not e[zj]})
                 scale = -factorial(m0 - 1) * a0**m0
-                numer = MultiPoly._raw(ctx, numer).substitute(at_w).terms
+                numer = MultiPoly._raw(ctx, numer).substitute(zname, w).terms
                 if not numer:
                     continue
                 reduced: FactorTable = {}
                 for key, (ft, m) in table.items():
                     if key != pole:
                         bumped = m + (m0 - 1 if unit in ft else 0)
-                        scale *= _enter(reduced, MultiPoly._raw(ctx, ft).substitute(at_w).terms,
+                        scale *= _enter(reduced, MultiPoly._raw(ctx, ft).substitute(zname, w).terms,
                                         bumped)
                 numer_poly = MultiPoly._raw(ctx, {e: c / scale for e, c in numer.items()})
                 for key, (ft, m) in list(reduced.items()):

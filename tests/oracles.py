@@ -197,11 +197,9 @@ def grassmannian_omega(mus: Sequence[QLike] | None = None) -> ResidueForm:
 def reflect_payload(P: MultiPoly, k: int) -> MultiPoly:
     """P(z_1..z_k, ...) -> P(-z_1..-z_k, ...): the bridge between the
     fixed-point convention and the honest-class convention."""
-    subs = {}
-    for i in range(1, k + 1):
-        name = f"z{i}"
-        subs[name] = -MultiPoly.variable(P.ctx, name)
-    return P.substitute(subs)
+    zpos = [P.ctx.index(f"z{i}") for i in range(1, k + 1)]
+    return MultiPoly(P.ctx, {e: -c if sum(e[i] for i in zpos) % 2 else c
+                             for e, c in P.terms.items()})
 
 
 def validate_prefix(prefix: Sequence[Weight], n: int) -> tuple[list[Weight], list[Weight]]:

@@ -146,11 +146,16 @@ def test_caps_below_one_are_validation_errors(argv, capsys):
         (["integral", "-n", "2", "-k", "0", "-P", "1"], "k must be at least 1"),
         (["ggl", "-n", "-1"], "n must be >= 2"),
         (["diagnostics", "-n", "-2"], "n must be >= 2"),
-        (["fibre-integral", "-n", "1", "-k", "1", "-P", "u1", "--lambdas", "5"], "need n >= 2"),
+        (["ggl", "-n", "2", "--bound", "5", "--delta", "7", "-k", "9"],
+         "parameters bound, delta, k need the weights a"),
+        (["ggl", "-n", "2", "-k", "2"], "parameters k need the weights a"),
+        (["ggl", "-n", "2", "--a", "3,1", "--bound=-5"], "bound must be positive"),
+        (["ggl", "-n", "2", "--a", "3,1", "--bound", "0"], "bound must be positive"),
     ],
     ids=["defect-cap-negative", "defect-cap-minus-one", "lambdas-length", "fibre-n-negative",
          "integral-n-0", "euler-n-0", "fibre-n-with-lambdas", "integral-k-0", "ggl-n-negative",
-         "diagnostics-n-negative", "fibre-n-1"],
+         "diagnostics-n-negative", "ggl-tuning-without-a", "ggl-k-without-a",
+         "ggl-bound-negative", "ggl-bound-0"],
 )
 def test_out_of_range_values_are_validation_errors(argv, message, capsys):
     code = main(argv)
@@ -202,6 +207,18 @@ def test_fibre_integral_residue_method(capsys):
     doc_fp = json.loads(capsys.readouterr().out)
     assert doc_res["result"]["value"] == doc_fp["result"]["value"]
     assert doc_res["verify"] == {"match": True, "method": "dual-route"}
+
+
+def test_fibre_integral_n1_agrees_on_both_routes(capsys):
+    # at n = 1 the walk has one fixed point, where every z_j is -lambda_1
+    for polynomial, text in (("u1*u2+h", "h+9"), ("u1^2-3*u2+d*h", "h*d")):
+        for method in ("fixed-point", "residue"):
+            args = ["fibre-integral", "-n", "1", "-k", "2", "--polynomial", polynomial,
+                    "--lambdas", "3", "--method", method, "--verify"]
+            assert main(args) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["result"]["value"]["text"] == text
+            assert doc["verify"] == {"match": True, "method": "dual-route"}
 
 
 def test_console_script_entry_point():

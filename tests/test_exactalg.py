@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from jetres.exactalg import (
@@ -431,18 +431,14 @@ def test_exponents_beyond_the_widest_digit_are_a_resource_error():
         _mul_terms(big, big)
 
 
-def _substitute_per_term(poly, assignments):
-    """Reference: every term times the powers of its substituted values."""
+def _substitute_per_term(poly, name, value):
+    """Reference: every term, its exponent p of name cleared, times value^p."""
+    if not isinstance(value, MultiPoly):
+        value = MultiPoly.const(poly.ctx, value)
+    i = poly.ctx.index(name)
     acc = MultiPoly.zero(poly.ctx)
     for e, c in poly.terms.items():
-        powers = dict(zip(poly.ctx.names, e))
-        rest = tuple(0 if name in assignments else p for name, p in powers.items())
-        term = MultiPoly(poly.ctx, {rest: c})
-        for name, value in assignments.items():
-            if not isinstance(value, MultiPoly):
-                value = MultiPoly.const(poly.ctx, value)
-            term = term * value ** powers[name]
-        acc = acc + term
+        acc = acc + MultiPoly(poly.ctx, {e[:i] + (0,) + e[i + 1:]: c}) * value ** e[i]
     return acc
 
 
@@ -455,22 +451,15 @@ value_st = st.one_of(
 )
 
 
-@given(terms_st, st.dictionaries(st.sampled_from(CTX.names), value_st, min_size=1, max_size=3))
-def test_substitute_is_the_per_term_substitution(terms, assignments):
+@given(terms_st, st.sampled_from(CTX.names), value_st)
+@example({(2, 1, 0): Q(1), (1, 0, 3): Q(-3, 2), (0, 2, 0): Q(5)}, "z1", Z1 + Z2)
+@example({(3, 1, 0): Q(2, 3), (0, 0, 1): Q(-1)}, "z1", Q(-7, 4))
+@example({(1, 0, 2): Q(4), (0, 0, 0): Q(1)}, "z2", Z1 * H + 1)
+def test_substitute_is_the_per_term_substitution(terms, name, value):
     p = MultiPoly(CTX, terms)
-    got = p.substitute(assignments)
-    assert got == _substitute_per_term(p, assignments)
+    got = p.substitute(name, value)
+    assert got == _substitute_per_term(p, name, value)
     assert all(type(c) is Q and c for c in got.terms.values())
-
-
-def test_substitute_is_simultaneous():
-    # each value holds the other substituted variable: substituting one
-    # variable after the other would substitute into the first value
-    p = Z1**2 * Z2 + 3 * Z1 * Z2**2 * H - Z2 + 2
-    assignments = {"z1": Z2, "z2": Z1 * H}
-    got = p.substitute(assignments)
-    assert got == _substitute_per_term(p, assignments)
-    assert got == Z2**2 * Z1 * H + 3 * Z2 * Z1**2 * H**3 - Z1 * H + 2
 
 
 edge_value_st = st.one_of(
@@ -479,15 +468,13 @@ edge_value_st = st.one_of(
 )
 
 
-@given(edge_terms_st, st.dictionaries(st.sampled_from(CTX.names), edge_value_st, min_size=1,
-                                      max_size=2))
-def test_substitute_with_negative_and_edge_exponents(terms, assignments):
-    # the substituted variables keep exponents 0..3 in the polynomial; the
-    # others and every value carry negative and digit-edge exponents
-    slots = [name in assignments for name in CTX.names]
-    p = MultiPoly(CTX, {tuple(min(abs(x), 3) if sub else x for x, sub in zip(e, slots)): c
-                        for e, c in terms.items()})
-    assert p.substitute(assignments) == _substitute_per_term(p, assignments)
+@given(edge_terms_st, st.sampled_from(CTX.names), edge_value_st)
+def test_substitute_with_negative_and_edge_exponents(terms, name, value):
+    # the substituted variable keeps exponents 0..3 in the polynomial; the
+    # others and the value carry negative and digit-edge exponents
+    i = CTX.index(name)
+    p = MultiPoly(CTX, {e[:i] + (min(abs(e[i]), 3),) + e[i + 1:]: c for e, c in terms.items()})
+    assert p.substitute(name, value) == _substitute_per_term(p, name, value)
 
 
 def test_graded_series_rejects_bad_constant_parts():
@@ -534,7 +521,7 @@ def test_divide_exact_inverts_the_product(a, b, r):
 
 def test_substitute_and_evaluate():
     p = Z1**2 + Z2 * H
-    q = p.substitute({"z1": Z2 + 1})
+    q = p.substitute("z1", Z2 + 1)
     assert q == (Z2 + 1) ** 2 + Z2 * H
     val = evaluate(p, {"z1": Q(2), "z2": Q(1, 2), "h": Q(3)})
     assert val == Q(4) + Q(3, 2)
@@ -553,3 +540,18 @@ def test_dpoly_basics():
     assert p(3) == 16
     assert DPoly([0, 0, 0]).is_zero
     assert DPoly([1, 1]) * DPoly([0, 1]) == DPoly([0, 1, 1])
+
+
+rational_st = st.builds(Q, st.integers(-9, 9), st.integers(1, 5))
+
+
+@given(st.lists(rational_st, max_size=5), st.lists(rational_st, max_size=5), rational_st,
+       rational_st)
+def test_dpoly_evaluation_respects_the_ring_operations(a, b, c, x):
+    p, q = DPoly(a), DPoly(b)
+    assert (p + q)(x) == p(x) + q(x)
+    assert (p * q)(x) == p(x) * q(x)
+    assert (p * c)(x) == c * p(x)
+    # trailing zeros are dropped
+    assert DPoly(a + [0]) == p
+    assert DPoly(a + [0]).degree() == p.degree()

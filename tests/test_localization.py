@@ -182,8 +182,11 @@ def _substitution_oracle(n, k, P, lams):
     """Reference: substitute each fixed point's weights into P, divide by its Euler class."""
     total = MultiPoly.zero(P.ctx)
     for fp in enumerate_fixed_points(n, k):
-        subs = {f"z{i}": weight_value(w, lams) for i, w in enumerate(fp.weights, start=1)}
-        total = total + P.substitute(subs) * (Q(1) / euler_value(fp, lams))
+        # the weights are numbers, so the order of the substitutions is immaterial
+        at_fp = P
+        for i, w in enumerate(fp.weights, start=1):
+            at_fp = at_fp.substitute(f"z{i}", weight_value(w, lams))
+        total = total + at_fp * (Q(1) / euler_value(fp, lams))
     return total
 
 

@@ -332,7 +332,7 @@ def test_segre_hypersurface_values():
         s = sum(segre_hypersurface(n), MultiPoly.const(HD_CTX, 1))
         assert (c * s).truncate("h", n) == 1
     # at d = 0 the classes are those of (1+h)^-(n+2)
-    total = sum(segre_hypersurface(3), MultiPoly.const(HD_CTX, 1)).substitute({"d": 0})
+    total = sum(segre_hypersurface(3), MultiPoly.const(HD_CTX, 1)).substitute("d", 0)
     assert total == series_inverse((1 + h) ** 5, 3)
 
 
