@@ -25,11 +25,10 @@ from .exactalg import DPoly, HD_CTX, JetresError, MultiPoly, VarContext
 from .ggl import (
     GGLConfig,
     ample_condition,
-    build_intersection_polynomial,
+    canonical_config,
     estimate_checks,
     euler_characteristic,
     euler_payload,
-    fujiwara_certificate,
     ggl_threshold_check,
     intersection_payload,
 )
@@ -39,9 +38,7 @@ from .residue import (
     DEFAULT_TERM_CAP,
     ResidueForm,
     fibre_residue_integrand,
-    hypersurface_integrand,
     integral_over_tower,
-    integrate_over_X,
     residue_expand,
     residue_stepwise,
     tower_context,
@@ -53,9 +50,9 @@ SCHEMA_VERSION = 1
 # A command handler reads the job parameters and the budgets (max_terms,
 # max_points), records any further budget it used, and returns its result
 # document plus, if the command has a second route, one check: (verify method,
-# mismatch message, first, second).  Both routes are thunks, so only run_job
-# runs them, and only under --verify.
-Check = tuple[str, str, Callable[[], Any], Callable[[], Any]]
+# mismatch message, value, second).  The value is the first route's result;
+# the second route is a thunk, so only run_job runs it, and only under --verify.
+Check = tuple[str, str, Any, Callable[[], Any]]
 Outcome = tuple[dict[str, Any], Check | None]
 
 
@@ -153,7 +150,7 @@ def _fibre_integral(params: Mapping[str, Any], budgets: dict[str, Any]) -> Outco
         raise ValueError(f"unknown method {method!r}")
     first, second = routes if method == "fixed-point" else routes[::-1]
     value = first()
-    check = ("dual-route", "fixed-point and residue methods disagree", lambda: value, second)
+    check = ("dual-route", "fixed-point and residue methods disagree", value, second)
     return {"value": _poly_doc(value)}, check
 
 
@@ -161,11 +158,12 @@ def _integral(params: Mapping[str, Any], budgets: dict[str, Any]) -> Outcome:
     _require(params, "n", "k", "polynomial")
     n, k = _positive(params, "n"), _positive(params, "k")
     P = parse_poly(_text(params, "polynomial"), tower_context(k), budgets["max_terms"])
-    form = hypersurface_integrand(n, k, P, budgets["max_terms"])
-    value = integrate_over_X(residue_expand(form, budgets["max_terms"]), n)
+    value = integral_over_tower(n, k, P, budgets["max_terms"])
+    # every term of P has (z_1..z_k, h)-degree n + k(n-1), the tower's dimension
+    degree_matched = all(sum(e[:k + 1]) == n + k * (n - 1) for e in P.terms)
     check = ("expand-vs-localization", "residue expansion and localization disagree",
-             lambda: value, lambda: payload_integral_fixed_points(n, k, P, budgets["max_points"]))
-    return {"value": _dpoly_doc(value), "degree_matched": form.degree_matched}, check
+             value, lambda: payload_integral_fixed_points(n, k, P, budgets["max_points"]))
+    return {"value": _dpoly_doc(value), "degree_matched": degree_matched}, check
 
 
 def _residue(params: Mapping[str, Any], budgets: dict[str, Any]) -> Outcome:
@@ -185,13 +183,13 @@ def _residue(params: Mapping[str, Any], budgets: dict[str, Any]) -> Outcome:
                        zvars)
     value = residue_expand(form, budgets["max_terms"])
     check = ("expand-vs-stepwise", "expansion and stepwise residues disagree",
-             lambda: value, lambda: residue_stepwise(form, budgets["max_terms"]))
+             value, lambda: residue_stepwise(form, budgets["max_terms"]))
     return {"value": _poly_doc(value.restrict(HD_CTX))}, check
 
 
 def _fixed_points(params: Mapping[str, Any], budgets: dict[str, Any]) -> Outcome:
     _require(params, "n", "k")
-    n, k = _scalar(params["n"], "n"), _scalar(params["k"], "k")
+    n, k = _positive(params, "n"), _positive(params, "k")
     points = enumerate_fixed_points(n, k, budgets["max_points"])
     return {
         "count": len(points),
@@ -201,36 +199,27 @@ def _fixed_points(params: Mapping[str, Any], budgets: dict[str, Any]) -> Outcome
 
 def _ggl(params: Mapping[str, Any], budgets: dict[str, Any]) -> Outcome:
     _require(params, "n")
-    n, max_points = _scalar(params["n"], "n"), budgets["max_points"]
-    if params.get("a") is not None:
+    n, custom = _scalar(params["n"], "n"), params.get("a") is not None
+    if custom:
         a = _ints(params, "a")
         delta = _scalar(params.get("delta", 0), "delta", Q)
         cfg = GGLConfig(n=n, k=_scalar(params.get("k", len(a)), "k"), a=a, delta=delta)
-        I, p = build_intersection_polynomial(cfg, max_points)
-        bound = params.get("bound")
-        bound = 3 * n ** (8 * n) if bound is None else _scalar(bound, "bound", Q)
-        spot = int(2 * bound) + 1
-        result = {
-            "intersection": _dpoly_doc(I),
-            "p": _dpoly_doc(p),
-            "bound": _q_doc(Q(bound)),
-            "certificate": fujiwara_certificate(p, bound),
-            "spot_checks": [{"d": spot, "positive": I(spot) > 0}],
-        }
+    elif unused := [x for x in ("bound", "delta", "k") if params.get(x) is not None]:
+        raise ValueError(f"parameters {', '.join(unused)} need the weights a")
     else:
-        if unused := [x for x in ("bound", "delta", "k") if params.get(x) is not None]:
-            raise ValueError(f"parameters {', '.join(unused)} need the weights a")
-        rep = ggl_threshold_check(n, max_points)
-        cfg, I = rep.config, rep.intersection
-        result = {
-            "config": {"a": list(cfg.a), "delta": _q_doc(cfg.delta), "k": cfg.k},
-            "p": _dpoly_doc(rep.p),
-            "bound": _q_doc(Q(rep.bound)),
-            "certificate": rep.certificate,
-            "positivity_threshold": 2 * rep.bound,
-            "spot_checks": [{"d": dv, "positive": ok} for dv, ok in rep.spot_checks],
-        }
-    check = ("localization-vs-residue", "localization and residue routes disagree", lambda: I,
+        cfg = canonical_config(n)
+    bound = None if params.get("bound") is None else _scalar(params["bound"], "bound", Q)
+    rep = ggl_threshold_check(cfg, bound, budgets["max_points"])
+    spots = [{"d": dv, "positive": ok} for dv, ok in rep.spot_checks]
+    result = {"p": _dpoly_doc(rep.p), "bound": _q_doc(Q(rep.bound)),
+              "certificate": rep.certificate}
+    if custom:
+        result.update(intersection=_dpoly_doc(rep.intersection), spot_checks=spots[:1])
+    else:
+        result.update(config={"a": list(cfg.a), "delta": _q_doc(cfg.delta), "k": cfg.k},
+                      positivity_threshold=2 * rep.bound, spot_checks=spots)
+    check = ("localization-vs-residue", "localization and residue routes disagree",
+             rep.intersection,
              lambda: integral_over_tower(cfg.n, cfg.k,
                                          intersection_payload(cfg, budgets["max_terms"]),
                                          budgets["max_terms"]))
@@ -240,7 +229,7 @@ def _ggl(params: Mapping[str, Any], budgets: dict[str, Any]) -> Outcome:
 def _diagnostics(params: Mapping[str, Any], budgets: dict[str, Any]) -> Outcome:
     _require(params, "n")
     n, defect_cap = _scalar(params["n"], "n"), _scalar(params.get("defect_cap", 4), "defect_cap")
-    rep = estimate_checks(n, defect_cap, budgets["max_terms"])
+    rep = estimate_checks(n, defect_cap, budgets["max_terms"], budgets["max_points"])
     checks = [
         {"name": name, "passed": ok, "required": req, "details": details}
         for name, ok, req, details in rep.checks
@@ -256,7 +245,7 @@ def _euler_char(params: Mapping[str, Any], budgets: dict[str, Any]) -> Outcome:
     budgets["budget"] = budget
     value = euler_characteristic(n, k, a, budget, budgets["max_terms"])
     check = ("expand-vs-localization", "residue expansion and localization disagree",
-             lambda: value, lambda: payload_integral_fixed_points(
+             value, lambda: payload_integral_fixed_points(
                  n, k, euler_payload(n, k, a, budget), budgets["max_points"]))
     return {"value": _dpoly_doc(value)}, check
 
@@ -299,8 +288,8 @@ def run_job(command: str, params: Mapping[str, Any]) -> dict[str, Any]:
         "budgets": budgets,
     }
     if params.get("verify") and check is not None:
-        method, message, first, second = check
-        if first() != second():
+        method, message, value, second = check
+        if value != second():
             raise VerifyMismatchError(message)
         doc["verify"] = {"method": method, "match": True}
     return doc

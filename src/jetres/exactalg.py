@@ -579,6 +579,8 @@ class MultiPoly:
         if not self.terms or not exp:
             return self if exp else MultiPoly.const(self.ctx, 1)
         (m, c), *others = self.terms.items()
+        if not others:  # one term: no binomial sum
+            return MultiPoly._raw(self.ctx, {tuple(exp * x for x in m): c**exp})
         rest = MultiPoly._raw(self.ctx, dict(others))
         powers = [MultiPoly.const(self.ctx, 1)]
         for _ in range(exp):

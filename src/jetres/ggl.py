@@ -387,12 +387,13 @@ class EstimateReport:
 
 
 def estimate_checks(
-    n: int, defect_cap: int = 4, max_terms: int = DEFAULT_TERM_CAP
+    n: int, defect_cap: int = 4, max_terms: int = DEFAULT_TERM_CAP,
+    max_points: int = DEFAULT_POINT_CAP,
 ) -> EstimateReport:
     """Recompute the displayed coefficient estimates as exact comparisons."""
     cfg = canonical_config(n)
     report = EstimateReport()
-    _, p = build_intersection_polynomial(cfg)
+    _, p = build_intersection_polynomial(cfg, max_points)
     B0 = b0(n, cfg.a)
 
     report.add(
@@ -568,24 +569,23 @@ def euler_characteristic(
 class ThresholdReport(NamedTuple):
     """Scaled theorem instance: certificate plus exact spot sign checks."""
 
-    config: GGLConfig
     intersection: DPoly
     p: DPoly
-    bound: int
+    bound: QLike
     certificate: bool
-    spot_checks: list[tuple[int, bool]]
+    spot_checks: list[tuple[QLike, bool]]
 
 
-def ggl_threshold_check(n: int, max_points: int = DEFAULT_POINT_CAP) -> ThresholdReport:
-    """Certify I(d) > 0 for d > 6 n^(8n) on the canonical instance."""
-    cfg = canonical_config(n)
+def ggl_threshold_check(
+    cfg: GGLConfig, bound: QLike | None = None, max_points: int = DEFAULT_POINT_CAP
+) -> ThresholdReport:
+    """Certify I(d) > 0 for d > 2 bound on cfg; the bound defaults to 3 n^(8n)."""
+    bound = 3 * cfg.n ** (8 * cfg.n) if bound is None else bound
+    if bound <= 0:  # before the build, which may be long
+        raise ValueError("the certificate bound must be positive")
     I, p = build_intersection_polynomial(cfg, max_points)
-    bound = 3 * n ** (8 * n)
     cert = fujiwara_certificate(p, bound)
     threshold = 2 * bound
-    spots = []
-    for dval in (threshold + 1, 2 * threshold, 10 * threshold, 100 * threshold):
-        spots.append((dval, I(dval) > 0))
-    return ThresholdReport(
-        config=cfg, intersection=I, p=p, bound=bound, certificate=cert, spot_checks=spots
-    )
+    spots = [(dval, I(dval) > 0) for dval in
+             (int(threshold) + 1, 2 * threshold, 10 * threshold, 100 * threshold)]
+    return ThresholdReport(I, p, bound, cert, spots)

@@ -114,7 +114,7 @@ class ResidueForm:
     along the way).
     """
 
-    __slots__ = ("ctx", "zvars", "numerator", "factors", "trunc", "degree_matched")
+    __slots__ = ("ctx", "zvars", "numerator", "factors", "trunc")
 
     def __init__(
         self,
@@ -122,7 +122,6 @@ class ResidueForm:
         factors: Sequence[tuple[MultiPoly, int]],
         zvars: Sequence[str],
         trunc: tuple[str, int] | None = None,
-        degree_matched: bool = True,
     ):
         ctx = numerator.ctx
         zpos = [ctx.index(z) for z in zvars]
@@ -137,7 +136,6 @@ class ResidueForm:
         self.numerator = numerator
         self.factors = tuple((p, int(m)) for p, m in factors)
         self.trunc = trunc
-        self.degree_matched = degree_matched
 
     @property
     def k(self) -> int:
@@ -457,9 +455,6 @@ def _tower_integrand(n: int, k: int, P: MultiPoly, level: Callable[[MultiPoly], 
     level(z_[1..j]), over the kernel's factors and the level's denominators;
     each product of the numerator counts its terms against term_cap.
 
-    The form is degree-matched when P is homogeneous in (z_1..z_k, h) of the
-    fibre dimension k(n-1), plus n when the form integrates over X too.
-
     Over X (h^(n+1) = 0) every denominator factor is linear and homogeneous
     in (z, h), and the numerator keeps only the terms z^a h^b with
 
@@ -496,14 +491,11 @@ def _tower_integrand(n: int, k: int, P: MultiPoly, level: Callable[[MultiPoly], 
     num = live(_packed({0: P.terms}, len(ctx), ti, tm))
     for f in [kernel] + [g for level_num, _ in levels for g in level_num]:
         num = live(_graded_mul(num, _packed({0: f.terms}, len(ctx), ti, tm), 0, term_cap))
-    zh = [name in zvars or name == "h" for name in ctx.names]
-    degrees = {sum(p for p, used in zip(e, zh) if used) for e in P.terms}
     return ResidueForm(
         MultiPoly._raw(ctx, _flat(num)),
         factors,
         zvars,
         trunc=("h", n) if over_X else None,
-        degree_matched=degrees <= {k * (n - 1) + (n if over_X else 0)},
     )
 
 

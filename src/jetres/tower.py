@@ -97,8 +97,8 @@ def enumerate_fixed_points(n: int, k: int, point_cap: int = DEFAULT_POINT_CAP) -
     One DFS builds each chain with its tangent weights, walking every
     weight set once.
     """
-    if n < 2 or k < 1:
-        raise ValueError("need n >= 2 and k >= 1")
+    if n < 1 or k < 1:
+        raise ValueError("need n >= 1 and k >= 1")
     _check_cap(n, k, point_cap)
     out: list[FixedPoint] = []
 

@@ -217,7 +217,7 @@ def test_criterion_07_scaled_threshold_instance():
 def test_criterion_07_stretch_n3():
     # stretch goal: same instance at n = 3 (budget 2h; runs in seconds)
     start = time.monotonic()
-    rep = ggl_threshold_check(3)
+    rep = ggl_threshold_check(canonical_config(3))
     ok = rep.certificate and all(flag for _, flag in rep.spot_checks)
     announce(7, ok, "stretch: n=3 certificate at 3*3^24 with spot checks", time.monotonic() - start, 7200.0)
 
@@ -268,7 +268,7 @@ def test_criterion_10_headline_reduced_to_computable_instances():
     # computable hypotheses are exactly the certificate and estimate
     # instances above, re-asserted here as the stand-in.
     start = time.monotonic()
-    rep2 = ggl_threshold_check(2)
+    rep2 = ggl_threshold_check(canonical_config(2))
     est = estimate_checks(2)
     ok = rep2.certificate and all(ok for _, ok in rep2.spot_checks) and est.all_passed
     announce(10, ok, "computable hypotheses (items 7-8) stand in for the headline result", time.monotonic() - start, 600.0)

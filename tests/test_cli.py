@@ -151,11 +151,15 @@ def test_caps_below_one_are_validation_errors(argv, capsys):
         (["ggl", "-n", "2", "-k", "2"], "parameters k need the weights a"),
         (["ggl", "-n", "2", "--a", "3,1", "--bound=-5"], "bound must be positive"),
         (["ggl", "-n", "2", "--a", "3,1", "--bound", "0"], "bound must be positive"),
+        # checked before the build, which this point cap would stop
+        (["ggl", "-n", "5", "--a", "567,189,63,21,10", "--bound=-5", "--max-points", "1"],
+         "bound must be positive"),
+        (["fixed-points", "-n", "0", "-k", "2"], "n must be at least 1"),
     ],
     ids=["defect-cap-negative", "defect-cap-minus-one", "lambdas-length", "fibre-n-negative",
          "integral-n-0", "euler-n-0", "fibre-n-with-lambdas", "integral-k-0", "ggl-n-negative",
          "diagnostics-n-negative", "ggl-tuning-without-a", "ggl-k-without-a",
-         "ggl-bound-negative", "ggl-bound-0"],
+         "ggl-bound-negative", "ggl-bound-0", "ggl-bound-before-build", "fixed-points-n-0"],
 )
 def test_out_of_range_values_are_validation_errors(argv, message, capsys):
     code = main(argv)
@@ -219,6 +223,20 @@ def test_fibre_integral_n1_agrees_on_both_routes(capsys):
             doc = json.loads(capsys.readouterr().out)
             assert doc["result"]["value"]["text"] == text
             assert doc["verify"] == {"match": True, "method": "dual-route"}
+
+
+def test_fixed_points_n1_is_one_chain(capsys):
+    # at n = 1 every level has the one weight L_1
+    assert main(["fixed-points", "-n", "1", "-k", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"] == {"count": 1, "points": [[[1], [1]]]}
+
+
+def test_integral_reports_an_unmatched_degree(capsys):
+    # u1^3 has degree 3, not n + k(n-1) = 4, so its integral is 0
+    assert main(["integral", "-n", "2", "-k", "2", "-P", "u1^3"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["degree_matched"] is False
+    assert result["value"]["text"] == "0"
 
 
 def test_console_script_entry_point():
@@ -331,9 +349,10 @@ def test_integral_verify_checks_by_localization(monkeypatch, capsys):
 
         return wrapper
 
-    for name, attr in (("stepwise", "residue_stepwise"), ("integrand", "hypersurface_integrand"),
-                       ("localization", "payload_integral_fixed_points")):
-        monkeypatch.setattr(jetres.cli, attr, counted(name, getattr(jetres.cli, attr)))
+    for name, module, attr in (("stepwise", jetres.cli, "residue_stepwise"),
+                               ("integrand", jetres.residue, "hypersurface_integrand"),
+                               ("localization", jetres.cli, "payload_integral_fixed_points")):
+        monkeypatch.setattr(module, attr, counted(name, getattr(module, attr)))
     assert main(["integral", "-n", "3", "-k", "2", "-P", "(u1-3*u2+d*h)^7", "--verify"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["verify"] == {"match": True, "method": "expand-vs-localization"}
@@ -560,6 +579,13 @@ def test_parser_power_cap_is_the_term_bound():
     assert len(parse_poly("(z1 + h)^3", ctx, 4).terms) == 4
     with pytest.raises(ResourceLimitError, match="2-term base to the power 3 may exceed 3"):
         parse_poly("(z1 + h)^3", ctx, 3)
+
+
+def test_diagnostics_point_cap_is_a_resource_error(capsys):
+    code = main(["diagnostics", "-n", "2", "--max-points", "1"])
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert code == 3
+    assert error == {"code": "resource", "message": "2^2 fixed points exceed cap 1"}
 
 
 def test_ggl_point_cap_is_a_resource_error(capsys):

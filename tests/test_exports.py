@@ -85,20 +85,24 @@ def test_every_name_the_benchmark_reads_resolves(modname, path):
 
 
 def test_one_residue_kernel():
-    # every tower integral over the hypersurface runs hypersurface_integrand;
-    # the Segre-cleared demailly_integrand is the tests' reference kernel, and
+    # every tower integral over the hypersurface runs hypersurface_integrand,
+    # and outside residue.py only through integral_over_tower; the
+    # Segre-cleared demailly_integrand is the tests' reference kernel, and
     # its Segre data lives in tests/oracles.py
     calls, defined = [], []
     for path in sorted(PACKAGE.glob("*.py")):
+        forbidden = {"demailly_integrand"}
+        if path.name != "residue.py":
+            forbidden |= {"hypersurface_integrand", "integrate_over_X"}
         for node in ast.walk(ast.parse(path.read_text())):
             where = f"{path.name}:{getattr(node, 'lineno', 0)}"
             if isinstance(node, ast.Call):
                 func = node.func
-                if getattr(func, "id", getattr(func, "attr", None)) == "demailly_integrand":
+                if getattr(func, "id", getattr(func, "attr", None)) in forbidden:
                     calls.append(where)
             names = [getattr(node, "name", None)] + [getattr(t, "id", None)
                                                      for t in getattr(node, "targets", [])]
             if "segre_hypersurface" in names:
                 defined.append(where)
-    assert calls == [], "demailly_integrand called in the package"
+    assert calls == [], "a kernel called past integral_over_tower in the package"
     assert defined == [], "segre_hypersurface defined in the package"

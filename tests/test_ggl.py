@@ -335,7 +335,7 @@ def test_estimates_n2():
 
 
 def test_threshold_n2():
-    rep = ggl_threshold_check(2)
+    rep = ggl_threshold_check(canonical_config(2))
     assert rep.certificate
     assert rep.bound == 3 * 2**16
     assert all(ok for _, ok in rep.spot_checks)
@@ -343,13 +343,13 @@ def test_threshold_n2():
 
 
 def test_threshold_n3():
-    rep = ggl_threshold_check(3)
+    rep = ggl_threshold_check(canonical_config(3))
     assert rep.certificate
     assert all(ok for _, ok in rep.spot_checks)
 
 
 def test_threshold_n4():
-    rep = ggl_threshold_check(4)
+    rep = ggl_threshold_check(canonical_config(4))
     assert rep.certificate
     assert all(ok for _, ok in rep.spot_checks)
     assert rep.intersection.degree() == 5
@@ -357,7 +357,7 @@ def test_threshold_n4():
 
 @pytest.mark.slow
 def test_threshold_n5():
-    rep = ggl_threshold_check(5)
+    rep = ggl_threshold_check(canonical_config(5))
     assert rep.certificate
     assert all(ok for _, ok in rep.spot_checks)
     assert rep.intersection.degree() == 6
@@ -368,7 +368,7 @@ def test_threshold_n6_pins_p():
     # p(d) of the canonical n = 6 instance as `jetres ggl -n 6` printed it
     # (about 30 s, all by fixed points)
     recorded = json.loads((CORPUS / "p_ggl_n6.json").read_text())
-    rep = ggl_threshold_check(6)
+    rep = ggl_threshold_check(canonical_config(6))
     assert rep.certificate
     assert all(ok for _, ok in rep.spot_checks)
     assert list(rep.p.coeffs) == [Q(int(c["num"]), int(c["den"])) for c in recorded["p"]]
