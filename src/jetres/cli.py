@@ -359,6 +359,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         status = 0
     except JetresError as exc:
         doc, status = _error_doc(getattr(exc, "code", "internal"), str(exc)), 3
+    except RecursionError:
+        doc, status = _error_doc("resource", "input nests deeper than Python's recursion limit"), 3
     except (ValueError, ZeroDivisionError) as exc:
         doc, status = _error_doc("validation", str(exc)), 2
     text = json.dumps(doc, indent=2, sort_keys=True)

@@ -22,11 +22,13 @@ integer with a fixed-width signed digit per variable, so adding two exponent
 vectors is one integer addition.  The invariant: no digit of a key ever
 leaves its width.  The width rule (``_digit_size``) keeps it: operands whose
 exponents are bounded by M_a and M_b in magnitude (``_reach``) are multiplied
-with digits that hold M_a + M_b.  Every product is one of a truncated series
-(``Graded``): its terms are packed once by ``_packed`` (``_repacked`` and
-``_aligned`` widen them), stay packed through every product, sum, series and
-inverse, and are read back only by ``_flat``.  A single product
-(``_mul_terms``) is one of two grade-0 series.
+with digits that hold M_a + M_b.  Packed terms are always sorted by key, so
+the kernel is one loop that cuts each operand below the codec's limit.
+Every product is one of a truncated series (``Graded``): its terms are
+packed once by ``_packed`` (``_repacked`` and ``_aligned`` widen them), stay
+packed through every product, sum, series and inverse, and are read back
+only by ``_flat``.  A single product (``_mul_terms``) is one of two grade-0
+series; a power or a substitution is one dot product with a series of powers.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from fractions import Fraction as Q
 from functools import cache
 from heapq import heapify, heappop, heappush
 from itertools import chain
-from math import factorial, gcd, lcm
+from math import gcd, lcm
 from operator import add, itemgetter, mul
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
@@ -188,14 +190,15 @@ class _Codec:
     each: e is the integer sum_i e_i 256^(size pos(i)).  The truncation slot ti
     (if ti >= 0) takes the top position and the others keep their order below
     it, so sorting keys sorts them by the truncation exponent, and a product
-    key ka + kb keeps exponent <= tm there iff ka + kb < limit."""
+    key ka + kb keeps exponent <= tm there iff ka + kb < limit.  Untruncated,
+    limit is 256^(size width), above every key."""
 
     def __init__(self, width: int, size: int, ti: int, tm: int) -> None:
         self.width, self.size, self.ti, self.tm = width, size, ti, tm
         pos = [width - 1 if i == ti else i - (i > ti >= 0) for i in range(width)]
         self.place = [256 ** (size * p) for p in pos]
         top = 256 ** (size * (width - 1))
-        self.limit = tm * top + (top + 1) // 2 if ti >= 0 else None
+        self.limit = tm * top + (top + 1) // 2 if ti >= 0 else 256 ** (size * width)
         # reading a key back: adding half of each digit's range makes every
         # digit its exponent plus that half, unsigned; the xor then leaves each
         # exponent in two's complement, which the signed typecode reads
@@ -204,9 +207,8 @@ class _Codec:
         self._order = itemgetter(*pos) if pos != sorted(pos) else None
 
     def packed(self, terms: Iterable[tuple[tuple[int, ...], int]]) -> list[tuple[int, int]]:
-        """Integer terms as (key, coefficient), sorted by key under truncation."""
-        out = [(sum(map(mul, e, self.place)), c) for e, c in terms]
-        return sorted(out) if self.limit is not None else out
+        """Integer terms as (key, coefficient), sorted by key."""
+        return sorted([(sum(map(mul, e, self.place)), c) for e, c in terms])
 
     def unpack(self, keys: Iterable[int]) -> list[tuple[int, ...]]:
         """The exponent tuples of the keys."""
@@ -221,23 +223,17 @@ class _Codec:
 _codec = cache(_Codec)  # one codec per (width, size, ti, tm)
 
 
-Packed = list[tuple[int, int]]  # (key, coefficient) terms, sorted under truncation
+Packed = list[tuple[int, int]]  # (key, coefficient) terms, sorted by key
 TermCap = tuple[int, str] | None  # (max_terms, the stage a count above it names)
 
 
-def _mac(acc: dict[int, int], a: Packed, b: Packed, limit: int | None) -> None:
+def _mac(acc: dict[int, int], a: Packed, b: Packed, limit: int) -> None:
     """acc += a * b on packed operands, dropping product keys at or above
-    limit (the truncation) unless it is None: the one multiply-accumulate
-    kernel.  Under truncation each term of the shorter operand meets the
-    prefix of the longer one whose keys fit beside its own."""
+    limit (the truncation): the one multiply-accumulate kernel.  Each term of
+    the shorter operand meets the prefix of the longer one whose keys fit
+    beside its own."""
     ta, tb = (a, b) if len(a) >= len(b) else (b, a)
     get = acc.get
-    if limit is None:
-        for kb, cb in tb:
-            for ka, ca in ta:
-                k = ka + kb
-                acc[k] = get(k, 0) + ca * cb
-        return
     for kb, cb in tb:
         cut = bisect_left(ta, (limit - kb,))
         if not cut:
@@ -247,7 +243,7 @@ def _mac(acc: dict[int, int], a: Packed, b: Packed, limit: int | None) -> None:
             acc[k] = get(k, 0) + ca * cb
 
 
-def _sums(pairs: Iterable[tuple[Packed, Packed]], limit: int | None,
+def _sums(pairs: Iterable[tuple[Packed, Packed]], limit: int,
           term_cap: TermCap = None, before: int = 0) -> dict[int, int]:
     """The sums of the pairs' products by key, zeros included: the one entry
     point to _mac.  With a term cap, before plus the nonzero sums above
@@ -261,10 +257,9 @@ def _sums(pairs: Iterable[tuple[Packed, Packed]], limit: int | None,
     return acc
 
 
-def _canonical(acc: dict[int, int], limit: int | None) -> Packed:
-    """The nonzero sums as packed terms, sorted by key under truncation."""
-    out = [(k, c) for k, c in acc.items() if c]
-    return sorted(out) if limit is not None else out
+def _canonical(acc: dict[int, int]) -> Packed:
+    """The nonzero sums as packed terms, sorted by key."""
+    return sorted([(k, c) for k, c in acc.items() if c])
 
 
 def _mul_terms(ta: Terms, tb: Terms) -> Terms:
@@ -299,7 +294,7 @@ def _add_into(acc: Terms, terms: Terms, scale: Q | None = None) -> None:
 
 class Graded(NamedTuple):
     """A truncated series on packed keys: parts maps each grade to its terms
-    (key, coefficient), sorted by key under truncation, each worth
+    (key, coefficient), sorted by key, each worth
     coefficient / den; no grade is empty and no coefficient zero.  codec
     (which holds the truncation) packs the keys, all |exponents| <= reach."""
 
@@ -386,7 +381,7 @@ def _graded_mul(a: Graded, b: Graded, cap: int, term_cap: TermCap = None) -> Gra
     total = 0  # terms so far, for the term cap
     for g in sorted({g1 + g2 for g1 in pa for g2 in pb if g1 + g2 <= cap}):
         pairs = ((t, pb[g - g1]) for g1, t in pa.items() if g - g1 in pb)
-        if terms := _canonical(_sums(pairs, limit, term_cap, total), limit):
+        if terms := _canonical(_sums(pairs, limit, term_cap, total)):
             parts[g] = terms
             total += len(terms)
     return _reduced(a.codec, a.reach + b.reach, a.den * b.den, parts)
@@ -396,7 +391,7 @@ def _graded_dot(a: Graded, b: Graded, term_cap: TermCap = None) -> Graded:
     """sum_g a_g b_g over the grades both hold, as a series of grade 0."""
     a, b = _aligned(a, b)
     pairs = ((t, b.parts[g]) for g, t in a.parts.items() if g in b.parts)
-    terms = _canonical(_sums(pairs, a.codec.limit, term_cap), a.codec.limit)
+    terms = _canonical(_sums(pairs, a.codec.limit, term_cap))
     return Graded(a.codec, a.reach + b.reach, a.den * b.den, {0: terms} if terms else {})
 
 
@@ -405,8 +400,8 @@ def _summed(codec: _Codec, reach: int, den: int, items: Iterable[tuple[int, Grad
     sums: dict[int, dict[int, int]] = {}
     for m, s in items:
         for g, t in s.parts.items():
-            _mac(sums.setdefault(g, {}), t, [(0, m)], None)
-    parts = {g: t for g, acc in sorted(sums.items()) if (t := _canonical(acc, codec.limit))}
+            _mac(sums.setdefault(g, {}), t, [(0, m)], codec.limit)
+    parts = {g: t for g, acc in sorted(sums.items()) if (t := _canonical(acc))}
     return _reduced(codec, reach, den, parts)
 
 
@@ -439,14 +434,6 @@ def _graded_series(x: Graded, coeffs: Sequence[QLike], cap: int,
     return out
 
 
-def _graded_exp(x: Graded, cap: int) -> Graded:
-    """exp(x) modulo grade > cap; x must have no grade-0 part."""
-    if 0 in x.parts:
-        raise ValueError("exponent must have no grade-0 part")
-    coeffs = [Q(1, factorial(m)) for m in range(cap + 1)]
-    return _graded_series(x, coeffs, cap)
-
-
 def _graded_inverse(a: Graded, cap: int) -> Graded:
     """The b with a*b == 1 modulo grade > cap; a's grade-0 part must be exactly 1.
 
@@ -464,12 +451,20 @@ def _graded_inverse(a: Graded, cap: int) -> Graded:
     ib: dict[int, Packed] = {0: [(0, 1)]}
     for g in range(low, cap + 1):
         pairs = ((t, ib[g - g1]) for g1, t in ia.items() if g - g1 in ib)
-        if terms := _canonical(_sums(pairs, limit), limit):
+        if terms := _canonical(_sums(pairs, limit)):
             ib[g] = terms
     top = max(ib)
     if den > 1:
         ib = {g: [(k, c * den ** (top - g)) for k, c in t] for g, t in ib.items()}
     return _reduced(a.codec, reach, den**top, ib)
+
+
+def _dot_powers(groups: Mapping[int, Terms], value: Terms, width: int) -> Terms:
+    """sum_p groups[p] value^p: one dot product of the groups with the
+    series of value's powers, value^p at grade p."""
+    top = max(groups)
+    powers = _graded_series(_packed({1: value}, width), [1] * (top + 1), top)
+    return _flat(_graded_dot(_packed(groups, width), powers))
 
 
 class MultiPoly:
@@ -572,8 +567,8 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, exp: int) -> "MultiPoly":
-        """sum_k C(exp, k) (c x^m)^k r^(exp-k) for c x^m one term and r the
-        rest: about t times the work of the terms _power_cap bounds."""
+        """sum_k C(exp, k) (c x^m)^(exp-k) r^k for c x^m one term and r the
+        rest, the powers of r as one series (_dot_powers)."""
         if not isinstance(exp, int) or exp < 0:
             raise ValueError("exponent must be a non-negative integer")
         if not self.terms or not exp:
@@ -581,17 +576,11 @@ class MultiPoly:
         (m, c), *others = self.terms.items()
         if not others:  # one term: no binomial sum
             return MultiPoly._raw(self.ctx, {tuple(exp * x for x in m): c**exp})
-        rest = MultiPoly._raw(self.ctx, dict(others))
-        powers = [MultiPoly.const(self.ctx, 1)]
-        for _ in range(exp):
-            powers.append(powers[-1] * rest)
-        out: Terms = {}
-        scale = Q(1)  # C(exp, k) c^k
-        for k, power in enumerate(reversed(powers)):
-            shift = tuple(k * x for x in m)
-            _add_into(out, {tuple(map(add, shift, e)): v for e, v in power.terms.items()}, scale)
-            scale = scale * c * (exp - k) / (k + 1)
-        return MultiPoly._raw(self.ctx, out)
+        lead, scale = {}, Q(1)  # scale = C(exp, k) c^(exp-k), from k = exp down
+        for k in range(exp, -1, -1):
+            lead[k] = {tuple((exp - k) * x for x in m): scale}
+            scale = scale * c * k / (exp - k + 1)
+        return MultiPoly._raw(self.ctx, _dot_powers(lead, dict(others), len(self.ctx)))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Q)):
@@ -609,8 +598,7 @@ class MultiPoly:
         """Substitute a polynomial or rational for one variable (exact).
 
         The terms are grouped by their exponent p of the variable, that slot
-        set to zero; the result is one dot product of {p: group} with
-        sum_p value^p, value^p at grade p.
+        set to zero, and summed against value^p (_dot_powers).
         """
         if not isinstance(value, MultiPoly):
             value = MultiPoly.const(self.ctx, value)
@@ -621,9 +609,7 @@ class MultiPoly:
             groups.setdefault(e[i], {})[e[:i] + (0,) + e[i + 1:]] = c
         if not any(groups):  # every term keeps value^0 = 1
             return self
-        width, top = len(self.ctx), max(groups)
-        powers = _graded_series(_packed({1: value.terms}, width), [1] * (top + 1), top)
-        return MultiPoly._raw(self.ctx, _flat(_graded_dot(_packed(groups, width), powers)))
+        return MultiPoly._raw(self.ctx, _dot_powers(groups, value.terms, len(self.ctx)))
 
     def truncate(self, name: str, maxdeg: int) -> "MultiPoly":
         """Drop all terms whose exponent in `name` exceeds maxdeg."""

@@ -39,7 +39,6 @@ from .exactalg import (
     QLike,
     _flat,
     _graded,
-    _graded_exp,
     _graded_mul,
     _graded_series,
     _power_cap,
@@ -544,7 +543,7 @@ def euler_payload(n: int, k: int, a: tuple[int, ...], budget: int | None = None)
     expo = MultiPoly.zero(ctx)
     for j, aj in enumerate(a, start=1):
         expo = expo - aj * MultiPoly.variable(ctx, f"z{j}")
-    payload = _graded_exp(graded(expo), cap)
+    payload = _graded_series(graded(expo), [Q(1, factorial(m)) for m in range(cap + 1)], cap)
     numerators, denominators = _hypersurface_factors(ctx, n, k)
     x_num, x_den = _hypersurface_level(n, MultiPoly.zero(ctx))
     for f, m in [(f, -1) for f in numerators + x_num] + denominators + x_den:

@@ -70,6 +70,7 @@ from .exactalg import (
     _gradedlex_key,
     _mul_terms,
     _packed,
+    _power_cap,
 )
 from .localization import DegenerateWeightsError
 
@@ -181,52 +182,44 @@ def _trunc_args(form: ResidueForm) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def _stage_series(group: Sequence[tuple[Q, Terms, int]], smax: int, width: int,
+def _stage_series(group: Sequence[tuple[Terms, int]], room: int, width: int,
                   ti: int, tm: int) -> Graded:
-    """S for one stage's factors c_f z_j + R_f: the product of the
-    (c_f z_j + R_f)^(-m_f) is sum_s S_s z_j^(-s), here for s <= smax.
-
-    With w = 1/z_j the product of the factors is c z_j^M H(w), where
-    M = sum m_f, c = prod c_f^m_f and H(w) = prod_f (1 + (R_f/c_f) w)^m_f is a
-    polynomial of w-degree M.  So S_(M+r) = G_r / c for G = 1/H, and only the
-    grades r <= smax - M of H and G are needed.
-    """
-    m_total = sum(m for _, _, m in group)
-    room = smax - m_total
+    """G for one stage's unit-led factors z_j + R_f: the product of the
+    (z_j + R_f)^(-m_f) is sum_r G_r z_j^(-M-r) for M = sum m_f, here for
+    r <= room.  With w = 1/z_j the product of the factors is z_j^M H(w) for
+    H(w) = prod_f (1 + R_f w)^m_f, so G = 1/H up to grade room."""
     one = {(0,) * width: Q(1)}
     H = _packed({0: one}, width, ti, tm)
-    c = Q(1)
-    for c_f, rest, mult in group:
-        c *= c_f**mult
-        linear = _packed({0: one, 1: {e: v / c_f for e, v in rest.items()}}, width, ti, tm)
+    for rest, mult in group:
+        linear = _packed({0: one, 1: rest}, width, ti, tm)
         for _ in range(mult):
             H = _graded_mul(H, linear, room)
-    G = _graded_inverse(H, room)
-    up = c.denominator if c > 0 else -c.denominator
-    return Graded(G.codec, G.reach, G.den * abs(c.numerator),
-                  {m_total + r: [(k, v * up) for k, v in t] for r, t in G.parts.items()})
+    return _graded_inverse(H, room)
 
 
 def residue_expand(form: ResidueForm, max_terms: int = DEFAULT_TERM_CAP) -> MultiPoly:
     """Iterated residue by Laurent expansion; exact, no truncation guesswork.
 
-    Variables are eliminated from z_k down to z_1.  Stage j keeps the
-    coefficient of z_j^(-1) in N * sum_s S_s z_j^(-s), where N is the
-    carried polynomial and the sum the product of the inverted factors led
-    by z_j (_stage_series).  The z_j-degrees of N bound the usable grades of
-    S, so the sum is finite; it is the carried polynomial of stage j-1.
+    Each factor c z_j + R enters as z_j + R/c, and the c^(-m) join the
+    orientation sign in one output scale.  From z_k down to z_1, stage j
+    keeps the coefficient of z_j^(-1) in N * sum_r G_r z_j^(-M-r), for N the
+    carried polynomial and G the inverted factors led by z_j (_stage_series).
+    The z_j-degrees of N bound the usable grades of G, so the sum is finite;
+    it is the carried polynomial of stage j-1.
     """
     ctx = form.ctx
     zpos = [ctx.index(z) for z in form.zvars]
     k = form.k
     ti, tm = _trunc_args(form)
 
-    groups: dict[int, list[tuple[Q, Terms, int]]] = {}
+    groups: dict[int, list[tuple[Terms, int]]] = {}
+    scale = orientation_sign(k)
     for poly, mult in form.factors:
         lead, c_lead = _leading_z(poly, zpos)
         zl = zpos[lead - 1]
-        rest = {e: c for e, c in poly.terms.items() if not e[zl]}
-        groups.setdefault(lead, []).append((c_lead, rest, mult))
+        rest = {e: c / c_lead for e, c in poly.terms.items() if not e[zl]}
+        groups.setdefault(lead, []).append((rest, mult))
+        scale /= c_lead**mult
 
     carried: Terms = dict(form.numerator.terms)
 
@@ -239,18 +232,19 @@ def residue_expand(form: ResidueForm, max_terms: int = DEFAULT_TERM_CAP) -> Mult
             # polynomial in z_j: no z_j^(-1) term, the whole residue vanishes
             carried = {}
             break
-        smax = max(e[zj] for e in carried) + 1
-        if smax < sum(m for _, _, m in group):
+        m_total = sum(m for _, m in group)
+        room = max(e[zj] for e in carried) + 1 - m_total
+        if room < 0:
             carried = {}
             break
-        conv = _stage_series(group, smax, len(ctx), ti, tm)
+        conv = _stage_series(group, room, len(ctx), ti, tm)
         # bucket the carried terms by z_j-exponent (slot zeroed): the bucket
-        # of z_j^(s-1) meets S_s, all summed as integers over one denominator
+        # of z_j^(M+r-1) meets G_r, all summed as integers over one denominator
         buckets: dict[int, Terms] = {}
         for e, v in carried.items():
             e0 = list(e)
             e0[zj] = 0
-            buckets.setdefault(e[zj] + 1, {})[tuple(e0)] = v
+            buckets.setdefault(e[zj] + 1 - m_total, {})[tuple(e0)] = v
         buckets = {s: t for s, t in buckets.items() if s in conv.parts}
         dot = _graded_dot(_packed(buckets, len(ctx), ti, tm), conv, (max_terms, "residue_expand"))
         carried = _flat(dot)
@@ -258,8 +252,7 @@ def residue_expand(form: ResidueForm, max_terms: int = DEFAULT_TERM_CAP) -> Mult
     for e in carried:
         if any(e[i] for i in zpos):
             raise JetresError("internal: z-variables left after extraction")
-    sign = orientation_sign(k)
-    return MultiPoly(ctx, {e: c * sign for e, c in carried.items()})
+    return MultiPoly(ctx, {e: c * scale for e, c in carried.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +472,8 @@ def _tower_integrand(n: int, k: int, P: MultiPoly, level: Callable[[MultiPoly], 
     ctx = P.ctx
     zvars = [f"z{i}" for i in range(1, k + 1)]
     ti, tm = (ctx.index("h"), n) if over_X else (-1, 0)
+    if term_cap:  # each kernel numerator z_[t1..t2] is termwise <= z_2 + ... + z_k
+        _power_cap(term_cap[1], _zsum(ctx, 2, k), k * (k - 1) // 2, term_cap[0])
     kernel_num, factors = _plus_kernel(ctx, k)
     kernel = reduce(mul, kernel_num, MultiPoly.const(ctx, (-1) ** k))
     levels = [level(_zsum(ctx, 1, j)) for j in range(1, k + 1)]

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from math import lcm
+from math import factorial, lcm
 from typing import Mapping, Sequence
 
 from jetres.exactalg import (
@@ -56,7 +56,6 @@ from jetres.exactalg import (
     _aligned,
     _flat,
     _graded,
-    _graded_exp,
     _graded_inverse,
     _graded_mul,
     _graded_series,
@@ -367,7 +366,8 @@ def euler_characteristic_k1_pushforward(n: int, a1: int) -> DPoly:
     u, h, d = (MultiPoly.variable(ctx, name) for name in ("u", "h", "d"))
     # pushforward kills u-powers beyond 2n-1, and h^(n+1) = 0
     cap = 2 * n - 1 + n
-    payload = _graded_exp(_on_X(Q(a1) * u, n, cap), cap)
+    payload = _graded_series(_on_X(Q(a1) * u, n, cap), [Q(1, factorial(m)) for m in range(cap + 1)],
+                              cap)
     # the fibre tangent's Todd class prod_s Td(L_s - u), from the tangent
     # bundle's K-theory class: Td(h - u)^(n+2) / (Td(-u) Td(dh - u))
     for f, m in [(h - u, n + 2), (-u, -1), (d * h - u, -1)]:

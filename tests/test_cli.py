@@ -595,3 +595,44 @@ def test_ggl_point_cap_is_a_resource_error(capsys):
     assert code == 3
     assert error["code"] == "resource"
     assert "fixed points exceed cap 5" in error["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["fixed-points", "-n", "1", "-k", "5000"],
+    ["fibre-integral", "-n", "1", "-k", "3000", "-P", "1", "--lambdas", "3"],
+    ["integral", "-n", "2", "-k", "1", "-P", "(" * 400 + "h" + ")" * 400],
+], ids=["fixed-points-k5000", "fibre-integral-k3000", "nested-parentheses"])
+def test_deep_input_is_a_resource_error(argv, capsys):
+    # the point cap counts 1^k = 1 point at n = 1, so the tower walks and the
+    # parser go one frame per level or parenthesis, past the recursion limit
+    start = time.monotonic()
+    code = main(argv)
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert code == 3
+    assert error == {"code": "resource",
+                     "message": "input nests deeper than Python's recursion limit"}
+    assert time.monotonic() - start < 5
+
+
+def test_a_900_level_tower_stays_within_the_recursion_limit():
+    # a fresh interpreter, whose stack holds none of the test runner's frames
+    run = subprocess.run([sys.executable, "-m", "jetres.cli", "fixed-points", "-n", "1",
+                          "-k", "900"], capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0
+    assert json.loads(run.stdout)["result"]["count"] == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["-k", "9"], "a 8-term base to the power 36 may exceed 10000000 terms"),
+    (["-k", "3000"], "a 2999-term base to the power 4498500 may exceed 10000000 terms"),
+    (["-k", "8", "--max-terms", "100000"], "a 7-term base to the power 28 may exceed 100000 terms"),
+], ids=["k9", "k3000", "k8-max-terms"])
+def test_plus_kernel_cap_is_a_resource_error(argv, message, capsys):
+    # the kernel's k(k-1)/2 numerators are multiplied before the builder's
+    # capped products; uncapped, -k 8 took 5.5 s and -k 10 over 30 s
+    start = time.monotonic()
+    code = main(["integral", "-n", "1", "-P", "1"] + argv)
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert code == 3
+    assert error == {"code": "resource", "message": f"hypersurface_integrand: {message}"}
+    assert time.monotonic() - start < 5

@@ -2,6 +2,7 @@
 
 import random
 import time
+from math import factorial
 
 import pytest
 from hypothesis import example, given
@@ -20,7 +21,6 @@ from jetres.exactalg import (
     _flat,
     _graded,
     _graded_dot,
-    _graded_exp,
     _graded_inverse,
     _graded_mul,
     _graded_series,
@@ -145,9 +145,12 @@ trunc_st = st.sampled_from([(-1, 0), (0, 1), (2, 2)])  # (truncation index, max 
 
 
 @given(terms_st, st.integers(0, 6))
+@example({UNIT: Q(1), (1, 0, 0): Q(1), (2, 0, 0): Q(1)}, 6)
+@example({(1, 0, 0): Q(-2, 3), (2, 0, 0): Q(1), (0, 0, 1): Q(5, 7), (1, 0, 1): Q(3)}, 5)
 def test_power_is_the_repeated_product(terms, exp):
     # the binomial split off one term against plain products, on rational
-    # coefficients and on monomials that collide (the zero polynomial too)
+    # coefficients and on bases whose products collide, such as 1 + z1 + z1^2
+    # (the zero polynomial too)
     p = MultiPoly(CTX, terms)
     oracle = MultiPoly.const(CTX, 1)
     for _ in range(exp):
@@ -247,10 +250,25 @@ def test_graded_inverse_is_the_geometric_series(x, cap, trunc):
     assert _flat(_graded_inverse(a, cap)) == _flat(geometric)
 
 
+@given(terms_st, nonconstant_st, cap_st, trunc_st)
+def test_every_packed_part_is_sorted_by_key(x, y, cap, trunc):
+    # the one kernel loop cuts each operand at a prefix, so every part of
+    # every series keeps strictly ascending keys, truncated or not
+    a, b = _graded(x, WEIGHTS, cap, *trunc), _graded(y, WEIGHTS, cap, *trunc)
+    unit = _graded({**y, UNIT: Q(1)}, WEIGHTS, cap, *trunc)
+    for series in (_packed({0: x, 1: y}, 3, *trunc), a, _graded_mul(a, b, cap),
+                   _graded_dot(a, b), _graded_series(b, [1, -2, Q(1, 3)], cap),
+                   _graded_inverse(unit, cap)):
+        for part in series.parts.values():
+            keys = [key for key, _ in part]
+            assert keys == sorted(set(keys))
+
+
 @given(nonconstant_st, nonconstant_st, cap_st, trunc_st)
 def test_graded_exp_of_sum_is_product_of_exps(x, y, cap, trunc):
     def exp(t):
-        return _graded_exp(_graded(t, WEIGHTS, cap, *trunc), cap)
+        coeffs = [Q(1, factorial(m)) for m in range(cap + 1)]
+        return _graded_series(_graded(t, WEIGHTS, cap, *trunc), coeffs, cap)
 
     xy = dict(x)
     _add_into(xy, y)
@@ -489,8 +507,6 @@ def test_substitute_with_negative_and_edge_exponents(terms, name, value):
 def test_graded_series_rejects_bad_constant_parts():
     with pytest.raises(NonUnitError):
         _graded_inverse(_graded({UNIT: Q(2)}, WEIGHTS, 3), 3)
-    with pytest.raises(ValueError):
-        _graded_exp(_graded({UNIT: Q(1)}, WEIGHTS, 3), 3)
 
 
 def test_segre_of_surface_multiplies_back():

@@ -106,3 +106,14 @@ def test_one_residue_kernel():
                 defined.append(where)
     assert calls == [], "a kernel called past integral_over_tower in the package"
     assert defined == [], "segre_hypersurface defined in the package"
+
+
+def test_only_exactalg_builds_graded_series():
+    # the packed format stays inside exactalg: the other modules get their
+    # series from its builders and never construct a Graded themselves
+    calls = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "exactalg.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "Graded"]
+    assert calls == [], "a Graded built outside exactalg"

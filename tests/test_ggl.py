@@ -294,11 +294,8 @@ def test_kernel_table_pair_products(monkeypatch):
 
     def counted(acc, a, b, limit):
         nonlocal pairs
-        if limit is None:
-            pairs += len(a) * len(b)
-        else:
-            keys = [k for k, _ in a]
-            pairs += sum(bisect_left(keys, limit - k) for k, _ in b)
+        keys = [k for k, _ in a]
+        pairs += sum(bisect_left(keys, limit - k) for k, _ in b)
         return kernel(acc, a, b, limit)
 
     monkeypatch.setattr(jetres.exactalg, "_mac", counted)

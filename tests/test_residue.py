@@ -16,6 +16,7 @@ from jetres.exactalg import (
     ResourceLimitError,
     VarContext,
     _flat,
+    _power_cap,
 )
 from jetres.ggl import canonical_config, intersection_payload
 from jetres.localization import fibre_integral_fixed_points
@@ -31,6 +32,7 @@ from jetres.residue import (
     residue_expand,
     residue_stepwise,
     tower_context,
+    DEFAULT_TERM_CAP,
     _plus_kernel,
     _stage_series,
     _zsum,
@@ -208,7 +210,17 @@ def factor_table_forms(draw):
     return ResidueForm(MultiPoly(ctx, terms), factors, ctx.names[:k])
 
 
+ZH_CTX = VarContext(("z1", "z2", "h"))
+ZH1, ZH2, ZHH = (MultiPoly.variable(ZH_CTX, name) for name in ZH_CTX.names)
+
+
 @given(factor_table_forms())
+# rational, negative leading coefficients: residue_expand enters the factors
+# unit-led and folds the c^-m into its output scale (values 125/12, 75/4 h)
+@example(ResidueForm(ZH2**2 * (ZH1 + ZHH), [(Q(-2, 3) * ZH1 + ZHH, 2), (Q(3, 5) * ZH2 - ZH1, 3)],
+                     ("z1", "z2")))
+@example(ResidueForm(ZH1 * ZH2, [(Q(-2, 3) * ZH1 + ZHH, 2), (Q(3, 5) * ZH2 - ZH1, 1)],
+                     ("z1", "z2")))
 def test_engines_agree_on_merged_and_collapsing_factors(form):
     assert residue_stepwise(form) == residue_expand(form)
 
@@ -231,13 +243,15 @@ stage_factor_st = st.tuples(
 @example([(Q(3), {(0, 0, 1): Q(1)}, 6)], 0, (2, 3))
 @example([(Q(-1), {(1, 0, 0): Q(1, 3), (0, 0, 0): Q(-11)}, 1)], 4, (0, 1))
 def test_stage_series_is_the_convolved_factor_series(group, room, trunc):
-    # leading coefficients rational or negative, an empty R (a factor c z_j),
-    # a room of 0 and the h-truncation on and off
+    # each factor c z_j + R enters unit-led, as z_j + R/c, with c rational or
+    # negative; an empty R (a factor c z_j), a room of 0 and the h-truncation
+    # on and off.  Grade r of the series is the order M + r of z_j^-1.
     ti, tm = trunc
-    smax = sum(m for _, _, m in group) + room
-    series = _stage_series(group, smax, STAGE_WIDTH, ti, tm)
-    got = {s: _flat(series._replace(parts={s: t})) for s, t in series.parts.items()}
-    assert got == stage_series_convolved(group, smax, STAGE_WIDTH, ti, tm)
+    unit_led = [(Q(1), {e: v / c for e, v in rest.items()}, m) for c, rest, m in group]
+    m_total = sum(m for _, _, m in group)
+    series = _stage_series([(rest, m) for _, rest, m in unit_led], room, STAGE_WIDTH, ti, tm)
+    got = {m_total + r: _flat(series._replace(parts={r: t})) for r, t in series.parts.items()}
+    assert got == stage_series_convolved(unit_led, m_total + room, STAGE_WIDTH, ti, tm)
 
 
 def test_factors_that_meet_after_a_substitution_share_one_entry():
@@ -577,6 +591,19 @@ def test_pruned_numerator_keeps_the_value(n, k, P, engine):
 def test_canonical_hypersurface_numerator_terms(n, terms):
     P = intersection_payload(canonical_config(n))
     assert len(hypersurface_integrand(n, n, P).numerator.terms) == terms
+
+
+def test_plus_kernel_cap_is_the_bound_of_its_product():
+    # the product of the k(k-1)/2 kernel numerators is termwise at most
+    # (z_2 + ... + z_k)^(k(k-1)/2): at k = 8, C(34, 6) = 1,344,904 terms of 2
+    # words each, so the builder stops at one word less, before any product,
+    # and the default cap lets k = 8 run (k = 9, C(43, 7) terms, not)
+    ctx = tower_context(8)
+    with pytest.raises(ResourceLimitError, match="a 7-term base to the power 28 may exceed "
+                                                 "2689807 words"):
+        hypersurface_integrand(1, 8, MultiPoly.const(ctx, 1), max_terms=2_689_807)
+    _power_cap("hypersurface_integrand", _zsum(ctx, 2, 8), 28, 2_689_808)
+    _power_cap("hypersurface_integrand", _zsum(ctx, 2, 8), 28, DEFAULT_TERM_CAP)
 
 
 # the most nonzero terms each engine holds at once on the canonical n = k = 3
