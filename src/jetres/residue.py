@@ -62,13 +62,11 @@ from .exactalg import (
     ResourceLimitError,
     Terms,
     VarContext,
-    _add_into,
     _flat,
     _graded_dot,
     _graded_inverse,
     _graded_mul,
     _gradedlex_key,
-    _mul_terms,
     _packed,
     _power_cap,
 )
@@ -131,7 +129,7 @@ class ResidueForm:
                 raise JetresError("factor context differs from numerator context")
             if mult < 1:
                 raise ValueError("factor multiplicities must be >= 1")
-            _z_coefficients(poly, zpos)  # validates affine-linearity in the z's
+            _leading_z(poly, zpos)  # affine-linear in the z's, with a z-term
         self.ctx = ctx
         self.zvars = tuple(zvars)
         self.numerator = numerator
@@ -143,38 +141,23 @@ class ResidueForm:
         return len(self.zvars)
 
 
-def _z_coefficients(poly: MultiPoly, zpos: Sequence[int]) -> list[Q]:
-    """The rational z-coefficients of a factor that is affine-linear in the z's."""
-    zset = set(zpos)
-    zc = [Q(0)] * len(zpos)
+def _leading_z(poly: MultiPoly, zpos: Sequence[int]) -> tuple[int, Q]:
+    """(j, a): the largest z-index j of a factor (1-based) and its coefficient,
+    for a factor that is affine-linear in the z's with rational z-coefficients."""
+    lead = 0, Q(0)
     for e, c in poly.terms.items():
-        zdeg = sum(e[i] for i in zpos)
-        if zdeg == 1:
-            which = next(i for i in zpos if e[i])
-            if any(e[i] for i in range(len(e)) if i not in zset):
+        zs = [j for j, i in enumerate(zpos, 1) for _ in range(e[i])]  # j once per power of z_j
+        if len(zs) > 1:
+            raise NotResidueIntegrableError("denominator factor is not affine-linear in the z's")
+        if zs:
+            if sum(e) > 1:
                 raise NotResidueIntegrableError(
                     "z-coefficients of denominator factors must be rational constants"
                 )
-            zc[zpos.index(which)] += c
-        elif zdeg > 1:
-            raise NotResidueIntegrableError("denominator factor is not affine-linear in the z's")
-    return zc
-
-
-def _leading_z(poly: MultiPoly, zpos: Sequence[int]) -> tuple[int, Q]:
-    """(j, a): the largest z-index j of the factor (1-based) and its coefficient."""
-    zc = _z_coefficients(poly, zpos)
-    for j in range(len(zc), 0, -1):
-        if zc[j - 1]:
-            return j, zc[j - 1]
-    raise NotResidueIntegrableError("factor with all-zero z-coefficients")
-
-
-def _trunc_args(form: ResidueForm) -> tuple[int, int]:
-    if form.trunc is None:
-        return -1, 0
-    name, deg = form.trunc
-    return form.ctx.index(name), deg
+            lead = max(lead, (zs[0], c))
+    if not lead[0]:
+        raise NotResidueIntegrableError("factor with all-zero z-coefficients")
+    return lead
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +193,7 @@ def residue_expand(form: ResidueForm, max_terms: int = DEFAULT_TERM_CAP) -> Mult
     ctx = form.ctx
     zpos = [ctx.index(z) for z in form.zvars]
     k = form.k
-    ti, tm = _trunc_args(form)
+    ti, tm = (-1, 0) if form.trunc is None else (ctx.index(form.trunc[0]), form.trunc[1])
 
     groups: dict[int, list[tuple[Terms, int]]] = {}
     scale = orientation_sign(k)
@@ -261,28 +244,28 @@ def residue_expand(form: ResidueForm, max_terms: int = DEFAULT_TERM_CAP) -> Mult
 
 
 # A factor table: each denominator factor, scaled so its graded-lex leading
-# coefficient is 1, keyed by its terms and mapped to (terms, multiplicity).
-FactorTable = dict[frozenset, tuple[Terms, int]]
+# coefficient is 1, mapped to its multiplicity.
+FactorTable = dict[MultiPoly, int]
 
 
-def _enter(table: FactorTable, terms: Terms, mult: int) -> Q:
+def _enter(table: FactorTable, factor: MultiPoly, mult: int) -> Q:
     """Enter factor**mult into the table and return scale**mult, the power of
     its leading coefficient that the numerator is to be divided by; a factor
     that is constant normalizes to 1 and is dropped."""
-    if not terms:
+    if factor.is_zero:
         raise JetresError("internal: factor vanished at a pole after merging")
-    scale = terms[max(terms, key=_gradedlex_key)]
-    terms = {e: c / scale for e, c in terms.items()}
-    if any(map(any, terms)):
-        key = frozenset(terms.items())
-        table[key] = (terms, mult + table.get(key, (terms, 0))[1])
+    scale = factor.terms[max(factor.terms, key=_gradedlex_key)]
+    factor = factor * (1 / scale)
+    if any(map(any, factor.terms)):
+        table[factor] = table.get(factor, 0) + mult
     return scale**mult
 
 
-def _derivative(terms: Terms, idx: int) -> Terms:
+def _derivative(poly: MultiPoly, idx: int) -> MultiPoly:
     """The derivative in the variable at idx (distinct exponents stay
     distinct, so nothing is summed)."""
-    return {e[:idx] + (e[idx] - 1,) + e[idx + 1:]: c * e[idx] for e, c in terms.items() if e[idx]}
+    return MultiPoly(poly.ctx, {e[:idx] + (e[idx] - 1,) + e[idx + 1:]: c * e[idx]
+                                for e, c in poly.terms.items() if e[idx]})
 
 
 def residue_stepwise(form: ResidueForm, max_terms: int = DEFAULT_TERM_CAP) -> MultiPoly:
@@ -296,8 +279,9 @@ def residue_stepwise(form: ResidueForm, max_terms: int = DEFAULT_TERM_CAP) -> Mu
     N -> N' F - N G, where F is the product of the other factors f that hold
     z_j and G = sum_f m_f a_f F/f (a_f the z_j-coefficient of f, m_f its
     multiplicity, which each step raises by 1).  Then w is substituted into
-    N and into every factor, the factors go into a fresh table, and each
-    factor cancels as often as it divides N exactly.
+    N, and every other factor, affine-linear in the z's, becomes
+    f + a_f (w - z_j); the factors go into a fresh table, and each factor
+    cancels as often as it divides N exactly.
 
     Unlike the expansion engine, truncation is applied only to the final
     value: intermediate denominators may carry positive powers of the
@@ -305,82 +289,68 @@ def residue_stepwise(form: ResidueForm, max_terms: int = DEFAULT_TERM_CAP) -> Mu
     until everything is divided out.
     """
     ctx = form.ctx
-    zpos = [ctx.index(z) for z in form.zvars]
-    one: Terms = {(0,) * len(ctx): Q(1)}
+    one = MultiPoly.const(ctx, 1)
     table: FactorTable = {}
     scale = Q(1)
     for poly, mult in form.factors:
-        _leading_z(poly, zpos)  # rejects factors with all-zero z-coefficients
-        scale *= _enter(table, poly.terms, mult)
-    carried = [({e: c / scale for e, c in form.numerator.terms.items()}, table)]
+        scale *= _enter(table, poly, mult)
+    carried = [(form.numerator * (1 / scale), table)]
 
-    for zname, zj in zip(reversed(form.zvars), reversed(zpos)):
-        unit = tuple(int(i == zj) for i in range(len(ctx)))  # the exponent of z_j
-        stage: list[tuple[Terms, FactorTable]] = []
+    for zname in reversed(form.zvars):
+        zj = ctx.index(zname)
+        z = MultiPoly.variable(ctx, zname)
+        (unit,) = z.terms  # the exponent of z_j
+        stage: list[tuple[MultiPoly, FactorTable]] = []
         for num, table in carried:
-            poles = [key for key, (ft, _) in table.items() if unit in ft]
-            for pole in poles:
-                f0, m0 = table[pole]
-                a0 = f0[unit]
+            poles = [f for f in table if unit in f.terms]
+            for f0 in poles:
+                m0, a0 = table[f0], f0.terms[unit]
                 numer = num
                 if m0 > 1:
                     # the (m0-1)-st derivative of num over the other factors
-                    moving = [table[key] for key in poles if key != pole]
-                    F = reduce(_mul_terms, (ft for ft, _ in moving), one)
-                    cofactors = [reduce(_mul_terms, (gt for gt, _ in moving if gt is not ft), one)
-                                 for ft, _ in moving]
-                    # each step is one dot product: N' F + N (-G)
+                    moving = [f for f in poles if f is not f0]
+                    F = reduce(mul, moving, one)
+                    cofactors = [reduce(mul, (g for g in moving if g is not f), one)
+                                 for f in moving]
                     for step in range(m0 - 1):
-                        minus_g: Terms = {}
-                        for (ft, m), cof in zip(moving, cofactors):
-                            _add_into(minus_g, cof, -(m + step) * ft[unit])
-                        numer = _flat(_graded_dot(
-                            _packed({0: _derivative(numer, zj), 1: numer}, len(ctx)),
-                            _packed({0: F, 1: minus_g}, len(ctx))))
-                # substitute z_j = w, w = -(f0 - a0 z_j)/a0, with the minus
-                # sign of the residue at infinity
-                w = MultiPoly._raw(ctx, {e: -c / a0 for e, c in f0.items() if not e[zj]})
+                        minus_g = sum((cof * (-(table[f] + step) * f.terms[unit])
+                                       for f, cof in zip(moving, cofactors)), MultiPoly.zero(ctx))
+                        numer = _derivative(numer, zj) * F + numer * minus_g
+                # substitute z_j = w, w - z_j = -f0/a0, with the minus sign of
+                # the residue at infinity
+                shift = f0 * (-1 / a0)
                 scale = -factorial(m0 - 1) * a0**m0
-                numer = MultiPoly._raw(ctx, numer).substitute(zname, w).terms
-                if not numer:
+                numer = numer.substitute(zname, z + shift)
+                if numer.is_zero:
                     continue
                 reduced: FactorTable = {}
-                for key, (ft, m) in table.items():
-                    if key != pole:
-                        bumped = m + (m0 - 1 if unit in ft else 0)
-                        scale *= _enter(reduced, MultiPoly._raw(ctx, ft).substitute(zname, w).terms,
-                                        bumped)
-                numer_poly = MultiPoly._raw(ctx, {e: c / scale for e, c in numer.items()})
-                for key, (ft, m) in list(reduced.items()):
-                    fpoly = MultiPoly._raw(ctx, ft)
-                    while m and (quot := numer_poly.divide_exact(fpoly)) is not None:
-                        numer_poly, m = quot, m - 1
+                for f, m in table.items():
+                    if f is not f0:
+                        a = f.terms.get(unit, 0)
+                        scale *= _enter(reduced, f + shift * a, m + (m0 - 1 if a else 0))
+                numer = numer * (1 / scale)
+                for f, m in list(reduced.items()):
+                    while m and (quot := numer.divide_exact(f)) is not None:
+                        numer, m = quot, m - 1
                     if m:
-                        reduced[key] = (ft, m)
+                        reduced[f] = m
                     else:
-                        del reduced[key]
-                if len(numer_poly.terms) > max_terms:
+                        del reduced[f]
+                if len(numer.terms) > max_terms:
                     raise ResourceLimitError(f"residue_stepwise exceeded {max_terms} terms")
-                stage.append((numer_poly.terms, reduced))
+                stage.append((numer, reduced))
         carried = stage
 
     # the z-free terms over their least common denominator, read off the
     # tables' keys (never the full product, which blows up symbolically)
     lcd: FactorTable = {}
     for _, table in carried:
-        for key, (ft, m) in table.items():
-            if m > lcd.get(key, (ft, 0))[1]:
-                lcd[key] = (ft, m)
-    total: Terms = {}
-    for num, table in carried:
-        for key, (ft, m) in lcd.items():
-            for _ in range(m - table.get(key, (ft, 0))[1]):
-                num = _mul_terms(num, ft)
-        _add_into(total, num)
-    result = MultiPoly(ctx, total)
+        for f, m in table.items():
+            lcd[f] = max(lcd.get(f, 0), m)
+    result = sum((reduce(mul, (f ** (m - table.get(f, 0)) for f, m in lcd.items()), num)
+                  for num, table in carried), MultiPoly.zero(ctx))
     if lcd:
-        denom = reduce(_mul_terms, (ft for ft, m in lcd.values() for _ in range(m)), one)
-        result = result.divide_exact(MultiPoly(ctx, denom))
+        result = result.divide_exact(reduce(mul, (f**m for f, m in lcd.items()), one))
         if result is None:
             raise JetresError("stepwise residue did not reduce to a polynomial value")
     if form.trunc is not None:
@@ -599,7 +569,16 @@ def integral_over_tower(
     P: MultiPoly,
     max_terms: int = DEFAULT_TERM_CAP,
 ) -> DPoly:
-    """Full pipeline: hypersurface integrand -> residue -> integrate over X."""
+    """Full pipeline: hypersurface integrand -> residue -> integrate over X.
+
+    Only the terms z^e h^b d^c of P with b <= n and |e| + b = n + k(n-1)
+    reach the top degree, as in `payload_integral_fixed_points`; the others
+    integrate to zero and are dropped first."""
+    hi = P.ctx.index("h")
+    P = MultiPoly(P.ctx, {e: c for e, c in P.terms.items()
+                          if e[hi] <= n and sum(e[:hi + 1]) == n + k * (n - 1)})
+    if P.is_zero:
+        return DPoly([])
     form = hypersurface_integrand(n, k, P, max_terms)
     return integrate_over_X(residue_expand(form, max_terms), n)
 

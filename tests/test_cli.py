@@ -629,10 +629,23 @@ def test_a_900_level_tower_stays_within_the_recursion_limit():
 ], ids=["k9", "k3000", "k8-max-terms"])
 def test_plus_kernel_cap_is_a_resource_error(argv, message, capsys):
     # the kernel's k(k-1)/2 numerators are multiplied before the builder's
-    # capped products; uncapped, -k 8 took 5.5 s and -k 10 over 30 s
+    # capped products; uncapped, -k 8 took 5.5 s and -k 10 over 30 s.  P = h
+    # has the tower's dimension 1 at n = 1, so the kernel is built.
     start = time.monotonic()
-    code = main(["integral", "-n", "1", "-P", "1"] + argv)
+    code = main(["integral", "-n", "1", "-P", "h"] + argv)
     error = json.loads(capsys.readouterr().err)["error"]
     assert code == 3
     assert error == {"code": "resource", "message": f"hypersurface_integrand: {message}"}
     assert time.monotonic() - start < 5
+
+
+def test_off_degree_payload_integrates_to_zero_at_once(capsys):
+    # P = 1 has degree 0 against the tower's dimension 1, so no term of it
+    # reaches the top degree and no kernel is built
+    start = time.monotonic()
+    code = main(["integral", "-n", "1", "-k", "9", "-P", "1"])
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert code == 0
+    assert result["value"]["coefficients"] == [] and result["value"]["text"] == "0"
+    assert result["degree_matched"] is False
+    assert time.monotonic() - start < 2

@@ -117,3 +117,16 @@ def test_only_exactalg_builds_graded_series():
              if isinstance(node, ast.Call)
              and getattr(node.func, "id", getattr(node.func, "attr", None)) == "Graded"]
     assert calls == [], "a Graded built outside exactalg"
+
+
+def test_stepwise_engine_shares_no_expansion_code():
+    # the stepwise residues check residue_expand, so they run on MultiPoly
+    # arithmetic alone and call none of the expansion's packed-series stages
+    tree = ast.parse((PACKAGE / "residue.py").read_text())
+    body = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "residue_stepwise")
+    shared = {"_packed", "_graded_dot", "_graded_mul", "_graded_inverse", "_flat",
+              "_stage_series", "_mul_terms"}
+    calls = [f"{node.func.id}:{node.lineno}" for node in ast.walk(body)
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) in shared]
+    assert calls == [], "residue_stepwise calls the expansion's stages"
