@@ -43,7 +43,7 @@ from .residue import (
     residue_stepwise,
     tower_context,
 )
-from .tower import DEFAULT_POINT_CAP, enumerate_fixed_points
+from .tower import DEFAULT_POINT_CAP, _check_cap, enumerate_fixed_points
 
 SCHEMA_VERSION = 1
 
@@ -85,15 +85,19 @@ def _items(params: Mapping[str, Any], name: str) -> list[Any]:
 
 
 def _scalar(value: Any, name: str, kind: Callable[[Any], Any] = int) -> Any:
-    """kind(value) for one JSON integer or string; lists, objects, booleans
-    and floats are rejected."""
+    """kind(value) for one JSON integer or string; lists, objects, booleans,
+    floats and strings that do not convert are rejected."""
     if value is None or isinstance(value, (bool, list, dict)):
         raise ValueError(f"parameter {name} must be a single number")
     if isinstance(value, float):
         # int() would truncate it and Fraction() would take its binary value
         raise ValueError(f"parameter {name} must be an integer or a string such as \"3/2\", "
                          f"not the float {value!r}")
-    return kind(value)
+    try:
+        return kind(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        what = "an integer" if kind is int else "a rational such as 3/2"
+        raise ValueError(f"parameter {name} must be {what}, not {value!r}") from exc
 
 
 def _ints(params: Mapping[str, Any], name: str) -> tuple[int, ...]:
@@ -207,6 +211,7 @@ def _ggl(params: Mapping[str, Any], budgets: dict[str, Any]) -> Outcome:
     elif unused := [x for x in ("bound", "delta", "k") if params.get(x) is not None]:
         raise ValueError(f"parameters {', '.join(unused)} need the weights a")
     else:
+        _check_cap(n, n, budgets["max_points"])  # before canonical_config, which grows with n
         cfg = canonical_config(n)
     bound = None if params.get("bound") is None else _scalar(params["bound"], "bound", Q)
     rep = ggl_threshold_check(cfg, bound, budgets["max_points"])
@@ -229,24 +234,27 @@ def _ggl(params: Mapping[str, Any], budgets: dict[str, Any]) -> Outcome:
 def _diagnostics(params: Mapping[str, Any], budgets: dict[str, Any]) -> Outcome:
     _require(params, "n")
     n, defect_cap = _scalar(params["n"], "n"), _scalar(params.get("defect_cap", 4), "defect_cap")
-    rep = estimate_checks(n, defect_cap, budgets["max_terms"], budgets["max_points"])
-    checks = [
+    checks = estimate_checks(n, defect_cap, budgets["max_terms"], budgets["max_points"])
+    all_passed = all(ok for _, ok, required, _ in checks if required)
+    return {"all_passed": all_passed, "checks": [
         {"name": name, "passed": ok, "required": req, "details": details}
-        for name, ok, req, details in rep.checks
-    ]
-    return {"all_passed": rep.all_passed, "checks": checks}, None
+        for name, ok, req, details in checks
+    ]}, None
 
 
 def _euler_char(params: Mapping[str, Any], budgets: dict[str, Any]) -> Outcome:
     _require(params, "n", "k", "a")
     n, k = _positive(params, "n"), _positive(params, "k")
     a = _ints(params, "a")
+    # the series are truncated at the tower dimension: a budget can only refuse
     budget = _scalar(params["budget"], "budget") if params.get("budget") is not None else None
     budgets["budget"] = budget
-    value = euler_characteristic(n, k, a, budget, budgets["max_terms"])
+    if budget is not None and budget < n + k * (n - 1):
+        raise ValueError("budget below the tower dimension cannot be exact")
+    value = euler_characteristic(n, k, a, budgets["max_terms"])
     check = ("expand-vs-localization", "residue expansion and localization disagree",
              value, lambda: payload_integral_fixed_points(
-                 n, k, euler_payload(n, k, a, budget), budgets["max_points"]))
+                 n, k, euler_payload(n, k, a), budgets["max_points"]))
     return {"value": _dpoly_doc(value)}, check
 
 
@@ -314,7 +322,9 @@ def _build_argparser() -> argparse.ArgumentParser:
                     help="fixed-point enumeration cap; in integral it bounds the --verify check")
     ap.add_argument("--max-terms", type=int,
                     help="sparse-term cap: parsing, payload, integrands, residues, diagnostics")
-    ap.add_argument("--budget", type=int, help="series truncation budget (euler-char)")
+    ap.add_argument("--budget", type=int,
+                    help="euler-char: refuse the job if below the tower dimension n + k(n-1), "
+                         "where the series are truncated")
     ap.add_argument("--out", help="write the result document to this file")
     ap.add_argument("-n", type=int, dest="n")
     ap.add_argument("-k", type=int, dest="k")
@@ -351,6 +361,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     flags = vars(_build_argparser().parse_args(argv))
     command, out = flags.pop("command"), flags.pop("out", None)
     try:
+        if out:  # refused before the job runs; append mode leaves a job file at that path intact
+            try:
+                open(out, "a", encoding="utf-8").close()
+            except OSError as exc:
+                bad, out = out, None
+                raise ValueError(f"cannot write --out {bad}: {exc.strerror}") from exc
         params = _load_job(flags.pop("job"), command) if "job" in flags else {}
         params.update(flags)
         start = time.monotonic()

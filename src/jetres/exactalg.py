@@ -271,11 +271,9 @@ def _mul_terms(ta: Terms, tb: Terms) -> Terms:
     return _flat(_graded_mul(_packed({0: ta}, width), _packed({0: tb}, width), 0))
 
 
-def _add_into(acc: Terms, terms: Terms, scale: Q | None = None) -> None:
+def _add_into(acc: Terms, terms: Terms) -> None:
     get = acc.get
     for e, c in terms.items():
-        if scale is not None:
-            c = c * scale
         prev = get(e)
         if prev is None:
             if c:

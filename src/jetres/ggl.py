@@ -54,7 +54,7 @@ from .residue import (
     integral_over_tower,
     tower_context,
 )
-from .tower import DEFAULT_POINT_CAP
+from .tower import DEFAULT_POINT_CAP, _check_cap
 
 __all__ = [
     "GGLConfig",
@@ -70,7 +70,6 @@ __all__ = [
     "expansion_diagnostics",
     "assemble_intersection_from_tables",
     "payload_closed_form",
-    "EstimateReport",
     "estimate_checks",
     "ample_condition",
     "euler_payload",
@@ -150,7 +149,9 @@ def build_intersection_polynomial(
     cfg: GGLConfig, max_points: int = DEFAULT_POINT_CAP
 ) -> tuple[DPoly, DPoly]:
     """The pair (I, p) with I(d) = d * p(d), by fixed-point localization;
-    every integral over X is a multiple of d, so p is I shifted down."""
+    every integral over X is a multiple of d, so p is I shifted down.  The
+    point cap is checked before the blocks, whose coefficients grow with n."""
+    _check_cap(cfg.n, cfg.k, max_points)
     I = integral_over_tower_fixed_points(
         cfg.n, cfg.k, cfg.a, _payload_blocks(cfg), point_cap=max_points
     )
@@ -174,22 +175,19 @@ def fujiwara_certificate(p: DPoly, bound: QLike) -> bool:
     return all(abs(p[n - l]) < D**l * lead for l in range(1, n + 1))
 
 
-def b0(n: int, a: Sequence[int]) -> Q:
-    """(a_1...a_n)^n times the central multinomial coefficient of n^2."""
-    if len(a) != n:
-        raise ValueError("need n weights")
+def b0(a: Sequence[int]) -> Q:
+    """(a_1...a_n)^n times the central multinomial coefficient of n^2,
+    for n = len(a)."""
+    n = len(a)
     prod = 1
     for ai in a:
         prod *= ai
     return Q(prod) ** n * multinomial(n * n, [n] * n)
 
 
-def defect(i: Sequence[int], n: int | None = None) -> int:
-    """The weighted coordinate sum n*i_1 + (n-1)*i_2 + ... + 1*i_n."""
-    if n is None:
-        n = len(i)
-    if len(i) != n:
-        raise ValueError("index length mismatch")
+def defect(i: Sequence[int]) -> int:
+    """The weighted coordinate sum n*i_1 + (n-1)*i_2 + ... + 1*i_n, n = len(i)."""
+    n = len(i)
     return sum((n - t) * it for t, it in enumerate(i))
 
 
@@ -230,9 +228,9 @@ class CoefficientTable:
     -n^2 delta |a| factor carried by its dh entry.
     """
 
-    def __init__(self, n: int, defect_cap: int, a0: dict[Key, Q], a1: dict[Key, Q],
+    def __init__(self, n: int, a0: dict[Key, Q], a1: dict[Key, Q],
                  a2: dict[Key, Q], a: dict[Key, Q], b: dict[Key, Q]) -> None:
-        self.n, self.defect_cap = n, defect_cap
+        self.n = n
         self.a0, self.a1, self.a2, self.a, self.b = a0, a1, a2, a, b
         self._a_by_z: dict[tuple[int, ...], list[tuple[int, int, Q]]] | None = None
 
@@ -325,7 +323,7 @@ def expansion_diagnostics(
         while tb.parts:  # release each bucket once converted
             tables[-1].update(keyed(_flat(tb._replace(parts=dict([tb.parts.popitem()])))))
     P = intersection_payload(canonical_config(n), max_terms)  # B(z) = P / (z_1...z_n)^n
-    return CoefficientTable(n, defect_cap, *tables, b=keyed(_flat_terms(P, [-n] * n)))
+    return CoefficientTable(n, *tables, b=keyed(_flat_terms(P, [-n] * n)))
 
 
 def assemble_intersection_from_tables(table: CoefficientTable) -> DPoly:
@@ -367,42 +365,34 @@ def payload_closed_form(cfg: GGLConfig, i: Sequence[int], s: int) -> Q:
     return (main + (s_ndelta / 2 - 1) * corr) * Q(2 * cfg.a_total) ** s * apart
 
 
-class EstimateReport:
-    """Outcome of the displayed-inequality recomputation; failures are findings.
-
-    `required` checks gate `all_passed`; informational checks record how the
-    looser display-level bounds fare and are reported either way.
-    """
-
-    def __init__(self) -> None:
-        self.checks: list[tuple[str, bool, bool, str]] = []
-
-    def add(self, name: str, ok: bool, details: str = "", required: bool = True) -> None:
-        self.checks.append((name, bool(ok), bool(required), details))
-
-    @property
-    def all_passed(self) -> bool:
-        return all(ok for _, ok, required, _ in self.checks if required)
-
-
 def estimate_checks(
     n: int, defect_cap: int = 4, max_terms: int = DEFAULT_TERM_CAP,
     max_points: int = DEFAULT_POINT_CAP,
-) -> EstimateReport:
-    """Recompute the displayed coefficient estimates as exact comparisons."""
-    cfg = canonical_config(n)
-    report = EstimateReport()
-    _, p = build_intersection_polynomial(cfg, max_points)
-    B0 = b0(n, cfg.a)
+) -> list[tuple[str, bool, bool, str]]:
+    """Recompute the displayed coefficient estimates as exact comparisons,
+    one (name, passed, required, details) per check; failures are findings.
 
-    report.add(
+    Required checks are the ones a caller's verdict rests on; informational
+    checks record how the looser display-level bounds fare.
+    """
+    _check_cap(n, n, max_points)  # before canonical_config, which grows with n
+    cfg = canonical_config(n)
+    checks: list[tuple[str, bool, bool, str]] = []
+
+    def add(name: str, ok: bool, details: str = "", required: bool = True) -> None:
+        checks.append((name, bool(ok), required, details))
+
+    _, p = build_intersection_polynomial(cfg, max_points)
+    B0 = b0(cfg.a)
+
+    add(
         "p_n > B0/2",
         p[n] > B0 / 2,
         f"p_n = {p[n]}, B0 = {B0}",
     )
     for l in range(1, n + 1):
         bound = 3 * Q(n) ** (8 * l * n) * p[n]
-        report.add(
+        add(
             f"|p_(n-{l})| < 3 n^(8*{l}*n) p_n",
             abs(p[n - l]) < bound,
             f"|p_(n-{l})| = {abs(p[n - l])}",
@@ -411,7 +401,7 @@ def estimate_checks(
     table = expansion_diagnostics(n, defect_cap, max_terms)
     outside = {z for z in {z for z, _, _ in table.a} if not lambda_plus_member(z)}
     bad = [z for (z, s, t) in table.a if z in outside]
-    report.add(
+    add(
         "A-support contained in the admissible cone",
         not bad,
         f"violations: {sorted(bad)[:3]}" if bad else "",
@@ -423,12 +413,12 @@ def estimate_checks(
         for (z, s, t), c in tab.items():
             if s or t or sum(z) != 0:
                 continue
-            D = defect(z, n)
+            D = defect(z)
             if 1 <= D <= defect_cap and not abs(c) < Q(n) ** (3 * D):
                 ok = False
                 worst = f"{label}_{z} = {c} vs n^{3 * D}"
                 break
-        report.add(f"|{label}_i| < n^(3 D(i)) for 1 <= D(i) <= {defect_cap}", ok, worst)
+        add(f"|{label}_i| < n^(3 D(i)) for 1 <= D(i) <= {defect_cap}", ok, worst)
 
     # The h-weighted variant is recorded as a finding: as displayed it fails
     # already at n=2, i=(0,-1), s=1 where the exact coefficient is 12 against
@@ -439,14 +429,14 @@ def estimate_checks(
     for (z, s, t), c in table.a2.items():
         if t or s < 1 or sum(z) != -s:
             continue
-        D = defect(z, n)
+        D = defect(z)
         if abs(D) <= defect_cap and not abs(c) < Q(n) ** (3 * D + s):
             violators.append((s, sum(map(abs, z)), -D, z, c))
     worst = ""
     if violators:
         s, _, minus_d, z, c = min(violators)
         worst = f"A2_(z^{z} h^{s}) = {c} vs n^{s - 3 * minus_d}"
-    report.add(
+    add(
         "|A2_(z^i h^s)| < n^(3 D(i)+s) (display-level bound)", not violators, worst, required=False
     )
 
@@ -455,22 +445,22 @@ def estimate_checks(
     for (z, s, t), c in table.b.items():
         if t:
             continue
-        if abs(defect(z, n)) > 3:
+        if abs(defect(z)) > 3:
             continue
         closed = payload_closed_form(cfg, z, s)
         if closed != c:
             ok = False
             worst = f"B_(z^{z} h^{s}): table {c} vs closed {closed}"
             break
-    report.add("payload coefficients match the closed multinomial form (|defect| <= 3)", ok, worst)
+    add("payload coefficients match the closed multinomial form (|defect| <= 3)", ok, worst)
 
     b_zero = table.b.get(((0,) * n, 0, 0), Q(0))
-    report.add(
+    add(
         "B_0 identity",
         b_zero == B0 and table.a.get(((-1,) * n, 0, n)) == 1,
         f"B_(0) = {b_zero}",
     )
-    return report
+    return checks
 
 
 def ample_condition(a: Sequence[int]) -> str:
@@ -514,7 +504,7 @@ def _todd_power(m: int, order: int) -> list[Q]:
 
 
 @lru_cache(maxsize=1)  # euler-char --verify integrates one payload along both routes
-def euler_payload(n: int, k: int, a: tuple[int, ...], budget: int | None = None) -> MultiPoly:
+def euler_payload(n: int, k: int, a: tuple[int, ...]) -> MultiPoly:
     """The part of ch(L) Td(T) of (z, h)-degree dim = n + k(n-1), over
     tower_context(k): the only part the Euler characteristic integrates.
 
@@ -524,45 +514,37 @@ def euler_payload(n: int, k: int, a: tuple[int, ...], budget: int | None = None)
     at w = 0, which is X's own tangent bundle (n+2)O(h) - O - O(dh): Td(f)^m
     for each denominator factor f^m and Td(f)^(-1) for each numerator
     factor f.  The kernel is homogeneous of degree -kn in (z, h), with d of
-    degree 0, so only the degree-dim part can reach (z_1...z_k)^(-1) h^n.
-    Every series is truncated above degree `budget` (default dim), so any
-    budget >= dim gives the same payload.
+    degree 0, so only the degree-dim part can reach (z_1...z_k)^(-1) h^n,
+    and every series is truncated above degree dim.
     """
     if len(a) != k:
         raise ValueError("need k weights")
     dim = n + k * (n - 1)
-    cap = budget if budget is not None else dim
-    if cap < dim:
-        raise ValueError("budget below the tower dimension cannot be exact")
     ctx = tower_context(k)
     weights = [0 if name == "d" else 1 for name in ctx.names]
 
     def graded(poly: MultiPoly) -> Graded:
-        return _graded(poly.terms, weights, cap, ctx.index("h"), n)
+        return _graded(poly.terms, weights, dim, ctx.index("h"), n)
 
     expo = MultiPoly.zero(ctx)
     for j, aj in enumerate(a, start=1):
         expo = expo - aj * MultiPoly.variable(ctx, f"z{j}")
-    payload = _graded_series(graded(expo), [Q(1, factorial(m)) for m in range(cap + 1)], cap)
+    payload = _graded_series(graded(expo), [Q(1, factorial(m)) for m in range(dim + 1)], dim)
     numerators, denominators = _hypersurface_factors(ctx, n, k)
     x_num, x_den = _hypersurface_level(n, MultiPoly.zero(ctx))
     for f, m in [(f, -1) for f in numerators + x_num] + denominators + x_den:
-        payload = _graded_mul(payload, _graded_series(graded(f), _todd_power(m, cap), cap), cap)
+        payload = _graded_mul(payload, _graded_series(graded(f), _todd_power(m, dim), dim), dim)
     top = payload._replace(parts={g: t for g, t in payload.parts.items() if g == dim})
     return MultiPoly._raw(ctx, _flat(top))
 
 
 def euler_characteristic(
-    n: int,
-    k: int,
-    a: Sequence[int],
-    budget: int | None = None,
-    max_terms: int = DEFAULT_TERM_CAP,
+    n: int, k: int, a: Sequence[int], max_terms: int = DEFAULT_TERM_CAP
 ) -> DPoly:
     """chi of the pushed-forward weighted tautological bundle, exact in d:
-    the integral over the tower of euler_payload(n, k, a, budget) by the
+    the integral over the tower of euler_payload(n, k, a) by the
     hypersurface residue (integral_over_tower)."""
-    return integral_over_tower(n, k, euler_payload(n, k, tuple(a), budget), max_terms)
+    return integral_over_tower(n, k, euler_payload(n, k, tuple(a)), max_terms)
 
 
 class ThresholdReport(NamedTuple):

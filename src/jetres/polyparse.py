@@ -68,12 +68,12 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
-    def __init__(self, text: str, ctx: VarContext, aliases: dict[str, str], max_terms: int):
-        self.text = text
+    def __init__(self, text: str, ctx: VarContext, max_terms: int):
         self.tokens = _tokenize(text)
         self.i = 0
         self.ctx = ctx
-        self.aliases = aliases
+        self.aliases = {"u" + name[1:]: name for name in ctx.names
+                        if name.startswith("z") and name[1:].isdigit()}
         self.max_terms = max_terms
 
     def peek(self) -> _Token:
@@ -160,21 +160,13 @@ class _Parser:
             raise ParseError(f"unexpected {tok.text!r} at {tok.pos}")
 
 
-def _default_aliases(ctx: VarContext) -> dict[str, str]:
-    out = {}
-    for name in ctx.names:
-        if name.startswith("z") and name[1:].isdigit():
-            out["u" + name[1:]] = name
-    return out
-
-
 def parse_poly(text: str, ctx: VarContext, max_terms: int = DEFAULT_TERM_CAP) -> MultiPoly:
     """Parse a polynomial expression into the given variable context.
 
     A power or product whose expansion may hold more than max_terms terms,
     or terms times 64-bit coefficient words, raises ResourceLimitError before
     it is expanded."""
-    parser = _Parser(text, ctx, _default_aliases(ctx), max_terms)
+    parser = _Parser(text, ctx, max_terms)
     value = parser.parse_expr()
     parser.expect_end()
     return value
@@ -189,7 +181,7 @@ def parse_residue_form(
     factors are themselves parenthesized expressions with optional positive
     integer powers.  Powers and products are capped as in parse_poly.
     """
-    parser = _Parser(text, ctx, _default_aliases(ctx), max_terms)
+    parser = _Parser(text, ctx, max_terms)
     numerator = parser.parse_expr()
     factors: list[tuple[MultiPoly, int]] = []
     if parser.peek().kind == "/":

@@ -105,22 +105,21 @@ class ResidueForm:
     """A rational form: numerator over a product of affine-linear factors.
 
     ``zvars`` fixes the residue variables and their order z_1 < ... < z_k;
-    all other context variables are coefficients.  ``trunc`` optionally names
-    a coefficient variable whose powers above a bound are identically zero in
-    the target ring (h-truncation for hypersurface integrands); the expansion
+    all other context variables are coefficients.  ``h_max`` optionally
+    bounds the powers of h, those above it being identically zero in the
+    target ring (the hypersurface integrands, h^(n+1) = 0); the expansion
     engine applies it eagerly (sound: exponents only add), the stepwise
-    engine only at the end (it divides by trunc-variable-carrying factors
-    along the way).
+    engine only at the end (it divides by factors carrying h along the way).
     """
 
-    __slots__ = ("ctx", "zvars", "numerator", "factors", "trunc")
+    __slots__ = ("ctx", "zvars", "numerator", "factors", "h_max")
 
     def __init__(
         self,
         numerator: MultiPoly,
         factors: Sequence[tuple[MultiPoly, int]],
         zvars: Sequence[str],
-        trunc: tuple[str, int] | None = None,
+        h_max: int | None = None,
     ):
         ctx = numerator.ctx
         zpos = [ctx.index(z) for z in zvars]
@@ -134,7 +133,7 @@ class ResidueForm:
         self.zvars = tuple(zvars)
         self.numerator = numerator
         self.factors = tuple((p, int(m)) for p, m in factors)
-        self.trunc = trunc
+        self.h_max = h_max
 
     @property
     def k(self) -> int:
@@ -193,7 +192,7 @@ def residue_expand(form: ResidueForm, max_terms: int = DEFAULT_TERM_CAP) -> Mult
     ctx = form.ctx
     zpos = [ctx.index(z) for z in form.zvars]
     k = form.k
-    ti, tm = (-1, 0) if form.trunc is None else (ctx.index(form.trunc[0]), form.trunc[1])
+    ti, tm = (-1, 0) if form.h_max is None else (ctx.index("h"), form.h_max)
 
     groups: dict[int, list[tuple[Terms, int]]] = {}
     scale = orientation_sign(k)
@@ -353,8 +352,8 @@ def residue_stepwise(form: ResidueForm, max_terms: int = DEFAULT_TERM_CAP) -> Mu
         result = result.divide_exact(reduce(mul, (f**m for f, m in lcd.items()), one))
         if result is None:
             raise JetresError("stepwise residue did not reduce to a polynomial value")
-    if form.trunc is not None:
-        result = result.truncate(*form.trunc)
+    if form.h_max is not None:
+        result = result.truncate("h", form.h_max)
     # the per-step minus signs realize the (-1)^k orientation
     return result
 
@@ -413,7 +412,7 @@ def _prefix_filter(ctx: VarContext, n: int, zpos: Sequence[int],
 
 
 def _tower_integrand(n: int, k: int, P: MultiPoly, level: Callable[[MultiPoly], LevelFactors],
-                     over_X: bool, term_cap: tuple[int, str] | None = None) -> ResidueForm:
+                     over_X: bool, term_cap: tuple[int, str]) -> ResidueForm:
     """The plus kernel times P times, per level j, the numerator factors of
     level(z_[1..j]), over the kernel's factors and the level's denominators;
     each product of the numerator counts its terms against term_cap.
@@ -442,8 +441,8 @@ def _tower_integrand(n: int, k: int, P: MultiPoly, level: Callable[[MultiPoly], 
     ctx = P.ctx
     zvars = [f"z{i}" for i in range(1, k + 1)]
     ti, tm = (ctx.index("h"), n) if over_X else (-1, 0)
-    if term_cap:  # each kernel numerator z_[t1..t2] is termwise <= z_2 + ... + z_k
-        _power_cap(term_cap[1], _zsum(ctx, 2, k), k * (k - 1) // 2, term_cap[0])
+    # each kernel numerator z_[t1..t2] is termwise <= z_2 + ... + z_k
+    _power_cap(term_cap[1], _zsum(ctx, 2, k), k * (k - 1) // 2, term_cap[0])
     kernel_num, factors = _plus_kernel(ctx, k)
     kernel = reduce(mul, kernel_num, MultiPoly.const(ctx, (-1) ** k))
     levels = [level(_zsum(ctx, 1, j)) for j in range(1, k + 1)]
@@ -456,12 +455,7 @@ def _tower_integrand(n: int, k: int, P: MultiPoly, level: Callable[[MultiPoly], 
     num = live(_packed({0: P.terms}, len(ctx), ti, tm))
     for f in [kernel] + [g for level_num, _ in levels for g in level_num]:
         num = live(_graded_mul(num, _packed({0: f.terms}, len(ctx), ti, tm), 0, term_cap))
-    return ResidueForm(
-        MultiPoly._raw(ctx, _flat(num)),
-        factors,
-        zvars,
-        trunc=("h", n) if over_X else None,
-    )
+    return ResidueForm(MultiPoly._raw(ctx, _flat(num)), factors, zvars, n if over_X else None)
 
 
 def fibre_residue_integrand(n: int, k: int, P: MultiPoly, lambdas: Sequence[QLike],
@@ -518,7 +512,8 @@ def demailly_integrand(n: int, k: int, P: MultiPoly, segre: Sequence[MultiPoly])
             nj = nj + classes[i - 1] * w ** (n - i)
         return [nj], [(w, 2 * n)]
 
-    return _tower_integrand(n, k, P, cleared_tangent, True)
+    return _tower_integrand(n, k, P, cleared_tangent, True,
+                            (DEFAULT_TERM_CAP, "demailly_integrand"))
 
 
 def _hypersurface_level(n: int, w: MultiPoly) -> LevelFactors:

@@ -87,7 +87,6 @@ class FixedPoint(NamedTuple):
     and its k(n-1) tangent weights w - w_j over all levels j."""
 
     weights: tuple[Weight, ...]
-    n: int
     tangent: tuple[Weight, ...]
 
 
@@ -106,7 +105,7 @@ def enumerate_fixed_points(n: int, k: int, point_cap: int = DEFAULT_POINT_CAP) -
         for i, wj in enumerate(current):
             deltas, above = _step(current, i)
             if len(chain) == k - 1:
-                out.append(FixedPoint(chain + (wj,), n, tangent + tuple(deltas)))
+                out.append(FixedPoint(chain + (wj,), tangent + tuple(deltas)))
             else:
                 rec(chain + (wj,), sorted(above), tangent + tuple(deltas))
 

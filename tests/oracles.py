@@ -216,7 +216,7 @@ def validate_prefix(prefix: Sequence[Weight], n: int) -> tuple[list[Weight], lis
 
 def fixed_point(chain: Sequence[Weight], n: int) -> FixedPoint:
     """The fixed point of a valid chain, its tangent weights walked here."""
-    return FixedPoint(tuple(chain), n, tuple(validate_prefix(chain, n)[1]))
+    return FixedPoint(tuple(chain), tuple(validate_prefix(chain, n)[1]))
 
 
 def weight_set_recursive(prefix: Sequence[Weight], n: int) -> list[Weight]:
@@ -285,7 +285,7 @@ def weight_poly(w: Weight, ctx: VarContext) -> MultiPoly:
 def euler_class(fp: FixedPoint, ctx: VarContext | None = None) -> MultiPoly:
     """Equivariant Euler class: the product of all tangent weights, in L_i's."""
     if ctx is None:
-        ctx = lambda_context(fp.n)
+        ctx = lambda_context(len(fp.weights[0].coeffs))
     out = MultiPoly.const(ctx, 1)
     for w in fp.tangent:
         out = out * weight_poly(w, ctx)

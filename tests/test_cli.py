@@ -155,11 +155,14 @@ def test_caps_below_one_are_validation_errors(argv, capsys):
         (["ggl", "-n", "5", "--a", "567,189,63,21,10", "--bound=-5", "--max-points", "1"],
          "bound must be positive"),
         (["fixed-points", "-n", "0", "-k", "2"], "n must be at least 1"),
+        (["euler-char", "-n", "3", "-k", "2", "--a", "9,3", "--budget", "6"],
+         "budget below the tower dimension cannot be exact"),
     ],
     ids=["defect-cap-negative", "defect-cap-minus-one", "lambdas-length", "fibre-n-negative",
          "integral-n-0", "euler-n-0", "fibre-n-with-lambdas", "integral-k-0", "ggl-n-negative",
          "diagnostics-n-negative", "ggl-tuning-without-a", "ggl-k-without-a",
-         "ggl-bound-negative", "ggl-bound-0", "ggl-bound-before-build", "fixed-points-n-0"],
+         "ggl-bound-negative", "ggl-bound-0", "ggl-bound-before-build", "fixed-points-n-0",
+         "euler-budget-below-dim"],
 )
 def test_out_of_range_values_are_validation_errors(argv, message, capsys):
     code = main(argv)
@@ -167,6 +170,47 @@ def test_out_of_range_values_are_validation_errors(argv, message, capsys):
     assert code == 2
     assert error["code"] == "validation"
     assert message in error["message"]
+
+
+@pytest.mark.parametrize("command, params, name", [
+    ("ggl", {"n": 2, "a": [3, 1], "delta": "1/0"}, "delta"),
+    ("ggl", {"n": 2, "a": [3, 1], "bound": "x"}, "bound"),
+    ("fibre-integral", {"n": 2, "k": 1, "polynomial": "u1", "lambdas": ["a", "b"]}, "lambdas"),
+    ("ggl", {"n": 2, "a": [3, "x"]}, "a"),
+    ("ggl", {"n": "2.5"}, "n"),
+], ids=["delta-zero-denominator", "bound-text", "lambdas-text", "a-text", "n-decimal"])
+def test_unconvertible_parameters_are_named(command, params, name, tmp_path, capsys):
+    job_path = tmp_path / "job.json"
+    job_path.write_text(json.dumps({"parameters": params}), encoding="utf-8")
+    code = main([command, "--job", str(job_path)])
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert code == 2
+    assert error["code"] == "validation"
+    assert f"parameter {name} " in error["message"]
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_out_path_is_refused_before_the_job(where, tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json" if where == "missing-directory" else tmp_path
+    code = main(["ample-check", "--a", "3,1", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["code"] == "validation"
+    assert error["message"].startswith(f"cannot write --out {out}: ")
+
+
+def test_euler_char_budget_only_refuses(capsys):
+    # the series are truncated at the tower dimension 7 whatever the budget;
+    # before, --budget 30 truncated them at 30 and took 0.68 s
+    assert main(["euler-char", "-n", "3", "-k", "2", "--a", "9,3"]) == 0
+    plain = json.loads(capsys.readouterr().out)
+    assert main(["euler-char", "-n", "3", "-k", "2", "--a", "9,3", "--budget", "30"]) == 0
+    capped = json.loads(capsys.readouterr().out)
+    assert capped["result"] == plain["result"]
+    assert plain["budgets"]["budget"] is None and capped["budgets"]["budget"] == 30
+    assert capped["elapsed_seconds"] < 0.2
 
 
 def test_missing_parameters(capsys):
@@ -586,6 +630,23 @@ def test_diagnostics_point_cap_is_a_resource_error(capsys):
     error = json.loads(capsys.readouterr().err)["error"]
     assert code == 3
     assert error == {"code": "resource", "message": "2^2 fixed points exceed cap 1"}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["ggl", "-n", "300"], "300^300"),
+    (["ggl", "-n", "20000"], "20000^20000"),
+    (["diagnostics", "-n", "300"], "300^300"),
+    (["ggl", "-n", "20000", "-k", "2", "--a", "9,3"], "20000^2"),
+], ids=["ggl-n300", "ggl-n20000", "diagnostics-n300", "ggl-custom-n20000"])
+def test_point_cap_stops_a_large_n_at_once(argv, message, capsys):
+    # checked before the canonical weights n^(8(n+1-i)) and the payload
+    # blocks, which grow with n: ggl -n 150 took 14 s to reach the cap
+    start = time.monotonic()
+    code = main(argv)
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert code == 3
+    assert error == {"code": "resource", "message": f"{message} fixed points exceed cap 1000000"}
+    assert time.monotonic() - start < 5
 
 
 def test_ggl_point_cap_is_a_resource_error(capsys):

@@ -61,9 +61,9 @@ def test_s_constant_values():
 
 
 def test_b0_values():
-    assert b0(2, (1, 1)) == 6
-    assert b0(2, (65536, 256)) == 6 * Q(2) ** 48
-    assert b0(3, (1, 1, 1)) == 1680
+    assert b0((1, 1)) == 6
+    assert b0((65536, 256)) == 6 * Q(2) ** 48
+    assert b0((1, 1, 1)) == 1680
 
 
 def test_defect_examples():
@@ -111,7 +111,7 @@ def test_decomposition_count_bound():
                     (f[t] if t < n - 1 else 0) - (f[t - 1] if t >= 1 else 0)
                     for t in range(n)
                 )
-                if defect(i, n) == m and sum(i) == 0:
+                if defect(i) == m and sum(i) == 0:
                     seen.add(i)
             assert len(seen) <= (n - 1) ** m
 
@@ -149,7 +149,7 @@ def test_build_intersection_polynomial_n2():
     I, p = build_intersection_polynomial(cfg)
     assert I == DPoly([0]) + DPoly([0] + list(p.coeffs))  # I = d * p exactly
     assert p.degree() == 2
-    assert p[2] > b0(2, cfg.a) / 2
+    assert p[2] > b0(cfg.a) / 2
 
 
 def test_two_route_equality_small_config():
@@ -191,8 +191,8 @@ def test_coefficient_route_equality_n4():
     # a second route for n = 4 that shares nothing with the fixed-point walk
     I, _ = build_intersection_polynomial(canonical_config(4))
     assert assemble_intersection_from_tables(expansion_diagnostics(4, defect_cap=4)) == I
-    rep = estimate_checks(4)
-    assert rep.all_passed, rep.checks
+    checks = estimate_checks(4)
+    assert all(ok for _, ok, required, _ in checks if required), checks
 
 
 def test_coefficient_tables_match_recorded_n2():
@@ -207,13 +207,13 @@ def test_coefficient_tables_match_recorded_n2():
             assert getattr(table, name) == expected, (cap, name)
 
 
-def _kernel_in_the_old_order(table):
+def _kernel_in_the_old_order(table, defect_cap):
     """The kernel table as (a0 a1) a2, the product order before a0 went last,
     from the table's own factors, at the grade cap of expansion_diagnostics
     and the earlier truncation on s alone (h^(n+1) = 0), restricted to the
     entries with s + t <= n that the table keeps."""
     n = table.n
-    cap = table.defect_cap + 2 * n * n
+    cap = defect_cap + 2 * n * n
     weights = tuple(range(n, 0, -1)) + (n, n)
 
     def graded(tab):
@@ -228,7 +228,7 @@ def _kernel_in_the_old_order(table):
                          ids=[str(cap) for cap in range(5)] + ["n3-cap4"])
 def test_kernel_table_is_the_old_product_order(n, defect_cap):
     table = expansion_diagnostics(n, defect_cap)
-    assert table.a == _kernel_in_the_old_order(table)
+    assert table.a == _kernel_in_the_old_order(table, defect_cap)
 
 
 def _factors_by_hand(n):
@@ -325,9 +325,9 @@ def test_payload_closed_form_spot_values():
 
 
 def test_estimates_n2():
-    rep = estimate_checks(2)
-    assert rep.all_passed, rep.checks
-    names = [name for name, ok, req, _ in rep.checks]
+    checks = estimate_checks(2)
+    assert all(ok for _, ok, required, _ in checks if required), checks
+    names = [name for name, ok, req, _ in checks]
     assert any("p_n > B0/2" in n for n in names)
 
 
@@ -450,24 +450,14 @@ def test_euler_characteristic_k1_oracle_n3():
 
 
 @pytest.mark.slow
-def test_euler_characteristic_n3_k2_truncation_stable():
-    dim = 3 + 2 * 2
-    base = euler_characteristic(3, 2, (9, 3))
-    assert euler_characteristic(3, 2, (9, 3), budget=dim) == base
-    # dim + n, the default budget while every payload degree reached the kernel
-    assert euler_characteristic(3, 2, (9, 3), budget=dim + 3) == base
-    assert euler_characteristic(3, 2, (9, 3), budget=dim + 3 + 2) == base
-
-
-@pytest.mark.slow
 def test_euler_characteristic_n4_k4_pins_chi():
     # about 10 s; the value of the earlier route, which built the tower's
     # Todd class level by level and sent every degree up to dim + n to the
     # kernel, and of fixed-point localization on the same payload
     a = (65536, 4096, 256, 16)
     chi = euler_characteristic(4, 4, a)
-    # budget None as euler_characteristic passes it, so the cached payload is reused
-    assert payload_integral_fixed_points(4, 4, euler_payload(4, 4, a, None)) == chi
+    # the arguments euler_characteristic passes, so the cached payload is reused
+    assert payload_integral_fixed_points(4, 4, euler_payload(4, 4, a)) == chi
     assert chi == DPoly([
         0,
         Q(26584056079425132797075803954594204710073001514657851, 20),
@@ -499,15 +489,6 @@ def test_euler_characteristic_zero_weights():
 def test_euler_characteristic_trailing_zero_reduces_level():
     for a1 in (1, 3, 5):
         assert euler_characteristic(2, 2, (a1, 0)) == euler_characteristic(2, 1, (a1,))
-
-
-def test_euler_characteristic_truncation_stable():
-    for k in (1, 2):
-        a = (3, 1)[:k]
-        dim = 2 + k
-        base = euler_characteristic(2, k, a)
-        assert euler_characteristic(2, k, a, budget=dim + 2 + 2) == base
-        assert euler_characteristic(2, k, a, budget=dim + 2 + 4) == base
 
 
 def test_config_validation():

@@ -226,7 +226,7 @@ def test_engines_agree_on_merged_and_collapsing_factors(form):
 @given(factor_table_forms(), st.integers(0, 3))
 def test_engines_agree_under_h_truncation(form, top):
     # the expansion truncates h as it goes, the stepwise engine once at the end
-    cut = ResidueForm(form.numerator, form.factors, form.zvars, trunc=("h", top))
+    cut = ResidueForm(form.numerator, form.factors, form.zvars, h_max=top)
     value = residue_stepwise(cut)
     assert value == residue_expand(cut) == residue_expand(form).truncate("h", top)
 
@@ -589,7 +589,7 @@ def test_pruned_numerator_keeps_the_value(n, k, P, engine):
     # the dropped terms integrate to zero: the full product over the same
     # factors gives the same class on X
     for form, full, _ in _builders_with_oracles(n, k, P):
-        unpruned = ResidueForm(full, form.factors, form.zvars, trunc=form.trunc)
+        unpruned = ResidueForm(full, form.factors, form.zvars, h_max=form.h_max)
         assert integrate_over_X(engine(unpruned), n) == integrate_over_X(engine(form), n)
 
 
