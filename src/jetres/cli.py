@@ -164,7 +164,7 @@ def _integral(params: Mapping[str, Any], budgets: dict[str, Any]) -> Outcome:
     P = parse_poly(_text(params, "polynomial"), tower_context(k), budgets["max_terms"])
     value = integral_over_tower(n, k, P, budgets["max_terms"])
     # every term of P has (z_1..z_k, h)-degree n + k(n-1), the tower's dimension
-    degree_matched = all(sum(e[:k + 1]) == n + k * (n - 1) for e in P.terms)
+    degree_matched = all(sum(e[:k + 1]) == n + k * (n - 1) for e in P.num)
     check = ("expand-vs-localization", "residue expansion and localization disagree",
              value, lambda: payload_integral_fixed_points(n, k, P, budgets["max_points"]))
     return {"value": _dpoly_doc(value), "degree_matched": degree_matched}, check

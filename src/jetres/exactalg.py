@@ -4,20 +4,22 @@ Everything downstream is built on three value types:
 
   * ``Q``               -- arbitrary-precision rationals (``fractions.Fraction``),
                            always normalized, denominator > 0.
-  * :class:`MultiPoly`  -- immutable sparse multivariate polynomials over ``Q``,
-                           keyed by exponent tuples inside an explicit
-                           :class:`VarContext`.  A class on an n-dimensional
-                           hypersurface is one in the context ``HD_CTX`` of
-                           the hyperplane class h and the degree variable d.
-  * :class:`DPoly`      -- univariate polynomials in the degree variable d.
+  * :class:`MultiPoly`  -- immutable sparse multivariate polynomials over ``Q``
+                           in an explicit :class:`VarContext`: integer
+                           numerators by exponent tuple over one denominator.
+                           A class on an n-dimensional hypersurface is one in
+                           the context ``HD_CTX`` of h and the degree d.
+  * :class:`DPoly`      -- univariate polynomials in d, on ``Q`` coefficients.
 
 No operation changes a value after construction and every operation is a
 pure function, so values can be shared freely between threads.  Canonical
-form is "no zero terms"; serialization order is graded lexicographic on the
+form: no zero numerator, and the denominator shares no factor with all the
+numerators; ``Fraction`` appears only at the edges (constructor input, the
+``terms`` view).  Serialization order is graded lexicographic on the
 context's fixed variable order, so equal values print identically.
 
 Every sum of sparse products runs through one kernel, ``_mac``, on integer
-coefficients and packed exponent keys (``_Codec``): an exponent vector is one
+numerators and packed exponent keys (``_Codec``): an exponent vector is one
 integer with a fixed-width signed digit per variable, so adding two exponent
 vectors is one integer addition.  The invariant: no digit of a key ever
 leaves its width.  The width rule (``_digit_size``) keeps it: operands whose
@@ -152,19 +154,13 @@ def _coerce_q(value: QLike) -> Q:
     raise TypeError(f"expected rational, got {type(value).__name__}")
 
 
-Terms = dict[tuple[int, ...], Q]
-# Terms scaled to integers by a common denominator that the caller keeps.
-IntTerms = list[tuple[tuple[int, ...], int]]
+# Integer numerators by exponent tuple, over a denominator kept beside them.
+Terms = dict[tuple[int, ...], int]
 
 
-def _denominator(parts: Iterable[Terms]) -> int:
-    """The lcm of the coefficients' denominators over all the parts."""
-    return lcm(*(c.denominator for terms in parts for c in terms.values()))
-
-
-def _scaled(terms: Terms, den: int) -> IntTerms:
-    """[(e, den*c)] for a den that every coefficient's denominator divides."""
-    return [(e, c.numerator * (den // c.denominator)) for e, c in terms.items()]
+def _common(den: int, coeffs: Iterable[int]) -> int:
+    """gcd(den, *coeffs): the factor that brings integers over den to lowest terms."""
+    return gcd(den, *coeffs) if den > 1 else 1
 
 
 # Signed array typecodes by digit width in bytes, narrowest first.
@@ -263,27 +259,12 @@ def _canonical(acc: dict[int, int]) -> Packed:
 
 
 def _mul_terms(ta: Terms, tb: Terms) -> Terms:
-    """Raw sparse product: the product of the operands as two grade-0 series
-    (each over the lcm of its denominators), read back once."""
+    """Raw sparse product of integer terms: the product of the operands as
+    two grade-0 series, read back once."""
     if not ta or not tb:
         return {}
     width = len(next(iter(ta)))
-    return _flat(_graded_mul(_packed({0: ta}, width), _packed({0: tb}, width), 0))
-
-
-def _add_into(acc: Terms, terms: Terms) -> None:
-    get = acc.get
-    for e, c in terms.items():
-        prev = get(e)
-        if prev is None:
-            if c:
-                acc[e] = c
-        else:
-            prev = prev + c
-            if prev:
-                acc[e] = prev
-            else:
-                del acc[e]
+    return _flat(_graded_mul(_packed({0: ta}, 1, width), _packed({0: tb}, 1, width), 0))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -302,35 +283,32 @@ class Graded(NamedTuple):
     parts: dict[int, Packed]
 
 
-def _packed(buckets: Mapping[int, Terms], width: int, trunc_idx: int = -1,
+def _packed(buckets: Mapping[int, Terms], den: int, width: int, trunc_idx: int = -1,
             trunc_max: int = 0) -> Graded:
-    """The series of the given grade buckets, over the lcm of their
-    denominators, its digits with room for a product with its own reach."""
-    den = _denominator(buckets.values())
+    """The series of the given grade buckets of integer terms over den, in
+    lowest terms, its digits with room for a product with its own reach."""
     reach = _reach(e for t in buckets.values() for e in t)
     codec = _codec(width, _digit_size(2 * reach), trunc_idx, trunc_max)
-    return Graded(codec, reach, den,
-                  {g: codec.packed(_scaled(t, den)) for g, t in sorted(buckets.items()) if t})
+    return _reduced(codec, reach, den,
+                    {g: codec.packed(t.items()) for g, t in sorted(buckets.items()) if t})
 
 
-def _graded(terms: Terms, weights: Sequence[int], cap: int, trunc_idx: int = -1,
+def _graded(poly: MultiPoly, weights: Sequence[int], cap: int, trunc_idx: int = -1,
             trunc_max: int = 0) -> Graded:
-    """Bucket terms by the weighted degree sum(w_i e_i), dropping grades above cap."""
+    """poly's terms bucketed by the weighted degree sum(w_i e_i), grades above cap dropped."""
     out: dict[int, Terms] = {}
-    for e, c in terms.items():
+    for e, c in poly.num.items():
         g = sum(w * x for w, x in zip(weights, e))
         if g <= cap:
             out.setdefault(g, {})[e] = c
-    return _packed(out, len(weights), trunc_idx, trunc_max)
+    return _packed(out, poly.den, len(weights), trunc_idx, trunc_max)
 
 
-def _flat(series: Graded) -> Terms:
-    """The series' terms read back, canonical, all grades together."""
+def _flat(series: Graded) -> tuple[Terms, int]:
+    """(num, den): the series' integer terms, all grades together, over its den."""
     terms = [term for part in series.parts.values() for term in part]
-    exponents, den = series.codec.unpack([k for k, _ in terms]), series.den
-    if den == 1:
-        return {e: Q(c) for e, (_, c) in zip(exponents, terms)}
-    return {e: Q(c, den) for e, (_, c) in zip(exponents, terms)}
+    exponents = series.codec.unpack([k for k, _ in terms])
+    return {e: c for e, (_, c) in zip(exponents, terms)}, series.den
 
 
 def _repacked(series: Graded, size: int) -> Graded:
@@ -360,8 +338,7 @@ def _aligned(a: Graded, b: Graded) -> tuple[Graded, Graded]:
 
 def _reduced(codec: _Codec, reach: int, den: int, parts: dict[int, Packed]) -> Graded:
     """The series over den with the gcd of den and the coefficients divided out."""
-    g = gcd(den, *(c for t in parts.values() for _, c in t)) if den > 1 else 1
-    if g > 1:
+    if (g := _common(den, (c for t in parts.values() for _, c in t))) > 1:
         den, parts = den // g, {gr: [(k, c // g) for k, c in t] for gr, t in parts.items()}
     return Graded(codec, reach, den, parts)
 
@@ -457,26 +434,28 @@ def _graded_inverse(a: Graded, cap: int) -> Graded:
     return _reduced(a.codec, reach, den**top, ib)
 
 
-def _dot_powers(groups: Mapping[int, Terms], value: Terms, width: int) -> Terms:
-    """sum_p groups[p] value^p: one dot product of the groups with the
+def _dot_powers(groups: Mapping[int, Terms], den: int, value: MultiPoly) -> tuple[Terms, int]:
+    """sum_p groups[p] value^p / den: one dot product of the groups with the
     series of value's powers, value^p at grade p."""
-    top = max(groups)
-    powers = _graded_series(_packed({1: value}, width), [1] * (top + 1), top)
-    return _flat(_graded_dot(_packed(groups, width), powers))
+    top, width = max(groups), len(value.ctx)
+    powers = _graded_series(_packed({1: value.num}, value.den, width), [1] * (top + 1), top)
+    return _flat(_graded_dot(_packed(groups, den, width), powers))
 
 
 class MultiPoly:
     """Sparse multivariate polynomial over Q in a fixed variable context.
 
-    Terms map exponent tuples (one non-negative integer per context variable)
-    to nonzero rational coefficients.  Instances are immutable by convention:
-    no method mutates ``terms`` after construction.
+    ``num`` maps exponent tuples (one integer per context variable) to
+    nonzero integer numerators over the one denominator ``den >= 1``, and
+    gcd(den, *num.values()) == 1: the form is canonical, so equal
+    polynomials hold equal fields.  Instances are immutable by convention:
+    no method mutates ``num`` after construction.
     """
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ("ctx", "num", "den")
 
     def __init__(self, ctx: VarContext, terms: Mapping[tuple[int, ...], QLike] | None = None):
-        clean: Terms = {}
+        clean: dict[tuple[int, ...], Q] = {}
         width = len(ctx)
         if terms:
             for e, c in terms.items():
@@ -485,46 +464,50 @@ class MultiPoly:
                 q = _coerce_q(c)
                 if q:
                     clean[tuple(e)] = q
-        self.ctx = ctx
-        self.terms = clean
+        den = lcm(*(q.denominator for q in clean.values()))
+        self.ctx, self.den = ctx, den
+        self.num = {e: q.numerator * (den // q.denominator) for e, q in clean.items()}
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, ctx: VarContext) -> "MultiPoly":
-        return cls(ctx)
+        return cls._raw(ctx, {})
 
     @classmethod
     def const(cls, ctx: VarContext, value: QLike) -> "MultiPoly":
-        return cls(ctx, {(0,) * len(ctx): _coerce_q(value)})
+        q = _coerce_q(value)
+        return cls._raw(ctx, {(0,) * len(ctx): q.numerator} if q else {}, q.denominator)
 
     @classmethod
     def variable(cls, ctx: VarContext, name: str) -> "MultiPoly":
         e = [0] * len(ctx)
         e[ctx.index(name)] = 1
-        return cls(ctx, {tuple(e): Q(1)})
+        return cls._raw(ctx, {tuple(e): 1})
 
     @classmethod
-    def _raw(cls, ctx: VarContext, terms: Terms) -> "MultiPoly":
-        # Internal: terms must already be canonical (no zeros, right arity).
+    def _raw(cls, ctx: VarContext, num: Terms, den: int = 1) -> "MultiPoly":
+        # Internal: num must hold no zeros and have the right arity, den >= 1;
+        # the gcd of den and the numerators is divided out here
+        if (g := _common(den, num.values())) > 1:
+            den, num = den // g, {e: c // g for e, c in num.items()}
         obj = object.__new__(cls)
-        obj.ctx = ctx
-        obj.terms = terms
+        obj.ctx, obj.num, obj.den = ctx, num, den
         return obj
 
     # -- inspection --------------------------------------------------------
 
     @property
+    def terms(self) -> dict[tuple[int, ...], Q]:
+        """The coefficients as rationals, in a new dict on every read."""
+        return {e: Q(c, self.den) for e, c in self.num.items()}
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def variables_used(self) -> set[str]:
-        used: set[str] = set()
-        for e in self.terms:
-            for i, p in enumerate(e):
-                if p:
-                    used.add(self.ctx.names[i])
-        return used
+        return {self.ctx.names[i] for e in self.num for i, p in enumerate(e) if p}
 
     # -- arithmetic --------------------------------------------------------
 
@@ -536,18 +519,23 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             other = MultiPoly.const(self.ctx, other)
         self._check_ctx(other)
-        acc = dict(self.terms)
-        _add_into(acc, other.terms)
-        return MultiPoly._raw(self.ctx, acc)
+        den = lcm(self.den, other.den)
+        up, scale = den // self.den, den // other.den
+        acc = {e: c * up for e, c in self.num.items()} if up > 1 else dict(self.num)
+        get = acc.get
+        for e, c in other.num.items():
+            if c := get(e, 0) + c * scale:
+                acc[e] = c
+            else:  # only a term already in acc cancels
+                del acc[e]
+        return MultiPoly._raw(self.ctx, acc, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly._raw(self.ctx, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._raw(self.ctx, {e: -c for e, c in self.num.items()}, self.den)
 
     def __sub__(self, other: "MultiPoly | QLike") -> "MultiPoly":
-        if not isinstance(other, MultiPoly):
-            other = MultiPoly.const(self.ctx, other)
         return self + (-other)
 
     def __rsub__(self, other: QLike) -> "MultiPoly":
@@ -558,37 +546,40 @@ class MultiPoly:
             q = _coerce_q(other)
             if not q:
                 return MultiPoly.zero(self.ctx)
-            return MultiPoly._raw(self.ctx, {e: c * q for e, c in self.terms.items()})
+            return MultiPoly._raw(self.ctx, {e: c * q.numerator for e, c in self.num.items()},
+                                  self.den * q.denominator)
         self._check_ctx(other)
-        return MultiPoly._raw(self.ctx, _mul_terms(self.terms, other.terms))
+        return MultiPoly._raw(self.ctx, _mul_terms(self.num, other.num), self.den * other.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, exp: int) -> "MultiPoly":
-        """sum_k C(exp, k) (c x^m)^(exp-k) r^k for c x^m one term and r the
-        rest, the powers of r as one series (_dot_powers)."""
+        """sum_k C(exp, k) (c x^m)^(exp-k) r^k / den^exp for c x^m one term of
+        the numerators and r the rest, the powers of r as one series
+        (_dot_powers)."""
         if not isinstance(exp, int) or exp < 0:
             raise ValueError("exponent must be a non-negative integer")
-        if not self.terms or not exp:
+        if not self.num or not exp:
             return self if exp else MultiPoly.const(self.ctx, 1)
-        (m, c), *others = self.terms.items()
+        (m, c), *others = self.num.items()
         if not others:  # one term: no binomial sum
-            return MultiPoly._raw(self.ctx, {tuple(exp * x for x in m): c**exp})
-        lead, scale = {}, Q(1)  # scale = C(exp, k) c^(exp-k), from k = exp down
+            return MultiPoly._raw(self.ctx, {tuple(exp * x for x in m): c**exp}, self.den**exp)
+        lead, scale = {}, 1  # scale = C(exp, k) c^(exp-k), from k = exp down
         for k in range(exp, -1, -1):
             lead[k] = {tuple((exp - k) * x for x in m): scale}
-            scale = scale * c * k / (exp - k + 1)
-        return MultiPoly._raw(self.ctx, _dot_powers(lead, dict(others), len(self.ctx)))
+            scale = scale * c * k // (exp - k + 1)
+        num, den = _dot_powers(lead, 1, MultiPoly._raw(self.ctx, dict(others)))
+        return MultiPoly._raw(self.ctx, num, den * self.den**exp)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Q)):
             other = MultiPoly.const(self.ctx, other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.ctx == other.ctx and self.terms == other.terms
+        return self.ctx == other.ctx and self.den == other.den and self.num == other.num
 
     def __hash__(self) -> int:
-        return hash((self.ctx, frozenset(self.terms.items())))
+        return hash((self.ctx, self.den, frozenset(self.num.items())))
 
     # -- structural operations ---------------------------------------------
 
@@ -603,28 +594,29 @@ class MultiPoly:
         self._check_ctx(value)
         i = self.ctx.index(name)
         groups: dict[int, Terms] = {}
-        for e, c in self.terms.items():
+        for e, c in self.num.items():
             groups.setdefault(e[i], {})[e[:i] + (0,) + e[i + 1:]] = c
         if not any(groups):  # every term keeps value^0 = 1
             return self
-        return MultiPoly._raw(self.ctx, _dot_powers(groups, value.terms, len(self.ctx)))
+        return MultiPoly._raw(self.ctx, *_dot_powers(groups, self.den, value))
 
     def truncate(self, name: str, maxdeg: int) -> "MultiPoly":
         """Drop all terms whose exponent in `name` exceeds maxdeg."""
         i = self.ctx.index(name)
-        return MultiPoly._raw(self.ctx, {e: c for e, c in self.terms.items() if e[i] <= maxdeg})
+        return MultiPoly._raw(self.ctx, {e: c for e, c in self.num.items() if e[i] <= maxdeg},
+                              self.den)
 
     def embed(self, ctx: VarContext) -> "MultiPoly":
         """Re-express in a larger context containing all used variables."""
         pos = [ctx.index(name) for name in self.ctx.names]
         width = len(ctx)
         out: Terms = {}
-        for e, c in self.terms.items():
+        for e, c in self.num.items():
             ne = [0] * width
             for p, ei in zip(pos, e):
                 ne[p] = ei
             out[tuple(ne)] = c
-        return MultiPoly._raw(ctx, out)
+        return MultiPoly._raw(ctx, out, self.den)
 
     def restrict(self, ctx: VarContext) -> "MultiPoly":
         """Re-express in a smaller context; fails if other variables occur."""
@@ -634,34 +626,36 @@ class MultiPoly:
         pos = {self.ctx.index(name): i for i, name in enumerate(ctx.names) if name in self.ctx}
         width = len(ctx)
         out: Terms = {}
-        for e, c in self.terms.items():
+        for e, c in self.num.items():
             ne = [0] * width
             for i, ei in enumerate(e):
                 if ei:
                     ne[pos[i]] = ei
-            key = tuple(ne)
-            out[key] = out.get(key, Q(0)) + c
-        return MultiPoly(ctx, out)
+            out[tuple(ne)] = c
+        return MultiPoly._raw(ctx, out, self.den)
 
     # -- division ------------------------------------------------------------
 
     def divide_exact(self, divisor: "MultiPoly") -> "MultiPoly | None":
         """Exact quotient self/divisor, or None if it does not divide.
 
-        Leading-term elimination in graded-lex order; exact quotients always
-        reduce because LT(q*b) = LT(q)*LT(b) in any monomial order.  Every
-        term an elimination step adds sits below the term it removes, so the
-        remainder's leading terms come off one heap (stale entries skipped).
+        Leading-term elimination in graded-lex order on the numerators, the
+        divisor's made primitive: by Gauss's lemma an exact quotient is then
+        integral, so each step's division by the leading coefficient is exact
+        or there is no quotient.  Exact quotients always reduce because
+        LT(q*b) = LT(q)*LT(b); every term a step adds sits below the one it
+        removes, so the leading terms come off one heap (stale entries skipped).
         """
         self._check_ctx(divisor)
         if divisor.is_zero:
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero:
             return self
-        lead_b = max(divisor.terms, key=_gradedlex_key)
-        cb = divisor.terms[lead_b]
-        rest = [(e, -c / cb) for e, c in divisor.terms.items() if e != lead_b]
-        rem = dict(self.terms)
+        content = gcd(*divisor.num.values())
+        lead_b = max(divisor.num, key=_gradedlex_key)
+        cb = divisor.num[lead_b] // content
+        rest = [(e, -c // content) for e, c in divisor.num.items() if e != lead_b]
+        rem = dict(self.num)
         heap = [_heap_key(e) for e in rem]
         heapify(heap)
         quot: Terms = {}
@@ -670,9 +664,10 @@ class MultiPoly:
             if lead_r not in rem:
                 continue
             qe = tuple(er - eb for er, eb in zip(lead_r, lead_b))
-            if any(p < 0 for p in qe):
+            qc, r = divmod(rem.pop(lead_r), cb)
+            if r or any(p < 0 for p in qe):
                 return None
-            qc = quot[qe] = rem.pop(lead_r)
+            quot[qe] = qc
             for eb, cf in rest:
                 e = tuple(map(add, qe, eb))
                 prev = rem.get(e)
@@ -685,7 +680,8 @@ class MultiPoly:
                     rem[e] = c
                 else:
                     del rem[e]
-        return MultiPoly(self.ctx, {e: c / cb for e, c in quot.items()})
+        return MultiPoly._raw(self.ctx, {e: c * divisor.den for e, c in quot.items()},
+                              self.den * content)
 
     # -- presentation --------------------------------------------------------
 
@@ -694,7 +690,7 @@ class MultiPoly:
 
     def to_text(self) -> str:
         """Canonical text form, parseable by the CLI polynomial grammar."""
-        if not self.terms:
+        if not self.num:
             return "0"
         chunks: list[str] = []
         for e, c in self.sorted_terms():
@@ -721,12 +717,10 @@ def _size_cap(what: str, terms: int, factors: Sequence[tuple[MultiPoly, int]],
               max_terms: int) -> None:
     """Refuse terms whose coefficients are bounded by a product of factors
     p^m when terms times their 64-bit words exceed max_terms: p's are at most
-    S/L, for L the lcm of its denominators and S = L sum |c|."""
+    S/L, for L its denominator and S the sum of its |numerators|."""
     bits = 0
     for p, m in factors:
-        den = lcm(*(c.denominator for c in p.terms.values()))
-        bits += m * (int(den * sum(map(abs, p.terms.values()))).bit_length()
-                     + (den - 1).bit_length())
+        bits += m * (sum(map(abs, p.num.values())).bit_length() + (p.den - 1).bit_length())
     if terms * (1 + bits // 64) > max_terms:
         raise ResourceLimitError(f"{what} may exceed {max_terms} words "
                                  "(terms times 64-bit words per coefficient)")
@@ -735,7 +729,7 @@ def _size_cap(what: str, terms: int, factors: Sequence[tuple[MultiPoly, int]],
 def _power_cap(stage: str, base: MultiPoly, exp: int, max_terms: int) -> None:
     """Refuse base**exp unexpanded: a t-term base gives at most
     C(exp + t - 1, t - 1) terms, and their size is _size_cap's."""
-    t, bound = len(base.terms), 1
+    t, bound = len(base.num), 1
     what = f"{stage}: a {t}-term base to the power {exp}"
     for i in range(1, t):  # C(exp + i, i), until it passes max_terms
         bound = bound * (exp + i) // i

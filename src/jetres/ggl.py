@@ -242,17 +242,18 @@ class CoefficientTable:
         return self._a_by_z.get(tuple(zvec), [])
 
 
-def _flat_terms(poly: MultiPoly, zshift: Sequence[int]) -> dict[tuple[int, ...], Q]:
-    """The terms z^e h^s (dh)^t of a polynomial over tower_context(n) as
-    z^(e + zshift) h^s (dh)^t, in the flat exponents (z_1..z_n, s + t, t): the
-    total h power s + t is the exponent of h, and every d arrives as dh."""
+def _flat_terms(poly: MultiPoly, zshift: Sequence[int]) -> MultiPoly:
+    """The terms z^e h^s (dh)^t of a polynomial over tower_context(n) as the
+    Laurent polynomial of the z^(e + zshift) h^s (dh)^t in the same context,
+    in the flat exponents (z_1..z_n, s + t, t): the total h power s + t is
+    the exponent of h, and every d arrives as dh."""
     n = len(zshift)
     out = {}
-    for e, c in poly.terms.items():
+    for e, c in poly.num.items():
         if e[n] < e[n + 1]:
             raise JetresError("d without matching h")
         out[tuple(x + y for x, y in zip(e, zshift)) + e[n:]] = c
-    return out
+    return MultiPoly._raw(poly.ctx, out, poly.den)
 
 
 def expansion_diagnostics(
@@ -292,14 +293,14 @@ def expansion_diagnostics(
     def mul(x: Graded, y: Graded) -> Graded:
         return _graded_mul(x, y, cap, term_cap)
 
-    one = _graded({(0,) * (n + 2): Q(1)}, weights, cap, n, n)
+    one = _graded(MultiPoly.const(ctx, 1), weights, cap, n, n)
     a0 = a2 = one
     levels: dict[int, Graded] = {}
     for f, power in [(f, 1) for f in numerators] + [(f, -m) for f, m in denominators]:
         j, c = _leading_z(f, range(n))
         r = _flat_terms(f * (1 / c) - MultiPoly.variable(ctx, f"z{j}"),
                         [-(i == j) for i in range(1, n + 1)])
-        if not r:
+        if r.is_zero:
             continue  # f = c z_j
         coeffs = [Q(binomial(power, i)) for i in range(power + 1 if power > 0 else cap + 1)]
         series = _graded_series(_graded(r, weights, cap, n, n), coeffs, cap, term_cap)
@@ -314,16 +315,17 @@ def expansion_diagnostics(
     a1 = reduce(mul, a1_levels, one)
     a = mul(a0, reduce(mul, reversed(a1_levels), a2))
 
-    def keyed(terms: dict[tuple[int, ...], Q]) -> dict[Key, Q]:
-        return {(e[:n], e[n] - e[n + 1], e[n + 1]): c for e, c in terms.items()}
+    def keyed(num: dict[tuple[int, ...], int], den: int) -> dict[Key, Q]:
+        return {(e[:n], e[n] - e[n + 1], e[n + 1]): Q(c, den) for e, c in num.items()}
 
     tables: list[dict[Key, Q]] = []
     for tb in (a0, a1, a2, a):
         tables.append({})
         while tb.parts:  # release each bucket once converted
-            tables[-1].update(keyed(_flat(tb._replace(parts=dict([tb.parts.popitem()])))))
-    P = intersection_payload(canonical_config(n), max_terms)  # B(z) = P / (z_1...z_n)^n
-    return CoefficientTable(n, *tables, b=keyed(_flat_terms(P, [-n] * n)))
+            tables[-1].update(keyed(*_flat(tb._replace(parts=dict([tb.parts.popitem()])))))
+    P = intersection_payload(canonical_config(n), max_terms)
+    B = _flat_terms(P, [-n] * n)  # B(z) = P / (z_1...z_n)^n
+    return CoefficientTable(n, *tables, b=keyed(B.num, B.den))
 
 
 def assemble_intersection_from_tables(table: CoefficientTable) -> DPoly:
@@ -508,12 +510,12 @@ def euler_payload(n: int, k: int, a: tuple[int, ...]) -> MultiPoly:
     """The part of ch(L) Td(T) of (z, h)-degree dim = n + k(n-1), over
     tower_context(k): the only part the Euler characteristic integrates.
 
-    ch(L) is the exponential character e^(-sum a_j z_j) of the weight vector
-    in the honest-class coordinates.  Td(T) is read off the hypersurface
-    integrand's factor list (residue._hypersurface_factors) plus the level
-    at w = 0, which is X's own tangent bundle (n+2)O(h) - O - O(dh): Td(f)^m
-    for each denominator factor f^m and Td(f)^(-1) for each numerator
-    factor f.  The kernel is homogeneous of degree -kn in (z, h), with d of
+    L is O_(X_k)(-a): ch(L) = e^(-sum a_j z_j) for z_j = c_1(O_(X_j)(1)) in
+    Demailly's convention (the honest-class coordinates).  Td(T) is read off
+    the hypersurface integrand's factor list (residue._hypersurface_factors)
+    plus the level at w = 0, which is X's own tangent bundle
+    (n+2)O(h) - O - O(dh): Td(f)^m for each denominator factor f^m and
+    Td(f)^(-1) for each numerator factor f.  The kernel is homogeneous of degree -kn in (z, h), with d of
     degree 0, so only the degree-dim part can reach (z_1...z_k)^(-1) h^n,
     and every series is truncated above degree dim.
     """
@@ -524,7 +526,7 @@ def euler_payload(n: int, k: int, a: tuple[int, ...]) -> MultiPoly:
     weights = [0 if name == "d" else 1 for name in ctx.names]
 
     def graded(poly: MultiPoly) -> Graded:
-        return _graded(poly.terms, weights, dim, ctx.index("h"), n)
+        return _graded(poly, weights, dim, ctx.index("h"), n)
 
     expo = MultiPoly.zero(ctx)
     for j, aj in enumerate(a, start=1):
@@ -535,15 +537,15 @@ def euler_payload(n: int, k: int, a: tuple[int, ...]) -> MultiPoly:
     for f, m in [(f, -1) for f in numerators + x_num] + denominators + x_den:
         payload = _graded_mul(payload, _graded_series(graded(f), _todd_power(m, dim), dim), dim)
     top = payload._replace(parts={g: t for g, t in payload.parts.items() if g == dim})
-    return MultiPoly._raw(ctx, _flat(top))
+    return MultiPoly._raw(ctx, *_flat(top))
 
 
 def euler_characteristic(
     n: int, k: int, a: Sequence[int], max_terms: int = DEFAULT_TERM_CAP
 ) -> DPoly:
-    """chi of the pushed-forward weighted tautological bundle, exact in d:
-    the integral over the tower of euler_payload(n, k, a) by the
-    hypersurface residue (integral_over_tower)."""
+    """chi(X_k, O_(X_k)(-a)) in Demailly's convention, exact in d: the
+    integral over the tower of euler_payload(n, k, a) by the hypersurface
+    residue (integral_over_tower).  So a = (-1,) at k = 1 gives chi(Omega^1_X)."""
     return integral_over_tower(n, k, euler_payload(n, k, tuple(a)), max_terms)
 
 

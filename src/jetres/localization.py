@@ -8,8 +8,8 @@ by the equivariant Euler class of the tangent space.
 weights are specialized to distinct rationals, and every variable other
 than z_1..z_k (h, d) rides along as an opaque constant.  The sum runs on
 integers: P is split once into groups of terms sharing their non-z
-monomial and their total z-degree g, each group's coefficients are cleared
-to integers, and the weights are scaled by the lcm D of the lambdas'
+monomial and their total z-degree g, on P's integer numerators over its
+one denominator den, and the weights are scaled by the lcm D of the lambdas'
 denominators.  A point's w_j depends only on its first j levels, so the sum
 walks the tree of the weight-set recursion of `jetres.tower` directly on
 integer weight values, never building a symbolic weight: each level-j node
@@ -47,8 +47,6 @@ from .exactalg import (
     Q,
     QLike,
     Terms,
-    _denominator,
-    _scaled,
     binomial,
 )
 from .tower import DEFAULT_POINT_CAP, _check_cap, _step
@@ -126,11 +124,11 @@ def _fibre_sum(
     """The map from distinct weight values (n rationals) to the fibre
     integral of P; the fixed points and the split of P are built once.
 
-    P = sum over (rest, g) of rest * (sum of c * z^e with |e| = g); each
-    group's coefficients are cleared to integers once, c = c' / den.  A
-    level-j node's state is the integer vector of its partial evaluation:
-    one entry per (group, exponents of z_(j+1)..z_k), the key set of each
-    level fixed in advance, so a node only substitutes its value of z_j.
+    P = sum over (rest, g) of rest * (sum of c * z^e with |e| = g) / den,
+    for c P's integer numerators and den its denominator.  A level-j node's
+    state is the integer vector of its partial evaluation: one entry per
+    (group, exponents of z_(j+1)..z_k), the key set of each level fixed in
+    advance, so a node only substitutes its value of z_j.
     The weights are scaled by D, the lcm of the lambdas' denominators, and
     a group with numerator N over the walk's denominator E gains
     N * D^(k(n-1)) / (den * D^g * E).
@@ -138,18 +136,14 @@ def _fibre_sum(
     _check_cap(n, k, point_cap)
     zidx = [P.ctx.index(f"z{i}") for i in range(1, k + 1)]
     groups: dict[tuple[tuple[int, ...], int], Terms] = {}
-    for e, c in P.terms.items():
+    for e, c in P.num.items():
         z = tuple(e[i] for i in zidx)
         rest = list(e)
         for i in zidx:
             rest[i] = 0
         groups.setdefault((tuple(rest), sum(z)), {})[z] = c
-    cleared = []
-    for (rest, g), terms in groups.items():
-        d_g = _denominator((terms,))
-        cleared.append((rest, g, d_g, _scaled(terms, d_g)))
-    keys = [(gi, z) for gi, (*_, terms) in enumerate(cleared) for z, _ in terms]
-    root = [c for *_, terms in cleared for _, c in terms]
+    keys = [(gi, z) for gi, terms in enumerate(groups.values()) for z in terms]
+    root = [c for terms in groups.values() for c in terms.values()]
     # per level: the size of the next key set, the top power of z_j and, per
     # key, its place in the next key set and its exponent of z_j
     plans = []
@@ -175,10 +169,10 @@ def _fibre_sum(
         D = lcm(*(v.denominator for v in lams))
         scaled = [v.numerator * (D // v.denominator) for v in lams]
         den, nums = _tower_sum(k, scaled, root, descend, lambda s: s)
-        totals = dict.fromkeys((rest for rest, *_ in cleared), Q(0))
+        totals = dict.fromkeys((rest for rest, _ in groups), Q(0))
         D_tangent = D ** (k * (n - 1))
-        for (rest, g, d_g, _), s in zip(cleared, nums):
-            totals[rest] += Q(s * D_tangent, den * d_g * D**g)
+        for (rest, g), s in zip(groups, nums):
+            totals[rest] += Q(s * D_tangent, den * P.den * D**g)
         return MultiPoly(P.ctx, totals)
 
     return evaluate
@@ -373,16 +367,16 @@ def payload_integral_fixed_points(
     dim = n + k * (n - 1)
     kept: Terms = {}
     blocks: dict[tuple[int, ...], tuple[int, DPoly]] = {}
-    for e, c in P.terms.items():
+    for e, c in P.num.items():
         g = sum(e[i] for i in zidx)
         if e[hi] <= n and g + e[hi] == dim:
             kept[e] = (-1) ** g * c
             rest = tuple(0 if i in zidx else x for i, x in enumerate(e))
             blocks[rest] = (e[hi], DPoly([0] * e[di] + [1]))
-    fibre = _fibre_sum(n, k, MultiPoly(ctx, kept), point_cap)
+    fibre = _fibre_sum(n, k, MultiPoly._raw(ctx, kept, P.den), point_cap)
 
     def evaluate(lams: list[int]) -> list[Q]:
         value = fibre(lams)
-        return [value.terms.get(rest, Q(0)) for rest in blocks]
+        return [Q(value.num.get(rest, 0), value.den) for rest in blocks]
 
     return _interpolate_over_X(n, list(blocks.values()), evaluate)

@@ -106,8 +106,8 @@ class _Parser:
         while self.peek().kind == "*":
             self.take()
             rhs = self.parse_factor()
-            _size_cap(f"parse: a product of {len(value.terms)} by {len(rhs.terms)} terms",
-                      len(value.terms) * len(rhs.terms), [(value, 1), (rhs, 1)], self.max_terms)
+            _size_cap(f"parse: a product of {len(value.num)} by {len(rhs.num)} terms",
+                      len(value.num) * len(rhs.num), [(value, 1), (rhs, 1)], self.max_terms)
             value = value * rhs
         return value
 

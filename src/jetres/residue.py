@@ -143,8 +143,8 @@ class ResidueForm:
 def _leading_z(poly: MultiPoly, zpos: Sequence[int]) -> tuple[int, Q]:
     """(j, a): the largest z-index j of a factor (1-based) and its coefficient,
     for a factor that is affine-linear in the z's with rational z-coefficients."""
-    lead = 0, Q(0)
-    for e, c in poly.terms.items():
+    lead = 0, 0
+    for e, c in poly.num.items():
         zs = [j for j, i in enumerate(zpos, 1) for _ in range(e[i])]  # j once per power of z_j
         if len(zs) > 1:
             raise NotResidueIntegrableError("denominator factor is not affine-linear in the z's")
@@ -156,7 +156,7 @@ def _leading_z(poly: MultiPoly, zpos: Sequence[int]) -> tuple[int, Q]:
             lead = max(lead, (zs[0], c))
     if not lead[0]:
         raise NotResidueIntegrableError("factor with all-zero z-coefficients")
-    return lead
+    return lead[0], Q(lead[1], poly.den)
 
 
 # ---------------------------------------------------------------------------
@@ -164,16 +164,16 @@ def _leading_z(poly: MultiPoly, zpos: Sequence[int]) -> tuple[int, Q]:
 # ---------------------------------------------------------------------------
 
 
-def _stage_series(group: Sequence[tuple[Terms, int]], room: int, width: int,
+def _stage_series(group: Sequence[tuple[MultiPoly, int]], room: int, width: int,
                   ti: int, tm: int) -> Graded:
     """G for one stage's unit-led factors z_j + R_f: the product of the
     (z_j + R_f)^(-m_f) is sum_r G_r z_j^(-M-r) for M = sum m_f, here for
     r <= room.  With w = 1/z_j the product of the factors is z_j^M H(w) for
     H(w) = prod_f (1 + R_f w)^m_f, so G = 1/H up to grade room."""
-    one = {(0,) * width: Q(1)}
-    H = _packed({0: one}, width, ti, tm)
+    unit = (0,) * width
+    H = _packed({0: {unit: 1}}, 1, width, ti, tm)
     for rest, mult in group:
-        linear = _packed({0: one, 1: rest}, width, ti, tm)
+        linear = _packed({0: {unit: rest.den}, 1: rest.num}, rest.den, width, ti, tm)
         for _ in range(mult):
             H = _graded_mul(H, linear, room)
     return _graded_inverse(H, room)
@@ -194,16 +194,15 @@ def residue_expand(form: ResidueForm, max_terms: int = DEFAULT_TERM_CAP) -> Mult
     k = form.k
     ti, tm = (-1, 0) if form.h_max is None else (ctx.index("h"), form.h_max)
 
-    groups: dict[int, list[tuple[Terms, int]]] = {}
+    groups: dict[int, list[tuple[MultiPoly, int]]] = {}
     scale = orientation_sign(k)
     for poly, mult in form.factors:
         lead, c_lead = _leading_z(poly, zpos)
-        zl = zpos[lead - 1]
-        rest = {e: c / c_lead for e, c in poly.terms.items() if not e[zl]}
+        rest = poly.truncate(form.zvars[lead - 1], 0) * (1 / c_lead)
         groups.setdefault(lead, []).append((rest, mult))
         scale /= c_lead**mult
 
-    carried: Terms = dict(form.numerator.terms)
+    carried, den = form.numerator.num, form.numerator.den
 
     for j in range(k, 0, -1):
         if not carried:
@@ -228,13 +227,14 @@ def residue_expand(form: ResidueForm, max_terms: int = DEFAULT_TERM_CAP) -> Mult
             e0[zj] = 0
             buckets.setdefault(e[zj] + 1 - m_total, {})[tuple(e0)] = v
         buckets = {s: t for s, t in buckets.items() if s in conv.parts}
-        dot = _graded_dot(_packed(buckets, len(ctx), ti, tm), conv, (max_terms, "residue_expand"))
-        carried = _flat(dot)
+        dot = _graded_dot(_packed(buckets, den, len(ctx), ti, tm), conv,
+                          (max_terms, "residue_expand"))
+        carried, den = _flat(dot)
 
     for e in carried:
         if any(e[i] for i in zpos):
             raise JetresError("internal: z-variables left after extraction")
-    return MultiPoly(ctx, {e: c * scale for e, c in carried.items()})
+    return MultiPoly._raw(ctx, carried, den) * scale
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +253,9 @@ def _enter(table: FactorTable, factor: MultiPoly, mult: int) -> Q:
     that is constant normalizes to 1 and is dropped."""
     if factor.is_zero:
         raise JetresError("internal: factor vanished at a pole after merging")
-    scale = factor.terms[max(factor.terms, key=_gradedlex_key)]
+    scale = Q(factor.num[max(factor.num, key=_gradedlex_key)], factor.den)
     factor = factor * (1 / scale)
-    if any(map(any, factor.terms)):
+    if any(map(any, factor.num)):
         table[factor] = table.get(factor, 0) + mult
     return scale**mult
 
@@ -263,8 +263,8 @@ def _enter(table: FactorTable, factor: MultiPoly, mult: int) -> Q:
 def _derivative(poly: MultiPoly, idx: int) -> MultiPoly:
     """The derivative in the variable at idx (distinct exponents stay
     distinct, so nothing is summed)."""
-    return MultiPoly(poly.ctx, {e[:idx] + (e[idx] - 1,) + e[idx + 1:]: c * e[idx]
-                                for e, c in poly.terms.items() if e[idx]})
+    return MultiPoly._raw(poly.ctx, {e[:idx] + (e[idx] - 1,) + e[idx + 1:]: c * e[idx]
+                                     for e, c in poly.num.items() if e[idx]}, poly.den)
 
 
 def residue_stepwise(form: ResidueForm, max_terms: int = DEFAULT_TERM_CAP) -> MultiPoly:
@@ -298,12 +298,13 @@ def residue_stepwise(form: ResidueForm, max_terms: int = DEFAULT_TERM_CAP) -> Mu
     for zname in reversed(form.zvars):
         zj = ctx.index(zname)
         z = MultiPoly.variable(ctx, zname)
-        (unit,) = z.terms  # the exponent of z_j
+        (unit,) = z.num  # the exponent of z_j
         stage: list[tuple[MultiPoly, FactorTable]] = []
         for num, table in carried:
-            poles = [f for f in table if unit in f.terms]
+            slope = {f: Q(f.num.get(unit, 0), f.den) for f in table}  # z_j-coefficients
+            poles = [f for f in table if slope[f]]
             for f0 in poles:
-                m0, a0 = table[f0], f0.terms[unit]
+                m0, a0 = table[f0], slope[f0]
                 numer = num
                 if m0 > 1:
                     # the (m0-1)-st derivative of num over the other factors
@@ -312,9 +313,13 @@ def residue_stepwise(form: ResidueForm, max_terms: int = DEFAULT_TERM_CAP) -> Mu
                     cofactors = [reduce(mul, (g for g in moving if g is not f), one)
                                  for f in moving]
                     for step in range(m0 - 1):
-                        minus_g = sum((cof * (-(table[f] + step) * f.terms[unit])
+                        if numer.is_zero:  # so is every later derivative
+                            break
+                        minus_g = sum((cof * (-(table[f] + step) * slope[f])
                                        for f, cof in zip(moving, cofactors)), MultiPoly.zero(ctx))
                         numer = _derivative(numer, zj) * F + numer * minus_g
+                if numer.is_zero:  # no residue: skip the factorial of m0 - 1 too
+                    continue
                 # substitute z_j = w, w - z_j = -f0/a0, with the minus sign of
                 # the residue at infinity
                 shift = f0 * (-1 / a0)
@@ -325,7 +330,7 @@ def residue_stepwise(form: ResidueForm, max_terms: int = DEFAULT_TERM_CAP) -> Mu
                 reduced: FactorTable = {}
                 for f, m in table.items():
                     if f is not f0:
-                        a = f.terms.get(unit, 0)
+                        a = slope[f]
                         scale *= _enter(reduced, f + shift * a, m + (m0 - 1 if a else 0))
                 numer = numer * (1 / scale)
                 for f, m in list(reduced.items()):
@@ -335,7 +340,7 @@ def residue_stepwise(form: ResidueForm, max_terms: int = DEFAULT_TERM_CAP) -> Mu
                         reduced[f] = m
                     else:
                         del reduced[f]
-                if len(numer.terms) > max_terms:
+                if len(numer.num) > max_terms:
                     raise ResourceLimitError(f"residue_stepwise exceeded {max_terms} terms")
                 stage.append((numer, reduced))
         carried = stage
@@ -370,12 +375,12 @@ def tower_context(k: int) -> VarContext:
 
 def _zsum(ctx: VarContext, lo: int, hi: int) -> MultiPoly:
     """z_[lo..hi] = z_lo + ... + z_hi (1-based, inclusive)."""
-    terms: Terms = {}
+    num: Terms = {}
     for i in range(lo, hi + 1):
         e = [0] * len(ctx)
         e[ctx.index(f"z{i}")] = 1
-        terms[tuple(e)] = Q(1)
-    return MultiPoly(ctx, terms)
+        num[tuple(e)] = 1
+    return MultiPoly._raw(ctx, num)
 
 
 # per-level factors of a tower integrand: (numerator factors, denominator factors)
@@ -452,10 +457,10 @@ def _tower_integrand(n: int, k: int, P: MultiPoly, level: Callable[[MultiPoly], 
     live = _prefix_filter(ctx, n, zpos, factors) if over_X else (lambda series: series)
     # the numerator stays one packed grade-0 series from P to the last level
     # product, filtered after every product and read back once at the end
-    num = live(_packed({0: P.terms}, len(ctx), ti, tm))
+    num = live(_packed({0: P.num}, P.den, len(ctx), ti, tm))
     for f in [kernel] + [g for level_num, _ in levels for g in level_num]:
-        num = live(_graded_mul(num, _packed({0: f.terms}, len(ctx), ti, tm), 0, term_cap))
-    return ResidueForm(MultiPoly._raw(ctx, _flat(num)), factors, zvars, n if over_X else None)
+        num = live(_graded_mul(num, _packed({0: f.num}, f.den, len(ctx), ti, tm), 0, term_cap))
+    return ResidueForm(MultiPoly._raw(ctx, *_flat(num)), factors, zvars, n if over_X else None)
 
 
 def fibre_residue_integrand(n: int, k: int, P: MultiPoly, lambdas: Sequence[QLike],
@@ -570,8 +575,8 @@ def integral_over_tower(
     reach the top degree, as in `payload_integral_fixed_points`; the others
     integrate to zero and are dropped first."""
     hi = P.ctx.index("h")
-    P = MultiPoly(P.ctx, {e: c for e, c in P.terms.items()
-                          if e[hi] <= n and sum(e[:hi + 1]) == n + k * (n - 1)})
+    P = MultiPoly._raw(P.ctx, {e: c for e, c in P.num.items()
+                               if e[hi] <= n and sum(e[:hi + 1]) == n + k * (n - 1)}, P.den)
     if P.is_zero:
         return DPoly([])
     form = hypersurface_integrand(n, k, P, max_terms)

@@ -51,7 +51,6 @@ from jetres.exactalg import (
     MultiPoly,
     Q,
     QLike,
-    Terms,
     VarContext,
     _aligned,
     _flat,
@@ -322,7 +321,7 @@ def _on_X(poly: MultiPoly, n: int, cap: int) -> Graded:
     """poly as a series graded by the degree in every variable but d, cut
     above cap, with h^(n+1) = 0."""
     weights = [0 if name == "d" else 1 for name in poly.ctx.names]
-    return _graded(poly.terms, weights, cap, poly.ctx.index("h"), n)
+    return _graded(poly, weights, cap, poly.ctx.index("h"), n)
 
 
 def _todd_series(f: MultiPoly, m: int, n: int, cap: int) -> Graded:
@@ -335,7 +334,7 @@ def todd_of_X(n: int) -> MultiPoly:
     the K-theory class (n+2)O(h) - O - O(dh) of its tangent bundle."""
     h, d = (MultiPoly.variable(HD_CTX, name) for name in ("h", "d"))
     td = _graded_mul(_todd_series(h, n + 2, n, n), _todd_series(d * h, -1, n, n), n)
-    return MultiPoly._raw(HD_CTX, _flat(td))
+    return MultiPoly._raw(HD_CTX, *_flat(td))
 
 
 def segre_hypersurface(n: int) -> tuple[MultiPoly, ...]:
@@ -373,7 +372,7 @@ def euler_characteristic_k1_pushforward(n: int, a1: int) -> DPoly:
     for f, m in [(h - u, n + 2), (-u, -1), (d * h - u, -1)]:
         payload = _graded_mul(payload, _todd_series(f, m, n, cap), cap)
     payload = _graded_mul(payload, _on_X(todd_of_X(n).embed(ctx), n, cap), cap)
-    payload_poly = MultiPoly._raw(ctx, _flat(payload))
+    payload_poly = MultiPoly._raw(ctx, *_flat(payload))
 
     # pushforward: u^m -> (-1)^m s_(m-n+1)
     segre = (MultiPoly.const(HD_CTX, 1),) + segre_hypersurface(n)
@@ -412,8 +411,8 @@ def monomial(ctx: VarContext, powers: Mapping[str, int]) -> MultiPoly:
 def series_inverse(poly: MultiPoly, cap: int) -> MultiPoly:
     """The b with poly * b == 1 modulo total degree > cap; the constant term
     must be exactly 1."""
-    graded = _graded(poly.terms, [1] * len(poly.ctx), cap)
-    return MultiPoly(poly.ctx, _flat(_graded_inverse(graded, cap)))
+    graded = _graded(poly, [1] * len(poly.ctx), cap)
+    return MultiPoly._raw(poly.ctx, *_flat(_graded_inverse(graded, cap)))
 
 
 def total_degree(poly: MultiPoly) -> int:
@@ -429,6 +428,7 @@ def truncate_total(poly: MultiPoly, cap: int) -> MultiPoly:
     return MultiPoly(poly.ctx, {e: c for e, c in poly.terms.items() if sum(e) <= cap})
 
 
+Terms = dict[tuple[int, ...], Q]  # rational coefficients by exponent tuple
 Buckets = dict[int, Terms]  # grade -> terms of that grade
 
 

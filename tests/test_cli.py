@@ -527,6 +527,20 @@ def test_residue_expand_cap_names_its_stage(capsys):
     assert "residue_expand" in error["message"]
 
 
+@pytest.mark.parametrize("form", ["z1^3/((z1)^100000000)", "z1^3/((z1+h)^1000000)"],
+                         ids=["z1", "z1+h"])
+def test_stepwise_residue_stops_when_the_numerator_vanishes(form, capsys):
+    # the fourth derivative of z1^3 is 0, so the pole of order m has no
+    # residue: the stepwise check stops its m - 1 derivative steps there and
+    # never builds (m - 1)!
+    start = time.monotonic()
+    code = main(["residue", "--form", form, "--verify"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert doc["result"]["value"]["text"] == "0"
+    assert time.monotonic() - start < 5
+
+
 def test_integrand_builder_cap_names_its_stage(capsys):
     # the parser's bound for this power is C(20, 4) = 4,845 terms, under the
     # cap; the builder's products reach 9,908 terms, so the builder stops it

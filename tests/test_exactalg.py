@@ -2,12 +2,13 @@
 
 import random
 import time
-from math import factorial
+from math import factorial, gcd, lcm
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from jetres import exactalg
 from jetres.exactalg import (
     ContextError,
     DPoly,
@@ -17,15 +18,10 @@ from jetres.exactalg import (
     Q,
     ResourceLimitError,
     VarContext,
-    _add_into,
-    _flat,
-    _graded,
     _graded_dot,
     _graded_inverse,
     _graded_mul,
     _graded_series,
-    _mul_terms,
-    _packed,
 )
 from oracles import (
     constant,
@@ -42,6 +38,35 @@ CTX = VarContext(("z1", "z2", "h"))
 Z1 = MultiPoly.variable(CTX, "z1")
 Z2 = MultiPoly.variable(CTX, "z2")
 H = MultiPoly.variable(CTX, "h")
+
+
+# The kernel entry points on rational term dicts: the integer numerators of
+# the terms over the lcm of their denominators go in, rationals come out.
+
+def _numerators(terms):
+    den = lcm(*(Q(c).denominator for c in terms.values()))
+    return {e: int(c * den) for e, c in terms.items()}, den
+
+
+def _graded(terms, weights, cap, ti=-1, tm=0):
+    ctx = VarContext(tuple(f"x{i}" for i in range(len(weights))))
+    return exactalg._graded(MultiPoly(ctx, terms), weights, cap, ti, tm)
+
+
+def _packed(buckets, width, ti=-1, tm=0):
+    den = lcm(*(_numerators(t)[1] for t in buckets.values()))
+    ints = {g: {e: int(c * den) for e, c in t.items()} for g, t in buckets.items()}
+    return exactalg._packed(ints, den, width, ti, tm)
+
+
+def _flat(series):
+    num, den = exactalg._flat(series)
+    return {e: Q(c, den) for e, c in num.items()}
+
+
+def _mul_terms(a, b):
+    (na, da), (nb, db) = _numerators(a), _numerators(b)
+    return {e: Q(c, da * db) for e, c in exactalg._mul_terms(na, nb).items()}
 
 
 def random_poly(rng, ctx=CTX, max_terms=6, max_exp=3):
@@ -270,8 +295,7 @@ def test_graded_exp_of_sum_is_product_of_exps(x, y, cap, trunc):
         coeffs = [Q(1, factorial(m)) for m in range(cap + 1)]
         return _graded_series(_graded(t, WEIGHTS, cap, *trunc), coeffs, cap)
 
-    xy = dict(x)
-    _add_into(xy, y)
+    xy = (MultiPoly(CTX, x) + MultiPoly(CTX, y)).terms
     assert _flat(exp(xy)) == _flat(_graded_mul(exp(x), exp(y), cap))
 
 
@@ -292,9 +316,8 @@ def test_graded_chain_that_outgrows_its_digits(trunc):
     assert sizes == {1, 2}
     # a sum of two series keyed with different digits, and the series and
     # inverse whose powers outgrow the operand's digits
-    expected = _flat(power)
-    _add_into(expected, _flat(packed))
-    assert _flat(graded_add(power, packed)) == expected
+    expected = MultiPoly(CTX, _flat(power)) + MultiPoly(CTX, _flat(packed))
+    assert _flat(graded_add(power, packed)) == expected.terms
     coeffs = [Q(1, m + 1) for m in range(6)]
     assert _by_grade(_graded_series(packed, coeffs, cap)) == naive_series(naive, coeffs, cap, 3,
                                                                           *trunc)
@@ -542,6 +565,29 @@ def test_divide_exact_inverts_the_product(a, b, r):
     r = {e: c for e, c in r.items() if any(x < y for x, y in zip(e, lead_b))}
     if r:
         assert (prod + MultiPoly(CTX, r)).divide_exact(pb) is None
+
+
+WIDE = VarContext(("z1", "z2", "h", "d"))
+
+
+@given(terms_st, terms_st, st.builds(Q, st.integers(-9, 9), st.integers(1, 5)),
+       st.integers(0, 4), st.sampled_from(CTX.names))
+@example({(1, 0, 0): Q(1, 2), UNIT: Q(1, 4)}, {UNIT: Q(1, 4)}, Q(2), 2, "z1")
+def test_every_operation_keeps_the_canonical_form(a, b, q, exp, name):
+    # integer numerators, none zero, over a denominator >= 1 that shares no
+    # factor with all of them: sums whose denominators cancel, such as
+    # (x/2 + 1/4) + 1/4 = (x + 1)/2, among them
+    p, r = MultiPoly(CTX, a), MultiPoly(CTX, b)
+    results = [p + r, p - r, p * r, p * q, p**exp, p.substitute(name, r),
+               p.substitute(name, q), p.truncate(name, 1), p.embed(WIDE)]
+    if not r.is_zero:
+        results += [(p * r).divide_exact(r), (p + r).divide_exact(r)]
+    for x in results:
+        if x is not None:
+            assert type(x.den) is int and x.den >= 1
+            assert all(type(c) is int and c for c in x.num.values())
+            assert gcd(x.den, *x.num.values()) == 1
+    assert (p * 2) * Q(1, 2) == p and hash((p * 2) * Q(1, 2)) == hash(p)
 
 
 def test_substitute_and_evaluate():

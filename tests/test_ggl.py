@@ -12,7 +12,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import jetres.exactalg
-from jetres.exactalg import DPoly, JetresError, Q, ResourceLimitError, _flat, _graded, _graded_mul
+from jetres.exactalg import (
+    DPoly,
+    JetresError,
+    MultiPoly,
+    Q,
+    ResourceLimitError,
+    _flat,
+    _graded,
+    _graded_mul,
+)
 from jetres.ggl import (
     GGLConfig,
     _todd_power,
@@ -34,7 +43,7 @@ from jetres.ggl import (
     s_constant,
 )
 from jetres.localization import payload_integral_fixed_points
-from jetres.residue import integral_over_tower
+from jetres.residue import integral_over_tower, tower_context
 from oracles import (
     chi_structure_sheaf,
     euler_characteristic_k1_pushforward,
@@ -217,11 +226,12 @@ def _kernel_in_the_old_order(table, defect_cap):
     weights = tuple(range(n, 0, -1)) + (n, n)
 
     def graded(tab):
-        return _graded({z + (s, t): c for (z, s, t), c in tab.items()}, weights, cap, n, n)
+        flat = MultiPoly(tower_context(n), {z + (s, t): c for (z, s, t), c in tab.items()})
+        return _graded(flat, weights, cap, n, n)
 
     a01 = _graded_mul(graded(table.a0), graded(table.a1), cap)
-    a = _flat(_graded_mul(a01, graded(table.a2), cap))
-    return {(e[:n], e[n], e[n + 1]): c for e, c in a.items() if e[n] + e[n + 1] <= n}
+    a, den = _flat(_graded_mul(a01, graded(table.a2), cap))
+    return {(e[:n], e[n], e[n + 1]): Q(c, den) for e, c in a.items() if e[n] + e[n + 1] <= n}
 
 
 @pytest.mark.parametrize("n, defect_cap", [(2, cap) for cap in range(5)] + [(3, 4)],
@@ -447,6 +457,21 @@ def test_euler_characteristic_k1_oracle():
 def test_euler_characteristic_k1_oracle_n3():
     for a1 in (0, 2, 4):
         assert euler_characteristic(3, 1, (a1,)) == euler_characteristic_k1_pushforward(3, a1)
+
+
+def test_euler_characteristic_is_chi_of_o_minus_a():
+    # chi(X_k, O_(X_k)(-a)) with z_j = c_1(O_(X_j)(1)) (Demailly's convention).
+    # On a plane curve X_1 = X and O_(X_1)(1) = K_X, so a = (-m,) gives
+    # chi(K_X^m) = (2m - 1)(g - 1) = (m - 1/2) d(d - 3)
+    for m in range(4):
+        assert euler_characteristic(1, 1, (-m,)) == DPoly([0, -3 * (m - Q(1, 2)), m - Q(1, 2)])
+    # on a surface in P^3, O_(X_1)(1) pushes forward to Omega^1_X, and
+    # O_(X_1)(-1) has no cohomology on the fibres
+    omega1 = DPoly([0, Q(-7, 3), 2, Q(-2, 3)])
+    assert omega1(4) == -20  # a quartic K3: chi(Omega^1) = -h^(1,1)
+    assert euler_characteristic(2, 1, (0,)) == chi_structure_sheaf(2)
+    assert euler_characteristic(2, 1, (-1,)) == omega1
+    assert euler_characteristic(2, 1, (1,)).is_zero
 
 
 @pytest.mark.slow

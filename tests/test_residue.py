@@ -255,8 +255,13 @@ def test_stage_series_is_the_convolved_factor_series(group, room, trunc):
     ti, tm = trunc
     unit_led = [(Q(1), {e: v / c for e, v in rest.items()}, m) for c, rest, m in group]
     m_total = sum(m for _, _, m in group)
-    series = _stage_series([(rest, m) for _, rest, m in unit_led], room, STAGE_WIDTH, ti, tm)
-    got = {m_total + r: _flat(series._replace(parts={r: t})) for r, t in series.parts.items()}
+    ctx = VarContext(tuple(f"x{i}" for i in range(STAGE_WIDTH)))
+    series = _stage_series([(MultiPoly(ctx, rest), m) for _, rest, m in unit_led], room,
+                           STAGE_WIDTH, ti, tm)
+    got = {}
+    for r, t in series.parts.items():
+        num, den = _flat(series._replace(parts={r: t}))
+        got[m_total + r] = {e: Q(c, den) for e, c in num.items()}
     assert got == stage_series_convolved(unit_led, m_total + room, STAGE_WIDTH, ti, tm)
 
 
