@@ -188,7 +188,7 @@ def _residue(params: Mapping[str, Any], budgets: dict[str, Any]) -> Outcome:
     value = residue_expand(form, budgets["max_terms"])
     check = ("expand-vs-stepwise", "expansion and stepwise residues disagree",
              value, lambda: residue_stepwise(form, budgets["max_terms"]))
-    return {"value": _poly_doc(value.restrict(HD_CTX))}, check
+    return {"value": _poly_doc(value.recast(HD_CTX))}, check
 
 
 def _fixed_points(params: Mapping[str, Any], budgets: dict[str, Any]) -> Outcome:

@@ -51,7 +51,6 @@ __all__ = [
     "QLike",
     "JetresError",
     "ContextError",
-    "NonUnitError",
     "ResourceLimitError",
     "VarContext",
     "MultiPoly",
@@ -66,7 +65,7 @@ QLike = Union[Q, int]
 
 
 class JetresError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; an "internal: ..." one is a broken invariant."""
 
     code = "internal"
 
@@ -75,12 +74,6 @@ class ContextError(JetresError):
     """Operands live in different or unsuitable variable contexts."""
 
     code = "context"
-
-
-class NonUnitError(JetresError):
-    """Series inversion applied to a non-unit (constant term != 1)."""
-
-    code = "non-unit"
 
 
 class ResourceLimitError(JetresError):
@@ -329,7 +322,7 @@ def _aligned(a: Graded, b: Graded) -> tuple[Graded, Graded]:
     if a.codec is b.codec and 2 * (a.reach + b.reach) < 256**a.codec.size:
         return a, b
     if (a.codec.width, a.codec.ti, a.codec.tm) != (b.codec.width, b.codec.ti, b.codec.tm):
-        raise ValueError("series of different widths or truncations")
+        raise JetresError("internal: series of different widths or truncations")
     a, b = (s._replace(reach=_reach(s.codec.unpack([k for t in s.parts.values() for k, _ in t])))
             for s in (a, b))
     size = max(_digit_size(a.reach + b.reach), a.codec.size, b.codec.size)
@@ -417,7 +410,7 @@ def _graded_inverse(a: Graded, cap: int) -> Graded:
     is a sum of products of at most g / g_min terms of a (g_min its least
     positive grade), so a is keyed once with room for that."""
     if a.parts.get(0) != [(0, a.den)]:
-        raise NonUnitError("series inverse requires grade-0 part exactly 1")
+        raise JetresError("internal: series inverse requires grade-0 part exactly 1")
     low = min((g for g in a.parts if g), default=cap + 1)
     reach = cap // low * a.reach
     a = _repacked(a, max(a.codec.size, _digit_size(a.reach + reach)))
@@ -606,31 +599,17 @@ class MultiPoly:
         return MultiPoly._raw(self.ctx, {e: c for e, c in self.num.items() if e[i] <= maxdeg},
                               self.den)
 
-    def embed(self, ctx: VarContext) -> "MultiPoly":
-        """Re-express in a larger context containing all used variables."""
-        pos = [ctx.index(name) for name in self.ctx.names]
-        width = len(ctx)
+    def recast(self, ctx: VarContext) -> "MultiPoly":
+        """Re-express in ctx, which must hold every variable used here
+        (ContextError naming the others); unused variables may be missing."""
+        if missing := self.variables_used() - set(ctx.names):
+            raise ContextError(f"cannot recast into {ctx.names}: variables {sorted(missing)} used")
+        moves = [(i, ctx.index(name)) for i, name in enumerate(self.ctx.names) if name in ctx]
         out: Terms = {}
         for e, c in self.num.items():
-            ne = [0] * width
-            for p, ei in zip(pos, e):
-                ne[p] = ei
-            out[tuple(ne)] = c
-        return MultiPoly._raw(ctx, out, self.den)
-
-    def restrict(self, ctx: VarContext) -> "MultiPoly":
-        """Re-express in a smaller context; fails if other variables occur."""
-        extra = self.variables_used() - set(ctx.names)
-        if extra:
-            raise ContextError(f"cannot restrict: variables {sorted(extra)} present")
-        pos = {self.ctx.index(name): i for i, name in enumerate(ctx.names) if name in self.ctx}
-        width = len(ctx)
-        out: Terms = {}
-        for e, c in self.num.items():
-            ne = [0] * width
-            for i, ei in enumerate(e):
-                if ei:
-                    ne[pos[i]] = ei
+            ne = [0] * len(ctx)
+            for i, p in moves:
+                ne[p] = e[i]
             out[tuple(ne)] = c
         return MultiPoly._raw(ctx, out, self.den)
 

@@ -251,7 +251,7 @@ def _flat_terms(poly: MultiPoly, zshift: Sequence[int]) -> MultiPoly:
     out = {}
     for e, c in poly.num.items():
         if e[n] < e[n + 1]:
-            raise JetresError("d without matching h")
+            raise JetresError("internal: d without matching h")
         out[tuple(x + y for x, y in zip(e, zshift)) + e[n:]] = c
     return MultiPoly._raw(poly.ctx, out, poly.den)
 
@@ -384,6 +384,8 @@ def estimate_checks(
     def add(name: str, ok: bool, details: str = "", required: bool = True) -> None:
         checks.append((name, bool(ok), required, details))
 
+    # the tables first: they refuse a negative defect_cap before the localization
+    table = expansion_diagnostics(n, defect_cap, max_terms)
     _, p = build_intersection_polynomial(cfg, max_points)
     B0 = b0(cfg.a)
 
@@ -400,7 +402,6 @@ def estimate_checks(
             f"|p_(n-{l})| = {abs(p[n - l])}",
         )
 
-    table = expansion_diagnostics(n, defect_cap, max_terms)
     outside = {z for z in {z for z, _, _ in table.a} if not lambda_plus_member(z)}
     bad = [z for (z, s, t) in table.a if z in outside]
     add(

@@ -509,7 +509,7 @@ def demailly_integrand(n: int, k: int, P: MultiPoly, segre: Sequence[MultiPoly])
     """
     if len(segre) != n:
         raise ValueError("Segre data dimension mismatch")
-    classes = [s.embed(P.ctx) for s in segre]
+    classes = [s.recast(P.ctx) for s in segre]
 
     def cleared_tangent(w: MultiPoly) -> LevelFactors:
         nj = w**n
@@ -559,7 +559,7 @@ def integrate_over_X(poly: MultiPoly, n: int) -> DPoly:
 
     `poly` may involve no variables but h and d (ContextError otherwise).
     """
-    top = {j: c for (b, j), c in poly.restrict(HD_CTX).terms.items() if b == n}
+    top = {j: c for (b, j), c in poly.recast(HD_CTX).terms.items() if b == n}
     return DPoly([0] + [top.get(j, 0) for j in range(max(top, default=-1) + 1)])
 
 

@@ -371,7 +371,7 @@ def euler_characteristic_k1_pushforward(n: int, a1: int) -> DPoly:
     # bundle's K-theory class: Td(h - u)^(n+2) / (Td(-u) Td(dh - u))
     for f, m in [(h - u, n + 2), (-u, -1), (d * h - u, -1)]:
         payload = _graded_mul(payload, _todd_series(f, m, n, cap), cap)
-    payload = _graded_mul(payload, _on_X(todd_of_X(n).embed(ctx), n, cap), cap)
+    payload = _graded_mul(payload, _on_X(todd_of_X(n).recast(ctx), n, cap), cap)
     payload_poly = MultiPoly._raw(ctx, *_flat(payload))
 
     # pushforward: u^m -> (-1)^m s_(m-n+1)

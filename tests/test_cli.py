@@ -172,6 +172,27 @@ def test_out_of_range_values_are_validation_errors(argv, message, capsys):
     assert message in error["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["diagnostics", "-n", "5", "--defect-cap=-1"],
+    ["ggl", "-n", "3", "--a", "9,3,1", "--bound=-5"],
+    ["ggl", "-n", "3", "--a", "9,3,1", "--delta=-1"],
+    ["euler-char", "-n", "3", "-k", "2", "--a", "9,3", "--budget", "6"],
+    ["fibre-integral", "-n", "3", "-k", "2", "-P", "u1^2*u2^2", "--lambdas", "1,2"],
+], ids=["diagnostics-defect-cap", "ggl-bound", "ggl-delta", "euler-budget", "fibre-lambdas"])
+def test_validation_errors_come_before_any_route(argv, monkeypatch, capsys):
+    # a bad parameter is refused before the routes, which can take minutes:
+    # diagnostics -n 6 localizes for about 18 s
+    def route(*args, **kwargs):
+        raise AssertionError("a route ran before the parameters were checked")
+
+    monkeypatch.setattr("jetres.ggl.build_intersection_polynomial", route)
+    monkeypatch.setattr("jetres.cli.euler_characteristic", route)
+    monkeypatch.setattr("jetres.cli.fibre_integral_fixed_points", route)
+    code = main(argv)
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"]["code"] == "validation"
+
+
 @pytest.mark.parametrize("command, params, name", [
     ("ggl", {"n": 2, "a": [3, 1], "delta": "1/0"}, "delta"),
     ("ggl", {"n": 2, "a": [3, 1], "bound": "x"}, "bound"),

@@ -13,8 +13,8 @@ from jetres.exactalg import (
     ContextError,
     DPoly,
     HD_CTX,
+    JetresError,
     MultiPoly,
-    NonUnitError,
     Q,
     ResourceLimitError,
     VarContext,
@@ -138,9 +138,9 @@ def test_series_inverse_geometric():
 
 
 def test_series_inverse_non_unit():
-    with pytest.raises(NonUnitError):
+    with pytest.raises(JetresError, match="internal: series inverse requires grade-0"):
         series_inverse(2 + H, 3)
-    with pytest.raises(NonUnitError):
+    with pytest.raises(JetresError, match="internal: series inverse requires grade-0"):
         series_inverse(H, 3)
 
 
@@ -528,8 +528,17 @@ def test_substitute_with_negative_and_edge_exponents(terms, name, value):
 
 
 def test_graded_series_rejects_bad_constant_parts():
-    with pytest.raises(NonUnitError):
+    with pytest.raises(JetresError, match="internal: series inverse requires grade-0"):
         _graded_inverse(_graded({UNIT: Q(2)}, WEIGHTS, 3), 3)
+
+
+def test_series_of_different_shapes_are_an_internal_fault():
+    # no caller multiplies series of different widths or truncations
+    narrow = _graded({(1, 0): Q(1)}, (1, 1), 3)
+    with pytest.raises(JetresError, match="internal: series of different widths"):
+        _graded_mul(_graded({UNIT: Q(1)}, WEIGHTS, 3), narrow, 3)
+    with pytest.raises(JetresError, match="internal: series of different widths"):
+        _graded_mul(_graded({UNIT: Q(1)}, WEIGHTS, 3), _graded({UNIT: Q(1)}, WEIGHTS, 3, 0, 2), 3)
 
 
 def test_segre_of_surface_multiplies_back():
@@ -579,7 +588,7 @@ def test_every_operation_keeps_the_canonical_form(a, b, q, exp, name):
     # (x/2 + 1/4) + 1/4 = (x + 1)/2, among them
     p, r = MultiPoly(CTX, a), MultiPoly(CTX, b)
     results = [p + r, p - r, p * r, p * q, p**exp, p.substitute(name, r),
-               p.substitute(name, q), p.truncate(name, 1), p.embed(WIDE)]
+               p.substitute(name, q), p.truncate(name, 1), p.recast(WIDE)]
     if not r.is_zero:
         results += [(p * r).divide_exact(r), (p + r).divide_exact(r)]
     for x in results:
@@ -588,6 +597,24 @@ def test_every_operation_keeps_the_canonical_form(a, b, q, exp, name):
             assert all(type(c) is int and c for c in x.num.values())
             assert gcd(x.den, *x.num.values()) == 1
     assert (p * 2) * Q(1, 2) == p and hash((p * 2) * Q(1, 2)) == hash(p)
+
+
+@given(terms_st, st.permutations(WIDE.names), st.sampled_from(CTX.names))
+@example({(1, 0, 0): Q(1, 2)}, list(WIDE.names), "z1")
+@example({(1, 0, 0): Q(1, 2)}, list(WIDE.names), "z2")
+def test_recast_needs_exactly_the_used_variables(terms, order, name):
+    # a round trip through a wider context in any order gives p back; a
+    # target may drop an unused variable, and one that drops a used
+    # variable is refused by name
+    p = MultiPoly(CTX, terms)
+    back = p.recast(VarContext(tuple(order))).recast(CTX)
+    assert back == p and hash(back) == hash(p)
+    narrow = VarContext(tuple(x for x in order if x != name))
+    if name in p.variables_used():
+        with pytest.raises(ContextError, match=f"'{name}'"):
+            p.recast(narrow)
+    else:
+        assert p.recast(narrow).recast(CTX) == p
 
 
 def test_substitute_and_evaluate():

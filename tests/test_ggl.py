@@ -24,6 +24,7 @@ from jetres.exactalg import (
 )
 from jetres.ggl import (
     GGLConfig,
+    _flat_terms,
     _todd_power,
     ample_condition,
     assemble_intersection_from_tables,
@@ -180,6 +181,20 @@ def test_two_route_equality_small_config():
     assert v1 == I
 
 
+@pytest.mark.parametrize("n, k, a, delta", [
+    (2, 2, (2, 1), Q(1, 10)), (3, 3, (6, 2, 1), Q(1, 100)), (2, 3, (9, 3, 1), Q(0))])
+def test_intersection_is_homogeneous_in_the_weights(n, k, a, delta):
+    # the payload is a product of (k + 1)(n - 1) + 1 factors linear in a, so
+    # I(d; t a) = t^((k + 1)(n - 1) + 1) I(d; a)
+    I, _ = build_intersection_polynomial(GGLConfig(n=n, k=k, a=a, delta=delta))
+    degree = (k + 1) * (n - 1) + 1
+    for t in (2, 3):
+        cfg = GGLConfig(n=n, k=k, a=tuple(t * x for x in a), delta=delta)
+        assert build_intersection_polynomial(cfg)[0] == I * t**degree
+        if t == 3:
+            assert integral_over_tower(n, k, intersection_payload(cfg)) == I * t**degree
+
+
 def test_coefficient_route_equality_n2():
     cfg = canonical_config(2)
     I, _ = build_intersection_polynomial(cfg)
@@ -311,6 +326,13 @@ def test_kernel_table_pair_products(monkeypatch):
     monkeypatch.setattr(jetres.exactalg, "_mac", counted)
     expansion_diagnostics(3, 4)
     assert 0 < pairs <= 59_000
+
+
+def test_a_d_without_h_is_an_internal_fault():
+    # every factor of the kernel holds d only as dh
+    d = MultiPoly.variable(tower_context(2), "d")
+    with pytest.raises(JetresError, match="internal: d without matching h"):
+        _flat_terms(d, [0, 0])
 
 
 def test_diagnostics_needs_n_at_least_2():

@@ -421,7 +421,7 @@ def test_trivial_segre_matches_reflected_fibre_form():
         for j in range(1, k + 1):
             factors.append((-_zsum(ctx, 1, j), n))
         via_fibre = residue_expand(ResidueForm(numerator, factors, zvars))
-        assert via_segre.restrict(HD_CTX) == via_fibre.restrict(HD_CTX)
+        assert via_segre.recast(HD_CTX) == via_fibre.recast(HD_CTX)
 
 
 def test_degree_mismatch_integrates_to_zero():
@@ -450,7 +450,7 @@ def test_integrate_over_X_rules():
             assert integrate_over_X(h**p * (2 + d), n).is_zero
         cls = (3 + 5 * d) * h**n + h ** (n - 1) + 7 * d * h ** (n + 1)
         assert integrate_over_X(cls, n) == DPoly([0, 3, 5])
-        assert integrate_over_X(cls.embed(tower_context(2)), n) == DPoly([0, 3, 5])
+        assert integrate_over_X(cls.recast(tower_context(2)), n) == DPoly([0, 3, 5])
 
 
 def test_integrate_over_X_rejects_leftover_variables():
@@ -562,7 +562,7 @@ def _builders_with_oracles(n, k, P):
     def cleared_tangent(w):
         out = w**n
         for i in range(1, n + 1):
-            out = out + seg[i - 1].embed(P.ctx) * w ** (n - i)
+            out = out + seg[i - 1].recast(P.ctx) * w ** (n - i)
         return out
 
     return [
