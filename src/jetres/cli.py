@@ -135,7 +135,7 @@ def _positive(params: Mapping[str, Any], name: str, default: int | None = None) 
 def _require(params: Mapping[str, Any], *names: str) -> None:
     missing = [x for x in names if params.get(x) is None]
     if missing:
-        raise JetresError(f"missing parameters: {', '.join(missing)}")
+        raise ValueError(f"missing parameters: {', '.join(missing)}")
 
 
 def _fibre_integral(params: Mapping[str, Any], budgets: dict[str, Any]) -> Outcome:

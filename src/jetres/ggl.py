@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction as Q
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from math import factorial
 from typing import NamedTuple, Sequence
 
@@ -48,9 +48,9 @@ from .exactalg import (
 from .localization import integral_over_tower_fixed_points
 from .residue import (
     DEFAULT_TERM_CAP,
-    _hypersurface_factors,
     _hypersurface_level,
     _leading_z,
+    _tower_factors,
     integral_over_tower,
     tower_context,
 )
@@ -262,7 +262,7 @@ def expansion_diagnostics(
     """Exact coefficient tables of the kernel and the canonical payload (k = n).
 
     The kernel is the ratio of the hypersurface integrand's factors
-    (residue._hypersurface_factors), each factor f led by z_j with
+    (residue._tower_factors), each factor f led by z_j with
     coefficient c taken as f/(c z_j) = 1 + r.  Its entries
     are built on flat exponents (z_1..z_n, s + t, t), graded by D(z) + n(s + t),
     cut at s + t <= n (assembly pairs no other entry: a payload entry has
@@ -288,7 +288,7 @@ def expansion_diagnostics(
     weights = tuple(range(n, 0, -1)) + (n, 0)
     term_cap = (max_terms, "expansion_diagnostics")
     ctx = tower_context(n)
-    numerators, denominators = _hypersurface_factors(ctx, n, n)
+    numerators, denominators = _tower_factors(ctx, n, partial(_hypersurface_level, n))
 
     def mul(x: Graded, y: Graded) -> Graded:
         return _graded_mul(x, y, cap, term_cap)
@@ -513,7 +513,7 @@ def euler_payload(n: int, k: int, a: tuple[int, ...]) -> MultiPoly:
 
     L is O_(X_k)(-a): ch(L) = e^(-sum a_j z_j) for z_j = c_1(O_(X_j)(1)) in
     Demailly's convention (the honest-class coordinates).  Td(T) is read off
-    the hypersurface integrand's factor list (residue._hypersurface_factors)
+    the hypersurface integrand's factor list (residue._tower_factors)
     plus the level at w = 0, which is X's own tangent bundle
     (n+2)O(h) - O - O(dh): Td(f)^m for each denominator factor f^m and
     Td(f)^(-1) for each numerator factor f.  The kernel is homogeneous of degree -kn in (z, h), with d of
@@ -533,7 +533,7 @@ def euler_payload(n: int, k: int, a: tuple[int, ...]) -> MultiPoly:
     for j, aj in enumerate(a, start=1):
         expo = expo - aj * MultiPoly.variable(ctx, f"z{j}")
     payload = _graded_series(graded(expo), [Q(1, factorial(m)) for m in range(dim + 1)], dim)
-    numerators, denominators = _hypersurface_factors(ctx, n, k)
+    numerators, denominators = _tower_factors(ctx, k, partial(_hypersurface_level, n))
     x_num, x_den = _hypersurface_level(n, MultiPoly.zero(ctx))
     for f, m in [(f, -1) for f in numerators + x_num] + denominators + x_den:
         payload = _graded_mul(payload, _graded_series(graded(f), _todd_power(m, dim), dim), dim)

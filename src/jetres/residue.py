@@ -124,8 +124,7 @@ class ResidueForm:
         ctx = numerator.ctx
         zpos = [ctx.index(z) for z in zvars]
         for poly, mult in factors:
-            if poly.ctx != ctx:
-                raise JetresError("factor context differs from numerator context")
+            numerator._check_ctx(poly)
             if mult < 1:
                 raise ValueError("factor multiplicities must be >= 1")
             _leading_z(poly, zpos)  # affine-linear in the z's, with a z-term
@@ -280,7 +279,9 @@ def residue_stepwise(form: ResidueForm, max_terms: int = DEFAULT_TERM_CAP) -> Mu
     multiplicity, which each step raises by 1).  Then w is substituted into
     N, and every other factor, affine-linear in the z's, becomes
     f + a_f (w - z_j); the factors go into a fresh table, and each factor
-    cancels as often as it divides N exactly.
+    cancels as often as it divides N exactly.  A term whose numerator's
+    z_j-degree is at most the table's z_j-degree minus 2 is O(z_j^-2), so
+    its residue at infinity is 0 and it is dropped without a step.
 
     Unlike the expansion engine, truncation is applied only to the final
     value: intermediate denominators may carry positive powers of the
@@ -303,6 +304,8 @@ def residue_stepwise(form: ResidueForm, max_terms: int = DEFAULT_TERM_CAP) -> Mu
         for num, table in carried:
             slope = {f: Q(f.num.get(unit, 0), f.den) for f in table}  # z_j-coefficients
             poles = [f for f in table if slope[f]]
+            if max((e[zj] for e in num.num), default=0) + 2 <= sum(table[f] for f in poles):
+                continue  # N/D is O(z_j^-2): its finite residues sum to 0
             for f0 in poles:
                 m0, a0 = table[f0], slope[f0]
                 numer = num
@@ -356,7 +359,7 @@ def residue_stepwise(form: ResidueForm, max_terms: int = DEFAULT_TERM_CAP) -> Mu
     if lcd:
         result = result.divide_exact(reduce(mul, (f**m for f, m in lcd.items()), one))
         if result is None:
-            raise JetresError("stepwise residue did not reduce to a polynomial value")
+            raise JetresError("internal: stepwise residue did not reduce to a polynomial value")
     if form.h_max is not None:
         result = result.truncate("h", form.h_max)
     # the per-step minus signs realize the (-1)^k orientation
@@ -383,8 +386,25 @@ def _zsum(ctx: VarContext, lo: int, hi: int) -> MultiPoly:
     return MultiPoly._raw(ctx, num)
 
 
-# per-level factors of a tower integrand: (numerator factors, denominator factors)
+# the factors of a tower integrand or of one of its levels: (numerator
+# factors, denominator factors with their multiplicities)
 LevelFactors = tuple[list[MultiPoly], list[tuple[MultiPoly, int]]]
+
+
+def _tower_factors(ctx: VarContext, k: int, level: Callable[[MultiPoly], LevelFactors]
+                   ) -> LevelFactors:
+    """The factors of a tower integrand without its (-1)^k prefactor: the
+    sign-flipped plus kernel's, numerators z_[t1..t2] (2 <= t1 <= t2 <= k)
+    and denominators (-z_s1 + z_[s1+1..s2]) (s1 < s2), then those of
+    level(z_[1..j]) for j = 1..k."""
+    numerators = [_zsum(ctx, t1, t2) for t1 in range(2, k + 1) for t2 in range(t1, k + 1)]
+    denominators = [(_zsum(ctx, s1 + 1, s2) - MultiPoly.variable(ctx, f"z{s1}"), 1)
+                    for s1 in range(1, k + 1) for s2 in range(s1 + 1, k + 1)]
+    for j in range(1, k + 1):
+        level_num, level_den = level(_zsum(ctx, 1, j))
+        numerators += level_num
+        denominators += level_den
+    return numerators, denominators
 
 
 def _prefix_filter(ctx: VarContext, n: int, zpos: Sequence[int],
@@ -418,9 +438,10 @@ def _prefix_filter(ctx: VarContext, n: int, zpos: Sequence[int],
 
 def _tower_integrand(n: int, k: int, P: MultiPoly, level: Callable[[MultiPoly], LevelFactors],
                      over_X: bool, term_cap: tuple[int, str]) -> ResidueForm:
-    """The plus kernel times P times, per level j, the numerator factors of
-    level(z_[1..j]), over the kernel's factors and the level's denominators;
-    each product of the numerator counts its terms against term_cap.
+    """(-1)^k P times the numerator factors of _tower_factors(ctx, k, level)
+    over its denominators.  One loop multiplies the numerator out, from
+    (-1)^k through the kernel's factors, P and the levels' factors, and each
+    product counts its terms against term_cap.
 
     Over X (h^(n+1) = 0) every denominator factor is linear and homogeneous
     in (z, h), and the numerator keeps only the terms z^a h^b with
@@ -438,27 +459,26 @@ def _tower_integrand(n: int, k: int, P: MultiPoly, level: Callable[[MultiPoly], 
     z_1..z_i and does not drop through the others, while a term that
     survives ends at z_1^-1 ... z_i^-1 h^b' with b' <= n, whose prefix sum
     is b' - i <= n - i.  The prefix sums only grow when a term is multiplied
-    by a polynomial, so the filter is applied to P and after every product,
-    and the residue (linear in the numerator) is unchanged.
+    by a polynomial, so the filter is applied after every product, and the
+    residue (linear in the numerator) is unchanged.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     ctx = P.ctx
     zvars = [f"z{i}" for i in range(1, k + 1)]
     ti, tm = (ctx.index("h"), n) if over_X else (-1, 0)
-    # each kernel numerator z_[t1..t2] is termwise <= z_2 + ... + z_k
-    _power_cap(term_cap[1], _zsum(ctx, 2, k), k * (k - 1) // 2, term_cap[0])
-    kernel_num, factors = _plus_kernel(ctx, k)
-    kernel = reduce(mul, kernel_num, MultiPoly.const(ctx, (-1) ** k))
-    levels = [level(_zsum(ctx, 1, j)) for j in range(1, k + 1)]
-    for _, level_den in levels:
-        factors += level_den
+    # each of the kernel's k(k-1)/2 numerators z_[t1..t2] is termwise
+    # <= z_2 + ... + z_k
+    kernel = k * (k - 1) // 2
+    _power_cap(term_cap[1], _zsum(ctx, 2, k), kernel, term_cap[0])
+    numerators, factors = _tower_factors(ctx, k, level)
     zpos = [ctx.index(z) for z in zvars]
     live = _prefix_filter(ctx, n, zpos, factors) if over_X else (lambda series: series)
-    # the numerator stays one packed grade-0 series from P to the last level
-    # product, filtered after every product and read back once at the end
-    num = live(_packed({0: P.num}, P.den, len(ctx), ti, tm))
-    for f in [kernel] + [g for level_num, _ in levels for g in level_num]:
+    # the numerator stays one packed grade-0 series, filtered after every
+    # product and read back once at the end; the kernel's factors go before
+    # P, which keeps the early products small
+    num = _packed({0: {(0,) * len(ctx): (-1) ** k}}, 1, len(ctx), ti, tm)
+    for f in numerators[:kernel] + [P] + numerators[kernel:]:
         num = live(_graded_mul(num, _packed({0: f.num}, f.den, len(ctx), ti, tm), 0, term_cap))
     return ResidueForm(MultiPoly._raw(ctx, *_flat(num)), factors, zvars, n if over_X else None)
 
@@ -484,19 +504,6 @@ def fibre_residue_integrand(n: int, k: int, P: MultiPoly, lambdas: Sequence[QLik
     # the plus kernel without its (-1)^k prefactor
     return _tower_integrand(n, k, (-1) ** k * P, weights, False,
                             (max_terms, "fibre_residue_integrand"))
-
-
-def _plus_kernel(
-    ctx: VarContext, k: int
-) -> tuple[list[MultiPoly], list[tuple[MultiPoly, int]]]:
-    """Shared sign-flipped kernel without its (-1)^k prefactor: numerator
-    factors z_[t1..t2] (2 <= t1 <= t2 <= k), denominators (-z_s1 + z_[s1+1..s2])."""
-    numerators = [_zsum(ctx, t1, t2) for t1 in range(2, k + 1) for t2 in range(t1, k + 1)]
-    factors: list[tuple[MultiPoly, int]] = []
-    for s1 in range(1, k + 1):
-        for s2 in range(s1 + 1, k + 1):
-            factors.append((_zsum(ctx, s1 + 1, s2) - MultiPoly.variable(ctx, f"z{s1}"), 1))
-    return numerators, factors
 
 
 def demailly_integrand(n: int, k: int, P: MultiPoly, segre: Sequence[MultiPoly]) -> ResidueForm:
@@ -527,17 +534,6 @@ def _hypersurface_level(n: int, w: MultiPoly) -> LevelFactors:
     h = MultiPoly.variable(w.ctx, "h")
     d = MultiPoly.variable(w.ctx, "d")
     return [w, w + d * h], [(w + h, n + 2)]
-
-
-def _hypersurface_factors(ctx: VarContext, n: int, k: int) -> LevelFactors:
-    """The factors of the hypersurface integrand without its (-1)^k
-    prefactor: the plus kernel's and those of every level j = 1..k."""
-    numerators, denominators = _plus_kernel(ctx, k)
-    for j in range(1, k + 1):
-        level_num, level_den = _hypersurface_level(n, _zsum(ctx, 1, j))
-        numerators += level_num
-        denominators += level_den
-    return numerators, denominators
 
 
 def hypersurface_integrand(n: int, k: int, P: MultiPoly,

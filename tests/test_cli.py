@@ -236,9 +236,10 @@ def test_euler_char_budget_only_refuses(capsys):
 
 def test_missing_parameters(capsys):
     code = main(["integral", "-n", "2"])
-    err = capsys.readouterr().err
-    assert code == 3
-    assert "missing parameters" in json.loads(err)["error"]["message"]
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert code == 2
+    assert error["code"] == "validation"
+    assert "missing parameters" in error["message"]
 
 
 def test_degenerate_lambdas_error(capsys):
@@ -465,6 +466,18 @@ def test_verify_mismatch_exits_3(monkeypatch, capsys):
     assert code == 3
     assert captured.out == ""
     assert json.loads(captured.err)["error"]["code"] == "verify-mismatch"
+
+
+def test_stepwise_drops_a_pole_that_vanishes_by_degree(capsys):
+    # z1^3 over a z1-degree 1,000,001 denominator is O(z1^-2): its residue
+    # at infinity is 0 without the 999,999 derivative steps of the pole at -h
+    start = time.monotonic()
+    code = main(["residue", "--form", "z1^3/((z1+h)^1000000*(z1-h))", "--verify"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert doc["result"]["value"]["text"] == "0"
+    assert doc["verify"] == {"match": True, "method": "expand-vs-stepwise"}
+    assert time.monotonic() - start < 5
 
 
 def test_flags_are_echoed_as_parameters(tmp_path, capsys):
@@ -724,9 +737,10 @@ def test_a_900_level_tower_stays_within_the_recursion_limit():
     (["-k", "8", "--max-terms", "100000"], "a 7-term base to the power 28 may exceed 100000 terms"),
 ], ids=["k9", "k3000", "k8-max-terms"])
 def test_plus_kernel_cap_is_a_resource_error(argv, message, capsys):
-    # the kernel's k(k-1)/2 numerators are multiplied before the builder's
-    # capped products; uncapped, -k 8 took 5.5 s and -k 10 over 30 s.  P = h
-    # has the tower's dimension 1 at n = 1, so the kernel is built.
+    # the kernel's k(k-1)/2 numerators run through the builder's capped
+    # products, and a pre-check refuses a kernel whose product may pass the
+    # cap before the first of them.  P = h has the tower's dimension 1 at
+    # n = 1, so the kernel is built.
     start = time.monotonic()
     code = main(["integral", "-n", "1", "-P", "h"] + argv)
     error = json.loads(capsys.readouterr().err)["error"]

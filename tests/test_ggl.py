@@ -44,7 +44,12 @@ from jetres.ggl import (
     s_constant,
 )
 from jetres.localization import payload_integral_fixed_points
-from jetres.residue import integral_over_tower, tower_context
+from jetres.residue import (
+    _tower_factors,
+    hypersurface_integrand,
+    integral_over_tower,
+    tower_context,
+)
 from oracles import (
     chi_structure_sheaf,
     euler_characteristic_k1_pushforward,
@@ -469,6 +474,31 @@ def test_chi_structure_sheaf_classical():
     chi3 = chi_structure_sheaf(3)
     for d in (1, 2, 3, 5, 6, 9):
         assert chi3(d) == 1 - math.comb(d - 1, 4)
+
+
+class _FactorsRead(Exception):
+    """Stops a job once it has read the integrand's factor list."""
+
+
+@pytest.mark.parametrize("n, k", [(1, 3), (2, 2), (3, 3), (4, 4)])
+def test_tables_and_chi_read_the_integrands_denominators(n, k, monkeypatch):
+    # chi's Todd class and (at k = n) the diagnostics tables read the
+    # hypersurface integrand's denominators, in its order
+    read = []
+
+    def spy(*args):
+        read.append(_tower_factors(*args)[1])
+        raise _FactorsRead
+
+    monkeypatch.setattr("jetres.ggl._tower_factors", spy)
+    jobs = [lambda: euler_payload.__wrapped__(n, k, (1,) * k)]  # past the cache
+    if n == k:
+        jobs.append(lambda: expansion_diagnostics(n, 0))
+    for job in jobs:
+        with pytest.raises(_FactorsRead):
+            job()
+    form = hypersurface_integrand(n, k, MultiPoly.const(tower_context(k), 1))
+    assert read == [list(form.factors)] * len(jobs)
 
 
 def test_euler_characteristic_k1_oracle():

@@ -33,7 +33,6 @@ from jetres.residue import (
     residue_stepwise,
     tower_context,
     DEFAULT_TERM_CAP,
-    _plus_kernel,
     _stage_series,
     _zsum,
 )
@@ -125,8 +124,23 @@ def test_zfree_factor_rejected():
 
 
 def test_nonlinear_factor_rejected():
-    with pytest.raises(NotResidueIntegrableError):
-        ResidueForm(MultiPoly.const(Z2CTX, 1), [(TZ1 * TZ2, 1)], ("z1", "z2"))
+    ctx = VarContext(("z1", "h"))
+    z1, h = MultiPoly.variable(ctx, "z1"), MultiPoly.variable(ctx, "h")
+    for numerator, factor, zvars, message in [
+        (MultiPoly.const(Z2CTX, 1), TZ1 * TZ2, ("z1", "z2"), "not affine-linear in the z's"),
+        (MultiPoly.const(ctx, 1), z1 * h + 1, ("z1",),
+         "z-coefficients of denominator factors must be rational constants"),
+    ]:
+        with pytest.raises(NotResidueIntegrableError, match=message):
+            ResidueForm(numerator, [(factor, 1)], zvars)
+
+
+def test_factor_from_another_context_is_a_context_error():
+    # a caller's mistake, not a broken invariant: code "context", not "internal"
+    z1 = MultiPoly.variable(VarContext(("z1",)), "z1")
+    with pytest.raises(ContextError, match="mismatched contexts") as caught:
+        ResidueForm(MultiPoly.const(Z2CTX, 1), [(z1, 1)], ("z1",))
+    assert caught.value.code == "context"
 
 
 def random_residue_form(rng, k=3, coeff_ctx=()):
@@ -528,8 +542,9 @@ def _pruned_at_the_end(n, k, P, level_factor, level_mult):
     has multiplicity level_mult, the kernel factor -z_s1 + z_[s1+1..s2] is
     led by z_s2)."""
     numerator = (-1) ** k * P
-    for f in _plus_kernel(P.ctx, k)[0]:
-        numerator = numerator * f
+    for t1 in range(2, k + 1):
+        for t2 in range(t1, k + 1):
+            numerator = numerator * _zsum(P.ctx, t1, t2)
     for j in range(1, k + 1):
         numerator = numerator * level_factor(_zsum(P.ctx, 1, j))
     slots = [P.ctx.index(v) for v in ["h"] + [f"z{i}" for i in range(1, k)]]
